@@ -35,10 +35,9 @@ from .suites import run_suites
 from .surfaces import SurfaceParams, gamma_point, kaleidocycle_params, snapshot
 
 SCHEMA_VERSION = 1
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+# Lines formatted by one %-operation in the writers: large enough to amortise
+# the per-call cost, small enough that a file is never held in memory whole.
+_CHUNK_LINES = 4096
 
 
 @dataclass
@@ -53,7 +52,7 @@ class RunConfig:
     gamma: Optional[float] = None
     delta: Optional[float] = None
     beta: float = 1.0
-    m_range: tuple[int, int] = (0, 12)
+    m_range: Optional[tuple[int, int]] = None   # kaleidocycle: None = one period
     n_range: tuple[int, int] = (0, 12)
     t_start: float = 0.0
     t_stop: float = 0.0
@@ -73,6 +72,11 @@ class RunConfig:
         elif self.out_format != native:
             raise DomainError(
                 f"{self.command} writes {native}, not {self.out_format}")
+        if self.m_range is None and self.command != "kaleidocycle":
+            self.m_range = (0, 12)
+        for name, rng in (("m", self.m_range), ("n", self.n_range)):
+            if rng is not None and rng[0] > rng[1]:
+                raise DomainError(f"empty {name} range {rng[0]}..{rng[1]}")
 
     def t_samples(self) -> np.ndarray:
         if self.t_steps <= 1:
@@ -82,30 +86,36 @@ class RunConfig:
 
 # ----------------------------------------------------------------- writers --
 
-def write_curve_csv(path: Path, rows) -> None:
-    lines = ["t,m,x,y,z,Bx,By,Bz"]
-    for t, m, pt, b in rows:
-        lines.append(",".join([_fmt(t), str(int(m))]
-                              + [_fmt(v) for v in pt] + [_fmt(v) for v in b]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_lines(f, line_fmt: str, rows: np.ndarray) -> None:
+    """Write each row of a 2-D array as one line of line_fmt (%-style).
+
+    "%.17g" % x and f"{x:.17g}" agree for every float, signed zeros and
+    non-finite values included; "%d" prints an integer-valued float as the
+    integer.
+    """
+    for i in range(0, len(rows), _CHUNK_LINES):
+        block = rows[i:i + _CHUNK_LINES]
+        f.write((line_fmt * len(block)) % tuple(block.ravel().tolist()))
+
+
+def write_curve_csv(path: Path, snapshots) -> None:
+    """Rows t,m,x,y,z,Bx,By,Bz of each snapshot in turn, 17 significant digits."""
+    with path.open("w", encoding="utf-8") as f:
+        f.write("t,m,x,y,z,Bx,By,Bz\n")
+        for snap in snapshots:
+            rows = np.column_stack([np.full(len(snap.m_values), float(snap.t)),
+                                    snap.m_values, snap.points, snap.binormals])
+            _write_lines(f, "%.17g,%d" + ",%.17g" * 6 + "\n", rows)
 
 
 def write_obj(path: Path, points: np.ndarray) -> None:
     """Quad mesh over an (M, N, 3) array, m-then-n winding, 1-indexed faces."""
     M, N, _ = points.shape
-    lines = []
-    for i in range(M):
-        for j in range(N):
-            x, y, z = points[i, j]
-            lines.append(f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}")
-    for i in range(M - 1):
-        for j in range(N - 1):
-            a = i * N + j + 1
-            b = (i + 1) * N + j + 1
-            c = (i + 1) * N + j + 2
-            d = i * N + j + 2
-            lines.append(f"f {a} {b} {c} {d}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # vertex (i, j) is number i*N + j + 1; face (i, j) is a, a + N, a + N + 1, a + 1
+    a = (np.arange(M - 1)[:, None] * N + np.arange(N - 1)[None, :] + 1).reshape(-1, 1)
+    with path.open("w", encoding="utf-8") as f:
+        _write_lines(f, "v %.17g %.17g %.17g\n", points.reshape(-1, 3))
+        _write_lines(f, "f %d %d %d %d\n", a + np.array([0, N, N + 1, 1]))
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -140,14 +150,11 @@ def _surface_params(cfg: RunConfig) -> SurfaceParams:
 def cmd_curve(cfg: RunConfig) -> int:
     p = _surface_params(cfg)
     m0, m1 = cfg.m_range
-    rows = []
-    for t in cfg.t_samples():
-        snap = snapshot(p, range(m0, m1 + 1), float(t))
-        for m, pt, b in zip(snap.m_values, snap.points, snap.binormals):
-            rows.append((float(t), int(m), pt, b))
+    # every slice is validated before the file is opened
+    snaps = [snapshot(p, range(m0, m1 + 1), float(t)) for t in cfg.t_samples()]
     out = cfg.out_path or Path("curve.csv")
-    write_curve_csv(out, rows)
-    print(f"wrote {out} ({len(rows)} rows)")
+    write_curve_csv(out, snaps)
+    print(f"wrote {out} ({sum(len(s.m_values) for s in snaps)} rows)")
     return 0
 
 
@@ -159,18 +166,15 @@ def cmd_kaleidocycle(cfg: RunConfig) -> int:
     p = kaleidocycle_params(cfg.n, family=cfg.family, beta_rate=cfg.beta,
                             twisted=cfg.twisted)
     period = 2 * cfg.n if cfg.family == "dn" else 2
-    m_hi = cfg.m_range[1] if cfg.m_range != (0, 12) else period
+    m_hi = period if cfg.m_range is None else cfg.m_range[1]
     out_dir = cfg.out_path or Path("kaleidocycle")
     out_dir.mkdir(parents=True, exist_ok=True)
     worst = 0.0
     for idx, t in enumerate(cfg.t_samples()):
         snap = snapshot(p, range(0, m_hi + 1), float(t))
-        rows = [(float(t), int(m), pt, b)
-                for m, pt, b in zip(snap.m_values, snap.points, snap.binormals)]
-        write_curve_csv(out_dir / f"frame_{idx:04d}.csv", rows)
-        for m in range(0, m_hi + 1):
-            d = gamma_point(p, m + period, float(t)) - gamma_point(p, m, float(t))
-            worst = max(worst, float(np.linalg.norm(d)))
+        write_curve_csv(out_dir / f"frame_{idx:04d}.csv", [snap])
+        shifted = gamma_point(p, snap.m_values + period, float(t))
+        worst = max(worst, float(np.linalg.norm(shifted - snap.points, axis=1).max()))
     print(f"wrote {cfg.t_steps} frame(s) to {out_dir}; closure defect {worst:.3e}")
     return 0 if worst < 1e-9 else 1
 
@@ -346,7 +350,17 @@ def _merge(ns: argparse.Namespace) -> RunConfig:
             v = file_vals.get(name, default)
         return v
 
-    cfg = RunConfig(
+    ranges = {}
+    m_min, m_max = pick("m_min", 0), pick("m_max")
+    if raw["command"] == "ksurface":
+        for axis in ("m", "n"):
+            count = pick(f"{axis}_count", 20)
+            if count < 1:
+                raise DomainError(f"--{axis} must be at least 1, got {count}")
+            ranges[f"{axis}_range"] = (0, count - 1)
+    elif m_max is not None or raw["command"] == "curve":
+        ranges["m_range"] = (m_min, 12 if m_max is None else m_max)
+    return RunConfig(
         command=raw["command"],
         family=pick("family", "dn"),
         twisted=bool(pick("twisted", False)),
@@ -362,15 +376,8 @@ def _merge(ns: argparse.Namespace) -> RunConfig:
         out_format=pick("out_format"),
         out_path=pick("out_path"),
         frame_sign=pick("frame_sign"),
+        **ranges,
     )
-    m_min, m_max = pick("m_min", 0), pick("m_max")
-    if raw["command"] == "ksurface":
-        mc, nc = pick("m_count", 20), pick("n_count", 20)
-        cfg.m_range = (0, int(mc) - 1)
-        cfg.n_range = (0, int(nc) - 1)
-    elif m_max is not None:
-        cfg.m_range = (int(m_min), int(m_max))
-    return cfg
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -7,6 +7,13 @@ evaluation of sn, cn, dn delegates to scipy's descending-Landen
 implementation after range reduction mod 4K, and the sn^2 primitive is
 expressed through the Jacobi epsilon function so that every z-coordinate
 downstream costs O(1) instead of a quadrature.
+
+Every function takes scalars or arrays alike.  ``_closed_form``, the
+package-internal evaluator behind ``ksurf`` and ``surfaces``, evaluates the
+curve and K-surface closed forms on whole arrays of lattice sites with one
+``jacobi`` and one ``sn2_integral`` call; each element goes through the same
+operations in the same order as a scalar evaluation, so the values do not
+depend on how the sites are batched.
 """
 
 from __future__ import annotations
@@ -113,3 +120,34 @@ def sn2_integral(u, mod: EllipticModulus):
     2(K - E)/k^2 per 2K step.
     """
     return (u - jacobi_epsilon(u, mod)) / mod.m
+
+
+def _closed_form(phi, psi, sign, lattice, mod: EllipticModulus, family: str):
+    """Points F and unit normals N of the dn/cn closed forms at phases (phi, psi).
+
+    With s = sign (the (-1)^n or (-1)^m factor of the x, y components, or
+    1.0) and z = int_0^psi sn^2 - sum of count * int_0^step sn^2 over the
+    ``lattice`` pairs (count, int_0^step sn^2), subtracted in order:
+
+      dn: F = ( s cos(phi) dn/k,  s sin(phi) dn/k,  -k z ),
+          N = ( s cos(phi) sn,    s sin(phi) sn,    -cn );
+      cn: F = ( s k cos(phi) cn,  s k sin(phi) cn,  -k^2 z ),
+          N = ( s k cos(phi) sn,  s k sin(phi) sn,  -dn ).
+
+    phi and psi have one shape (the sites); sign and the counts broadcast
+    against it.  F and N have that shape plus a trailing axis of length 3.
+    """
+    sn, cn, dn = jacobi(psi, mod)
+    z = sn2_integral(psi, mod)
+    for count, integral in lattice:
+        z = z - count * integral
+    k = mod.k
+    x, y = sign * np.cos(phi), sign * np.sin(phi)
+    if family == "dn":
+        F = (x * dn / k, y * dn / k, -k * z)
+        N = (x * sn, y * sn, -cn)
+    else:
+        x, y = k * x, k * y
+        F = (x * cn, y * cn, -k * k * z)
+        N = (x * sn, y * sn, -dn)
+    return np.stack(F, axis=-1), np.stack(N, axis=-1)

@@ -17,6 +17,9 @@ F_{m+1,n} - F_{m,n} = N_{m+1,n} x N_{m,n} and
 F_{m,n+1} - F_{m,n} = -N_{m,n+1} x N_{m,n}.
 
 Quads are emitted with m-then-n winding so exported meshes orient uniformly.
+The closed forms are evaluated on whole arrays of sites: ``k_point`` takes
+integer arrays as well as integers, and a grid window is one evaluation whose
+values equal those of the single vertices bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .elliptic import EllipticModulus, jacobi, make_modulus, sn2_integral
+from .elliptic import EllipticModulus, _closed_form, jacobi, make_modulus, sn2_integral
 from .errors import DomainError, PoleError
 from .sg import HalfAngle
 
@@ -36,7 +39,8 @@ _CASES = ("1a", "1b", "1c", "2a", "2b", "2c")
 
 @dataclass(frozen=True)
 class KParams:
-    """Steps (gamma, delta) with the derived rotation angles (alpha, beta)."""
+    """Steps (gamma, delta) with the derived rotation angles (alpha, beta)
+    and the sn^2 primitives of the steps that the z-coordinate subtracts."""
 
     mod: EllipticModulus
     family: str
@@ -44,6 +48,8 @@ class KParams:
     delta_step: float
     alpha_step: float = field(init=False)
     beta_step: float = field(init=False)
+    gamma_integral: float = field(init=False)
+    delta_integral: float = field(init=False)
 
     def __post_init__(self):
         if self.family not in ("dn", "cn"):
@@ -59,35 +65,28 @@ class KParams:
             beta = math.atan2(snd, -cnd)
         object.__setattr__(self, "alpha_step", alpha)
         object.__setattr__(self, "beta_step", beta)
+        object.__setattr__(self, "gamma_integral", sn2_integral(self.gamma_step, self.mod))
+        object.__setattr__(self, "delta_integral", sn2_integral(self.delta_step, self.mod))
 
-    def phases(self, m: int, n: int) -> tuple[float, float]:
+    def phases(self, m, n):
         return (self.alpha_step * m + self.beta_step * n,
                 self.gamma_step * m + self.delta_step * n)
 
 
-def k_point(p: KParams, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(surface point F_{m,n}, unit normal N_{m,n})."""
+def k_point(p: KParams, m, n) -> tuple[np.ndarray, np.ndarray]:
+    """(surface point F_{m,n}, unit normal N_{m,n}).
+
+    m and n are integers or integer arrays that broadcast against each other;
+    F and N then carry the broadcast shape plus a trailing axis of length 3.
+    """
     phi, psi = p.phases(m, n)
-    sn, cn, dn = jacobi(psi, p.mod)
-    k = p.mod.k
-    zint = (sn2_integral(psi, p.mod)
-            - m * sn2_integral(p.gamma_step, p.mod)
-            - n * sn2_integral(p.delta_step, p.mod))
-    pre = (-1.0) ** (n % 2)
-    if p.family == "dn":
-        F = np.array([pre * math.cos(phi) * dn / k, pre * math.sin(phi) * dn / k, -k * zint])
-        N = np.array([pre * math.cos(phi) * sn, pre * math.sin(phi) * sn, -cn])
-    else:
-        F = np.array([pre * k * math.cos(phi) * cn, pre * k * math.sin(phi) * cn, -k * k * zint])
-        N = np.array([pre * k * math.cos(phi) * sn, pre * k * math.sin(phi) * sn, -dn])
-    return F, N
+    lattice = ((m, p.gamma_integral), (n, p.delta_integral))
+    return _closed_form(phi, psi, 1.0 - 2.0 * (n % 2), lattice, p.mod, p.family)
 
 
 def k_edge_residuals(p: KParams, m: int, n: int) -> tuple[float, float]:
     """Norms of the two edge-identity defects at one vertex."""
-    F, N = k_point(p, m, n)
-    Fm, Nm = k_point(p, m + 1, n)
-    Fn, Nn = k_point(p, m, n + 1)
+    (F, Fm, Fn), (N, Nm, Nn) = k_point(p, np.array([m, m + 1, m]), np.array([n, n, n + 1]))
     res_m = float(np.linalg.norm(Fm - F - np.cross(Nm, N)))
     res_n = float(np.linalg.norm(Fn - F + np.cross(Nn, N)))
     return res_m, res_n
@@ -147,11 +146,7 @@ class KGrid:
 def k_grid(p: KParams, m_values, n_values) -> KGrid:
     ms = np.asarray(list(m_values), dtype=int)
     ns = np.asarray(list(n_values), dtype=int)
-    pts = np.empty((len(ms), len(ns), 3))
-    nrm = np.empty((len(ms), len(ns), 3))
-    for i, m in enumerate(ms):
-        for j, n in enumerate(ns):
-            pts[i, j], nrm[i, j] = k_point(p, int(m), int(n))
+    pts, nrm = k_point(p, ms[:, None], ns[None, :])
     return KGrid(params=p, m_values=ms, n_values=ns, points=pts, normals=nrm)
 
 
@@ -220,13 +215,11 @@ def k_periodicity(case_id: str, order: int = 3, window: int = 8,
     p = KParams(mod=mod, family=fam, gamma_step=steps[0], delta_step=steps[1])
     worst = 0.0
     per_shift = {}
+    ms, ns = np.arange(window)[:, None], np.arange(window)[None, :]
+    F0, _ = k_point(p, ms, ns)
     for dm, dn_ in shifts:
-        defect = 0.0
-        for m in range(window):
-            for n in range(window):
-                F0, _ = k_point(p, m, n)
-                F1, _ = k_point(p, m + dm, n + dn_)
-                defect = max(defect, float(np.abs(F1 - F0).max()))
+        F1, _ = k_point(p, ms + dm, ns + dn_)
+        defect = float(np.abs(F1 - F0).max(initial=0.0))
         per_shift[f"({dm},{dn_})"] = defect
         worst = max(worst, defect)
     return {

@@ -361,43 +361,45 @@ def _all_surface_params(k=0.6, gamma=0.8, beta=1.0):
     return out
 
 
+# The suites below evaluate the closed forms once per (params, t) window and
+# then reduce site by site: np.linalg.norm / np.dot of one 3-vector can differ
+# in the last bit from an axis-wise reduction, and the report prints every bit.
+
 def suite_surface_edges() -> SuiteResult:
     worst = 0.0
+    ms = np.arange(-20, 21)
     for k in MODULI:
         for p in _all_surface_params(k=k):
-            for m in range(-20, 20):
-                for t in (0.0, 0.37, 1.7):
-                    g0 = surfaces.gamma_point(p, m, t)
-                    g1 = surfaces.gamma_point(p, m + 1, t)
-                    b0 = surfaces.b_point(p, m, t)
-                    b1 = surfaces.b_point(p, m + 1, t)
-                    res = g1 - g0 - p.epsilon_sign * np.cross(b1, b0)
-                    worst = max(worst, float(np.abs(res).max()))
+            for t in (0.0, 0.37, 1.7):
+                g, b = surfaces.gamma_point(p, ms, t), surfaces.b_point(p, ms, t)
+                res = g[1:] - g[:-1] - p.epsilon_sign * np.cross(b[1:], b[:-1])
+                worst = max(worst, float(np.abs(res).max()))
     return _lt("surfaces.edge_identity", worst, 1e-10)
 
 
 def suite_surface_speed() -> SuiteResult:
     worst = 0.0
+    ms = np.arange(-20, 21)
     for k in MODULI:
         for p in _all_surface_params(k=k):
             speed = abs(p.edge_speed_signed())
-            for m in range(-20, 20):
-                for t in (0.0, 0.37, 1.7):
-                    e = surfaces.gamma_point(p, m + 1, t) - surfaces.gamma_point(p, m, t)
+            for t in (0.0, 0.37, 1.7):
+                g = surfaces.gamma_point(p, ms, t)
+                for e in g[1:] - g[:-1]:
                     worst = max(worst, abs(float(np.linalg.norm(e)) - speed))
     return _lt("surfaces.constant_speed", worst, 1e-10)
 
 
 def suite_surface_torsion() -> SuiteResult:
     worst = 0.0
+    ms = np.arange(-20, 21)
     for k in MODULI:
         for p in _all_surface_params(k=k):
             sn, cn, dn = elliptic.jacobi(p.gamma_step, p.mod)
             target = cn if p.family == "dn" else dn
-            for m in range(-20, 20):
-                for t in (0.0, 0.37, 1.7):
-                    b0 = surfaces.b_point(p, m, t)
-                    b1 = surfaces.b_point(p, m + 1, t)
+            for t in (0.0, 0.37, 1.7):
+                b = surfaces.b_point(p, ms, t)
+                for b0, b1 in zip(b[:-1], b[1:]):
                     worst = max(worst, abs(float(np.dot(b0, b1)) - target))
     return _lt("surfaces.binormal_angle_invariance", worst, 1e-12)
 
@@ -406,35 +408,38 @@ def suite_surface_flow() -> SuiteResult:
     """Closed-form velocity vs central differences (h = 1e-4)."""
     worst = 0.0
     h = 1e-4
+    ms = np.arange(-8, 8)
     for p in _all_surface_params():
-        for m in range(-8, 8):
-            for t in (0.2, 1.1):
-                v = surfaces.flow_velocity(p, m, t)
-                fd = (surfaces.gamma_point(p, m, t + h)
-                      - surfaces.gamma_point(p, m, t - h)) / (2.0 * h)
-                worst = max(worst, float(np.abs(v - fd).max()))
+        for t in (0.2, 1.1):
+            fd = (surfaces.gamma_point(p, ms, t + h)
+                  - surfaces.gamma_point(p, ms, t - h)) / (2.0 * h)
+            for m, fd_m in zip(ms, fd):
+                v = surfaces.flow_velocity(p, int(m), t)
+                worst = max(worst, float(np.abs(v - fd_m).max()))
     return _lt("surfaces.flow_vs_finite_difference", worst, 1e-6)
 
 
 def suite_surface_flow_orthogonality() -> SuiteResult:
     worst = 0.0
+    ms = np.arange(-8, 8)
     for p in _all_surface_params():
-        for m in range(-8, 8):
-            for t in (0.2, 1.1):
-                v = surfaces.flow_velocity(p, m, t)
-                worst = max(worst, abs(float(np.dot(v, surfaces.b_point(p, m, t)))))
+        for t in (0.2, 1.1):
+            b = surfaces.b_point(p, ms, t)
+            for m, b_m in zip(ms, b):
+                v = surfaces.flow_velocity(p, int(m), t)
+                worst = max(worst, abs(float(np.dot(v, b_m))))
     return _lt("surfaces.flow_binormal_orthogonality", worst, 1e-10)
 
 
 def suite_surface_flow_components() -> SuiteResult:
     """Tangential/normal flow components against the half-angle field."""
     worst = 0.0
+    ms = range(-8, 8)
     for p in _all_surface_params():
         rho = p.beta_rate * (1.0 if p.family == "dn" else p.mod.k)
-        for m in range(-8, 8):
-            for t in (0.2, 1.1):
+        for t in (0.2, 1.1):
+            for m, fr in zip(ms, surfaces.snapshot(p, ms, t).frames):
                 v = surfaces.flow_velocity(p, m, t)
-                fr = surfaces.frame_at(p, m, t)
                 w = surfaces.flow_angle(p, m, t)
                 worst = max(worst,
                             abs(float(np.dot(v, fr.T)) - p.sigma * rho * w.c),
@@ -450,11 +455,11 @@ def suite_solution_linkage() -> SuiteResult:
             mod=p.mod, Omega=p.gamma_step / (4.0 * p.mod.K),
             A=p.beta_rate / (4.0 * p.mod.K), family=p.family)
         c1, c2 = sg.semi_sg_coeffs(sp)
-        for m in range(-12, 12):
-            for t in (0.0, 0.45, 1.3):
-                r1, r2 = sg.semi_residuals_from(
-                    surfaces.half_angle_at(p, m, t),
-                    surfaces.half_angle_at(p, m + 1, t), c1, c2)
+        for t in (0.0, 0.45, 1.3):
+            h = [sg.HalfAngle(c=c, s=s, dwdt=d)
+                 for c, s, d in zip(*surfaces.half_angles(p, np.arange(-12, 13), t))]
+            for h0, h1 in zip(h[:-1], h[1:]):
+                r1, r2 = sg.semi_residuals_from(h0, h1, c1, c2)
                 worst = max(worst, abs(r1), abs(r2))
     return _lt("surfaces.field_solves_lattice_equations", worst, 1e-9)
 
@@ -465,7 +470,7 @@ def suite_surface_curvature() -> SuiteResult:
     for p in _all_surface_params():
         sgn = -1.0 if p.twisted else 1.0
         for t in (0.0, 0.45):
-            frames_seq = [surfaces.frame_at(p, m, t) for m in range(-8, 9)]
+            frames_seq = surfaces.snapshot(p, range(-8, 9), t).frames
             geo = frames.extract_geometry(frames_seq)
             for j, m in enumerate(range(-8, 8)):
                 h0 = surfaces.half_angle_at(p, m, t)
@@ -480,18 +485,16 @@ def suite_surface_curvature() -> SuiteResult:
 
 def suite_kaleidocycle_closure() -> SuiteResult:
     worst = 0.0
-    for n in (3, 4, 5, 6, 8):
-        p = surfaces.kaleidocycle_params(n)
-        for t in (0.0, 0.3, 0.9, 1.4, 2.2):
-            for m in range(0, 2 * n + 4):
-                d = surfaces.gamma_point(p, m + 2 * n, t) - surfaces.gamma_point(p, m, t)
-                worst = max(worst, float(np.linalg.norm(d)))
-    # cn family: period 2 regardless of n
-    pc = surfaces.kaleidocycle_params(4, family="cn")
-    for t in (0.0, 0.3, 1.4):
-        for m in range(0, 8):
-            d = surfaces.gamma_point(pc, m + 2, t) - surfaces.gamma_point(pc, m, t)
-            worst = max(worst, float(np.linalg.norm(d)))
+    # dn family: period 2n; cn family: period 2 regardless of n
+    cases = [(surfaces.kaleidocycle_params(n), 2 * n, 2 * n + 4, (0.0, 0.3, 0.9, 1.4, 2.2))
+             for n in (3, 4, 5, 6, 8)]
+    cases.append((surfaces.kaleidocycle_params(4, family="cn"), 2, 8, (0.0, 0.3, 1.4)))
+    for p, period, count, times in cases:
+        ms = np.arange(count)
+        for t in times:
+            d = surfaces.gamma_point(p, ms + period, t) - surfaces.gamma_point(p, ms, t)
+            for d_m in d:
+                worst = max(worst, float(np.linalg.norm(d_m)))
     return _lt("surfaces.kaleidocycle_closure", worst, 1e-9)
 
 
@@ -511,11 +514,11 @@ def suite_tau_equivalence() -> SuiteResult:
                 mod=ctx.mod, family=ctx.family, gamma_step=ctx.gamma_step,
                 beta_rate=ctx.beta_rate, twisted=ctx.twisted,
                 frame_sign="-" if ctx.twisted else "+")
-            for m in range(-12, 13):
-                for t in (0.0, 0.37, 1.1):
-                    g1, b1 = tau.gamma_from_tau(ctx, m, t)
-                    g2 = surfaces.gamma_point(sp, m, t)
-                    b2 = surfaces.b_point(sp, m, t)
+            ms = np.arange(-12, 13)
+            for t in (0.0, 0.37, 1.1):
+                g, b = surfaces.gamma_point(sp, ms, t), surfaces.b_point(sp, ms, t)
+                for m, g2, b2 in zip(ms, g, b):
+                    g1, b1 = tau.gamma_from_tau(ctx, int(m), t)
                     worst = max(worst, float(np.abs(g1 - g2).max()),
                                 float(np.abs(b1 - b2).max()))
     return _lt("tau.matches_closed_forms", worst, 1e-8)
@@ -602,11 +605,12 @@ def suite_ksurf_axioms() -> SuiteResult:
 def suite_ksurf_edges() -> SuiteResult:
     worst = 0.0
     for family in ("dn", "cn"):
-        p = _kparams(family=family)
-        for m in range(-10, 10):
-            for n in range(-10, 10):
-                rm, rn = ksurf.k_edge_residuals(p, m, n)
-                worst = max(worst, rm, rn)
+        grid = ksurf.k_grid(_kparams(family=family), range(-10, 11), range(-10, 11))
+        F, N = grid.points, grid.normals
+        res_m = F[1:, :-1] - F[:-1, :-1] - np.cross(N[1:, :-1], N[:-1, :-1])
+        res_n = F[:-1, 1:] - F[:-1, :-1] + np.cross(N[:-1, 1:], N[:-1, :-1])
+        for rm, rn in zip(res_m.reshape(-1, 3), res_n.reshape(-1, 3)):
+            worst = max(worst, float(np.linalg.norm(rm)), float(np.linalg.norm(rn)))
     return _lt("ksurf.edge_identities", worst, 1e-10)
 
 
@@ -618,13 +622,11 @@ def suite_ksurf_torsions() -> SuiteResult:
         snd, cnd, dnd = elliptic.jacobi(p.delta_step, p.mod)
         tg = cng if family == "dn" else dng
         td = cnd if family == "dn" else dnd
-        for m in range(-8, 8):
-            for n in range(-8, 8):
-                _, N = ksurf.k_point(p, m, n)
-                _, Nm = ksurf.k_point(p, m + 1, n)
-                _, Nn = ksurf.k_point(p, m, n + 1)
-                worst = max(worst, abs(float(np.dot(N, Nm)) - tg),
-                            abs(float(np.dot(N, Nn)) - td))
+        G = ksurf.k_grid(p, range(-8, 9), range(-8, 9)).normals
+        sites = (G[:-1, :-1], G[1:, :-1], G[:-1, 1:])
+        for N, Nm, Nn in zip(*(x.reshape(-1, 3) for x in sites)):
+            worst = max(worst, abs(float(np.dot(N, Nm)) - tg),
+                        abs(float(np.dot(N, Nn)) - td))
     return _lt("ksurf.direction_torsions", worst, 1e-12)
 
 

@@ -21,6 +21,11 @@ Gamma_{m+1} - Gamma_m = eps B_{m+1} x B_m, the edge length is |sn gamma|
 Frames: T_m = sigma (B_{m+1} x B_m) / s with s = sn(gamma) or k sn(gamma)
 and sigma = +-1 from frame_sign; the admissible pairings are
 sigma s > 0 (untwisted) and sigma s < 0 (twisted), checked at construction.
+
+The closed forms are evaluated on whole arrays of sites: ``gamma_point``,
+``b_point`` and ``half_angles`` take integer arrays as well as integers, a
+snapshot is one evaluation over the sites m and m + 1, and every element
+equals the single-site value bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .elliptic import EllipticModulus, jacobi, make_modulus, sn2_integral
+from .elliptic import EllipticModulus, _closed_form, jacobi, make_modulus, sn2_integral
 from .errors import DegenerateFrameError, DomainError, ValidationError
 from .frames import Frame
 from .sg import HalfAngle
@@ -51,6 +56,7 @@ class SurfaceParams:
     frame_sign: str = "+"
     alpha_step: float = field(init=False)
     epsilon_sign: int = field(init=False)
+    gamma_integral: float = field(init=False)   # int_0^gamma sn^2
 
     def __post_init__(self):
         if self.family not in ("dn", "cn"):
@@ -64,6 +70,7 @@ class SurfaceParams:
             alpha = math.atan2(sng, -cng if self.twisted else cng)
         object.__setattr__(self, "alpha_step", alpha)
         object.__setattr__(self, "epsilon_sign", -1 if self.twisted else 1)
+        object.__setattr__(self, "gamma_integral", sn2_integral(self.gamma_step, self.mod))
         s = self.edge_speed_signed()
         if abs(s) < _SPEED_TOL:
             raise DegenerateFrameError("sn(gamma) = 0: zero-length edges")
@@ -84,34 +91,39 @@ class SurfaceParams:
     def sigma(self) -> float:
         return 1.0 if self.frame_sign == "+" else -1.0
 
-    def phases(self, m: int, t: float) -> tuple[float, float]:
+    def phases(self, m, t: float):
         rate = self.beta_rate * (self.mod.k if self.family == "dn" else 1.0)
         return m * self.alpha_step + rate * t, m * self.gamma_step + self.beta_rate * t
 
 
-def gamma_point(p: SurfaceParams, m: int, t: float) -> np.ndarray:
+def _curve(p: SurfaceParams, m, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(points Gamma_m, binormals B_m) at integer sites m (an int or an int
+    array) and time t; the results carry a trailing axis of length 3."""
     phi, psi = p.phases(m, t)
-    sn, cn, dn = jacobi(psi, p.mod)
-    k = p.mod.k
-    zint = sn2_integral(psi, p.mod) - m * sn2_integral(p.gamma_step, p.mod)
-    pre = (-1.0) ** (m % 2) if p.twisted else 1.0
-    if p.family == "dn":
-        return np.array([pre * math.cos(phi) * dn / k,
-                         pre * math.sin(phi) * dn / k,
-                         -k * zint])
-    return np.array([pre * k * math.cos(phi) * cn,
-                     pre * k * math.sin(phi) * cn,
-                     -k * k * zint])
+    sign = 1.0 - 2.0 * (m % 2) if p.twisted else 1.0
+    pts, nrm = _closed_form(phi, psi, sign, ((m, p.gamma_integral),), p.mod, p.family)
+    # the cn binormal is the K-surface normal of the same phases, reversed
+    return pts, (nrm if p.family == "dn" else -nrm)
 
 
-def b_point(p: SurfaceParams, m: int, t: float) -> np.ndarray:
-    phi, psi = p.phases(m, t)
+def gamma_point(p: SurfaceParams, m, t: float) -> np.ndarray:
+    """Curve point Gamma_m; m an int or an int array (trailing axis of 3)."""
+    return _curve(p, m, t)[0]
+
+
+def b_point(p: SurfaceParams, m, t: float) -> np.ndarray:
+    """Binormal B_m; m an int or an int array (trailing axis of 3)."""
+    return _curve(p, m, t)[1]
+
+
+def half_angles(p: SurfaceParams, m, t: float):
+    """(c, s, dw/dt) of the carried field at integer sites m (int or array)."""
+    _, psi = p.phases(m, t)
     sn, cn, dn = jacobi(psi, p.mod)
-    pre = (-1.0) ** (m % 2) if p.twisted else 1.0
+    k, b = p.mod.k, p.beta_rate
     if p.family == "dn":
-        return np.array([pre * math.cos(phi) * sn, pre * math.sin(phi) * sn, -cn])
-    k = p.mod.k
-    return np.array([-pre * k * math.cos(phi) * sn, -pre * k * math.sin(phi) * sn, dn])
+        return dn, -k * sn, -2.0 * b * k * cn
+    return cn, sn, 2.0 * b * dn
 
 
 def half_angle_at(p: SurfaceParams, m: int, t: float) -> HalfAngle:
@@ -120,20 +132,21 @@ def half_angle_at(p: SurfaceParams, m: int, t: float) -> HalfAngle:
     Includes the analytic time derivative so the sample chain can be fed to
     the semi-discrete residual evaluators.
     """
-    _, psi = p.phases(m, t)
-    sn, cn, dn = jacobi(psi, p.mod)
-    k, b = p.mod.k, p.beta_rate
-    if p.family == "dn":
-        return HalfAngle(c=dn, s=-k * sn, dwdt=-2.0 * b * k * cn)
-    return HalfAngle(c=cn, s=sn, dwdt=2.0 * b * dn)
+    c, s, dwdt = half_angles(p, m, t)
+    return HalfAngle(c=c, s=s, dwdt=dwdt)
+
+
+def _tangents_normals(p: SurfaceParams, b0: np.ndarray, b1: np.ndarray):
+    """Frame vectors T and N from the binormals at m and m + 1 (rows alike)."""
+    T = p.sigma * np.cross(b1, b0) / p.edge_speed_signed()
+    return T, np.cross(b0, T)
 
 
 def frame_at(p: SurfaceParams, m: int, t: float) -> Frame:
     """Frenet frame with T along the edge, oriented by frame_sign."""
-    b0 = b_point(p, m, t)
-    b1 = b_point(p, m + 1, t)
-    T = p.sigma * np.cross(b1, b0) / p.edge_speed_signed()
-    return Frame(T=T, N=np.cross(b0, T), B=b0)
+    _, (b0, b1) = _curve(p, np.array([m, m + 1]), t)
+    T, N = _tangents_normals(p, b0, b1)
+    return Frame(T=T, N=N, B=b0)
 
 
 def flow_velocity(p: SurfaceParams, m: int, t: float) -> np.ndarray:
@@ -183,19 +196,22 @@ def snapshot(p: SurfaceParams, m_range: Sequence[int], t: float,
              tol: float = 1e-10) -> CurveSnapshot:
     """Assemble and validate one snapshot; raises ValidationError on defects."""
     ms = np.asarray(list(m_range), dtype=int)
-    pts = np.array([gamma_point(p, int(m), t) for m in ms])
-    bs = np.array([b_point(p, int(m), t) for m in ms])
-    frames = tuple(frame_at(p, int(m), t) for m in ms)
-    edge_res = 0.0
-    speed_res = 0.0
-    speed = abs(p.edge_speed_signed())
-    for j in range(len(ms) - 1):
-        if ms[j + 1] != ms[j] + 1:
-            continue
-        edge = pts[j + 1] - pts[j]
-        edge_res = max(edge_res, float(np.abs(
-            edge - p.epsilon_sign * np.cross(bs[j + 1], bs[j])).max()))
-        speed_res = max(speed_res, abs(float(np.linalg.norm(edge)) - speed))
+    M = len(ms)
+    # pairs (m, m + 1) inside the window; the other sites m + 1 are appended,
+    # so a contiguous window costs M + 1 evaluations
+    paired = np.zeros(M, dtype=bool)
+    paired[:-1] = ms[1:] == ms[:-1] + 1
+    pts, bs = _curve(p, np.concatenate([ms, ms[~paired] + 1]), t)
+    nxt = np.where(paired, np.arange(1, M + 1), M - 1 + np.cumsum(~paired))
+    T, N = _tangents_normals(p, bs[:M], bs[nxt])
+    pts, bs = pts[:M], bs[:M]
+    frames = tuple(Frame(T=a, N=b, B=c) for a, b, c in zip(T, N, bs))
+    adj = np.flatnonzero(paired)
+    edge = pts[adj + 1] - pts[adj]
+    edge_res = float(np.abs(
+        edge - p.epsilon_sign * np.cross(bs[adj + 1], bs[adj])).max(initial=0.0))
+    speed_res = float(np.abs(
+        np.linalg.norm(edge, axis=1) - abs(p.edge_speed_signed())).max(initial=0.0))
     report = {"edge_identity": edge_res, "constant_speed": speed_res}
     if max(report.values()) > tol:
         raise ValidationError("snapshot violates curve invariants", report)

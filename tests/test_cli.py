@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from sgsurf import cli, elliptic
+from sgsurf.errors import DomainError
 
 
 def run(args):
@@ -201,3 +202,42 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["made-up"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("counts", [("0", "5"), ("5", "0"), ("-3", "5"), ("4", "-1")])
+def test_ksurface_counts_below_one_are_config_errors(tmp_path, counts):
+    out = tmp_path / "mesh.obj"
+    rc = run(["ksurface", "--k", "0.6", "--gamma", "0.8", "--delta", "0.55",
+              "--m", counts[0], "--n", counts[1], "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert not out.with_suffix(".json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "--k", "0.6", "--gamma", "0.8", "--m-min", "5", "--m-max", "2"],
+    ["curve", "--k", "0.6", "--gamma", "0.8", "--m-min", "13"],
+    ["kaleidocycle", "--n", "4", "--m-max", "-1"],
+])
+def test_empty_m_range_is_config_error_without_artifact(tmp_path, argv):
+    out = tmp_path / "artifact"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_run_config_rejects_reversed_ranges():
+    with pytest.raises(DomainError):
+        cli.RunConfig(command="curve", m_range=(3, 1))
+    with pytest.raises(DomainError):
+        cli.RunConfig(command="ksurface", n_range=(0, -1))
+
+
+@pytest.mark.parametrize("m_max,rows", [(None, 9), ("11", 12), ("12", 13), ("13", 14)])
+def test_kaleidocycle_m_max_is_honoured(tmp_path, m_max, rows):
+    out = tmp_path / "anim"
+    argv = ["kaleidocycle", "--n", "4", "--out", str(out)]
+    if m_max is not None:
+        argv += ["--m-max", m_max]
+    assert run(argv) == 0   # m_max >= period covers the ring, so it closes
+    lines = (out / "frame_0000.csv").read_text().splitlines()
+    assert len(lines) == 1 + rows   # default: one period, m = 0..2n
