@@ -77,9 +77,11 @@ class RunConfig:
         for name, rng in (("m", self.m_range), ("n", self.n_range)):
             if rng is not None and rng[0] > rng[1]:
                 raise DomainError(f"empty {name} range {rng[0]}..{rng[1]}")
+        if self.t_steps < 1:
+            raise DomainError(f"--t-steps must be at least 1, got {self.t_steps}")
 
     def t_samples(self) -> np.ndarray:
-        if self.t_steps <= 1:
+        if self.t_steps == 1:
             return np.array([self.t_start])
         return np.linspace(self.t_start, self.t_stop, self.t_steps)
 
@@ -170,12 +172,13 @@ def cmd_kaleidocycle(cfg: RunConfig) -> int:
     out_dir = cfg.out_path or Path("kaleidocycle")
     out_dir.mkdir(parents=True, exist_ok=True)
     worst = 0.0
-    for idx, t in enumerate(cfg.t_samples()):
+    samples = cfg.t_samples()
+    for idx, t in enumerate(samples):
         snap = snapshot(p, range(0, m_hi + 1), float(t))
         write_curve_csv(out_dir / f"frame_{idx:04d}.csv", [snap])
         shifted = gamma_point(p, snap.m_values + period, float(t))
         worst = max(worst, float(np.linalg.norm(shifted - snap.points, axis=1).max()))
-    print(f"wrote {cfg.t_steps} frame(s) to {out_dir}; closure defect {worst:.3e}")
+    print(f"wrote {len(samples)} frame(s) to {out_dir}; closure defect {worst:.3e}")
     return 0 if worst < 1e-9 else 1
 
 
@@ -275,6 +278,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, dest="out_path")
         p.add_argument("--out-format", choices=("csv", "obj", "json"), dest="out_format")
         p.add_argument("--family", choices=("dn", "cn"))
+
+    def motion(p):
+        """Options of the commands that evolve a curve in time."""
         p.add_argument("--twisted", action="store_true", default=None)
         p.add_argument("--beta", type=float)
         p.add_argument("--t-start", type=float, dest="t_start")
@@ -283,6 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("curve", help="export curve snapshots as CSV")
     common(pc)
+    motion(pc)
     pc.add_argument("--k", type=float)
     pc.add_argument("--gamma", type=float)
     pc.add_argument("--m-min", type=int, dest="m_min")
@@ -291,6 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pk = sub.add_parser("kaleidocycle", help="export a closed linkage animation")
     common(pk)
+    motion(pk)
     pk.add_argument("--n", type=int, help="hinge half-count; modulus k = sin(pi/n)")
     pk.add_argument("--m-max", type=int, dest="m_max")
 
@@ -342,7 +350,10 @@ def _merge(ns: argparse.Namespace) -> RunConfig:
         for key, sval in _load_config_file(raw["config"]).items():
             if key not in _CONFIG_TYPES:
                 raise DomainError(f"unknown config key {key!r}")
-            file_vals["out_path" if key == "out" else key] = _CONFIG_TYPES[key](sval)
+            name = "out_path" if key == "out" else key
+            if name not in raw:
+                raise DomainError(f"{raw['command']} has no option {key!r}")
+            file_vals[name] = _CONFIG_TYPES[key](sval)
 
     def pick(name, default=None):
         v = raw.get(name)

@@ -122,6 +122,16 @@ def sn2_integral(u, mod: EllipticModulus):
     return (u - jacobi_epsilon(u, mod)) / mod.m
 
 
+def _rotation_angle(mod: EllipticModulus, family: str, step: float, flipped: bool) -> float:
+    """Rotation step angle of a lattice step: cos = dn(step), sin = k sn(step)
+    for the dn family, cos = cn(step), sin = sn(step) for cn; ``flipped``
+    negates the cosine."""
+    sn, cn, dn = jacobi(step, mod)
+    if family == "dn":
+        return math.atan2(mod.k * sn, -dn if flipped else dn)
+    return math.atan2(sn, -cn if flipped else cn)
+
+
 def _closed_form(phi, psi, sign, lattice, mod: EllipticModulus, family: str):
     """Points F and unit normals N of the dn/cn closed forms at phases (phi, psi).
 

@@ -30,7 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .elliptic import EllipticModulus, _closed_form, jacobi, make_modulus, sn2_integral
+from .elliptic import (EllipticModulus, _closed_form, _rotation_angle, make_modulus,
+                       sn2_integral)
 from .errors import DomainError, PoleError
 from .sg import HalfAngle
 
@@ -54,17 +55,10 @@ class KParams:
     def __post_init__(self):
         if self.family not in ("dn", "cn"):
             raise DomainError(f"family must be 'dn' or 'cn', got {self.family!r}")
-        k = self.mod.k
-        sng, cng, dng = jacobi(self.gamma_step, self.mod)
-        snd, cnd, dnd = jacobi(self.delta_step, self.mod)
-        if self.family == "dn":
-            alpha = math.atan2(k * sng, dng)
-            beta = math.atan2(k * snd, -dnd)
-        else:
-            alpha = math.atan2(sng, cng)
-            beta = math.atan2(snd, -cnd)
-        object.__setattr__(self, "alpha_step", alpha)
-        object.__setattr__(self, "beta_step", beta)
+        object.__setattr__(self, "alpha_step", _rotation_angle(
+            self.mod, self.family, self.gamma_step, False))
+        object.__setattr__(self, "beta_step", _rotation_angle(
+            self.mod, self.family, self.delta_step, True))
         object.__setattr__(self, "gamma_integral", sn2_integral(self.gamma_step, self.mod))
         object.__setattr__(self, "delta_integral", sn2_integral(self.delta_step, self.mod))
 

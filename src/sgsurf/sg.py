@@ -11,14 +11,23 @@ Two families per equation:
   cn:  cos(w/2) = cn(4K xi),  sin(w/2) = sn(4K xi)
 with xi = m Omega + xi0 + A t (semi-discrete) or m Omega + n P + xi0
 (discrete).  Default phases: xi0 = 1/2 for dn, 0 for cn.
+
+Samples, residuals and the HalfAngle methods take arrays of sites (integer m,
+n and times t that broadcast) as well as single sites: one ``jacobi`` call
+covers a whole grid, the products of the quarter exponentials are rounded as
+Python's complex type rounds them, and every element is bit-identical to the
+single-site evaluation.  A HalfAngle then holds arrays, and PoleError or the
+normalization check fires when any element violates its condition.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
+from . import _complex as cx
 from .elliptic import EllipticModulus, jacobi
 from .errors import PoleError
 
@@ -29,32 +38,41 @@ FAMILIES = ("dn", "cn")
 
 @dataclass(frozen=True)
 class HalfAngle:
-    """One field sample, stored as (cos w/2, sin w/2) plus optional d w/dt."""
+    """One field sample, or an array of them, stored as (cos w/2, sin w/2)
+    plus optional d w/dt."""
 
     c: float
     s: float
     dwdt: Optional[float] = None
 
     def __post_init__(self):
-        r = self.c * self.c + self.s * self.s
-        if abs(r - 1.0) > 1e-12:
-            raise ValueError(f"half-angle pair not normalized: c^2+s^2-1 = {r - 1.0:.3e}")
+        err = abs(self.c * self.c + self.s * self.s - 1.0)
+        if getattr(err, "ndim", 0):
+            err = err.max()
+        if err > 1e-12:
+            raise ValueError(f"half-angle pair not normalized: |c^2+s^2-1| = {err:.3e}")
 
-    def half_exponential(self) -> complex:
+    def half_exponential(self):
         """exp(i w/2)."""
-        return complex(self.c, self.s)
+        return cx.pack(self.c, self.s)
 
-    def quarter_exponential(self) -> complex:
+    def quarter_exponential(self):
         """exp(i w/4) on the principal band, sign(sin w/4) = sign(s)."""
-        cq = math.sqrt(max(0.0, 0.5 * (1.0 + self.c)))
-        sq = math.copysign(math.sqrt(max(0.0, 0.5 * (1.0 - self.c))), self.s)
-        return complex(cq, sq)
+        cq = np.sqrt(np.maximum(0.0, 0.5 * (1.0 + self.c)))
+        sq = np.copysign(np.sqrt(np.maximum(0.0, 0.5 * (1.0 - self.c))), self.s)
+        return cx.pack(cq, sq)
 
-    def tan_quarter(self) -> float:
+    def tan_quarter(self):
         """tan(w/4) = sin(w/2) / (1 + cos(w/2)); rejects cos(w/2) = -1."""
-        if abs(1.0 + self.c) < _POLE_TOL:
+        if np.any(np.abs(1.0 + self.c) < _POLE_TOL):
             raise PoleError("tan(w/4) undefined at cos(w/2) = -1")
         return self.s / (1.0 + self.c)
+
+
+def _unstack(w: HalfAngle) -> list[HalfAngle]:
+    """The samples along the leading axis of an array HalfAngle."""
+    dwdt = [None] * len(w.c) if w.dwdt is None else w.dwdt
+    return [HalfAngle(c=c, s=s, dwdt=d) for c, s, d in zip(w.c, w.s, dwdt)]
 
 
 def _check_family(family: str) -> None:
@@ -152,15 +170,26 @@ def semi_residuals_from(w0: HalfAngle, w1: HalfAngle,
     return (w1.dwdt - w0.dwdt) - sg_coeff * sin_sum, (w1.dwdt + w0.dwdt) - mkdv_coeff * sin_diff
 
 
-def semi_residuals(p: SemiDiscreteParams, m: int, t: float) -> tuple[float, float]:
-    """(sine-Gordon, mKdV) residuals of the sampled solution at site m, time t."""
+def semi_residuals(p: SemiDiscreteParams, m, t):
+    """(sine-Gordon, mKdV) residuals of the sampled solution at site m, time t;
+    m and t may be broadcasting arrays (the sites m and m + 1 are one evaluation)."""
     c1, c2 = semi_sg_coeffs(p)
-    return semi_residuals_from(semi_sample(p, m, t), semi_sample(p, m + 1, t), c1, c2)
+    m, t = np.broadcast_arrays(m, t)
+    w0, w1 = _unstack(semi_sample(p, np.stack([m, m + 1]), np.stack([t, t])))
+    return semi_residuals_from(w0, w1, c1, c2)
 
 
-def discrete_sample(p: DiscreteParams, m: int, n: int) -> HalfAngle:
+def discrete_sample(p: DiscreteParams, m, n) -> HalfAngle:
     c, s = _field(p.mod, p.family, 4.0 * p.mod.K * p.xi(m, n))
     return HalfAngle(c=c, s=s)
+
+
+def discrete_quad(p: DiscreteParams, m, n) -> list[HalfAngle]:
+    """Samples at the corners A = (m+1, n+1), B = (m, n), C = (m+1, n) and
+    D = (m, n+1) of the quads at (m, n), from one evaluation."""
+    m, n = np.broadcast_arrays(m, n)
+    return _unstack(discrete_sample(p, np.stack([m + 1, m, m + 1, m]),
+                                    np.stack([n + 1, n, n, n + 1])))
 
 
 def discrete_sg_coeff(p: DiscreteParams) -> float:
@@ -177,21 +206,18 @@ def discrete_sg_coeff(p: DiscreteParams) -> float:
 
 
 def discrete_sg_residual_from(wA: HalfAngle, wB: HalfAngle, wC: HalfAngle,
-                              wD: HalfAngle, coeff: float) -> float:
+                              wD: HalfAngle, coeff: float):
     """Residual of sin((A-C)/4 - (D-B)/4) = coeff sin((A+C)/4 + (D+B)/4).
 
     Corner naming: A = w_{m+1,n+1}, B = w_{m,n}, C = w_{m+1,n}, D = w_{m,n+1}.
     """
     zA, zB = wA.quarter_exponential(), wB.quarter_exponential()
     zC, zD = wC.quarter_exponential(), wD.quarter_exponential()
-    lhs = (zA * zC.conjugate() * zD.conjugate() * zB).imag
-    rhs = (zA * zC * zD * zB).imag
+    lhs = cx.prod(zA, zC.conjugate(), zD.conjugate(), zB).imag
+    rhs = cx.prod(zA, zC, zD, zB).imag
     return lhs - coeff * rhs
 
 
-def discrete_sg_residual(p: DiscreteParams, m: int, n: int) -> float:
-    return discrete_sg_residual_from(
-        discrete_sample(p, m + 1, n + 1), discrete_sample(p, m, n),
-        discrete_sample(p, m + 1, n), discrete_sample(p, m, n + 1),
-        discrete_sg_coeff(p),
-    )
+def discrete_sg_residual(p: DiscreteParams, m, n):
+    """Residual on the quads at (m, n); m and n may be broadcasting arrays."""
+    return discrete_sg_residual_from(*discrete_quad(p, m, n), discrete_sg_coeff(p))

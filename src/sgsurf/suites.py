@@ -15,6 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from . import _complex as cx
 from . import elliptic, frames, ksurf, sg, surfaces, tau, theta
 
 MODULI = (0.3, 0.6, 0.9)
@@ -72,10 +73,9 @@ def suite_jacobi_vs_theta() -> SuiteResult:
     worst = 0.0
     for k in MODULI_WIDE:
         mod = elliptic.make_modulus(k)
-        for u in rng.uniform(-4.0 * mod.K, 4.0 * mod.K, 25):
-            s1, c1, d1 = elliptic.jacobi(float(u), mod)
-            s2, c2, d2 = theta.jacobi_complex(float(u), mod)
-            worst = max(worst, abs(s1 - s2), abs(c1 - c2), abs(d1 - d2))
+        u = rng.uniform(-4.0 * mod.K, 4.0 * mod.K, 25)
+        for real, oracle in zip(elliptic.jacobi(u, mod), theta.jacobi_complex(u, mod)):
+            worst = max(worst, float(cx.cabs(real - oracle).max()))
     return _lt("elliptic.jacobi_vs_theta_oracle", worst, 1e-11)
 
 
@@ -84,16 +84,15 @@ def suite_addition_formulae() -> SuiteResult:
     worst = 0.0
     for k in MODULI:
         mod = elliptic.make_modulus(k)
-        for _ in range(70):
-            u, g = rng.uniform(-2.0 * mod.K, 2.0 * mod.K, 2)
-            su, cu, du = elliptic.jacobi(u, mod)
-            sgm, cg, dg = elliptic.jacobi(g, mod)
-            den = 1.0 - mod.m * sgm * sgm * su * su
-            s2, c2, d2 = elliptic.jacobi(u + g, mod)
-            worst = max(worst,
-                        abs(s2 - (cg * dg * su + sgm * cu * du) / den),
-                        abs(c2 - (cg * cu - sgm * dg * su * du) / den),
-                        abs(d2 - (dg * du - mod.m * sgm * cg * su * cu) / den))
+        u, g = rng.uniform(-2.0 * mod.K, 2.0 * mod.K, (70, 2)).T
+        su, cu, du = elliptic.jacobi(u, mod)
+        sgm, cg, dg = elliptic.jacobi(g, mod)
+        den = 1.0 - mod.m * sgm * sgm * su * su
+        s2, c2, d2 = elliptic.jacobi(u + g, mod)
+        for res in (s2 - (cg * dg * su + sgm * cu * du) / den,
+                    c2 - (cg * cu - sgm * dg * su * du) / den,
+                    d2 - (dg * du - mod.m * sgm * cg * su * cu) / den):
+            worst = max(worst, float(np.abs(res).max()))
     return _lt("elliptic.addition_formulae", worst, 1e-11)
 
 
@@ -104,24 +103,23 @@ def suite_elliptic_identity_corpus() -> SuiteResult:
     for k in MODULI:
         mod = elliptic.make_modulus(k)
         k2 = mod.m
-        for _ in range(200):
-            g, psi = rng.uniform(-2.0 * mod.K, 2.0 * mod.K, 2)
-            s0, c0, d0 = elliptic.jacobi(psi, mod)
-            s1, c1, d1 = elliptic.jacobi(psi + g, mod)
-            sm, cm, dm = elliptic.jacobi(psi - g, mod)
-            sg_, cg, dg = elliptic.jacobi(g, mod)
-            rs = (
-                dg * s0 * s1 + c0 * c1 - cg,                                   # (i)
-                k2 * cg * s0 * s1 + d0 * d1 - dg,                              # (ii)
-                k2 * sg_ * s1 * s1 + dg * s1 * c0 * d1 - s0 * c1 * d1 - sg_,   # (iii)
-                sg_ * d1 + s0 * c1 - dg * s1 * c0,                             # (iv)
-                dg * d1 + k2 * sg_ * s1 * c0 - d0,                             # (v)
-                dg * s0 * c0 * s1 * c1 + sg_ * c0 * d0 * s1 - c0 * c0 * s1 * s1,  # (vi)
-                cg * c1 + sg_ * s1 * d0 - c0,                                  # (vii)
-                sg_ * c1 + s0 * d1 - cg * s1 * d0,                             # (viii)
-                dg * dg * sm * s1 + cm * c1 + sg_ * sg_ * dm * d1 - cg * cg,   # (ix)
-            )
-            worst = max(worst, max(abs(r) for r in rs))
+        g, psi = rng.uniform(-2.0 * mod.K, 2.0 * mod.K, (200, 2)).T
+        s0, c0, d0 = elliptic.jacobi(psi, mod)
+        s1, c1, d1 = elliptic.jacobi(psi + g, mod)
+        sm, cm, dm = elliptic.jacobi(psi - g, mod)
+        sg_, cg, dg = elliptic.jacobi(g, mod)
+        rs = (
+            dg * s0 * s1 + c0 * c1 - cg,                                   # (i)
+            k2 * cg * s0 * s1 + d0 * d1 - dg,                              # (ii)
+            k2 * sg_ * s1 * s1 + dg * s1 * c0 * d1 - s0 * c1 * d1 - sg_,   # (iii)
+            sg_ * d1 + s0 * c1 - dg * s1 * c0,                             # (iv)
+            dg * d1 + k2 * sg_ * s1 * c0 - d0,                             # (v)
+            dg * s0 * c0 * s1 * c1 + sg_ * c0 * d0 * s1 - c0 * c0 * s1 * s1,  # (vi)
+            cg * c1 + sg_ * s1 * d0 - c0,                                  # (vii)
+            sg_ * c1 + s0 * d1 - cg * s1 * d0,                             # (viii)
+            dg * dg * sm * s1 + cm * c1 + sg_ * sg_ * dm * d1 - cg * cg,   # (ix)
+        )
+        worst = max(worst, max(float(np.abs(r).max()) for r in rs))
     return _lt("elliptic.shifted_identity_corpus", worst, 1e-11)
 
 
@@ -142,39 +140,45 @@ def _tp(mod, mult=1):
     return theta.ThetaParams(mult * mod.taup)
 
 
+# The theta suites evaluate each distinct argument once: one array call per
+# (index, lattice) over all samples.
+
+def _thetas_at(p, *args, js=(0, 1, 2, 3)):
+    """[{j: theta_j(a)} for each argument a], one array call per index j."""
+    each = {j: theta._theta_each(j, p, *args) for j in js}
+    return [{j: each[j][i][0] for j in js} for i in range(len(args))]
+
+
 def suite_theta_addition() -> SuiteResult:
     """Four quadratic addition identities, both compound signs."""
     rng = np.random.default_rng(104)
     worst = 0.0
     for k in (0.3, 0.7):
         mod = elliptic.make_modulus(k)
-        p = _tp(mod)
         T = mod.taup.imag
-
-        def th(j, v):
-            return theta.theta_j(j, v, p)
-
+        xs, ys = [], []
         for _ in range(100):
-            x = complex(rng.uniform(-1, 1), rng.uniform(-0.4, 0.4) * T)
-            y = complex(rng.uniform(-1, 1), rng.uniform(-0.4, 0.4) * T)
-            t30, t00, t20 = th(3, 0), th(0, 0), th(2, 0)
-            for s in (1.0, -1.0):
-                pairs = (
-                    (th(3, x + s * y) * th(0, x - s * y) * t30 * t00,
-                     th(3, x) * th(0, x) * th(3, y) * th(0, y)
-                     - s * th(1, x) * th(2, x) * th(1, y) * th(2, y)),
-                    (th(1, x + s * y) * th(2, x - s * y) * t30 * t00,
-                     th(1, x) * th(2, x) * th(3, y) * th(0, y)
-                     + s * th(3, x) * th(0, x) * th(1, y) * th(2, y)),
-                    (th(1, x + s * y) * th(3, x - s * y) * t20 * t00,
-                     th(1, x) * th(3, x) * th(2, y) * th(0, y)
-                     + s * th(2, x) * th(0, x) * th(1, y) * th(3, y)),
-                    (th(2, x + s * y) * th(0, x - s * y) * t20 * t00,
-                     th(2, x) * th(0, x) * th(2, y) * th(0, y)
-                     - s * th(1, x) * th(3, x) * th(1, y) * th(3, y)),
-                )
-                for lhs, rhs in pairs:
-                    worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+            xs.append(complex(rng.uniform(-1, 1), rng.uniform(-0.4, 0.4) * T))
+            ys.append(complex(rng.uniform(-1, 1), rng.uniform(-0.4, 0.4) * T))
+        x, y = np.array(xs), np.array(ys)
+        sy = {s: cx.mul(s, y) for s in (1.0, -1.0)}
+        X, Y, Z, *shifted = _thetas_at(_tp(mod), x, y, 0.0,
+                                       *(a for s in sy for a in (x + sy[s], x - sy[s])))
+        for s, P, M in zip(sy, shifted[0::2], shifted[1::2]):
+            # P[j] = theta_j(x + s y), M[j] = theta_j(x - s y)
+            pairs = (
+                (cx.prod(P[3], M[0], Z[3], Z[0]),
+                 cx.prod(X[3], X[0], Y[3], Y[0]) - cx.prod(s, X[1], X[2], Y[1], Y[2])),
+                (cx.prod(P[1], M[2], Z[3], Z[0]),
+                 cx.prod(X[1], X[2], Y[3], Y[0]) + cx.prod(s, X[3], X[0], Y[1], Y[2])),
+                (cx.prod(P[1], M[3], Z[2], Z[0]),
+                 cx.prod(X[1], X[3], Y[2], Y[0]) + cx.prod(s, X[2], X[0], Y[1], Y[3])),
+                (cx.prod(P[2], M[0], Z[2], Z[0]),
+                 cx.prod(X[2], X[0], Y[2], Y[0]) - cx.prod(s, X[1], X[3], Y[1], Y[3])),
+            )
+            for lhs, rhs in pairs:
+                res = cx.cabs(lhs - rhs) / np.maximum(1.0, cx.cabs(lhs))
+                worst = max(worst, float(res.max()))
     return _lt("theta.addition_identities", worst, 1e-10)
 
 
@@ -186,38 +190,33 @@ def suite_theta_lattice_doubling() -> SuiteResult:
         mod = elliptic.make_modulus(k)
         p1, p2 = _tp(mod), _tp(mod, 2)
         den = mod.k * mod.Kp
-        for _ in range(100):
-            psi = rng.uniform(-2.5, 2.5)
-            lam = rng.uniform(-1.0, 1.0)
-            z = rng.uniform(-0.6, 0.6)
-            v = (psi - mod.K) / (2j * mod.Kp)
-            vp = v + (lam + 1j * z) / den
-            vm = v + (-lam + 1j * z) / den
-            vz = v + 1j * z / den
-            lv = lam / den
-
-            def t(j, w, pp):
-                return theta.theta_j(j, w, pp)
-
-            checks = []
-            for w in (vp, vm):
-                checks += [
-                    (t(3, w, p1) * t(3, 0, p1), t(3, w, p2) ** 2 + t(2, w, p2) ** 2),
-                    (t(0, w, p1) * t(0, 0, p1), t(3, w, p2) ** 2 - t(2, w, p2) ** 2),
-                    (t(2, w, p1) * t(2, 0, p1), 2.0 * t(2, w, p2) * t(3, w, p2)),
-                ]
+        draws = np.array([[rng.uniform(-2.5, 2.5), rng.uniform(-1.0, 1.0),
+                           rng.uniform(-0.6, 0.6)] for _ in range(100)])
+        psi, lam, z = draws.T
+        v = cx.div(psi - mod.K, 2j * mod.Kp)
+        iz = cx.mul(1j, z)
+        vp = v + cx.div(lam + iz, den)
+        vm = v + cx.div(-lam + iz, den)
+        vz = v + cx.div(iz, den)
+        # A, B: theta_j(., tau') at v+-, and C, D, Z at vz, lam/den and 0; P, M on 2 tau'
+        A, B, C, D, Z = _thetas_at(p1, vp, vm, vz, lam / den, 0.0)
+        P, M = _thetas_at(p2, vp, vm, js=(2, 3))
+        checks = []
+        for W, Q in ((A, P), (B, M)):
             checks += [
-                (t(3, vz, p1) * t(3, lv, p1),
-                 t(3, vp, p2) * t(3, vm, p2) + t(2, vp, p2) * t(2, vm, p2)),
-                (t(0, vz, p1) * t(0, lv, p1),
-                 t(3, vp, p2) * t(3, vm, p2) - t(2, vp, p2) * t(2, vm, p2)),
-                (t(2, vz, p1) * t(2, lv, p1),
-                 t(2, vp, p2) * t(3, vm, p2) + t(3, vp, p2) * t(2, vm, p2)),
-                (t(1, vz, p1) * t(1, lv, p1),
-                 t(3, vp, p2) * t(2, vm, p2) - t(2, vp, p2) * t(3, vm, p2)),
+                (cx.mul(W[3], Z[3]), cx.square(Q[3]) + cx.square(Q[2])),
+                (cx.mul(W[0], Z[0]), cx.square(Q[3]) - cx.square(Q[2])),
+                (cx.mul(W[2], Z[2]), cx.prod(2.0, Q[2], Q[3])),
             ]
-            for lhs, rhs in checks:
-                worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+        checks += [
+            (cx.mul(C[3], D[3]), cx.mul(P[3], M[3]) + cx.mul(P[2], M[2])),
+            (cx.mul(C[0], D[0]), cx.mul(P[3], M[3]) - cx.mul(P[2], M[2])),
+            (cx.mul(C[2], D[2]), cx.mul(P[2], M[3]) + cx.mul(P[3], M[2])),
+            (cx.mul(C[1], D[1]), cx.mul(P[3], M[2]) - cx.mul(P[2], M[3])),
+        ]
+        for lhs, rhs in checks:
+            res = cx.cabs(lhs - rhs) / np.maximum(np.maximum(1.0, cx.cabs(lhs)), cx.cabs(rhs))
+            worst = max(worst, float(res.max()))
     return _lt("theta.lattice_doubling_identities", worst, 1e-10)
 
 
@@ -227,20 +226,28 @@ def suite_theta_jacobi_quotients() -> SuiteResult:
     worst = 0.0
     for k in MODULI:
         mod = elliptic.make_modulus(k)
-        p = _tp(mod)
-        for _ in range(100):
-            psi = rng.uniform(-3.5, 3.5)
-            v = (psi - mod.K) / (2j * mod.Kp)
-            sn, cn, dn = elliptic.jacobi(psi, mod)
-            t3v, t0v = theta.theta_j(3, v, p), theta.theta_j(0, v, p)
-            t1v, t2v = theta.theta_j(1, v, p), theta.theta_j(2, v, p)
-            t30, t00 = theta.theta_j(3, 0, p), theta.theta_j(0, 0, p)
-            t20 = theta.theta_j(2, 0, p)
-            worst = max(worst,
-                        abs(t0v * t30 / (t3v * t00) - sn),
-                        abs(t1v * t20 / (t3v * t00) - 1j * cn),
-                        abs(t2v * t20 / (t3v * t30) - dn))
+        psi = np.array([rng.uniform(-3.5, 3.5) for _ in range(100)])
+        sn, cn, dn = elliptic.jacobi(psi, mod)
+        V, Z = _thetas_at(_tp(mod), cx.div(psi - mod.K, 2j * mod.Kp), 0.0)
+        for res in (cx.div(cx.mul(V[0], Z[3]), cx.mul(V[3], Z[0])) - sn,
+                    cx.div(cx.mul(V[1], Z[2]), cx.mul(V[3], Z[0])) - cx.mul(1j, cn),
+                    cx.div(cx.mul(V[2], Z[2]), cx.mul(V[3], Z[3])) - dn):
+            worst = max(worst, float(cx.cabs(res).max()))
     return _lt("theta.jacobi_quotients", worst, 1e-10)
+
+
+def _kronrod_nodes(a, b, **kwargs) -> list:
+    """The points of scipy quad's first Gauss-Kronrod rule on [a, b], recorded
+    by a dry run on the zero function (which stops after that rule)."""
+    from scipy.integrate import quad
+    nodes = []
+
+    def record(x):
+        nodes.append(x)
+        return 0.0
+
+    quad(record, a, b, **kwargs)
+    return nodes
 
 
 def suite_weierstrass_scalars() -> SuiteResult:
@@ -251,16 +258,21 @@ def suite_weierstrass_scalars() -> SuiteResult:
         mod = elliptic.make_modulus(k)
         wc = theta.weierstrass_constants(mod)
         om = wc.omega
-        worst = max(worst, abs(theta.weierstrass_p(om / 2.0, mod) - (wc.e1 + 1.0)))
         z0 = 0.213 + 0.11j
-        worst = max(worst, abs(theta.weierstrass_p(z0 + 2.0 * om, mod)
-                               - theta.weierstrass_p(z0, mod)))
-        worst = max(worst, abs(theta.weierstrass_p(z0 + 2.0 * wc.omegap, mod)
-                               - theta.weierstrass_p(z0, mod)))
+        # one array call covers the spot values and quad's first rule; quad
+        # reads those values back and evaluates any further point on its own
+        nodes = _kronrod_nodes(om / 2.0, om, limit=200)
+        values = theta.weierstrass_p(
+            np.array([om / 2.0, z0 + 2.0 * om, z0, z0 + 2.0 * wc.omegap] + nodes), mod)
+        half, z_om, z, z_omp = values[:4].tolist()
+        known = dict(zip(nodes, values[4:].real.tolist()))
+        worst = max(worst, abs(half - (wc.e1 + 1.0)))
+        worst = max(worst, abs(z_om - z))
+        worst = max(worst, abs(z_omp - z))
         # zeta(omega/2) - zeta(omega)/2 = k via the one permitted quadrature
         zom = wc.zeta_omega_over_omega * om
-        integral = quad(lambda x: theta.weierstrass_p(x, mod).real, om / 2.0, om,
-                        limit=200)[0]
+        integral = quad(lambda x: known[x] if x in known else theta.weierstrass_p(x, mod).real,
+                        om / 2.0, om, limit=200)[0]
         worst = max(worst, abs(zom + integral - 0.5 * zom - mod.k))
         # p(omega/2) + zeta(omega)/omega = 2 E'/K'
         worst = max(worst, abs((wc.e1 + 1.0) + wc.zeta_omega_over_omega
@@ -279,12 +291,13 @@ def suite_theta_modular() -> SuiteResult:
         mod = elliptic.make_modulus(k)
         pt = theta.ThetaParams(mod.tau)
         ptp = _tp(mod)
-        for _ in range(60):
-            v = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.25, 0.25))
-            lhs = theta.theta_j(3, v / mod.tau, ptp)
-            rhs = (cmath.exp(1j * math.pi * (v * v / mod.tau - 0.25))
-                   * cmath.sqrt(mod.tau) * theta.theta_j(3, v, pt))
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+        v = np.array([complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.25, 0.25))
+                      for _ in range(60)])
+        lhs = theta.theta_j(3, cx.div(v, mod.tau), ptp)
+        rhs = cx.prod(np.exp(cx.mul(1j * math.pi, cx.div(cx.mul(v, v), mod.tau) - 0.25)),
+                      cmath.sqrt(mod.tau), theta.theta_j(3, v, pt))
+        res = cx.cabs(lhs - rhs) / np.maximum(1.0, cx.cabs(rhs))
+        worst = max(worst, float(res.max()))
     return _lt("theta.modular_identity", worst, 1e-9)
 
 
@@ -297,53 +310,47 @@ def _semi_params(k, family):
 
 def suite_semi_sg_residuals() -> SuiteResult:
     worst = 0.0
+    ms, ts = np.arange(-20, 20)[:, None], np.array([0.0, 0.3, 0.7, 1.3, 2.1])
     for k in MODULI_WIDE:
         for family in sg.FAMILIES:
-            p = _semi_params(k, family)
-            for m in range(-20, 20):
-                for t in (0.0, 0.3, 0.7, 1.3, 2.1):
-                    r1, r2 = sg.semi_residuals(p, m, t)
-                    worst = max(worst, abs(r1), abs(r2))
+            r1, r2 = sg.semi_residuals(_semi_params(k, family), ms, ts)
+            worst = max(worst, float(np.abs(r1).max()), float(np.abs(r2).max()))
     return _lt("sg.semi_discrete_residuals", worst, 1e-10)
 
 
 def suite_discrete_sg_residuals() -> SuiteResult:
     worst = 0.0
+    ms, ns = np.arange(-10, 10)[:, None], np.arange(-10, 10)
     for k in MODULI:
         mod = elliptic.make_modulus(k)
         for family in sg.FAMILIES:
             p = sg.DiscreteParams(mod=mod, Omega=0.23, P=0.17, family=family)
-            for m in range(-10, 10):
-                for n in range(-10, 10):
-                    worst = max(worst, abs(sg.discrete_sg_residual(p, m, n)))
+            worst = max(worst, float(np.abs(sg.discrete_sg_residual(p, ms, ns)).max()))
     return _lt("sg.discrete_residuals", worst, 1e-9)
+
+
+def _perturbed(w: sg.HalfAngle) -> sg.HalfAngle:
+    """The samples with s scaled by 1.01 and (c, s) renormalized by math.hypot."""
+    s = 1.01 * w.s
+    nrm = np.array([math.hypot(a, b) for a, b in zip(w.c.tolist(), s.tolist())])
+    return sg.HalfAngle(c=w.c / nrm, s=s / nrm, dwdt=w.dwdt)
 
 
 def suite_sg_sensitivity() -> SuiteResult:
     """A perturbed field (s scaled by 1.01, renormalized) must be detected."""
     p = _semi_params(0.6, "dn")
     c1, c2 = sg.semi_sg_coeffs(p)
-    detected = 0.0
-    for m in range(-5, 5):
-        w0, w1 = sg.semi_sample(p, m, 0.3), sg.semi_sample(p, m + 1, 0.3)
-        s = 1.01 * w1.s
-        nrm = math.hypot(w1.c, s)
-        w1p = sg.HalfAngle(c=w1.c / nrm, s=s / nrm, dwdt=w1.dwdt)
-        r1, _ = sg.semi_residuals_from(w0, w1p, c1, c2)
-        detected = max(detected, abs(r1))
+    ms = np.arange(-5, 5)
+    w = sg.semi_sample(p, np.stack([ms, ms + 1]), 0.3)
+    w0 = sg.HalfAngle(c=w.c[0], s=w.s[0], dwdt=w.dwdt[0])
+    w1 = sg.HalfAngle(c=w.c[1], s=w.s[1], dwdt=w.dwdt[1])
+    r1, _ = sg.semi_residuals_from(w0, _perturbed(w1), c1, c2)
+    detected = max(0.0, float(np.abs(r1).max()))
     mod = elliptic.make_modulus(0.6)
     pd = sg.DiscreteParams(mod=mod, Omega=0.23, P=0.17, family="cn")
-    coeff = sg.discrete_sg_coeff(pd)
-    detected_d = 0.0
-    for m in range(-5, 5):
-        wA = sg.discrete_sample(pd, m + 1, 1)
-        s = 1.01 * wA.s
-        nrm = math.hypot(wA.c, s)
-        wAp = sg.HalfAngle(c=wA.c / nrm, s=s / nrm)
-        r = sg.discrete_sg_residual_from(wAp, sg.discrete_sample(pd, m, 0),
-                                         sg.discrete_sample(pd, m + 1, 0),
-                                         sg.discrete_sample(pd, m, 1), coeff)
-        detected_d = max(detected_d, abs(r))
+    wA, wB, wC, wD = sg.discrete_quad(pd, ms, 0)
+    r = sg.discrete_sg_residual_from(_perturbed(wA), wB, wC, wD, sg.discrete_sg_coeff(pd))
+    detected_d = max(0.0, float(np.abs(r).max()))
     return _gt("sg.perturbation_sensitivity", min(detected, detected_d), 1e-3)
 
 
@@ -456,11 +463,10 @@ def suite_solution_linkage() -> SuiteResult:
             A=p.beta_rate / (4.0 * p.mod.K), family=p.family)
         c1, c2 = sg.semi_sg_coeffs(sp)
         for t in (0.0, 0.45, 1.3):
-            h = [sg.HalfAngle(c=c, s=s, dwdt=d)
-                 for c, s, d in zip(*surfaces.half_angles(p, np.arange(-12, 13), t))]
-            for h0, h1 in zip(h[:-1], h[1:]):
-                r1, r2 = sg.semi_residuals_from(h0, h1, c1, c2)
-                worst = max(worst, abs(r1), abs(r2))
+            c, s, d = surfaces.half_angles(p, np.arange(-12, 13), t)
+            r1, r2 = sg.semi_residuals_from(sg.HalfAngle(c=c[:-1], s=s[:-1], dwdt=d[:-1]),
+                                            sg.HalfAngle(c=c[1:], s=s[1:], dwdt=d[1:]), c1, c2)
+            worst = max(worst, float(np.abs(r1).max()), float(np.abs(r2).max()))
     return _lt("surfaces.field_solves_lattice_equations", worst, 1e-9)
 
 
@@ -514,32 +520,29 @@ def suite_tau_equivalence() -> SuiteResult:
                 mod=ctx.mod, family=ctx.family, gamma_step=ctx.gamma_step,
                 beta_rate=ctx.beta_rate, twisted=ctx.twisted,
                 frame_sign="-" if ctx.twisted else "+")
+            ts = (0.0, 0.37, 1.1)
             ms = np.arange(-12, 13)
-            for t in (0.0, 0.37, 1.1):
+            g1, b1 = tau.gamma_from_tau(ctx, ms[:, None], np.array(ts))
+            for i, t in enumerate(ts):
                 g, b = surfaces.gamma_point(sp, ms, t), surfaces.b_point(sp, ms, t)
-                for m, g2, b2 in zip(ms, g, b):
-                    g1, b1 = tau.gamma_from_tau(ctx, int(m), t)
-                    worst = max(worst, float(np.abs(g1 - g2).max()),
-                                float(np.abs(b1 - b2).max()))
+                worst = max(worst, float(np.abs(g1[:, i] - g).max()),
+                            float(np.abs(b1[:, i] - b).max()))
     return _lt("tau.matches_closed_forms", worst, 1e-8)
 
 
 def suite_tau_bilinear() -> SuiteResult:
     worst = 0.0
     for ctx in _tau_contexts():
-        for m in range(-8, 8):
-            for t in (0.0, 0.45):
-                fh, fr, _ = tau.bilinear_checks(ctx, m, t)
-                worst = max(worst, fh, fr)
+        fh, fr, _ = tau.bilinear_checks(ctx, np.arange(-8, 8)[:, None], np.array([0.0, 0.45]))
+        worst = max(worst, float(fh.max()), float(fr.max()))
     return _lt("tau.bilinear_relations", worst, 1e-9)
 
 
 def suite_tau_cauchy_riemann() -> SuiteResult:
     worst = 0.0
     for ctx in _tau_contexts():
-        for m in (-3, 0, 4):
-            _, _, cr = tau.bilinear_checks(ctx, m, 0.3)
-            worst = max(worst, cr)
+        _, _, cr = tau.bilinear_checks(ctx, np.array([-3, 0, 4]), 0.3)
+        worst = max(worst, float(cr.max()))
     return _lt("tau.analytic_pairing_fd", worst, 1e-6)
 
 
@@ -548,41 +551,37 @@ def suite_tau_conjugation() -> SuiteResult:
     rng = np.random.default_rng(108)
     worst = 0.0
     for ctx in _tau_contexts():
-        for _ in range(40):
-            m = int(rng.integers(-6, 7))
-            t = float(rng.uniform(0, 1.5))
-            lam = float(rng.uniform(-0.8, 0.8))
-            z = float(rng.uniform(-0.5, 0.5))
-            s = tau.tau_sample(ctx, m, t, lam=lam, z=z)
-            scale = max(1.0, abs(s.f), abs(s.g))
-            worst = max(worst,
-                        abs(s.fstar - s.f.conjugate()) / scale,
-                        abs(s.gstar - s.g.conjugate()) / scale)
+        draws = [(int(rng.integers(-6, 7)), float(rng.uniform(0, 1.5)),
+                  float(rng.uniform(-0.8, 0.8)), float(rng.uniform(-0.5, 0.5)))
+                 for _ in range(40)]
+        m, t, lam, z = (np.array(x) for x in zip(*draws))
+        s = tau.tau_sample(ctx, m, t, lam=lam, z=z)
+        scale = np.maximum(np.maximum(1.0, cx.cabs(s.f)), cx.cabs(s.g))
+        worst = max(worst,
+                    float((cx.cabs(s.fstar - s.f.conjugate()) / scale).max()),
+                    float((cx.cabs(s.gstar - s.g.conjugate()) / scale).max()))
     return _lt("tau.conjugation_symmetry", worst, 1e-11)
 
 
 def suite_tau_F_reality() -> SuiteResult:
     worst = 0.0
     for ctx in _tau_contexts():
-        for m in range(-8, 9):
-            for z in (0.0, 0.25):
-                s = tau.tau_sample(ctx, m, 0.3, z=z)
-                q = s.f * s.fstar + s.g * s.gstar
-                worst = max(worst,
-                            abs(s.F.imag) / abs(s.F),
-                            abs(s.F - q) / abs(s.F))
-                if s.F.real <= 0.0:
-                    worst = math.inf
+        s = tau.tau_sample(ctx, np.arange(-8, 9)[:, None], 0.3, z=np.array([0.0, 0.25]))
+        q = cx.mul(s.f, s.fstar) + cx.mul(s.g, s.gstar)
+        worst = max(worst,
+                    float((np.abs(s.F.imag) / cx.cabs(s.F)).max()),
+                    float((cx.cabs(s.F - q) / cx.cabs(s.F)).max()))
+        if (s.F.real <= 0.0).any():
+            worst = math.inf
     return _lt("tau.F_real_positive", worst, 1e-11)
 
 
 def suite_tau_eta_consistency() -> SuiteResult:
     worst = 0.0
+    ms = np.arange(-6, 7)
     for ctx in _tau_contexts():
-        den = ctx.chain_den
-        for m in range(-6, 7):
-            lhs = -(ctx.mod.Ep / den) * tau.eta_m(ctx, m, 0.4)
-            worst = max(worst, abs(lhs - tau.i_r_m(ctx, m, 0.4)))
+        lhs = -(ctx.mod.Ep / ctx.chain_den) * tau.eta_m(ctx, ms, 0.4)
+        worst = max(worst, float(np.abs(lhs - tau.i_r_m(ctx, ms, 0.4)).max()))
     return _lt("tau.eta_consistency", worst, 1e-12)
 
 
@@ -645,23 +644,24 @@ def _compat_setup(family):
     return p, nu1, nu2
 
 
+def _sites(w: sg.HalfAngle) -> list:
+    """The samples of an array HalfAngle one by one (Python floats)."""
+    return [sg.HalfAngle(c=c, s=s) for c, s in zip(w.c.ravel().tolist(), w.s.ravel().tolist())]
+
+
 def suite_ksurf_compatibility() -> SuiteResult:
     """Zero-curvature residual on solution corners; same-sign and mixed-sign cases."""
     worst = 0.0
     for family in ("dn", "cn"):
         p, nu1, nu2 = _compat_setup(family)
-        for m in range(-6, 6):
-            for n in range(-6, 6):
-                corners = (sg.discrete_sample(p, m + 1, n + 1),
-                           sg.discrete_sample(p, m, n),
-                           sg.discrete_sample(p, m + 1, n),
-                           sg.discrete_sample(p, m, n + 1))
-                for s in ("+", "-"):
-                    worst = max(worst, ksurf.compat_matrices(*corners, nu1, nu2, (s, s)))
-                    # mixed signs pair with the opposite torsion angle in the n-direction
-                    other = "-" if s == "+" else "+"
-                    worst = max(worst,
-                                ksurf.compat_matrices(*corners, nu1, -nu2, (s, other)))
+        quads = sg.discrete_quad(p, np.arange(-6, 6)[:, None], np.arange(-6, 6))
+        for corners in zip(*(_sites(w) for w in quads)):
+            for s in ("+", "-"):
+                worst = max(worst, ksurf.compat_matrices(*corners, nu1, nu2, (s, s)))
+                # mixed signs pair with the opposite torsion angle in the n-direction
+                other = "-" if s == "+" else "+"
+                worst = max(worst,
+                            ksurf.compat_matrices(*corners, nu1, -nu2, (s, other)))
     return _lt("ksurf.compatibility_on_solutions", worst, 1e-11)
 
 
@@ -669,15 +669,9 @@ def suite_ksurf_compat_sensitivity() -> SuiteResult:
     family = "dn"
     p, nu1, nu2 = _compat_setup(family)
     detected = math.inf
-    for m in range(-4, 4):
-        wA = sg.discrete_sample(p, m + 1, 1)
-        s = 1.01 * wA.s
-        nrm = math.hypot(wA.c, s)
-        wAp = sg.HalfAngle(c=wA.c / nrm, s=s / nrm)
-        r = ksurf.compat_matrices(wAp, sg.discrete_sample(p, m, 0),
-                                  sg.discrete_sample(p, m + 1, 0),
-                                  sg.discrete_sample(p, m, 1), nu1, nu2, ("+", "+"))
-        detected = min(detected, r)
+    wA, wB, wC, wD = sg.discrete_quad(p, np.arange(-4, 4), 0)
+    for corners in zip(_sites(_perturbed(wA)), _sites(wB), _sites(wC), _sites(wD)):
+        detected = min(detected, ksurf.compat_matrices(*corners, nu1, nu2, ("+", "+")))
     return _gt("ksurf.compatibility_sensitivity", detected, 1e-3)
 
 
@@ -688,15 +682,11 @@ def suite_ksurf_angle_identity() -> SuiteResult:
         p, nu1, nu2 = _compat_setup(family)
         t1 = ksurf.tan_half(math.sin(nu1), math.cos(nu1))
         t2 = ksurf.tan_half(math.sin(nu2), math.cos(nu2))
-        for m in range(-6, 6):
-            for n in range(-6, 6):
-                zA = sg.discrete_sample(p, m + 1, n + 1).quarter_exponential()
-                zB = sg.discrete_sample(p, m, n).quarter_exponential()
-                zC = sg.discrete_sample(p, m + 1, n).quarter_exponential()
-                zD = sg.discrete_sample(p, m, n + 1).quarter_exponential()
-                sinU = (zA * zB * zC * zD).imag
-                sinV = (zA * zB * zC.conjugate() * zD.conjugate()).imag
-                worst = max(worst, abs(-sinV - t1 * t2 * sinU))
+        zA, zB, zC, zD = (w.quarter_exponential() for w in
+                          sg.discrete_quad(p, np.arange(-6, 6)[:, None], np.arange(-6, 6)))
+        sinU = cx.prod(zA, zB, zC, zD).imag
+        sinV = cx.prod(zA, zB, zC.conjugate(), zD.conjugate()).imag
+        worst = max(worst, float(np.abs(-sinV - t1 * t2 * sinU).max()))
     return _lt("ksurf.compat_angle_identity", worst, 1e-10)
 
 

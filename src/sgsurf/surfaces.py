@@ -32,11 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .elliptic import EllipticModulus, _closed_form, jacobi, make_modulus, sn2_integral
+from .elliptic import (EllipticModulus, _closed_form, _rotation_angle, jacobi,
+                       make_modulus, sn2_integral)
 from .errors import DegenerateFrameError, DomainError, ValidationError
 from .frames import Frame
 from .sg import HalfAngle
@@ -63,12 +65,8 @@ class SurfaceParams:
             raise DomainError(f"family must be 'dn' or 'cn', got {self.family!r}")
         if self.frame_sign not in ("+", "-"):
             raise DomainError(f"frame_sign must be '+' or '-', got {self.frame_sign!r}")
-        sng, cng, dng = jacobi(self.gamma_step, self.mod)
-        if self.family == "dn":
-            alpha = math.atan2(self.mod.k * sng, -dng if self.twisted else dng)
-        else:
-            alpha = math.atan2(sng, -cng if self.twisted else cng)
-        object.__setattr__(self, "alpha_step", alpha)
+        object.__setattr__(self, "alpha_step", _rotation_angle(
+            self.mod, self.family, self.gamma_step, self.twisted))
         object.__setattr__(self, "epsilon_sign", -1 if self.twisted else 1)
         object.__setattr__(self, "gamma_integral", sn2_integral(self.gamma_step, self.mod))
         s = self.edge_speed_signed()
@@ -189,7 +187,14 @@ class CurveSnapshot:
     m_values: np.ndarray
     points: np.ndarray     # (M, 3)
     binormals: np.ndarray  # (M, 3)
-    frames: tuple[Frame, ...]
+    tangents: np.ndarray   # (M, 3)
+    normals: np.ndarray    # (M, 3)
+
+    @cached_property
+    def frames(self) -> tuple[Frame, ...]:
+        """One Frame per site, built from the rows on first access."""
+        return tuple(Frame(T=a, N=b, B=c)
+                     for a, b, c in zip(self.tangents, self.normals, self.binormals))
 
 
 def snapshot(p: SurfaceParams, m_range: Sequence[int], t: float,
@@ -205,7 +210,6 @@ def snapshot(p: SurfaceParams, m_range: Sequence[int], t: float,
     nxt = np.where(paired, np.arange(1, M + 1), M - 1 + np.cumsum(~paired))
     T, N = _tangents_normals(p, bs[:M], bs[nxt])
     pts, bs = pts[:M], bs[:M]
-    frames = tuple(Frame(T=a, N=b, B=c) for a, b, c in zip(T, N, bs))
     adj = np.flatnonzero(paired)
     edge = pts[adj + 1] - pts[adj]
     edge_res = float(np.abs(
@@ -215,7 +219,7 @@ def snapshot(p: SurfaceParams, m_range: Sequence[int], t: float,
     report = {"edge_identity": edge_res, "constant_speed": speed_res}
     if max(report.values()) > tol:
         raise ValidationError("snapshot violates curve invariants", report)
-    return CurveSnapshot(t=t, m_values=ms, points=pts, binormals=bs, frames=frames)
+    return CurveSnapshot(t=t, m_values=ms, points=pts, binormals=bs, tangents=T, normals=N)
 
 
 def kaleidocycle_params(n: int, family: str = "dn", beta_rate: float = 1.0,

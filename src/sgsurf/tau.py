@@ -16,20 +16,29 @@ Everything the surface needs is bilinear: F = f f* + g g* collapses to a
 single theta product, H is the Hirota lambda-derivative D_lam g . f* / (2i),
 and the third coordinate combines i R_m (a closed form built from the
 Weierstrass scalar 2E'/K') with the analytic z-derivative of log F.
+
+Every entry point takes integer arrays of m (and arrays of t, lam, z that
+broadcast with them) as well as single values.  One pass evaluates each
+theta once per (index, lattice) over all sites, rounds every complex product
+and quotient as Python's complex type does, and so gives each element
+bit-identical to a single-site evaluation; single values give Python numbers.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .elliptic import EllipticModulus, jacobi, sn2_integral
+from . import _complex as cx
+from .elliptic import EllipticModulus, _rotation_angle, sn2_integral
 from .errors import DomainError
-from .theta import ThetaParams, theta_j, theta_with_prime
+from .theta import ThetaParams, _theta_each, theta_with_prime
+
+_I_POWERS = np.array([1j ** r for r in range(4)])          # i^(m mod 4)
+_NEG_I_POWERS = np.array([(-1j) ** r for r in range(4)])   # (-i)^(m mod 4)
 
 
 @dataclass(frozen=True)
@@ -44,40 +53,47 @@ class TauContext:
     lambda0: float = field(init=False)
     alpha_step: float = field(init=False)
     epsilon_sign: int = field(init=False)
+    gamma_integral: float = field(init=False)         # int_0^gamma sn^2
+    lattice: ThetaParams = field(init=False, repr=False)    # tau'
+    lattice2: ThetaParams = field(init=False, repr=False)   # 2 tau'
 
     def __post_init__(self):
         if self.family not in ("dn", "cn"):
             raise DomainError(f"family must be 'dn' or 'cn', got {self.family!r}")
-        k = self.mod.k
-        sng, cng, dng = jacobi(self.gamma_step, self.mod)
-        if self.family == "dn":
-            lam0 = k * self.mod.Kp / 2.0
-            alpha = math.atan2(k * sng, -dng if self.twisted else dng)
-        else:
-            lam0 = self.mod.Kp / 2.0
-            alpha = math.atan2(sng, -cng if self.twisted else cng)
+        lam0 = self.mod.k * self.mod.Kp / 2.0 if self.family == "dn" else self.mod.Kp / 2.0
         object.__setattr__(self, "lambda0", lam0)
-        object.__setattr__(self, "alpha_step", alpha)
+        object.__setattr__(self, "alpha_step", _rotation_angle(
+            self.mod, self.family, self.gamma_step, self.twisted))
         object.__setattr__(self, "epsilon_sign", -1 if self.twisted else 1)
+        object.__setattr__(self, "gamma_integral", sn2_integral(self.gamma_step, self.mod))
+        object.__setattr__(self, "lattice", ThetaParams(self.mod.taup))
+        object.__setattr__(self, "lattice2", ThetaParams(2 * self.mod.taup))
 
     @property
     def chain_den(self) -> float:
         """Denominator of the (lam, z) -> v chain rule: k K' (dn) or K' (cn)."""
         return self.mod.k * self.mod.Kp if self.family == "dn" else self.mod.Kp
 
-    def phases(self, m: int, t: float) -> tuple[float, float]:
+    def phases(self, m, t):
         """(phi_m, psi_m); phi advances by beta k t for dn, beta t for cn."""
         rate = self.beta_rate * (self.mod.k if self.family == "dn" else 1.0)
         return m * self.alpha_step + rate * t, m * self.gamma_step + self.beta_rate * t
 
-    def v_base(self, m: int, t: float) -> complex:
+    def v_base(self, m, t):
         _, psi = self.phases(m, t)
-        return (psi - self.mod.K) / (2j * self.mod.Kp)
+        return cx.div(psi - self.mod.K, 2j * self.mod.Kp)
+
+    def _v(self, m, t, z, shift=None, lam=None):
+        """v_base [+ shift] + ([lam] + i z) / chain_den, the argument of every theta."""
+        v = self.v_base(m, t) if shift is None else self.v_base(m, t) + shift
+        iz = cx.mul(1j, z)
+        return v + cx.div(iz if lam is None else lam + iz, self.chain_den)
 
 
 @dataclass(frozen=True)
 class TauSample:
-    """Quartet values and derived bilinears at one (m, t, lam, z)."""
+    """Quartet values and derived bilinears at one (m, t, lam, z), or arrays
+    of them over broadcast (m, t, lam, z)."""
 
     f: complex
     g: complex
@@ -89,117 +105,106 @@ class TauSample:
     eta: float
 
 
-def _lattices(ctx: TauContext) -> tuple[ThetaParams, ThetaParams]:
-    return ThetaParams(ctx.mod.taup), ThetaParams(2 * ctx.mod.taup)
+def _evaluate(ctx: TauContext, m, t, lam, z):
+    """(f, g, f*, g*, F, H, d log F / dz) at broadcast (m, t, lam, z).
 
-
-def _quartet(ctx: TauContext, m: int, t: float, lam: float, z: complex):
-    """(f, g, f*, g*) at general (lam, z); z may be complex (analytic continuation)."""
-    _, p2 = _lattices(ctx)
+    Each theta is one array call per (index, lattice) over every argument
+    it is needed at.  The quartet uses v_pm = v + off + (+-lam + i z)/den on
+    the 2 tau' lattice, H the shift by a half period there, F the collapsed
+    product on the tau' lattice; z may be complex (analytic continuation).
+    """
     phi, _ = ctx.phases(m, t)
     den = ctx.chain_den
-    off = 0.0 if ctx.family == "dn" else 0.5 + ctx.mod.taup
-    vp = ctx.v_base(m, t) + off + (lam + 1j * z) / den
-    vm = ctx.v_base(m, t) + off + (-lam + 1j * z) / den
-    iu = 1j if ctx.family == "dn" else 1.0
-    t3p, t2p = theta_j(3, vp, p2), theta_j(2, vp, p2)
-    t3m, t2m = theta_j(3, vm, p2), theta_j(2, vm, p2)
-    twf = 1j ** (m % 4) if ctx.twisted else 1.0
-    twg = (-1j) ** (m % 4) if ctx.twisted else 1.0
-    em = cmath.exp(-0.5j * phi)
-    ep = cmath.exp(0.5j * phi)
-    f = twf * em * (t3m + iu * t2m)
-    g = twg * ep * (t3p + iu * t2p)
-    fstar = twg * ep * (t3p - iu * t2p)
-    gstar = twf * em * (t3m - iu * t2m)
-    return f, g, fstar, gstar
+    dn = ctx.family == "dn"
+    off = 0.0 if dn else 0.5 + ctx.mod.taup
+    half = 0.5 if dn else 1.0 + ctx.mod.taup
+    v = ctx._v(m, t, z)
+    shifted = ctx._v(m, t, z, off, lam), ctx._v(m, t, z, off, -lam), ctx._v(m, t, z, half)
+    (t3p, _), (t3m, _), (t3h, d3h) = _theta_each(3, ctx.lattice2, *shifted)
+    (t2p, _), (t2m, _), (t2h, d2h) = _theta_each(2, ctx.lattice2, *shifted)
+    if dn:
+        (t3v, d3v), (tl, _) = _theta_each(3, ctx.lattice, v, lam / den)
+        tv = t3v
+    else:
+        (tv, _), (tl, _) = _theta_each(0, ctx.lattice, v + 0.5 + ctx.mod.taup, lam / den)
+        t3v, d3v = theta_with_prime(3, v, ctx.lattice)
 
+    # quartet: f = i^m e^{-i phi/2} (t3m + iu t2m), g = (-i)^m e^{i phi/2} (t3p + iu t2p)
+    iu = 1j if dn else 1.0
+    twf = _I_POWERS[m % 4] if ctx.twisted else 1.0
+    twg = _NEG_I_POWERS[m % 4] if ctx.twisted else 1.0
+    em = cx.mul(twf, np.exp(cx.mul(-0.5j, phi)))
+    ep = cx.mul(twg, np.exp(cx.mul(0.5j, phi)))
+    f = cx.mul(em, t3m + cx.mul(iu, t2m))
+    g = cx.mul(ep, t3p + cx.mul(iu, t2p))
+    fstar = cx.mul(ep, t3p - cx.mul(iu, t2p))
+    gstar = cx.mul(em, t3m - cx.mul(iu, t2m))
 
-def _F_closed(ctx: TauContext, m: int, t: float, lam: float, z: complex) -> complex:
-    """F = f f* + g g* collapsed to one theta product, valid at any lam."""
-    p1, _ = _lattices(ctx)
-    den = ctx.chain_den
-    v = ctx.v_base(m, t) + 1j * z / den
-    if ctx.family == "dn":
-        return 2.0 * theta_j(3, v, p1) * theta_j(3, lam / den, p1)
-    return 2.0 * theta_j(0, v + 0.5 + ctx.mod.taup, p1) * theta_j(0, lam / den, p1)
+    # F = f f* + g g* collapsed to one theta product, valid at any lam
+    F = cx.prod(2.0, tv, tl)
 
-
-def _H(ctx: TauContext, m: int, t: float, z: complex) -> complex:
-    phi, _ = ctx.phases(m, t)
-    _, p2 = _lattices(ctx)
-    den = ctx.chain_den
-    half = 0.5 if ctx.family == "dn" else 1.0 + ctx.mod.taup
-    vp = ctx.v_base(m, t) + half + 1j * z / den
-    t3, d3 = theta_with_prime(3, vp, p2)
-    t2, d2 = theta_with_prime(2, vp, p2)
-    pref = 1.0 / den if ctx.family == "dn" else -1j / den
+    # H = D_lam g . f* / (2i) = pref e^{i phi} (t2 t3' - t3 t2') at the half-period shift
+    pref = 1.0 / den if dn else -1j / den
     if ctx.twisted:
-        pref *= (-1) ** (m % 2)
-    return pref * cmath.exp(1j * phi) * (t2 * d3 - t3 * d2)
+        pref = cx.mul(pref, (-1) ** (m % 2))
+    H = cx.prod(pref, np.exp(cx.mul(1j, phi)), cx.mul(t2h, d3h) - cx.mul(t3h, d2h))
+
+    dlog = cx.div(cx.mul(1j / den, d3v), t3v)
+    if not dn:
+        # F carries exp(-pi i (2 v(z) + tau')): adds 2 pi / K' to the log-derivative
+        dlog = dlog + 2.0 * math.pi / ctx.mod.Kp
+    return f, g, fstar, gstar, F, H, dlog
 
 
-def eta_m(ctx: TauContext, m: int, t: float) -> float:
+def eta_m(ctx: TauContext, m, t):
     """Phase function of the spectral prefactor; offset pi/2E' (dn) or 3pi/2E' (cn)."""
     _, psi = ctx.phases(m, t)
     off = 0.5 if ctx.family == "dn" else 1.5
-    k2 = ctx.mod.m
-    gi = sn2_integral(ctx.gamma_step, ctx.mod)
-    return psi - off * math.pi / ctx.mod.Ep - m * k2 * ctx.mod.Kp * gi / ctx.mod.Ep
+    mod = ctx.mod
+    return cx.item(psi - off * math.pi / mod.Ep - m * mod.m * mod.Kp * ctx.gamma_integral / mod.Ep)
 
 
-def i_r_m(ctx: TauContext, m: int, t: float) -> float:
+def i_r_m(ctx: TauContext, m, t):
     """Closed form of i R_m = -(E'/chain_den) eta_m, a real number."""
     return -(ctx.mod.Ep / ctx.chain_den) * eta_m(ctx, m, t)
 
 
-def dlog_F_dz(ctx: TauContext, m: int, t: float, z: complex = 0.0) -> complex:
+def dlog_F_dz(ctx: TauContext, m, t, z=0.0):
     """Analytic z-derivative of log F at fixed lam = lambda0."""
-    p1, _ = _lattices(ctx)
-    den = ctx.chain_den
-    v = ctx.v_base(m, t) + 1j * z / den
-    t3, d3 = theta_with_prime(3, v, p1)
-    out = (1j / den) * d3 / t3
-    if ctx.family == "cn":
-        # F carries exp(-pi i (2 v(z) + tau')): adds 2 pi / K' to the log-derivative
-        out = out + 2.0 * math.pi / ctx.mod.Kp
-    return out
+    return cx.item(_evaluate(ctx, m, t, ctx.lambda0, z)[6])
 
 
-def tau_sample(ctx: TauContext, m: int, t: float, lam: Optional[float] = None,
-               z: complex = 0.0) -> TauSample:
-    """Evaluate the quartet and its bilinears; lam defaults to lambda0."""
+def tau_sample(ctx: TauContext, m, t, lam: Optional[float] = None,
+               z=0.0) -> TauSample:
+    """Evaluate the quartet and its bilinears; lam defaults to lambda0.
+
+    m (int), t, lam and z may be arrays that broadcast against each other.
+    """
     if lam is None:
         lam = ctx.lambda0
-    f, g, fstar, gstar = _quartet(ctx, m, t, lam, z)
-    return TauSample(
-        f=f, g=g, fstar=fstar, gstar=gstar,
-        F=_F_closed(ctx, m, t, lam, z),
-        H=_H(ctx, m, t, z),
-        R=i_r_m(ctx, m, t),
-        eta=eta_m(ctx, m, t),
-    )
+    values = _evaluate(ctx, m, t, lam, z)[:6]
+    return TauSample(*(cx.item(x) for x in values),
+                     R=i_r_m(ctx, m, t), eta=eta_m(ctx, m, t))
 
 
-def gamma_from_tau(ctx: TauContext, m: int, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(curve point, binormal) assembled from the quartet at lam = lambda0, z = 0."""
-    s = tau_sample(ctx, m, t)
-    F = s.F
-    gamma = np.array([
-        ((s.H + s.H.conjugate()) / F).real,
-        ((s.H - s.H.conjugate()) / (1j * F)).real,
-        s.R - 0.5 * dlog_F_dz(ctx, m, t).real,
-    ])
-    b = np.array([
-        ((s.fstar * s.g + s.f * s.gstar) / F).real,
-        ((s.fstar * s.g - s.f * s.gstar) / (1j * F)).real,
-        ((s.f * s.fstar - s.g * s.gstar) / F).real,
-    ])
-    return gamma, b
+def gamma_from_tau(ctx: TauContext, m, t) -> tuple[np.ndarray, np.ndarray]:
+    """(curve point, binormal) assembled from the quartet at lam = lambda0, z = 0.
+
+    m an int or an int array (the results carry a trailing axis of length 3).
+    """
+    f, g, fstar, gstar, F, H, dlog = _evaluate(ctx, m, t, ctx.lambda0, 0.0)
+    Hc, iF = np.conjugate(H), cx.mul(1j, F)
+    fsg, fgs = cx.mul(fstar, g), cx.mul(f, gstar)
+    gamma = (cx.div(H + Hc, F).real,
+             cx.div(H - Hc, iF).real,
+             i_r_m(ctx, m, t) - 0.5 * np.real(dlog))
+    b = (cx.div(fsg + fgs, F).real,
+         cx.div(fsg - fgs, iF).real,
+         cx.div(cx.mul(f, fstar) - cx.mul(g, gstar), F).real)
+    return np.stack(gamma, axis=-1), np.stack(b, axis=-1)
 
 
-def bilinear_checks(ctx: TauContext, m: int, t: float,
-                    fd_step: float = 1e-5) -> tuple[float, float, float]:
+def bilinear_checks(ctx: TauContext, m, t, fd_step: float = 1e-5):
     """Residuals of the three structural relations tying the quartet together.
 
     fh_res: F_m H_{m+1} - H_m F_{m+1} = (eps/i) Psi^FH, with the quartic
@@ -215,33 +220,39 @@ def bilinear_checks(ctx: TauContext, m: int, t: float,
 
     All three residuals are normalized by the magnitude of their terms,
     since the quartet grows exponentially along m and an absolute residual
-    would just measure that scale.
+    would just measure that scale.  m (int) and t may be broadcasting arrays.
+    The six evaluations (m and m + 1 at lambda0, and m at lam +- h, z +- h)
+    are one pass.
     """
+    m, t = np.broadcast_arrays(m, t)
+    h = fd_step
     lam0 = ctx.lambda0
-    s0 = tau_sample(ctx, m, t)
-    s1 = tau_sample(ctx, m + 1, t)
+    shape = (6,) + (1,) * m.ndim
+    f, g, fs, gs, F, H, dlog = _evaluate(
+        ctx, np.stack([m, m + 1, m, m, m, m]), t,
+        np.array([lam0, lam0, lam0 + h, lam0 - h, lam0, lam0]).reshape(shape),
+        np.array([0.0, 0.0, 0.0, 0.0, h, -h]).reshape(shape))
+    f0, f1, g0, g1, fs0, fs1, gs0, gs1 = f[0], f[1], g[0], g[1], fs[0], fs[1], gs[0], gs[1]
+    F0, F1, H0, H1 = F[0], F[1], H[0], H[1]
+    R0, R1 = i_r_m(ctx, m, t), i_r_m(ctx, m + 1, t)
     eps = ctx.epsilon_sign
 
-    psi_fh = (s0.fstar * s1.fstar * (s0.f * s1.g - s1.f * s0.g)
-              + s0.g * s1.g * (s0.fstar * s1.gstar - s1.fstar * s0.gstar))
-    lhs = s0.F * s1.H - s0.H * s1.F
-    scale = abs(s0.F * s1.H) + abs(s0.H * s1.F) + abs(psi_fh) + 1e-300
-    fh_res = abs(lhs - (eps / 1j) * psi_fh) / scale
+    psi_fh = (cx.prod(fs0, fs1, cx.mul(f0, g1) - cx.mul(f1, g0))
+              + cx.prod(g0, g1, cx.mul(fs0, gs1) - cx.mul(fs1, gs0)))
+    lhs = cx.mul(F0, H1) - cx.mul(H0, F1)
+    scale = cx.cabs(cx.mul(F0, H1)) + cx.cabs(cx.mul(H0, F1)) + cx.cabs(psi_fh) + 1e-300
+    fh_res = cx.cabs(lhs - cx.mul(eps / 1j, psi_fh)) / scale
 
-    dF0 = dlog_F_dz(ctx, m, t) * s0.F
-    dF1 = dlog_F_dz(ctx, m + 1, t) * s1.F
-    psi_fr = s1.f * s0.fstar * s0.g * s1.gstar - s1.fstar * s0.f * s0.gstar * s1.g
-    lhs2 = 0.5 * (dF0 * s1.F - s0.F * dF1) + (s1.R - s0.R) * s0.F * s1.F
-    scale2 = abs(lhs2) + abs(psi_fr) + abs(s0.F * s1.F) + 1e-300
-    fr_res = abs(lhs2 - (2.0 * eps / 1j) * psi_fr) / scale2
+    dF0, dF1 = cx.mul(dlog[0], F0), cx.mul(dlog[1], F1)
+    psi_fr = cx.prod(f1, fs0, g0, gs1) - cx.prod(fs1, f0, gs0, g1)
+    lhs2 = cx.mul(0.5, cx.mul(dF0, F1) - cx.mul(F0, dF1)) + cx.prod(R1 - R0, F0, F1)
+    scale2 = cx.cabs(lhs2) + cx.cabs(psi_fr) + cx.cabs(cx.mul(F0, F1)) + 1e-300
+    fr_res = cx.cabs(lhs2 - cx.mul(2.0 * eps / 1j, psi_fr)) / scale2
 
-    h = fd_step
     cr_res = 0.0
-    quartets = {}
-    for dl, dz in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)):
-        quartets[(dl, dz)] = _quartet(ctx, m, t, lam0 + dl, dz)
-    for idx, sign in ((0, 1.0), (1, -1.0), (2, -1.0), (3, 1.0)):
-        d_lam = (quartets[(h, 0.0)][idx] - quartets[(-h, 0.0)][idx]) / (2.0 * h)
-        d_z = (quartets[(0.0, h)][idx] - quartets[(0.0, -h)][idx]) / (2.0 * h)
-        cr_res = max(cr_res, abs(d_lam - sign * 1j * d_z) / max(1.0, abs(d_lam)))
-    return fh_res, fr_res, cr_res
+    for x, sign in zip((f, g, fs, gs), (1.0, -1.0, -1.0, 1.0)):
+        d_lam = cx.div(x[2] - x[3], 2.0 * h)
+        d_z = cx.div(x[4] - x[5], 2.0 * h)
+        cr_res = np.maximum(cr_res, cx.cabs(d_lam - cx.mul(sign * 1j, d_z))
+                            / np.maximum(1.0, cx.cabs(d_lam)))
+    return cx.item(fh_res), cx.item(fr_res), cx.item(cr_res)

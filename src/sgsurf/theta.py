@@ -9,20 +9,36 @@ Arguments are reduced into the fundamental band before summation: first by
 v -> v - c tau using the quasi-period factor exp(-i pi c^2 tau - 2 pi i c v),
 then by the unit real period.  The public entry points refuse arguments whose
 imaginary part would overflow the restored prefactor in double precision.
+
+``theta_with_prime``, ``theta_j``, ``theta_j_prime`` and ``jacobi_complex``
+take complex arrays of arguments as well as single values and sum the
+q-series over all sites at once.  Each site stops summing at the term where
+its own truncation test passes, and every product, quotient and modulus is
+rounded as Python's complex type rounds it (``_complex``), so each element
+is bit-identical to the single-site evaluation.  A single argument gives
+Python complex results.  ``ThetaOverflowError`` and ``PoleError`` are raised
+when any element violates the condition.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from . import _complex as cx
 from .elliptic import EllipticModulus
 from .errors import PoleError, ThetaOverflowError
 
 _N_MAX = 64
 # |Im v| * pi / Im tau below this keeps the restored prefactor finite in binary64
 _BAND_LIMIT = 30.0
+_NEG_I_PI = -1j * math.pi
+_TWO_I_PI = 2j * math.pi
+_LOG_LARGE = math.log(sys.float_info.max / 4.0)
 
 
 @dataclass(frozen=True)
@@ -32,6 +48,8 @@ class ThetaParams:
     tau: complex
     trunc_eps: float = 1e-16
     q: complex = field(init=False)
+    # per-index term constants of the q-series, built on first use
+    _term_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if self.tau.imag <= 0.0:
@@ -40,77 +58,152 @@ class ThetaParams:
             raise ValueError("only pure-imaginary lattice parameters are supported")
         object.__setattr__(self, "q", cmath.exp(1j * math.pi * self.tau))
 
+    def _terms(self, j: int) -> list:
+        """(n, w, weight of the value term, weight of the derivative term) for
+        each term of the theta_j series in summation order, computed with the
+        Python scalar expressions of the series.
+
+        theta_1, theta_2 sum over n >= 0 with weight q^((n + 1/2)^2) and
+        frequency (2n + 1) pi; theta_0, theta_3 add to 1 the terms n >= 1
+        with weight q^(n^2) and frequency 2 n pi.  The list ends after the
+        first weight that underflows to zero: every site has stopped by then.
+        """
+        if j in self._term_cache:
+            return self._term_cache[j]
+        terms = []
+        q = self.q
+        for n in range(0 if j in (1, 2) else 1, _N_MAX):
+            if j in (1, 2):
+                a = q ** ((n + 0.5) ** 2)
+                w = (2 * n + 1) * math.pi
+                if j == 1:
+                    terms.append((n, w, 2.0 * (-1) ** n * a, 2.0 * (-1) ** n * a * w))
+                else:
+                    terms.append((n, w, 2.0 * a, -2.0 * a * w))
+            else:
+                a = q ** (n * n)
+                s = -1.0 if (j == 0 and n % 2) else 1.0
+                w = 2 * n * math.pi
+                terms.append((n, w, 2.0 * s * a, -2.0 * s * a * w))
+            if n >= 2 and a == 0:
+                break
+        self._term_cache[j] = terms
+        return terms
+
 
 def lattice_params(mod: EllipticModulus, multiple: int = 1) -> ThetaParams:
     """ThetaParams for the taup lattice of a modulus, or an integer multiple of it."""
     return ThetaParams(tau=multiple * mod.taup)
 
 
-def _series(j: int, v: complex, q: complex, eps: float) -> tuple[complex, complex]:
-    """Raw q-series value and argument-derivative at an already reduced argument."""
-    if j in (1, 2):
-        val = 0j
-        dval = 0j
-        for n in range(_N_MAX):
-            a = q ** ((n + 0.5) ** 2)
-            w = (2 * n + 1) * math.pi
-            if j == 1:
-                t = 2.0 * (-1) ** n * a * cmath.sin(w * v)
-                dt = 2.0 * (-1) ** n * a * w * cmath.cos(w * v)
-            else:
-                t = 2.0 * a * cmath.cos(w * v)
-                dt = -2.0 * a * w * cmath.sin(w * v)
-            val += t
-            dval += dt
-            if n >= 2 and abs(t) + abs(dt) <= eps * (abs(val) + abs(dval) + 1e-300):
-                return val, dval
-        return val, dval
-    val = 1.0 + 0j
-    dval = 0j
-    for n in range(1, _N_MAX):
-        a = q ** (n * n)
-        s = -1.0 if (j == 0 and n % 2) else 1.0
-        w = 2 * n * math.pi
-        t = 2.0 * s * a * cmath.cos(w * v)
-        dt = -2.0 * s * a * w * cmath.sin(w * v)
-        val += t
-        dval += dt
-        if n >= 2 and abs(t) + abs(dt) <= eps * (abs(val) + abs(dval)):
-            return val, dval
-    return val, dval
+def _exp(z: np.ndarray) -> np.ndarray:
+    """cmath.exp on an array.  numpy agrees with cmath bit for bit up to
+    Re z = log(DBL_MAX / 4), where cmath switches to a scaled form; the rare
+    elements beyond go through cmath itself, which raises OverflowError
+    where the result overflows."""
+    big = z.real > _LOG_LARGE
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.exp(z)
+    if big.any():
+        out[big] = [cmath.exp(x) for x in z[big].tolist()]
+    return out
 
 
-def theta_with_prime(j: int, v: complex, p: ThetaParams) -> tuple[complex, complex]:
-    """(theta_j(v), theta_j'(v)); the derivative is with respect to v itself."""
+def _series(j: int, v: np.ndarray, p: ThetaParams) -> tuple[np.ndarray, np.ndarray]:
+    """Raw q-series values and argument-derivatives at reduced arguments v (1-D).
+
+    theta_1 pairs its value with sin and its derivative with cos, the others
+    the other way round.  A site leaves the sum at the first term n >= 2 with
+    |t| + |dt| <= eps (|val| + |dval|), plus 1e-300 for theta_1 and theta_2.
+    Sums are kept as real and imaginary parts; each product is CPython's.
+    """
+    tiny = 1e-300 if j in (1, 2) else 0.0
+    parts = np.zeros((4, v.size))          # val.re, val.im, dval.re, dval.im
+    if j in (0, 3):
+        parts[0] = 1.0
+    live = np.arange(v.size)
+    lv, lp = v, parts.copy()
+    for n, w, a, da in p._terms(j):
+        wv = w * lv
+        sin, cos = np.sin(wv), np.cos(wv)
+        x, dx = (sin, cos) if j == 1 else (cos, sin)
+        t = (a.real * x.real - a.imag * x.imag, a.real * x.imag + a.imag * x.real)
+        dt = (da.real * dx.real - da.imag * dx.imag, da.real * dx.imag + da.imag * dx.real)
+        lp[0] += t[0]
+        lp[1] += t[1]
+        lp[2] += dt[0]
+        lp[3] += dt[1]
+        if n < 2:
+            continue
+        done = (np.hypot(*t) + np.hypot(*dt)
+                <= p.trunc_eps * (np.hypot(lp[0], lp[1]) + np.hypot(lp[2], lp[3]) + tiny))
+        if done.any():
+            parts[:, live[done]] = lp[:, done]
+            keep = ~done
+            live, lv, lp = live[keep], lv[keep], lp[:, keep]
+            if not live.size:
+                break
+    parts[:, live] = lp
+    return cx.pack(parts[0], parts[1]), cx.pack(parts[2], parts[3])
+
+
+def theta_with_prime(j: int, v, p: ThetaParams):
+    """(theta_j(v), theta_j'(v)); the derivative is with respect to v itself.
+
+    v is a complex number or array; the results have its shape.
+    """
     if j not in (0, 1, 2, 3):
         raise ValueError(f"theta index must be 0..3, got {j}")
-    v = complex(v)
+    v = np.asarray(v, dtype=complex)
+    flat = v.ravel()
     im_tau = p.tau.imag
-    if abs(v.imag) * math.pi / im_tau >= _BAND_LIMIT:
+    outside = np.abs(flat.imag) * math.pi / im_tau >= _BAND_LIMIT
+    if outside.any():
         raise ThetaOverflowError(
-            f"Im(v) = {v.imag:g} outside convergence band for Im(tau) = {im_tau:g}"
+            f"Im(v) = {flat.imag[outside][0]:g} outside convergence band for Im(tau) = {im_tau:g}"
         )
-    c = round(v.imag / im_tau)
-    v1 = v - c * p.tau
-    n1 = round(v1.real)
+    if not np.isfinite(flat).all():
+        raise ValueError("theta argument must be finite")
+    # Python's round gives an int, i.e. +0.0 where numpy's round keeps -0.0
+    c = np.round(flat.imag / im_tau) + 0.0
+    v1 = flat - cx.mul(c, p.tau)
+    n1 = np.round(v1.real) + 0.0
     v0 = v1 - n1
-    sign = -1.0 if (j in (1, 2) and n1 % 2) else 1.0
-    if j in (0, 1) and c % 2:
-        sign = -sign
-    pref = sign * cmath.exp(-1j * math.pi * c * c * p.tau - 2j * math.pi * c * v0)
-    val, dval = _series(j, v0, p.q, p.trunc_eps)
-    return pref * val, pref * (dval - 2j * math.pi * c * val)
+    odd = np.zeros(flat.shape, dtype=bool)
+    if j in (1, 2):
+        odd ^= n1 % 2 == 1
+    if j in (0, 1):
+        odd ^= c % 2 == 1
+    sign = np.where(odd, -1.0, 1.0)
+    two_i_pi_c = cx.mul(_TWO_I_PI, c)
+    pref = cx.mul(sign, _exp(cx.mul(cx.mul(cx.mul(_NEG_I_PI, c), c), p.tau)
+                             - cx.mul(two_i_pi_c, v0)))
+    val, dval = _series(j, v0, p)
+    val, dval = cx.mul(pref, val), cx.mul(pref, dval - cx.mul(two_i_pi_c, val))
+    if v.ndim == 0:
+        return complex(val[0]), complex(dval[0])
+    return val.reshape(v.shape), dval.reshape(v.shape)
 
 
-def theta_j(j: int, v: complex, p: ThetaParams) -> complex:
+def _theta_each(j: int, p: ThetaParams, *args) -> list:
+    """[(theta_j(a), theta_j'(a)) for each argument a] (numbers or arrays),
+    from one array call over all of them."""
+    arrs = [np.asarray(a, dtype=complex) for a in args]
+    vals, primes = theta_with_prime(j, np.concatenate([a.ravel() for a in arrs]), p)
+    cuts = np.cumsum([a.size for a in arrs])[:-1]
+    return [(v.reshape(a.shape), d.reshape(a.shape))
+            for a, v, d in zip(arrs, np.split(vals, cuts), np.split(primes, cuts))]
+
+
+def theta_j(j: int, v, p: ThetaParams):
     return theta_with_prime(j, v, p)[0]
 
 
-def theta_j_prime(j: int, v: complex, p: ThetaParams) -> complex:
+def theta_j_prime(j: int, v, p: ThetaParams):
     return theta_with_prime(j, v, p)[1]
 
 
-def jacobi_complex(u: complex, mod: EllipticModulus) -> tuple[complex, complex, complex]:
+def jacobi_complex(u, mod: EllipticModulus):
     """(sn, cn, dn) of a complex argument through theta quotients on the taup lattice.
 
     Uses v = (u - K) / (2 i K') and the quotient triple
@@ -118,19 +211,24 @@ def jacobi_complex(u: complex, mod: EllipticModulus) -> tuple[complex, complex, 
         cn u = -i theta_1(v) theta_2(0) / (theta_3(v) theta_0(0)),
         dn u =    theta_2(v) theta_2(0) / (theta_3(v) theta_3(0)).
     On real u this agrees with elliptic.jacobi and serves as its oracle.
+    u is a number or an array; each theta_j is one call over v and 0.
     """
     p = lattice_params(mod)
-    v = (complex(u) - mod.K) / (2j * mod.Kp)
-    t3v = theta_j(3, v, p)
-    t00 = theta_j(0, 0.0, p)
-    t20 = theta_j(2, 0.0, p)
-    t30 = theta_j(3, 0.0, p)
-    if abs(t3v) < 1e-12 * abs(t30):
-        raise PoleError(f"argument {u} too close to a pole of sn/cn/dn")
-    sn = theta_j(0, v, p) * t30 / (t3v * t00)
-    cn = -1j * theta_j(1, v, p) * t20 / (t3v * t00)
-    dn = theta_j(2, v, p) * t20 / (t3v * t30)
-    return sn, cn, dn
+    u = np.asarray(u, dtype=complex)
+    v = cx.div(u.ravel() - mod.K, 2j * mod.Kp)
+    args = np.append(v, 0.0)
+    t0, t1, t2, t3 = (theta_j(j, args, p) for j in range(4))
+    t3v, t00, t20, t30 = t3[:-1], t0[-1], t2[-1], t3[-1]
+    near = cx.cabs(t3v) < 1e-12 * cx.cabs(t30)
+    if near.any():
+        raise PoleError(f"argument {u.ravel()[near][0]} too close to a pole of sn/cn/dn")
+    den = cx.mul(t3v, t00)
+    sn = cx.div(cx.mul(t0[:-1], t30), den)
+    cn = cx.div(cx.mul(cx.mul(-1j, t1[:-1]), t20), den)
+    dn = cx.div(cx.mul(t2[:-1], t20), cx.mul(t3v, t30))
+    if u.ndim == 0:
+        return complex(sn[0]), complex(cn[0]), complex(dn[0])
+    return sn.reshape(u.shape), cn.reshape(u.shape), dn.reshape(u.shape)
 
 
 @dataclass(frozen=True)
@@ -158,15 +256,15 @@ def weierstrass_constants(mod: EllipticModulus) -> WeierstrassConstants:
     )
 
 
-def weierstrass_p(z: complex, mod: EllipticModulus) -> complex:
+def weierstrass_p(z, mod: EllipticModulus):
     """Weierstrass p-function of the spectral curve, periods {2K', iK + K'}.
 
     Evaluated as (dn(2iz + iK') - i k sn(2iz + iK'))^2 + e1 through the
     complex-argument Jacobi functions.  PoleError marks the lattice points
     z in {2K', iK + K'} and also the odd half-lattice points a K' + i b K
     (a + b odd), where the quotient representation degenerates even though
-    the limit of the combination is finite.
+    the limit of the combination is finite.  z is a number or an array.
     """
-    sn, _, dn = jacobi_complex(2j * z + 1j * mod.Kp, mod)
+    sn, _, dn = jacobi_complex(cx.mul(2j, z) + 1j * mod.Kp, mod)
     e1 = weierstrass_constants(mod).e1
-    return (dn - 1j * mod.k * sn) ** 2 + e1
+    return cx.square(dn - cx.mul(1j * mod.k, sn)) + e1

@@ -1,0 +1,284 @@
+"""Array evaluation of the theta, tau and sg layers against single-site references.
+
+The theta reference is the DLMF 20.2 q-series summed one site at a time with
+cmath and Python complex arithmetic, with the same band reduction and the
+same truncation test as the library; the array evaluation must give the same
+bits.  The tau and sg layers are checked array against per-site calls.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+from sgsurf import _complex as cx
+from sgsurf import elliptic, sg, suites, surfaces, tau, theta
+from sgsurf.errors import PoleError, ThetaOverflowError
+
+
+def _bits(z):
+    z = np.asarray(z, dtype=complex)
+    return np.stack([z.real.view(np.int64), z.imag.view(np.int64)])
+
+
+def _same(a, b):
+    assert np.array_equal(_bits(a), _bits(b))
+
+
+# ------------------------------------------------------ theta reference --
+
+def _ref_series(j, v, q, eps):
+    """DLMF 20.2.1-20.2.4 with theta_0 = theta_4, value and v-derivative."""
+    if j in (1, 2):
+        val = dval = 0j
+        for n in range(64):
+            a = q ** ((n + 0.5) ** 2)
+            w = (2 * n + 1) * math.pi
+            if j == 1:
+                t = 2.0 * (-1) ** n * a * cmath.sin(w * v)
+                dt = 2.0 * (-1) ** n * a * w * cmath.cos(w * v)
+            else:
+                t = 2.0 * a * cmath.cos(w * v)
+                dt = -2.0 * a * w * cmath.sin(w * v)
+            val += t
+            dval += dt
+            if n >= 2 and abs(t) + abs(dt) <= eps * (abs(val) + abs(dval) + 1e-300):
+                break
+        return val, dval
+    val, dval = 1.0 + 0j, 0j
+    for n in range(1, 64):
+        a = q ** (n * n)
+        s = -1.0 if (j == 0 and n % 2) else 1.0
+        w = 2 * n * math.pi
+        t = 2.0 * s * a * cmath.cos(w * v)
+        dt = -2.0 * s * a * w * cmath.sin(w * v)
+        val += t
+        dval += dt
+        if n >= 2 and abs(t) + abs(dt) <= eps * (abs(val) + abs(dval)):
+            break
+    return val, dval
+
+
+def _ref_theta(j, v, p):
+    """Single-site theta_j(v), theta_j'(v): quasi-period reduction, then the series."""
+    v = complex(v)
+    c = round(v.imag / p.tau.imag)
+    v1 = v - c * p.tau
+    n1 = round(v1.real)
+    v0 = v1 - n1
+    sign = -1.0 if (j in (1, 2) and n1 % 2) else 1.0
+    if j in (0, 1) and c % 2:
+        sign = -sign
+    pref = sign * cmath.exp(-1j * math.pi * c * c * p.tau - 2j * math.pi * c * v0)
+    val, dval = _ref_series(j, v0, p.q, p.trunc_eps)
+    return pref * val, pref * (dval - 2j * math.pi * c * val)
+
+
+def _arguments(p, rng, count):
+    """Random arguments up to Im v = +-2.5 Im tau, near the band edge, and special points."""
+    T = p.tau.imag
+    edge = 0.999 * theta._BAND_LIMIT * T / math.pi
+    v = rng.uniform(-3, 3, count) + 1j * rng.uniform(-2.5, 2.5, count) * T
+    special = [0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+               complex(-0.0, -0.1), complex(-0.3, -0.0), complex(-1.0, -0.0),
+               0.5, -0.5, 0.5 * p.tau, -0.5 * p.tau, 0.5 + 0.5 * p.tau, 1.0,
+               edge * 1j, -edge * 1j, 0.25 + 0.9 * edge * 1j]
+    return np.concatenate([v, special])
+
+
+@pytest.mark.parametrize("k", [0.05, 0.3, 0.6, 0.7, 0.9, 0.99])
+def test_array_theta_matches_per_site_dlmf_series(k):
+    mod = elliptic.make_modulus(k)
+    rng = np.random.default_rng(int(k * 1000))
+    # the last lattice has a real part within the admitted 1e-15, so that q
+    # and the series weights are not real
+    for tau_ in (mod.taup, mod.tau, 2 * mod.taup, complex(-8e-16, mod.taup.imag)):
+        p = theta.ThetaParams(tau_)
+        v = _arguments(p, rng, 60)
+        for j in range(4):
+            ref, keep = [], []
+            for x in v.tolist():
+                try:
+                    ref.append(_ref_theta(j, x, p))
+                    keep.append(True)
+                except OverflowError:   # the restored prefactor overflows
+                    with pytest.raises(OverflowError):
+                        theta.theta_with_prime(j, x, p)
+                    keep.append(False)
+            val, dval = theta.theta_with_prime(j, v[keep].reshape(-1, 1), p)
+            assert val.shape == (len(ref), 1)
+            _same(val[:, 0], [r[0] for r in ref])
+            _same(dval[:, 0], [r[1] for r in ref])
+
+
+def test_single_arguments_give_python_complex():
+    p = theta.ThetaParams(elliptic.make_modulus(0.6).taup)
+    val, dval = theta.theta_with_prime(2, 0.1 + 0.05j, p)
+    assert type(val) is complex and type(dval) is complex
+    assert (val, dval) == _ref_theta(2, 0.1 + 0.05j, p)
+    sn, cn, dn = theta.jacobi_complex(0.7, elliptic.make_modulus(0.6))
+    assert type(sn) is complex
+
+
+def test_one_out_of_band_element_raises():
+    p = theta.ThetaParams(elliptic.make_modulus(0.6).taup)
+    v = np.full(5, 0.1 + 0.1j)
+    v[3] = 40j * p.tau.imag
+    for j in range(4):
+        with pytest.raises(ThetaOverflowError):
+            theta.theta_with_prime(j, v, p)
+
+
+def test_one_pole_element_raises():
+    mod = elliptic.make_modulus(0.6)
+    u = np.array([0.3, 0.5, 1j * mod.Kp, 1.1])   # sn, cn and dn have a pole at iK'
+    with pytest.raises(PoleError):
+        theta.jacobi_complex(u, mod)
+    with pytest.raises(PoleError):
+        sg.HalfAngle(c=np.array([0.6, -1.0]), s=np.array([0.8, 0.0])).tan_quarter()
+
+
+def test_jacobi_complex_and_weierstrass_arrays_match_single_values():
+    mod = elliptic.make_modulus(0.9)
+    u = np.random.default_rng(8).uniform(-8, 8, 30) + 0.3j
+    arrays = theta.jacobi_complex(u, mod)
+    for i, x in enumerate(u.tolist()):
+        for a, b in zip(arrays, theta.jacobi_complex(x, mod)):
+            _same(a[i], b)
+    z = np.array([0.3, 0.213 + 0.11j, 0.9 - 0.2j])
+    _same(theta.weierstrass_p(z, mod), [theta.weierstrass_p(x, mod) for x in z.tolist()])
+
+
+# --------------------------------------------------- CPython arithmetic --
+
+def test_complex_helpers_round_as_python():
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=4000) * 10.0 ** rng.integers(-8, 8, 4000) + 1j * rng.normal(size=4000)
+    b = np.roll(a, 7)
+    a[:4] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0]
+    b[4:8] = [complex(-0.0, 1.0), complex(2.0, -0.0), complex(-0.0, -0.0), 1j]
+    al, bl = a.tolist(), b.tolist()
+    _same(cx.mul(a, b), [x * y for x, y in zip(al, bl)])
+    _same(cx.mul(2.5, b), [2.5 * y for y in bl])
+    nz = np.array([y != 0 for y in bl])
+    _same(cx.div(a[nz], b[nz]), [x / y for x, y, ok in zip(al, bl, nz) if ok])
+    _same(cx.div(a, -1.7), [x / -1.7 for x in al])
+    _same(cx.cabs(a), np.array([abs(x) for x in al]))
+    _same(cx.square(a), [x ** 2 for x in al])
+    with pytest.raises(ZeroDivisionError):
+        cx.div(a[:5], np.array([1, 2, 0j, 3, 4]))
+
+
+# ------------------------------------------------------------------ tau --
+
+def _contexts(k=0.6):
+    mod = elliptic.make_modulus(k)
+    return [tau.TauContext(mod=mod, family=f, gamma_step=0.8, beta_rate=1.0, twisted=tw)
+            for f in ("dn", "cn") for tw in (False, True)]
+
+
+@pytest.mark.parametrize("ctx", _contexts(), ids=lambda c: f"{c.family}-{c.twisted}")
+def test_tau_arrays_match_per_site_calls(ctx):
+    rng = np.random.default_rng(9)
+    m = rng.integers(-9, 10, 12)
+    t = rng.uniform(0, 1.5, 12)
+    lam = rng.uniform(-0.8, 0.8, 12)
+    z = rng.uniform(-0.5, 0.5, 12)
+    z[:2] = (0.0, -0.0)
+    s = tau.tau_sample(ctx, m, t, lam=lam, z=z)
+    g, b = tau.gamma_from_tau(ctx, m, t)
+    checks = tau.bilinear_checks(ctx, m, t)
+    for i in range(12):
+        one = tau.tau_sample(ctx, int(m[i]), float(t[i]), lam=float(lam[i]), z=float(z[i]))
+        for name in ("f", "g", "fstar", "gstar", "F", "H", "R", "eta"):
+            _same(getattr(s, name)[i], getattr(one, name))
+        g1, b1 = tau.gamma_from_tau(ctx, int(m[i]), float(t[i]))
+        _same(g[i], g1)
+        _same(b[i], b1)
+        for arr, single in zip(checks, tau.bilinear_checks(ctx, int(m[i]), float(t[i]))):
+            _same(arr[i], single)
+    assert type(tau.tau_sample(ctx, 2, 0.3).F) is complex
+
+
+def test_tau_context_builds_its_lattices_once(monkeypatch):
+    ctx = _contexts()[0]
+    built = []
+    real = theta.ThetaParams.__post_init__
+    monkeypatch.setattr(theta.ThetaParams, "__post_init__",
+                        lambda self: built.append(self) or real(self))
+    tau.gamma_from_tau(ctx, np.arange(-5, 6), 0.3)
+    tau.bilinear_checks(ctx, np.arange(3), 0.3)
+    assert built == []
+
+
+# ------------------------------------------------------------------- sg --
+
+@pytest.mark.parametrize("family", sg.FAMILIES)
+def test_sg_arrays_match_per_site_calls(family):
+    mod = elliptic.make_modulus(0.7)
+    sp = sg.SemiDiscreteParams(mod=mod, Omega=0.23, A=0.31, family=family)
+    dp = sg.DiscreteParams(mod=mod, Omega=0.23, P=0.17, family=family)
+    ms, ts = np.arange(-6, 6)[:, None], np.array([0.0, 0.3, 1.3])
+    w = sg.semi_sample(sp, ms, ts)
+    r1, r2 = sg.semi_residuals(sp, ms, ts)
+    ns = np.arange(-4, 5)
+    d = sg.discrete_sg_residual(dp, ms, ns)
+    quads = sg.discrete_quad(dp, ms, ns)
+    zq = [q.quarter_exponential() for q in quads]
+    for i, m in enumerate(range(-6, 6)):
+        for j, t in enumerate(ts.tolist()):
+            one = sg.semi_sample(sp, m, t)
+            _same([w.c[i, j], w.s[i, j], w.dwdt[i, j]], [one.c, one.s, one.dwdt])
+            _same([r1[i, j], r2[i, j]], sg.semi_residuals(sp, m, t))
+        for j, n in enumerate(ns.tolist()):
+            _same(d[i, j], sg.discrete_sg_residual(dp, m, n))
+            corners = ((m + 1, n + 1), (m, n), (m + 1, n), (m, n + 1))
+            for q, z, (a, b) in zip(quads, zq, corners):
+                one = sg.discrete_sample(dp, a, b)
+                _same([q.c[i, j], q.s[i, j]], [one.c, one.s])
+                _same(z[i, j], one.quarter_exponential())
+
+
+def test_half_angle_array_checks_every_element():
+    with pytest.raises(ValueError):
+        sg.HalfAngle(c=np.array([0.6, 0.8, 1.0]), s=np.array([0.8, 0.6, 0.1]))
+
+
+# --------------------------------------------------------------- suites --
+
+@pytest.mark.parametrize("suite, calls, sites", [
+    # two moduli x four indices on one lattice; 100 samples at 6 arguments, and 0
+    (suites.suite_theta_addition, 8, 601),
+    # three moduli x (dn: two indices on 2 tau' + theta_3 on tau';
+    #                 cn: the same + theta_0 on tau') x two twists; 25 sites x 3 times
+    (suites.suite_tau_equivalence, 3 * (3 + 3 + 4 + 4), 75),
+])
+def test_suite_theta_series_calls_do_not_grow_with_samples(monkeypatch, suite, calls, sites):
+    sizes = []
+    real = theta._series
+
+    def counting(j, v, p):
+        sizes.append(v.size)
+        return real(j, v, p)
+
+    monkeypatch.setattr(theta, "_series", counting)
+    assert suite().passed
+    # one series per (modulus, index, lattice, context), each over all samples at once
+    assert len(sizes) == calls
+    assert min(sizes) >= sites
+
+
+# ------------------------------------------------------------- snapshot --
+
+def test_lazy_frames_equal_eager_construction():
+    p = surfaces.SurfaceParams(mod=elliptic.make_modulus(0.6), family="cn", gamma_step=0.8,
+                               beta_rate=1.0, twisted=True, frame_sign="-")
+    snap = surfaces.snapshot(p, [-4, -3, -2, 0, 5, 6], 0.4)
+    assert "frames" not in vars(snap)
+    eager = [surfaces.frame_at(p, m, 0.4) for m in (-4, -3, -2, 0, 5, 6)]
+    assert len(snap.frames) == len(eager)
+    for lazy, ref in zip(snap.frames, eager):
+        for name in ("T", "N", "B"):
+            assert np.array_equal(getattr(lazy, name), getattr(ref, name))
+    assert snap.frames is snap.frames

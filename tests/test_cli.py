@@ -241,3 +241,51 @@ def test_kaleidocycle_m_max_is_honoured(tmp_path, m_max, rows):
     assert run(argv) == 0   # m_max >= period covers the ring, so it closes
     lines = (out / "frame_0000.csv").read_text().splitlines()
     assert len(lines) == 1 + rows   # default: one period, m = 0..2n
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["curve", "--k", "0.6", "--gamma", "0.8"],
+    ["kaleidocycle", "--n", "4"],
+])
+def test_t_steps_below_one_is_config_error_without_artifact(tmp_path, argv, steps):
+    out = tmp_path / "artifact"
+    assert run(argv + ["--t-steps", steps, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_kaleidocycle_reports_frames_written(tmp_path, capsys):
+    out = tmp_path / "anim"
+    assert run(["kaleidocycle", "--n", "4", "--t-steps", "3", "--t-stop", "1.0",
+                "--out", str(out)]) == 0
+    assert len(list(out.glob("frame_*.csv"))) == 3
+    assert "wrote 3 frame(s)" in capsys.readouterr().out
+
+
+MOTION_FLAGS = [["--twisted"], ["--beta", "2.0"], ["--t-start", "0.1"],
+                ["--t-stop", "1.0"], ["--t-steps", "3"]]
+
+
+@pytest.mark.parametrize("flag", MOTION_FLAGS, ids=lambda f: f[0])
+@pytest.mark.parametrize("argv", [
+    ["ksurface", "--k", "0.6", "--gamma", "0.8", "--delta", "0.55", "--m", "4", "--n", "4"],
+    ["verify"],
+    ["identities"],
+], ids=lambda a: a[0])
+def test_motion_flags_exist_only_where_used(tmp_path, argv, flag):
+    out = tmp_path / "artifact.json"
+    with pytest.raises(SystemExit) as exc:
+        run(argv + flag + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_file_key_must_be_an_option_of_the_command(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("beta = 2.0\n")
+    out = tmp_path / "mesh.obj"
+    assert run(["ksurface", "--k", "0.6", "--m", "4", "--n", "4", "--config", str(cfg),
+                "--out", str(out)]) == 2
+    assert not out.exists()
+    assert run(["curve", "--k", "0.6", "--gamma", "0.8", "--config", str(cfg),
+                "--out", str(tmp_path / "c.csv")]) == 0
