@@ -33,8 +33,7 @@ def main():
             ctx = tau.TauContext(mod=mod, family=family, gamma_step=0.8,
                                  beta_rate=1.0, twisted=twisted)
             sp = surfaces.SurfaceParams(mod=mod, family=family, gamma_step=0.8,
-                                        beta_rate=1.0, twisted=twisted,
-                                        frame_sign="-" if twisted else "+")
+                                        beta_rate=1.0, twisted=twisted)
             worst = 0.0
             for m in range(-10, 11):
                 for t in (0.0, 0.7):

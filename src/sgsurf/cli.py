@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .elliptic import make_modulus
+from .elliptic import FAMILIES, make_modulus
 from .errors import DomainError, ValidationError
 from .ksurf import KParams, k_grid
 from .suites import run_suites
@@ -58,20 +58,9 @@ class RunConfig:
     t_stop: float = 0.0
     t_steps: int = 1
     raw_alpha: Optional[float] = None
-    out_format: Optional[str] = None
     out_path: Optional[Path] = None
-    frame_sign: Optional[str] = None
-
-    _NATIVE_FORMATS = {"curve": "csv", "kaleidocycle": "csv",
-                       "ksurface": "obj", "verify": "json", "identities": "json"}
 
     def __post_init__(self):
-        native = self._NATIVE_FORMATS[self.command]
-        if self.out_format is None:
-            self.out_format = native
-        elif self.out_format != native:
-            raise DomainError(
-                f"{self.command} writes {native}, not {self.out_format}")
         if self.m_range is None and self.command != "kaleidocycle":
             self.m_range = (0, 12)
         for name, rng in (("m", self.m_range), ("n", self.n_range)):
@@ -144,9 +133,8 @@ def _surface_params(cfg: RunConfig) -> SurfaceParams:
         raise DomainError("curve command needs a modulus --k")
     mod = make_modulus(cfg.k)
     gamma = cfg.gamma if cfg.gamma is not None else mod.K
-    sign = cfg.frame_sign or ("-" if cfg.twisted else "+")
     return SurfaceParams(mod=mod, family=cfg.family, gamma_step=gamma,
-                         beta_rate=cfg.beta, twisted=cfg.twisted, frame_sign=sign)
+                         beta_rate=cfg.beta, twisted=cfg.twisted)
 
 
 def cmd_curve(cfg: RunConfig) -> int:
@@ -276,8 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", type=Path, help="flat key=value defaults file")
         p.add_argument("--out", type=Path, dest="out_path")
-        p.add_argument("--out-format", choices=("csv", "obj", "json"), dest="out_format")
-        p.add_argument("--family", choices=("dn", "cn"))
 
     def motion(p):
         """Options of the commands that evolve a curve in time."""
@@ -289,21 +275,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("curve", help="export curve snapshots as CSV")
     common(pc)
+    pc.add_argument("--family", choices=FAMILIES)
     motion(pc)
     pc.add_argument("--k", type=float)
     pc.add_argument("--gamma", type=float)
     pc.add_argument("--m-min", type=int, dest="m_min")
     pc.add_argument("--m-max", type=int, dest="m_max")
-    pc.add_argument("--frame-sign", choices=("+", "-"), dest="frame_sign")
 
     pk = sub.add_parser("kaleidocycle", help="export a closed linkage animation")
     common(pk)
+    pk.add_argument("--family", choices=FAMILIES)
     motion(pk)
     pk.add_argument("--n", type=int, help="hinge half-count; modulus k = sin(pi/n)")
     pk.add_argument("--m-max", type=int, dest="m_max")
 
     ps = sub.add_parser("ksurface", help="export a discrete K-surface mesh")
     common(ps)
+    ps.add_argument("--family", choices=FAMILIES)
     ps.add_argument("--k", type=float)
     ps.add_argument("--gamma", type=float)
     ps.add_argument("--delta", type=float)
@@ -333,13 +321,19 @@ def _load_config_file(path: Path) -> dict:
     return values
 
 
+def _boolean(s: str) -> bool:
+    v = s.lower()
+    if v not in ("1", "0", "true", "false", "yes", "no"):
+        raise ValueError(f"expected 1/0, true/false or yes/no, got {s!r}")
+    return v in ("1", "true", "yes")
+
+
 _CONFIG_TYPES = {
-    "family": str, "twisted": lambda s: s.lower() in ("1", "true", "yes"),
+    "family": str, "twisted": _boolean,
     "k": float, "n": int, "gamma": float, "delta": float, "beta": float,
     "m_min": int, "m_max": int, "m_count": int, "n_count": int,
     "t_start": float, "t_stop": float, "t_steps": int,
-    "raw_alpha": float, "out_format": str, "out_path": Path, "out": Path,
-    "frame_sign": str,
+    "raw_alpha": float, "out_path": Path, "out": Path,
 }
 
 
@@ -353,7 +347,10 @@ def _merge(ns: argparse.Namespace) -> RunConfig:
             name = "out_path" if key == "out" else key
             if name not in raw:
                 raise DomainError(f"{raw['command']} has no option {key!r}")
-            file_vals[name] = _CONFIG_TYPES[key](sval)
+            try:
+                file_vals[name] = _CONFIG_TYPES[key](sval)
+            except ValueError as exc:
+                raise DomainError(f"config key {key!r}: {exc}") from None
 
     def pick(name, default=None):
         v = raw.get(name)
@@ -384,9 +381,7 @@ def _merge(ns: argparse.Namespace) -> RunConfig:
         t_stop=pick("t_stop", 0.0),
         t_steps=pick("t_steps", 1),
         raw_alpha=pick("raw_alpha"),
-        out_format=pick("out_format"),
         out_path=pick("out_path"),
-        frame_sign=pick("frame_sign"),
         **ranges,
     )
 

@@ -28,6 +28,14 @@ from .errors import DomainError
 
 _AGM_TOL = 1e-16
 
+FAMILIES = ("dn", "cn")
+
+
+def check_family(family: str) -> None:
+    """Reject anything but the two elliptic families with DomainError."""
+    if family not in FAMILIES:
+        raise DomainError(f"family must be one of {FAMILIES}, got {family!r}")
+
 
 @dataclass(frozen=True)
 class EllipticModulus:

@@ -30,8 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .elliptic import (EllipticModulus, _closed_form, _rotation_angle, make_modulus,
-                       sn2_integral)
+from .elliptic import (EllipticModulus, _closed_form, _rotation_angle, check_family,
+                       make_modulus, sn2_integral)
 from .errors import DomainError, PoleError
 from .sg import HalfAngle
 
@@ -53,8 +53,7 @@ class KParams:
     delta_integral: float = field(init=False)
 
     def __post_init__(self):
-        if self.family not in ("dn", "cn"):
-            raise DomainError(f"family must be 'dn' or 'cn', got {self.family!r}")
+        check_family(self.family)
         object.__setattr__(self, "alpha_step", _rotation_angle(
             self.mod, self.family, self.gamma_step, False))
         object.__setattr__(self, "beta_step", _rotation_angle(

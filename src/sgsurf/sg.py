@@ -28,12 +28,10 @@ from typing import Optional
 import numpy as np
 
 from . import _complex as cx
-from .elliptic import EllipticModulus, jacobi
-from .errors import PoleError
+from .elliptic import FAMILIES, EllipticModulus, check_family, jacobi  # noqa: F401
+from .errors import DomainError, PoleError
 
 _POLE_TOL = 1e-12
-
-FAMILIES = ("dn", "cn")
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,7 @@ class HalfAngle:
         if getattr(err, "ndim", 0):
             err = err.max()
         if err > 1e-12:
-            raise ValueError(f"half-angle pair not normalized: |c^2+s^2-1| = {err:.3e}")
+            raise DomainError(f"half-angle pair not normalized: |c^2+s^2-1| = {err:.3e}")
 
     def half_exponential(self):
         """exp(i w/2)."""
@@ -75,11 +73,6 @@ def _unstack(w: HalfAngle) -> list[HalfAngle]:
     return [HalfAngle(c=c, s=s, dwdt=d) for c, s, d in zip(w.c, w.s, dwdt)]
 
 
-def _check_family(family: str) -> None:
-    if family not in FAMILIES:
-        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
-
-
 def _default_phase(family: str) -> float:
     return 0.5 if family == "dn" else 0.0
 
@@ -95,7 +88,7 @@ class SemiDiscreteParams:
     xi0: Optional[float] = None
 
     def __post_init__(self):
-        _check_family(self.family)
+        check_family(self.family)
         if self.xi0 is None:
             object.__setattr__(self, "xi0", _default_phase(self.family))
 
@@ -114,7 +107,7 @@ class DiscreteParams:
     xi0: Optional[float] = None
 
     def __post_init__(self):
-        _check_family(self.family)
+        check_family(self.family)
         if self.xi0 is None:
             object.__setattr__(self, "xi0", _default_phase(self.family))
 
@@ -164,7 +157,7 @@ def semi_residuals_from(w0: HalfAngle, w1: HalfAngle,
     mKdV:        dw_{m+1}/dt + dw_m/dt = c2 sin((w_{m+1} - w_m)/2)
     """
     if w0.dwdt is None or w1.dwdt is None:
-        raise ValueError("semi-discrete residuals need samples with dwdt")
+        raise DomainError("semi-discrete residuals need samples with dwdt")
     sin_sum = w1.s * w0.c + w1.c * w0.s
     sin_diff = w1.s * w0.c - w1.c * w0.s
     return (w1.dwdt - w0.dwdt) - sg_coeff * sin_sum, (w1.dwdt + w0.dwdt) - mkdv_coeff * sin_diff

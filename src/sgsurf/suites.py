@@ -136,10 +136,6 @@ def suite_sn2_integral() -> SuiteResult:
 
 # ------------------------------------------------------------------- theta --
 
-def _tp(mod, mult=1):
-    return theta.ThetaParams(mult * mod.taup)
-
-
 # The theta suites evaluate each distinct argument once: one array call per
 # (index, lattice) over all samples.
 
@@ -162,7 +158,7 @@ def suite_theta_addition() -> SuiteResult:
             ys.append(complex(rng.uniform(-1, 1), rng.uniform(-0.4, 0.4) * T))
         x, y = np.array(xs), np.array(ys)
         sy = {s: cx.mul(s, y) for s in (1.0, -1.0)}
-        X, Y, Z, *shifted = _thetas_at(_tp(mod), x, y, 0.0,
+        X, Y, Z, *shifted = _thetas_at(theta.lattice_params(mod), x, y, 0.0,
                                        *(a for s in sy for a in (x + sy[s], x - sy[s])))
         for s, P, M in zip(sy, shifted[0::2], shifted[1::2]):
             # P[j] = theta_j(x + s y), M[j] = theta_j(x - s y)
@@ -188,7 +184,7 @@ def suite_theta_lattice_doubling() -> SuiteResult:
     worst = 0.0
     for k in (0.3, 0.6):
         mod = elliptic.make_modulus(k)
-        p1, p2 = _tp(mod), _tp(mod, 2)
+        p1, p2 = theta.lattice_params(mod), theta.lattice_params(mod, 2)
         den = mod.k * mod.Kp
         draws = np.array([[rng.uniform(-2.5, 2.5), rng.uniform(-1.0, 1.0),
                            rng.uniform(-0.6, 0.6)] for _ in range(100)])
@@ -228,7 +224,7 @@ def suite_theta_jacobi_quotients() -> SuiteResult:
         mod = elliptic.make_modulus(k)
         psi = np.array([rng.uniform(-3.5, 3.5) for _ in range(100)])
         sn, cn, dn = elliptic.jacobi(psi, mod)
-        V, Z = _thetas_at(_tp(mod), cx.div(psi - mod.K, 2j * mod.Kp), 0.0)
+        V, Z = _thetas_at(theta.lattice_params(mod), cx.div(psi - mod.K, 2j * mod.Kp), 0.0)
         for res in (cx.div(cx.mul(V[0], Z[3]), cx.mul(V[3], Z[0])) - sn,
                     cx.div(cx.mul(V[1], Z[2]), cx.mul(V[3], Z[0])) - cx.mul(1j, cn),
                     cx.div(cx.mul(V[2], Z[2]), cx.mul(V[3], Z[3])) - dn):
@@ -290,7 +286,7 @@ def suite_theta_modular() -> SuiteResult:
     for k in MODULI:
         mod = elliptic.make_modulus(k)
         pt = theta.ThetaParams(mod.tau)
-        ptp = _tp(mod)
+        ptp = theta.lattice_params(mod)
         v = np.array([complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.25, 0.25))
                       for _ in range(60)])
         lhs = theta.theta_j(3, cx.div(v, mod.tau), ptp)
@@ -361,10 +357,8 @@ def _all_surface_params(k=0.6, gamma=0.8, beta=1.0):
     out = []
     for family in ("dn", "cn"):
         for twisted in (False, True):
-            sign = "-" if twisted else "+"
             out.append(surfaces.SurfaceParams(mod=mod, family=family, gamma_step=gamma,
-                                              beta_rate=beta, twisted=twisted,
-                                              frame_sign=sign))
+                                              beta_rate=beta, twisted=twisted))
     return out
 
 
@@ -518,8 +512,7 @@ def suite_tau_equivalence() -> SuiteResult:
         for ctx in _tau_contexts(k=k):
             sp = surfaces.SurfaceParams(
                 mod=ctx.mod, family=ctx.family, gamma_step=ctx.gamma_step,
-                beta_rate=ctx.beta_rate, twisted=ctx.twisted,
-                frame_sign="-" if ctx.twisted else "+")
+                beta_rate=ctx.beta_rate, twisted=ctx.twisted)
             ts = (0.0, 0.37, 1.1)
             ms = np.arange(-12, 13)
             g1, b1 = tau.gamma_from_tau(ctx, ms[:, None], np.array(ts))
@@ -633,14 +626,11 @@ def _compat_setup(family):
     mod = elliptic.make_modulus(0.6)
     Om, P = 0.13, 0.19
     p = sg.DiscreteParams(mod=mod, Omega=Om, P=P, family=family)
-    g, d = 4.0 * mod.K * Om, 4.0 * mod.K * P
-    sng, cng, dng = elliptic.jacobi(g, mod)
-    snd, cnd, dnd = elliptic.jacobi(d, mod)
-    if family == "dn":
-        nu1, nu2 = math.atan2(sng, cng), math.atan2(snd, cnd)
-    else:
-        nu1 = math.atan2(mod.k * sng, dng)
-        nu2 = math.atan2(mod.k * snd, dnd)
+    # the torsion angles are the rotation angles of the other family:
+    # atan2(sn, cn) for dn, atan2(k sn, dn) for cn
+    other = "cn" if family == "dn" else "dn"
+    nu1, nu2 = (elliptic._rotation_angle(mod, other, 4.0 * mod.K * step, False)
+                for step in (Om, P))
     return p, nu1, nu2
 
 

@@ -18,9 +18,9 @@ expression scaled by k^2 for cn.  Every edge satisfies
 Gamma_{m+1} - Gamma_m = eps B_{m+1} x B_m, the edge length is |sn gamma|
 (dn) or |k sn gamma| (cn), and <B_m, B_{m+1}> is cn(gamma) resp. dn(gamma).
 
-Frames: T_m = sigma (B_{m+1} x B_m) / s with s = sn(gamma) or k sn(gamma)
-and sigma = +-1 from frame_sign; the admissible pairings are
-sigma s > 0 (untwisted) and sigma s < 0 (twisted), checked at construction.
+Frames: T_m = sigma (B_{m+1} x B_m) / s with s = sn(gamma) or k sn(gamma).
+The frame sign sigma = +-1 is derived, not passed: sigma s > 0 (untwisted)
+and sigma s < 0 (twisted) admit exactly sigma = sign(s) eps.
 
 The closed forms are evaluated on whole arrays of sites: ``gamma_point``,
 ``b_point`` and ``half_angles`` take integer arrays as well as integers, a
@@ -37,8 +37,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .elliptic import (EllipticModulus, _closed_form, _rotation_angle, jacobi,
-                       make_modulus, sn2_integral)
+from .elliptic import (EllipticModulus, _closed_form, _rotation_angle, check_family,
+                       jacobi, make_modulus, sn2_integral)
 from .errors import DegenerateFrameError, DomainError, ValidationError
 from .frames import Frame
 from .sg import HalfAngle
@@ -47,51 +47,51 @@ _SPEED_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class SurfaceParams:
-    """One closed-form family member; alpha and the frame data are derived."""
+class CurveLattice:
+    """One curve lattice: family, twist and steps, with the derived rotation
+    step alpha, edge sign eps and int_0^gamma sn^2.  The closed forms and the
+    tau quartet share these phases (phi_m, psi_m)."""
 
     mod: EllipticModulus
     family: str
     gamma_step: float
     beta_rate: float
     twisted: bool = False
-    frame_sign: str = "+"
     alpha_step: float = field(init=False)
     epsilon_sign: int = field(init=False)
     gamma_integral: float = field(init=False)   # int_0^gamma sn^2
 
     def __post_init__(self):
-        if self.family not in ("dn", "cn"):
-            raise DomainError(f"family must be 'dn' or 'cn', got {self.family!r}")
-        if self.frame_sign not in ("+", "-"):
-            raise DomainError(f"frame_sign must be '+' or '-', got {self.frame_sign!r}")
+        check_family(self.family)
         object.__setattr__(self, "alpha_step", _rotation_angle(
             self.mod, self.family, self.gamma_step, self.twisted))
         object.__setattr__(self, "epsilon_sign", -1 if self.twisted else 1)
         object.__setattr__(self, "gamma_integral", sn2_integral(self.gamma_step, self.mod))
+
+    def phases(self, m, t):
+        """(phi_m, psi_m); phi advances by beta k t for dn, beta t for cn."""
+        rate = self.beta_rate * (self.mod.k if self.family == "dn" else 1.0)
+        return m * self.alpha_step + rate * t, m * self.gamma_step + self.beta_rate * t
+
+
+@dataclass(frozen=True)
+class SurfaceParams(CurveLattice):
+    """One closed-form family member; alpha and the frame sign are derived."""
+
+    sigma: float = field(init=False)
+
+    def __post_init__(self):
+        super().__post_init__()
         s = self.edge_speed_signed()
         if abs(s) < _SPEED_TOL:
             raise DegenerateFrameError("sn(gamma) = 0: zero-length edges")
-        sigma = 1.0 if self.frame_sign == "+" else -1.0
-        # sin(nu) = sigma * s must be > 0 untwisted, < 0 twisted
-        if (sigma * s > 0.0) == self.twisted:
-            raise DomainError(
-                f"frame_sign {self.frame_sign!r} inadmissible for sign(sn gamma) = "
-                f"{math.copysign(1, s):+.0f} with twisted={self.twisted}"
-            )
+        # the one sign with sin(nu) = sigma * s > 0 untwisted, < 0 twisted
+        object.__setattr__(self, "sigma", math.copysign(1.0, s) * self.epsilon_sign)
 
     def edge_speed_signed(self) -> float:
         """Signed edge scale s: sn(gamma) for dn, k sn(gamma) for cn."""
         sng = jacobi(self.gamma_step, self.mod)[0]
         return sng if self.family == "dn" else self.mod.k * sng
-
-    @property
-    def sigma(self) -> float:
-        return 1.0 if self.frame_sign == "+" else -1.0
-
-    def phases(self, m, t: float):
-        rate = self.beta_rate * (self.mod.k if self.family == "dn" else 1.0)
-        return m * self.alpha_step + rate * t, m * self.gamma_step + self.beta_rate * t
 
 
 def _curve(p: SurfaceParams, m, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -141,7 +141,7 @@ def _tangents_normals(p: SurfaceParams, b0: np.ndarray, b1: np.ndarray):
 
 
 def frame_at(p: SurfaceParams, m: int, t: float) -> Frame:
-    """Frenet frame with T along the edge, oriented by frame_sign."""
+    """Frenet frame with T along the edge, oriented by the derived sigma."""
     _, (b0, b1) = _curve(p, np.array([m, m + 1]), t)
     T, N = _tangents_normals(p, b0, b1)
     return Frame(T=T, N=N, B=b0)
@@ -233,6 +233,5 @@ def kaleidocycle_params(n: int, family: str = "dn", beta_rate: float = 1.0,
     if n < 3:
         raise DomainError(f"kaleidocycle order must be >= 3, got {n}")
     mod = make_modulus(math.sin(math.pi / n))
-    sign = "-" if twisted else "+"
     return SurfaceParams(mod=mod, family=family, gamma_step=mod.K,
-                         beta_rate=beta_rate, twisted=twisted, frame_sign=sign)
+                         beta_rate=beta_rate, twisted=twisted)

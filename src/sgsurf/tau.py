@@ -33,51 +33,32 @@ from typing import Optional
 import numpy as np
 
 from . import _complex as cx
-from .elliptic import EllipticModulus, _rotation_angle, sn2_integral
-from .errors import DomainError
-from .theta import ThetaParams, _theta_each, theta_with_prime
+from .surfaces import CurveLattice
+from .theta import ThetaParams, _theta_each, lattice_params, theta_with_prime
 
 _I_POWERS = np.array([1j ** r for r in range(4)])          # i^(m mod 4)
 _NEG_I_POWERS = np.array([(-1j) ** r for r in range(4)])   # (-i)^(m mod 4)
 
 
 @dataclass(frozen=True)
-class TauContext:
-    """Family, twist and step data fixing one tau-function quartet."""
+class TauContext(CurveLattice):
+    """The curve lattice with the theta lattices fixing one tau-function quartet."""
 
-    mod: EllipticModulus
-    family: str
-    gamma_step: float
-    beta_rate: float
-    twisted: bool = False
     lambda0: float = field(init=False)
-    alpha_step: float = field(init=False)
-    epsilon_sign: int = field(init=False)
-    gamma_integral: float = field(init=False)         # int_0^gamma sn^2
     lattice: ThetaParams = field(init=False, repr=False)    # tau'
     lattice2: ThetaParams = field(init=False, repr=False)   # 2 tau'
 
     def __post_init__(self):
-        if self.family not in ("dn", "cn"):
-            raise DomainError(f"family must be 'dn' or 'cn', got {self.family!r}")
+        super().__post_init__()
         lam0 = self.mod.k * self.mod.Kp / 2.0 if self.family == "dn" else self.mod.Kp / 2.0
         object.__setattr__(self, "lambda0", lam0)
-        object.__setattr__(self, "alpha_step", _rotation_angle(
-            self.mod, self.family, self.gamma_step, self.twisted))
-        object.__setattr__(self, "epsilon_sign", -1 if self.twisted else 1)
-        object.__setattr__(self, "gamma_integral", sn2_integral(self.gamma_step, self.mod))
-        object.__setattr__(self, "lattice", ThetaParams(self.mod.taup))
-        object.__setattr__(self, "lattice2", ThetaParams(2 * self.mod.taup))
+        object.__setattr__(self, "lattice", lattice_params(self.mod))
+        object.__setattr__(self, "lattice2", lattice_params(self.mod, 2))
 
     @property
     def chain_den(self) -> float:
         """Denominator of the (lam, z) -> v chain rule: k K' (dn) or K' (cn)."""
         return self.mod.k * self.mod.Kp if self.family == "dn" else self.mod.Kp
-
-    def phases(self, m, t):
-        """(phi_m, psi_m); phi advances by beta k t for dn, beta t for cn."""
-        rate = self.beta_rate * (self.mod.k if self.family == "dn" else 1.0)
-        return m * self.alpha_step + rate * t, m * self.gamma_step + self.beta_rate * t
 
     def v_base(self, m, t):
         _, psi = self.phases(m, t)

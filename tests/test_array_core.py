@@ -73,7 +73,7 @@ def _ref_frame(p, m, t):
 def _curve_params(family, twisted, k, gamma=0.8):
     return surfaces.SurfaceParams(
         mod=elliptic.make_modulus(k), family=family, gamma_step=gamma, beta_rate=1.0,
-        twisted=twisted, frame_sign="-" if twisted else "+")
+        twisted=twisted)
 
 
 def _ref_obj(points):

@@ -273,7 +273,7 @@ def test_suite_theta_series_calls_do_not_grow_with_samples(monkeypatch, suite, c
 
 def test_lazy_frames_equal_eager_construction():
     p = surfaces.SurfaceParams(mod=elliptic.make_modulus(0.6), family="cn", gamma_step=0.8,
-                               beta_rate=1.0, twisted=True, frame_sign="-")
+                               beta_rate=1.0, twisted=True)
     snap = surfaces.snapshot(p, [-4, -3, -2, 0, 5, 6], 0.4)
     assert "frames" not in vars(snap)
     eager = [surfaces.frame_at(p, m, 0.4) for m in (-4, -3, -2, 0, 5, 6)]

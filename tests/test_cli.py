@@ -39,22 +39,6 @@ def test_curve_missing_modulus_is_config_error(tmp_path):
     assert run(["curve", "--out", str(tmp_path / "x.csv")]) == 2
 
 
-def test_curve_inadmissible_sign_is_config_error(tmp_path):
-    rc = run(["curve", "--k", "0.6", "--gamma", "0.8", "--frame-sign", "-",
-              "--out", str(tmp_path / "x.csv")])
-    assert rc == 2
-
-
-def test_out_format_consistency(tmp_path):
-    # each command has one native format; a mismatch is a config error
-    rc = run(["curve", "--k", "0.6", "--gamma", "0.8", "--out-format", "obj",
-              "--out", str(tmp_path / "x.csv")])
-    assert rc == 2
-    rc = run(["curve", "--k", "0.6", "--gamma", "0.8", "--out-format", "csv",
-              "--m-min", "0", "--m-max", "2", "--out", str(tmp_path / "y.csv")])
-    assert rc == 0
-
-
 def test_kaleidocycle_order_validation(tmp_path):
     assert run(["kaleidocycle", "--n", "2", "--out", str(tmp_path / "x")]) == 2
     cfg = tmp_path / "k.cfg"
@@ -289,3 +273,53 @@ def test_config_file_key_must_be_an_option_of_the_command(tmp_path):
     assert not out.exists()
     assert run(["curve", "--k", "0.6", "--gamma", "0.8", "--config", str(cfg),
                 "--out", str(tmp_path / "c.csv")]) == 0
+
+
+COMMAND_ARGV = {
+    "curve": ["curve", "--k", "0.6", "--gamma", "0.8"],
+    "kaleidocycle": ["kaleidocycle", "--n", "4"],
+    "ksurface": ["ksurface", "--k", "0.6", "--gamma", "0.8", "--delta", "0.55",
+                 "--m", "4", "--n", "4"],
+    "verify": ["verify"],
+    "identities": ["identities"],
+}
+REMOVED_OPTIONS = ([(cmd, "out-format", fmt) for cmd, fmt in
+                    [("curve", "csv"), ("kaleidocycle", "csv"), ("ksurface", "obj"),
+                     ("verify", "json"), ("identities", "json")]]
+                   + [("curve", "frame-sign", "+"),
+                      ("verify", "family", "dn"), ("identities", "family", "dn")])
+
+
+@pytest.mark.parametrize("command,option,value", REMOVED_OPTIONS)
+def test_removed_options_are_config_errors(tmp_path, command, option, value):
+    out = tmp_path / "artifact"
+    argv = COMMAND_ARGV[command]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + [f"--{option}", value, "--out", str(out)])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{option} = {value}\n")
+    assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("value,twisted", [("1", True), ("TRUE", True), ("yes", True),
+                                           ("0", False), ("False", False), ("No", False)])
+def test_config_twisted_values(tmp_path, value, twisted):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"twisted = {value}\n")
+    out, ref = tmp_path / "c.csv", tmp_path / "ref.csv"
+    argv = COMMAND_ARGV["curve"] + ["--m-max", "3"]
+    assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 0
+    assert run(argv + (["--twisted"] if twisted else []) + ["--out", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("line", ["twisted = ture", "twisted = on", "twisted =", "k = 0,6",
+                                  "m-max = 2.5"])
+def test_malformed_config_values_are_config_errors(tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{line}\n")
+    out = tmp_path / "c.csv"
+    assert run(COMMAND_ARGV["curve"] + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()

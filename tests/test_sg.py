@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from sgsurf import elliptic, sg, theta
-from sgsurf.errors import PoleError
+from sgsurf.errors import DomainError, PoleError
 
 MOD = elliptic.make_modulus(0.6)
 
 
 def test_half_angle_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         sg.HalfAngle(c=0.8, s=0.7)
+    with pytest.raises(DomainError):
+        sg.semi_residuals_from(sg.HalfAngle(c=1.0, s=0.0), sg.HalfAngle(c=1.0, s=0.0), 1.0, 1.0)
     h = sg.HalfAngle(c=0.6, s=-0.8)
     assert h.half_exponential() == pytest.approx(complex(0.6, -0.8))
 

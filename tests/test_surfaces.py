@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sgsurf import elliptic, frames, sg, surfaces
+from sgsurf import elliptic, frames, ksurf, sg, surfaces, tau
 from sgsurf.errors import DegenerateFrameError, DomainError
 
 MOD = elliptic.make_modulus(0.6)
@@ -12,7 +12,7 @@ MOD = elliptic.make_modulus(0.6)
 def _params(family="dn", twisted=False, gamma=0.8, beta=1.0, k=0.6):
     return surfaces.SurfaceParams(
         mod=elliptic.make_modulus(k), family=family, gamma_step=gamma,
-        beta_rate=beta, twisted=twisted, frame_sign="-" if twisted else "+")
+        beta_rate=beta, twisted=twisted)
 
 
 ALL = [("dn", False), ("dn", True), ("cn", False), ("cn", True)]
@@ -47,20 +47,30 @@ def test_binormal_unit_length():
 
 
 def test_frame_sign_admissibility():
-    # untwisted needs sigma * sn(gamma) > 0, twisted the opposite
-    mod = MOD
-    with pytest.raises(DomainError):
-        surfaces.SurfaceParams(mod=mod, family="dn", gamma_step=0.8, beta_rate=1.0,
-                               twisted=False, frame_sign="-")
-    with pytest.raises(DomainError):
-        surfaces.SurfaceParams(mod=mod, family="dn", gamma_step=0.8, beta_rate=1.0,
-                               twisted=True, frame_sign="+")
-    # negative gamma flips sn(gamma), flipping the admissible sign
-    surfaces.SurfaceParams(mod=mod, family="dn", gamma_step=-0.8, beta_rate=1.0,
-                           twisted=False, frame_sign="-")
+    # sigma is derived: untwisted needs sigma * sn(gamma) > 0, twisted the
+    # opposite; negative gamma flips sn(gamma) and with it the one admissible sign
+    cases = [(0.8, False, 1.0), (0.8, True, -1.0), (-0.8, False, -1.0), (-0.8, True, 1.0)]
+    for family in ("dn", "cn"):
+        for gamma, twisted, sigma in cases:
+            p = _params(family, twisted, gamma=gamma)
+            assert p.sigma == sigma
+            assert p.sigma * p.edge_speed_signed() * p.epsilon_sign > 0.0
     with pytest.raises(DegenerateFrameError):
-        surfaces.SurfaceParams(mod=mod, family="dn", gamma_step=2 * mod.K,
-                               beta_rate=1.0)
+        surfaces.SurfaceParams(mod=MOD, family="dn", gamma_step=2 * MOD.K, beta_rate=1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda f: surfaces.SurfaceParams(mod=MOD, family=f, gamma_step=0.8, beta_rate=1.0),
+    lambda f: tau.TauContext(mod=MOD, family=f, gamma_step=0.8, beta_rate=1.0),
+    lambda f: ksurf.KParams(mod=MOD, family=f, gamma_step=0.8, delta_step=0.55),
+    lambda f: sg.SemiDiscreteParams(mod=MOD, Omega=0.23, A=0.31, family=f),
+    lambda f: sg.DiscreteParams(mod=MOD, Omega=0.23, P=0.17, family=f),
+], ids=["SurfaceParams", "TauContext", "KParams", "SemiDiscreteParams", "DiscreteParams"])
+def test_every_parameter_class_rejects_an_unknown_family(make):
+    for family in ("dn", "cn"):
+        assert make(family).family == family
+    with pytest.raises(DomainError):
+        make("xx")
 
 
 @pytest.mark.parametrize("family,twisted", ALL)
@@ -240,11 +250,8 @@ def test_random_parameter_sweep():
             continue
         family = str(rng.choice(["dn", "cn"]))
         twisted = bool(rng.integers(0, 2))
-        s = elliptic.jacobi(g, mod)[0] * (1.0 if family == "dn" else k)
-        sigma_needed = (1.0 if s > 0 else -1.0) * (-1.0 if twisted else 1.0)
         p = surfaces.SurfaceParams(mod=mod, family=family, gamma_step=g, beta_rate=b,
-                                   twisted=twisted,
-                                   frame_sign="+" if sigma_needed > 0 else "-")
+                                   twisted=twisted)
         tried += 1
         rho = b * (1.0 if family == "dn" else k)
         for m in (-5, 0, 4):

@@ -18,8 +18,7 @@ def _ctx(family, twisted=False, k=0.6):
 def _surface(ctx):
     return surfaces.SurfaceParams(
         mod=ctx.mod, family=ctx.family, gamma_step=ctx.gamma_step,
-        beta_rate=ctx.beta_rate, twisted=ctx.twisted,
-        frame_sign="-" if ctx.twisted else "+")
+        beta_rate=ctx.beta_rate, twisted=ctx.twisted)
 
 
 def test_context_constants():
@@ -226,11 +225,8 @@ def test_random_parameter_sweep_matches_closed_forms():
         twisted = bool(rng.integers(0, 2))
         ctx = tau.TauContext(mod=mod, family=family, gamma_step=g, beta_rate=b,
                              twisted=twisted)
-        s = elliptic.jacobi(g, mod)[0] * (1.0 if family == "dn" else k)
-        sigma_needed = (1.0 if s > 0 else -1.0) * (-1.0 if twisted else 1.0)
         sp = surfaces.SurfaceParams(mod=mod, family=family, gamma_step=g, beta_rate=b,
-                                    twisted=twisted,
-                                    frame_sign="+" if sigma_needed > 0 else "-")
+                                    twisted=twisted)
         tried += 1
         for m in (-4, 0, 5):
             for t in (0.0, 0.61):
