@@ -115,15 +115,17 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    # out_path is where the artifact lives, not part of what it contains
-    d = {}
-    for key, val in vars(cfg).items():
-        if key == "out_path":
-            continue
-        if isinstance(val, tuple):
-            val = list(val)
-        d[key] = val
-    return d
+    """The options of cfg.command, named as its subparser registers them
+    (dests), with their configured values (None: the command's default).
+    The config file and the output path say where the run's inputs and
+    artifact live, not what the artifact contains, so they are left out."""
+    dests = vars(_build_parser().parse_args([cfg.command]))
+    ranges = {}
+    for axis, (lo, hi) in (("m", cfg.m_range or (None, None)), ("n", cfg.n_range)):
+        ranges.update({f"{axis}_min": lo, f"{axis}_max": hi,
+                       f"{axis}_count": None if lo is None else hi - lo + 1})
+    return {d: ranges[d] if d in ranges else getattr(cfg, d)
+            for d in dests if d not in ("command", "config", "out_path")}
 
 
 # ---------------------------------------------------------------- commands --

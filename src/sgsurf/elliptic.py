@@ -1,12 +1,24 @@
 """Real-argument Jacobi elliptic functions and the integrals built on them.
 
-The complete integrals K, K', E, E' come from the arithmetic-geometric mean
-(https://dlmf.nist.gov/19.8#i): K = pi / (2 agm(1, k')) and
-E = K (1 - sum 2^{n-1} c_n^2) over the AGM correction sequence.  Point
-evaluation of sn, cn, dn delegates to scipy's descending-Landen
-implementation after range reduction mod 4K, and the sn^2 primitive is
-expressed through the Jacobi epsilon function so that every z-coordinate
-downstream costs O(1) instead of a quadrature.
+One arithmetic-geometric mean per modulus (https://dlmf.nist.gov/19.8#i) gives
+everything: with a_0 = 1, b_0 = k', c_0 = k and the gap recursion
+c_{n+1} = c_n^2 / (4 a_{n+1}), which never subtracts nearly equal numbers,
+K = pi / (2 a_N) and E = K (1 - sum 2^{n-1} c_n^2).  The same sequence drives
+the descending Landen transformation for sn, cn, dn (A&S 16.4,
+https://dlmf.nist.gov/22.20#ii): from phi_N = 2^N a_N u,
+
+  phi_{n-1} = (phi_n + asin((c_n / a_n) sin phi_n)) / 2,
+  sn u = sin phi_0,  cn u = cos phi_0,  dn u = sqrt(k'^2 + k^2 cn^2 u),
+
+and the Jacobi zeta function Z(u) = sum c_n sin phi_n (A&S 17.6) from the
+same sines.  With Z, the primitive of sn^2 is
+
+  int_0^u sn^2 = u (K - E) / (K k^2) - Z(u) / k^2,
+
+where (K - E) / (K k^2) = 1/2 + sum 2^{n-1} (c_n / k)^2 and c_n / k^2 are
+constants of the modulus, so no term cancels as k -> 0.  Arguments are
+reduced mod 4K first (Z has period 2K), so accuracy is uniform over the real
+line and every element costs O(1).
 
 Every function takes scalars or arrays alike.  ``_closed_form``, the
 package-internal evaluator behind ``ksurf`` and ``surfaces``, evaluates the
@@ -22,11 +34,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ellipeinc, ellipj
 
 from .errors import DomainError
 
-_AGM_TOL = 1e-16
+# The AGM stops at the first level whose ratio c_n/a_n and zeta weight c_n/k^2
+# are both below this: that level and all later ones move phi_0 and Z/k^2 by
+# less than one ulp of 1.
+_AGM_TOL = 2.0 ** -53
 
 FAMILIES = ("dn", "cn")
 
@@ -43,6 +57,11 @@ class EllipticModulus:
 
     tau  = i K'/K and taup = i K/K' are the two lattice parameters; q is the
     nome exp(i pi taup) of the taup lattice, a real number in (0, 1).
+
+    The Landen constants come from the same AGM as K and E: ``landen`` holds
+    the pairs (c_n/a_n, c_n/k^2) for n = N, ..., 1, ``scale`` is 2^N times
+    the AGM limit pi/(2K), so phi_N = scale * u, and ``slope`` is
+    (K - E)/(K k^2).
     """
 
     k: float
@@ -54,80 +73,95 @@ class EllipticModulus:
     tau: complex
     taup: complex
     q: float
+    landen: tuple[tuple[float, float], ...]
+    scale: float
+    slope: float
 
     @property
     def m(self) -> float:
-        """Parameter m = k^2 as consumed by scipy."""
+        """Parameter m = k^2."""
         return self.k * self.k
 
     def legendre_residual(self) -> float:
         return abs(self.E * self.Kp + self.Ep * self.K - self.K * self.Kp - math.pi / 2)
 
 
-def _agm_ke(k: float) -> tuple[float, float]:
-    """Complete integrals (K(k), E(k)) by AGM iteration.
+def _agm(k: float, kp: float) -> tuple[list[float], list[float], list[float]]:
+    """AGM of (1, k') with gaps c_0 = k, c_{n+1} = c_n^2 / (4 a_{n+1}).
 
-    Stops when the gap c_n drops below tolerance or stops decreasing; the
-    second clause matters because for some moduli the floating-point fixed
-    point leaves |c| one ulp above any relative tolerance.
+    Returns the means a_n, the gaps c_n and the zeta weights w_n = c_n/k^2
+    of the levels n = 0..L, where level L is the first whose ratio and
+    weight are both below tolerance; the gaps shrink quadratically, so it
+    exists.  The weights follow w_{n+1} = c_n w_n / (4 a_{n+1}) from
+    c_0 w_0 = 1, so no k^2 is ever divided out.
     """
-    a, b, c = 1.0, math.sqrt(1.0 - k * k), k
-    csum = 0.5 * c * c
-    pow2 = 0.5
-    prev = math.inf
-    while _AGM_TOL * a < abs(c) < prev:
-        prev = abs(c)
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        pow2 *= 2.0
-        csum += pow2 * c * c
-    K = math.pi / (2.0 * a)
-    return K, K * (1.0 - csum)
+    a, c, w = [1.0], [k], [1.0 / k]
+    b = kp
+    while c[-1] > _AGM_TOL * a[-1] or w[-1] > _AGM_TOL:
+        a_prev = a[-1]
+        a.append(0.5 * (a_prev + b))
+        b = math.sqrt(a_prev * b)
+        w.append((1.0 if len(c) == 1 else c[-1] * w[-1]) / (4.0 * a[-1]))
+        c.append(c[-1] * c[-1] / (4.0 * a[-1]))
+    return a, c, w
 
 
 def make_modulus(k: float) -> EllipticModulus:
     """Build the constant pack for a modulus in the open interval (0, 1)."""
     if not 0.0 < k < 1.0:
         raise DomainError(f"modulus must satisfy 0 < k < 1, got {k}")
-    kp = math.sqrt(1.0 - k * k)
-    K, E = _agm_ke(k)
-    Kp, Ep = _agm_ke(kp)
-    taup = 1j * K / Kp
+    kp = math.sqrt((1.0 - k) * (1.0 + k))   # 1 - k^2 without cancellation near k = 1
+    a, c, w = _agm(k, kp)
+    L = len(a) - 1
+    K = math.pi / (2.0 * a[L])
+    # (K - E) / (K k^2) = 1/2 + sum_{n>=1} 2^{n-1} (c_n/k)^2, (c_n/k)^2 = c_n w_n
+    slope = 0.5 + math.fsum(2.0 ** (n - 1) * c[n] * w[n] for n in range(1, L + 1))
+    # the complementary pair: the same AGM with the roles of k and k' swapped
+    ap, cp, _ = _agm(kp, k)
+    Kp = math.pi / (2.0 * ap[-1])
+    Ep = Kp * (1.0 - math.fsum(2.0 ** (n - 1) * g * g for n, g in enumerate(cp)))
     return EllipticModulus(
-        k=k, kp=kp, K=K, Kp=Kp, E=E, Ep=Ep,
-        tau=1j * Kp / K, taup=taup, q=math.exp(-math.pi * K / Kp),
+        k=k, kp=kp, K=K, Kp=Kp, E=K * (1.0 - k * k * slope), Ep=Ep,
+        tau=1j * Kp / K, taup=1j * K / Kp, q=math.exp(-math.pi * K / Kp),
+        # the Landen descent runs over the levels N = L - 1, ..., 1
+        landen=tuple((c[n] / a[n], w[n]) for n in range(L - 1, 0, -1)),
+        scale=2.0 ** (L - 1) * a[L], slope=slope,
     )
 
 
-def jacobi(u, mod: EllipticModulus):
-    """(sn u, cn u, dn u) at modulus mod.k; total on finite real arguments.
-
-    Arguments are reduced mod 4K before the Landen chain so accuracy is
-    uniform over the real line.
-    """
+def _landen(u, mod: EllipticModulus):
+    """(sn, cn, dn, int_0^u sn^2) by one descending Landen pass over u mod 4K."""
     r = u - 4.0 * mod.K * np.round(u / (4.0 * mod.K))
-    sn, cn, dn, _ = ellipj(r, mod.m)
-    return sn, cn, dn
+    phi = mod.scale * r
+    zeta = 0.0   # Z(r) / k^2 = Z(u) / k^2, accumulated from the smallest term
+    for ratio, weight in mod.landen:
+        s = np.sin(phi)
+        zeta = zeta + weight * s
+        phi = 0.5 * (phi + np.arcsin(ratio * s))
+    cn = np.cos(phi)
+    dn = np.sqrt(mod.kp * mod.kp + mod.m * (cn * cn))
+    return np.sin(phi), cn, dn, mod.slope * u - zeta
 
 
-def jacobi_epsilon(u, mod: EllipticModulus):
-    """Jacobi epsilon eps(u) = integral of dn^2 from 0 to u.
-
-    Quasi-periodic: eps(u + 2K) = eps(u) + 2E, reduced explicitly so the
-    incomplete integral is only ever evaluated on [-K, K].
-    """
-    n = np.round(u / (2.0 * mod.K))
-    r = u - 2.0 * mod.K * n
-    sn, _, _, _ = ellipj(r, mod.m)
-    return 2.0 * mod.E * n + ellipeinc(np.arcsin(np.clip(sn, -1.0, 1.0)), mod.m)
+def jacobi(u, mod: EllipticModulus):
+    """(sn u, cn u, dn u) at modulus mod.k; total on finite real arguments."""
+    return _landen(u, mod)[:3]
 
 
 def sn2_integral(u, mod: EllipticModulus):
     """Primitive of sn^2: integral of sn^2(psi) dpsi from 0 to u.
 
-    Equals (u - eps(u)) / k^2; odd in u, with quasi-period increment
-    2(K - E)/k^2 per 2K step.
+    Odd in u, with quasi-period increment 2(K - E)/k^2 per 2K step.
     """
-    return (u - jacobi_epsilon(u, mod)) / mod.m
+    return _landen(u, mod)[3]
+
+
+def jacobi_epsilon(u, mod: EllipticModulus):
+    """Jacobi epsilon eps(u) = integral of dn^2 from 0 to u = u - k^2 int_0^u sn^2.
+
+    Quasi-periodic: eps(u + 2K) = eps(u) + 2E.
+    """
+    return u - mod.m * sn2_integral(u, mod)
 
 
 def _rotation_angle(mod: EllipticModulus, family: str, step: float, flipped: bool) -> float:

@@ -10,6 +10,7 @@ whose point is sensitivity (a broken input must be detected) use comparison
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, asdict
 
@@ -123,14 +124,30 @@ def suite_elliptic_identity_corpus() -> SuiteResult:
     return _lt("elliptic.shifted_identity_corpus", worst, 1e-11)
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(panels: int, nodes: int = 20) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule on [0, 1]: (points, weights) of ``panels``
+    equal panels with ``nodes`` points each, so int_a^b f is approximately
+    (b - a) * (f(a + (b - a) * points) @ weights)."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    points = ((np.arange(panels)[:, None] + 0.5 * (t + 1.0)) / panels).ravel()
+    return points, np.tile(w, panels) / (2.0 * panels)
+
+
 def suite_sn2_integral() -> SuiteResult:
-    from scipy.integrate import quad
+    """The sn^2 primitive against quadrature of sn^2, from k = 1e-6 to 0.999.
+
+    Panels of at most K/4 lie well inside the strip |Im u| < K' where sn is
+    analytic, so 20 nodes per panel resolve sn^2 to rounding.
+    """
+    points, weights = _gauss_legendre(16)
     worst = 0.0
-    for k in MODULI:
+    for k in (1e-6,) + MODULI + (0.999,):
         mod = elliptic.make_modulus(k)
-        for u in np.linspace(-4.0 * mod.K, 4.0 * mod.K, 17):
-            ref = quad(lambda x: elliptic.jacobi(x, mod)[0] ** 2, 0.0, float(u), limit=200)[0]
-            worst = max(worst, abs(float(elliptic.sn2_integral(float(u), mod)) - ref))
+        u = np.linspace(-4.0 * mod.K, 4.0 * mod.K, 17)
+        sn = elliptic.jacobi(u[:, None] * points, mod)[0]
+        ref = u * ((sn * sn) @ weights)
+        worst = max(worst, float(np.abs(elliptic.sn2_integral(u, mod) - ref).max()))
     return _lt("elliptic.sn2_integral_vs_quadrature", worst, 1e-10)
 
 
@@ -232,43 +249,27 @@ def suite_theta_jacobi_quotients() -> SuiteResult:
     return _lt("theta.jacobi_quotients", worst, 1e-10)
 
 
-def _kronrod_nodes(a, b, **kwargs) -> list:
-    """The points of scipy quad's first Gauss-Kronrod rule on [a, b], recorded
-    by a dry run on the zero function (which stops after that rule)."""
-    from scipy.integrate import quad
-    nodes = []
-
-    def record(x):
-        nodes.append(x)
-        return 0.0
-
-    quad(record, a, b, **kwargs)
-    return nodes
-
-
 def suite_weierstrass_scalars() -> SuiteResult:
     """p(omega/2) = e1 + 1, both periods, and the two zeta-scalar relations."""
-    from scipy.integrate import quad
+    points, weights = _gauss_legendre(4)
     worst = 0.0
     for k in MODULI:
         mod = elliptic.make_modulus(k)
         wc = theta.weierstrass_constants(mod)
         om = wc.omega
         z0 = 0.213 + 0.11j
-        # one array call covers the spot values and quad's first rule; quad
-        # reads those values back and evaluates any further point on its own
-        nodes = _kronrod_nodes(om / 2.0, om, limit=200)
+        # one array call covers the spot values and the quadrature nodes on
+        # [omega/2, omega]
         values = theta.weierstrass_p(
-            np.array([om / 2.0, z0 + 2.0 * om, z0, z0 + 2.0 * wc.omegap] + nodes), mod)
+            np.concatenate([[om / 2.0, z0 + 2.0 * om, z0, z0 + 2.0 * wc.omegap],
+                            om / 2.0 + (om / 2.0) * points]), mod)
         half, z_om, z, z_omp = values[:4].tolist()
-        known = dict(zip(nodes, values[4:].real.tolist()))
         worst = max(worst, abs(half - (wc.e1 + 1.0)))
         worst = max(worst, abs(z_om - z))
         worst = max(worst, abs(z_omp - z))
         # zeta(omega/2) - zeta(omega)/2 = k via the one permitted quadrature
         zom = wc.zeta_omega_over_omega * om
-        integral = quad(lambda x: known[x] if x in known else theta.weierstrass_p(x, mod).real,
-                        om / 2.0, om, limit=200)[0]
+        integral = (om / 2.0) * float(values[4:].real @ weights)
         worst = max(worst, abs(zom + integral - 0.5 * zom - mod.k))
         # p(omega/2) + zeta(omega)/omega = 2 E'/K'
         worst = max(worst, abs((wc.e1 + 1.0) + wc.zeta_omega_over_omega
@@ -414,9 +415,7 @@ def suite_surface_flow() -> SuiteResult:
         for t in (0.2, 1.1):
             fd = (surfaces.gamma_point(p, ms, t + h)
                   - surfaces.gamma_point(p, ms, t - h)) / (2.0 * h)
-            for m, fd_m in zip(ms, fd):
-                v = surfaces.flow_velocity(p, int(m), t)
-                worst = max(worst, float(np.abs(v - fd_m).max()))
+            worst = max(worst, float(np.abs(surfaces.flow_velocity(p, ms, t) - fd).max()))
     return _lt("surfaces.flow_vs_finite_difference", worst, 1e-6)
 
 
@@ -426,25 +425,26 @@ def suite_surface_flow_orthogonality() -> SuiteResult:
     for p in _all_surface_params():
         for t in (0.2, 1.1):
             b = surfaces.b_point(p, ms, t)
-            for m, b_m in zip(ms, b):
-                v = surfaces.flow_velocity(p, int(m), t)
-                worst = max(worst, abs(float(np.dot(v, b_m))))
+            for v_m, b_m in zip(surfaces.flow_velocity(p, ms, t), b):
+                worst = max(worst, abs(float(np.dot(v_m, b_m))))
     return _lt("surfaces.flow_binormal_orthogonality", worst, 1e-10)
 
 
 def suite_surface_flow_components() -> SuiteResult:
     """Tangential/normal flow components against the half-angle field."""
     worst = 0.0
-    ms = range(-8, 8)
+    ms = np.arange(-8, 8)
     for p in _all_surface_params():
         rho = p.beta_rate * (1.0 if p.family == "dn" else p.mod.k)
         for t in (0.2, 1.1):
-            for m, fr in zip(ms, surfaces.snapshot(p, ms, t).frames):
-                v = surfaces.flow_velocity(p, m, t)
-                w = surfaces.flow_angle(p, m, t)
+            snap = surfaces.snapshot(p, ms, t)
+            w = surfaces.flow_angle(p, ms, t)
+            rows = zip(surfaces.flow_velocity(p, ms, t), snap.tangents, snap.normals,
+                       w.c.tolist(), w.s.tolist())
+            for v, T, N, c, s in rows:
                 worst = max(worst,
-                            abs(float(np.dot(v, fr.T)) - p.sigma * rho * w.c),
-                            abs(float(np.dot(v, fr.N)) - p.sigma * rho * w.s))
+                            abs(float(np.dot(v, T)) - p.sigma * rho * c),
+                            abs(float(np.dot(v, N)) - p.sigma * rho * s))
     return _lt("surfaces.flow_components", worst, 1e-10)
 
 
@@ -470,16 +470,14 @@ def suite_surface_curvature() -> SuiteResult:
     for p in _all_surface_params():
         sgn = -1.0 if p.twisted else 1.0
         for t in (0.0, 0.45):
-            frames_seq = surfaces.snapshot(p, range(-8, 9), t).frames
-            geo = frames.extract_geometry(frames_seq)
-            for j, m in enumerate(range(-8, 8)):
-                h0 = surfaces.half_angle_at(p, m, t)
-                h2 = surfaces.half_angle_at(p, m + 2, t)
-                cosd = h2.c * h0.c + h2.s * h0.s
-                sind = h2.s * h0.c - h2.c * h0.s
-                worst = max(worst,
-                            abs(geo.curvature_cos[j] - cosd),
-                            abs(geo.curvature_sin[j] - sgn * sind))
+            geo = frames.extract_geometry(surfaces.snapshot(p, range(-8, 9), t).frames)
+            # half-angle samples at m = -8..9: sites m (first 16) and m + 2 (last 16)
+            c, s, _ = surfaces.half_angles(p, np.arange(-8, 10), t)
+            cosd = c[2:] * c[:-2] + s[2:] * s[:-2]
+            sind = s[2:] * c[:-2] - c[2:] * s[:-2]
+            worst = max(worst,
+                        float(np.abs(geo.curvature_cos - cosd).max()),
+                        float(np.abs(geo.curvature_sin - sgn * sind).max()))
     return _lt("surfaces.curvature_vs_field", worst, 1e-10)
 
 

@@ -147,36 +147,32 @@ def frame_at(p: SurfaceParams, m: int, t: float) -> Frame:
     return Frame(T=T, N=N, B=b0)
 
 
-def flow_velocity(p: SurfaceParams, m: int, t: float) -> np.ndarray:
-    """Closed-form time derivative of the curve point (no finite differences)."""
+def flow_velocity(p: SurfaceParams, m, t: float) -> np.ndarray:
+    """Closed-form time derivative of the curve point (no finite differences);
+    m an int or an int array (trailing axis of 3)."""
     phi, psi = p.phases(m, t)
     sn, cn, dn = jacobi(psi, p.mod)
     k, b = p.mod.k, p.beta_rate
-    pre = (-1.0) ** (m % 2) if p.twisted else 1.0
+    pre = 1.0 - 2.0 * (m % 2) if p.twisted else 1.0
+    c, s = pre * np.cos(phi), pre * np.sin(phi)
     if p.family == "dn":
-        return b * np.array([
-            pre * (-math.sin(phi) * dn - k * math.cos(phi) * sn * cn),
-            pre * (math.cos(phi) * dn - k * math.sin(phi) * sn * cn),
-            -k * sn * sn,
-        ])
-    return b * k * np.array([
-        pre * (-math.sin(phi) * cn - math.cos(phi) * sn * dn),
-        pre * (math.cos(phi) * cn - math.sin(phi) * sn * dn),
-        -k * sn * sn,
-    ])
+        v = (-s * dn - k * c * sn * cn, c * dn - k * s * sn * cn, -k * sn * sn)
+        return b * np.stack(v, axis=-1)
+    v = (-s * cn - c * sn * dn, c * cn - s * sn * dn, -k * sn * sn)
+    return b * k * np.stack(v, axis=-1)
 
 
-def flow_angle(p: SurfaceParams, m: int, t: float) -> HalfAngle:
+def flow_angle(p: SurfaceParams, m, t: float) -> HalfAngle:
     """(cos w_m, sin w_m) of the flow decomposition d Gamma / dt = sigma rho (cos w T + sin w N).
 
     w_m = (w_m - w_{m+1})/2 of the carried field for the untwisted families
     and (w_m + w_{m+1})/2 for the twisted ones; rho = beta (dn) or beta k (cn).
+    m is an int or an int array.
     """
-    h0 = half_angle_at(p, m, t)
-    h1 = half_angle_at(p, m + 1, t)
+    (c0, c1), (s0, s1), _ = half_angles(p, np.stack([m, m + 1]), t)
     if p.twisted:
-        return HalfAngle(c=h0.c * h1.c - h0.s * h1.s, s=h0.s * h1.c + h0.c * h1.s)
-    return HalfAngle(c=h0.c * h1.c + h0.s * h1.s, s=h0.s * h1.c - h0.c * h1.s)
+        return HalfAngle(c=c0 * c1 - s0 * s1, s=s0 * c1 + c0 * s1)
+    return HalfAngle(c=c0 * c1 + s0 * s1, s=s0 * c1 - c0 * s1)
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,18 @@ def test_snapshot_matches_per_site_reference(family, twisted, k, ms):
         _same(fr.N, snap.frames[1].N)
 
 
+@pytest.mark.parametrize("family,twisted", CURVES)
+def test_flow_fields_on_arrays_equal_per_site_calls(family, twisted):
+    p = _curve_params(family, twisted, 0.6)
+    ms = np.array([-9, -4, -3, 0, 1, 2, 7, 12])
+    for t in (0.0, 0.45, 1.7):
+        v, w = surfaces.flow_velocity(p, ms, t), surfaces.flow_angle(p, ms, t)
+        assert v.shape == (len(ms), 3)
+        _same(v, [surfaces.flow_velocity(p, int(m), t) for m in ms])
+        _same(w.c, [surfaces.flow_angle(p, int(m), t).c for m in ms])
+        _same(w.s, [surfaces.flow_angle(p, int(m), t).s for m in ms])
+
+
 @pytest.mark.parametrize("family,n", [("dn", 3), ("dn", 6), ("cn", 4)])
 def test_kaleidocycle_frames_and_closure_match_reference(tmp_path, capsys, family, n):
     out = tmp_path / "anim"

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -323,3 +325,67 @@ def test_malformed_config_values_are_config_errors(tmp_path, line):
     out = tmp_path / "c.csv"
     assert run(COMMAND_ARGV["curve"] + ["--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_known_defect_probe_exits_0(tmp_path):
+    # gamma = delta = K/16 at full precision once failed planarity through the
+    # old incomplete-integral sn^2 primitive
+    out = tmp_path / "probe.obj"
+    assert run(["ksurface", "--k", "0.3", "--gamma", "0.10050303874565704",
+                "--delta", "0.10050303874565704", "--m", "16", "--n", "16",
+                "--out", str(out)]) == 0
+    assert json.loads(out.with_suffix(".json").read_text())["residuals"]["planarity"] < 1e-12
+
+
+# The options each command registers, without --config and --out.
+_OPTIONS = {
+    "curve": {"family", "twisted", "beta", "t_start", "t_stop", "t_steps", "k", "gamma",
+              "m_min", "m_max"},
+    "kaleidocycle": {"family", "twisted", "beta", "t_start", "t_stop", "t_steps", "n",
+                     "m_max"},
+    "ksurface": {"family", "k", "gamma", "delta", "m_count", "n_count", "raw_alpha"},
+    "verify": set(),
+    "identities": set(),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OPTIONS))
+def test_config_echo_keys_are_the_command_options(command):
+    cfg = cli.RunConfig(command=command)
+    assert set(cli._config_echo(cfg)) == _OPTIONS[command]
+
+
+def test_written_config_echoes_only_the_command_options(tmp_path):
+    out = tmp_path / "mesh.obj"
+    assert run(["ksurface", "--k", "0.6", "--m", "4", "--n", "5", "--out", str(out)]) == 0
+    config = json.loads(out.with_suffix(".json").read_text())["config"]
+    assert config == {"family": "dn", "k": 0.6, "gamma": None, "delta": None,
+                      "m_count": 4, "n_count": 5, "raw_alpha": None}
+    for command in ("verify", "identities"):
+        report = tmp_path / f"{command}.json"
+        assert run([command, "--out", str(report)]) == 0
+        assert json.loads(report.read_text())["config"] == {}
+
+
+def test_no_command_imports_scipy(tmp_path):
+    script = f"""
+import sys
+from pathlib import Path
+from sgsurf.cli import main
+d = Path({str(tmp_path)!r})
+runs = [
+    ["ksurface", "--k", "0.8", "--m", "6", "--n", "6", "--out", str(d / "s.obj")],
+    ["curve", "--k", "0.6", "--gamma", "0.8", "--out", str(d / "c.csv")],
+    ["kaleidocycle", "--n", "4", "--t-steps", "2", "--out", str(d / "anim")],
+    ["verify", "--out", str(d / "v.json")],
+    ["identities"],
+]
+codes = [main(argv) for argv in runs]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    # a fresh interpreter that imports this checkout's package
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True)
+    assert res.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"

@@ -33,8 +33,8 @@ def test_complementary_modulus():
 
 
 def test_agm_terminates_on_stalling_gap():
-    # for these moduli the AGM gap freezes one ulp above any relative
-    # tolerance; the iteration must stop on the non-decreasing gap instead
+    # for these moduli the gap (a_n - b_n)/2 freezes one ulp above any
+    # relative tolerance; the recursion c_n^2/(4 a_{n+1}) must still stop
     for k in (0.9766044267448025, 0.9776737197529178, 0.9843121248979555):
         mod = elliptic.make_modulus(k)
         assert mod.legendre_residual() < 1e-12
@@ -155,3 +155,35 @@ def test_epsilon_function_quasi_period():
     for u in (-1.2, 0.7, 2.9):
         assert float(elliptic.jacobi_epsilon(u + 2.0 * mod.K, mod)) == pytest.approx(
             float(elliptic.jacobi_epsilon(u, mod)) + 2.0 * mod.E, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [1e-8, 1e-4, 0.3, 0.6, 0.9, 0.99])
+def test_jacobi_matches_scipy_ellipj(k):
+    # scipy's descending-Landen ellipj as an independent oracle, fed the same
+    # argument reduced mod 4K: unreduced, its own error grows to ~3e-14 at |u| = 30
+    from scipy.special import ellipj
+    mod = elliptic.make_modulus(k)
+    u = np.linspace(-30.0, 30.0, 1201)
+    r = u - 4.0 * mod.K * np.round(u / (4.0 * mod.K))
+    for got, want in zip(elliptic.jacobi(u, mod), ellipj(r, k * k)[:3]):
+        assert np.abs(got - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("k", [1e-8, 1e-6, 1e-4, 0.6, 0.999999])
+def test_sn2_integral_relative_error_vs_mpmath(k):
+    # (u - eps(u)) / k^2 at 40 digits, eps(u) = 2 n E + E(am r | k^2) on
+    # r = u - 2 n K in [-K, K], am r = atan2(sn r, cn r); the k -> 0
+    # cancellation is harmless at that precision
+    mp = pytest.importorskip("mpmath")
+    mod = elliptic.make_modulus(k)
+    with mp.workdps(40):
+        m = mp.mpf(k) ** 2
+        K, E = mp.ellipk(m), mp.ellipe(m)
+        for u in [*np.linspace(-4.0 * mod.K, -0.5 * mod.K, 8), 0.37, 2.9, 11.3, 40.0]:
+            U = mp.mpf(float(u))
+            n = mp.nint(U / (2 * K))
+            r = U - 2 * n * K
+            am = mp.atan2(mp.ellipfun("sn", r, m=m), mp.ellipfun("cn", r, m=m))
+            ref = (U - 2 * n * E - mp.ellipe(am, m)) / m
+            got = elliptic.sn2_integral(float(u), mod)
+            assert abs((got - ref) / ref) <= 1e-14, (u, float(abs((got - ref) / ref)))

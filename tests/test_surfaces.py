@@ -198,6 +198,21 @@ def test_snapshot_assembly():
     assert sparse.points.shape == (3, 3)
 
 
+@pytest.mark.parametrize("family,twisted", ALL)
+def test_small_modulus_edge_identity(family, twisted):
+    # k = 1e-6: z needs the sn^2 primitive to full relative precision; with
+    # (u - eps(u)) / k^2 the z component of the edge identity was off by 1e-9
+    p = _params(family, twisted, k=1e-6)
+    ms = np.arange(-10, 11)
+    g, b = surfaces.gamma_point(p, ms, 0.3), surfaces.b_point(p, ms, 0.3)
+    res = g[1:] - g[:-1] - p.epsilon_sign * np.cross(b[1:], b[:-1])
+    assert np.abs(res[:, 2]).max() < 1e-13
+    if family == "cn":
+        # the whole snapshot check; dn points lie at radius 1/k = 1e6, where
+        # one ulp of x and y is already 1.2e-10
+        assert surfaces.snapshot(p, ms, 0.3).points.shape == (21, 3)
+
+
 def test_snapshot_validation_report():
     from sgsurf.errors import ValidationError
     p = _params("dn")
