@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 from .elliptic import EllipticModulus, jacobi, jacobi_epsilon, make_modulus, sn2_integral
 from .errors import (DegenerateFrameError, DomainError, PoleError,
                      ThetaOverflowError, ValidationError)
-from .frames import (Frame, FrameGeometry, adjoint_vector, extract_geometry,
-                     phi_iso, transfer_so3, transfer_su2, vector_from_su2)
+from .frames import (Frame, FrameGeometry, extract_geometry, phi_iso, transfer_so3,
+                     transfer_su2, vector_from_su2)
 from .ksurf import KGrid, KParams, compat_matrices, k_edge_residuals, k_grid, k_periodicity, k_point
 from .sg import (DiscreteParams, HalfAngle, SemiDiscreteParams, discrete_quad,
                  discrete_sample, discrete_sg_coeff, discrete_sg_residual,

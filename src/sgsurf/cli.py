@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .elliptic import FAMILIES, make_modulus
-from .errors import DomainError, ValidationError
+from .errors import DegenerateFrameError, DomainError, ValidationError, check_finite
 from .ksurf import KParams, k_grid
 from .suites import run_suites
 from .surfaces import SurfaceParams, gamma_point, kaleidocycle_params, snapshot
@@ -57,7 +56,6 @@ class RunConfig:
     t_start: float = 0.0
     t_stop: float = 0.0
     t_steps: int = 1
-    raw_alpha: Optional[float] = None
     out_path: Optional[Path] = None
 
     def __post_init__(self):
@@ -68,6 +66,7 @@ class RunConfig:
                 raise DomainError(f"empty {name} range {rng[0]}..{rng[1]}")
         if self.t_steps < 1:
             raise DomainError(f"--t-steps must be at least 1, got {self.t_steps}")
+        check_finite(t_start=self.t_start, t_stop=self.t_stop)
 
     def t_samples(self) -> np.ndarray:
         if self.t_steps == 1:
@@ -179,11 +178,6 @@ def cmd_ksurface(cfg: RunConfig) -> int:
     gamma = cfg.gamma if cfg.gamma is not None else mod.K
     delta = cfg.delta if cfg.delta is not None else mod.K
     p = KParams(mod=mod, family=cfg.family, gamma_step=gamma, delta_step=delta)
-    if cfg.raw_alpha is not None:
-        # literal rotation step, bypassing the angle constraint of the family
-        if not -1.0 <= cfg.raw_alpha <= 1.0:
-            raise DomainError(f"raw-alpha must be a sine value in [-1, 1], got {cfg.raw_alpha}")
-        object.__setattr__(p, "alpha_step", math.asin(cfg.raw_alpha))
     m0, m1 = cfg.m_range
     n0, n1 = cfg.n_range
     grid = k_grid(p, range(m0, m1 + 1), range(n0, n1 + 1))
@@ -197,14 +191,11 @@ def cmd_ksurface(cfg: RunConfig) -> int:
         "A_m": [float(x) for x in a[:, 0]],
         "B_n": [float(x) for x in b[0, :]],
         "residuals": rep,
-        "constraint_bypassed": cfg.raw_alpha is not None,
     }
     write_json(out.with_suffix(".json"), sidecar)
     print(f"wrote {out} and {out.with_suffix('.json')}; "
           f"planarity {rep['planarity']:.3e}")
-    if cfg.raw_alpha is None and max(rep.values()) > 1e-9:
-        return 1
-    return 0
+    return 0 if all(res <= 1e-9 for res in rep.values()) else 1
 
 
 def _report(cfg: RunConfig, which: str) -> tuple[dict, bool]:
@@ -299,8 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--delta", type=float)
     ps.add_argument("--m", type=int, dest="m_count", help="vertex count in m")
     ps.add_argument("--n", type=int, dest="n_count", help="vertex count in n")
-    ps.add_argument("--raw-alpha", type=float, dest="raw_alpha",
-                    help="literal sin(alpha), bypassing the family constraint")
 
     pv = sub.add_parser("verify", help="run all verification suites")
     common(pv)
@@ -335,7 +324,7 @@ _CONFIG_TYPES = {
     "k": float, "n": int, "gamma": float, "delta": float, "beta": float,
     "m_min": int, "m_max": int, "m_count": int, "n_count": int,
     "t_start": float, "t_stop": float, "t_steps": int,
-    "raw_alpha": float, "out_path": Path, "out": Path,
+    "out_path": Path, "out": Path,
 }
 
 
@@ -382,7 +371,6 @@ def _merge(ns: argparse.Namespace) -> RunConfig:
         t_start=pick("t_start", 0.0),
         t_stop=pick("t_stop", 0.0),
         t_steps=pick("t_steps", 1),
-        raw_alpha=pick("raw_alpha"),
         out_path=pick("out_path"),
         **ranges,
     )
@@ -394,7 +382,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _merge(ns)
         return COMMANDS[cfg.command](cfg)
-    except (DomainError, OSError) as exc:
+    except (DomainError, DegenerateFrameError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValidationError as exc:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check."""
+
+import math
 
 
 class DomainError(ValueError):
@@ -26,3 +28,10 @@ class ValidationError(ValueError):
     def __init__(self, message: str, report: dict | None = None):
         super().__init__(message)
         self.report = report or {}
+
+
+def check_finite(**values: float) -> None:
+    """Reject a NaN or infinite value of any named parameter with DomainError."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")

@@ -54,11 +54,6 @@ def vector_from_su2(M: np.ndarray) -> np.ndarray:
     ])
 
 
-def adjoint_vector(U: np.ndarray, v) -> np.ndarray:
-    """Rotation of v encoded by conjugation: phi^{-1}(U phi(v) U^*)."""
-    return vector_from_su2(U @ phi_iso(v) @ U.conj().T)
-
-
 def transfer_su2(wm: HalfAngle, wm1: HalfAngle, nu: float,
                  variant: str, sign: str) -> np.ndarray:
     """SU(2) step matrix for the field pair (w_m, w_{m+1}) and torsion angle nu."""

@@ -16,6 +16,17 @@ k^2 instead of k for the cn family.  The two defining edge identities are
 F_{m+1,n} - F_{m,n} = N_{m+1,n} x N_{m,n} and
 F_{m,n+1} - F_{m,n} = -N_{m,n+1} x N_{m,n}.
 
+A K-surface is the discrete flow of the untwisted curve of ``surfaces``:
+``KParams`` is that curve lattice (mod, family, gamma) plus a row step
+delta, and row n is the curve of beta_rate 1 at t = n delta moved rigidly,
+
+  F_{m,n} = R_n Gamma_m(n delta) + (0, 0, c n int_0^delta sn^2),
+  N_{m,n} = +R_n B_m(n delta) (dn),  -R_n B_m(n delta) (cn),
+
+with R_n the rotation about z by n (beta + pi) - r n delta, where r = k,
+c = k for dn and r = 1, c = k^2 for cn (Bobenko-Pinkall, J. Differential
+Geom. 43 (1996): the semi-discrete -> discrete step).
+
 Quads are emitted with m-then-n winding so exported meshes orient uniformly.
 The closed forms are evaluated on whole arrays of sites: ``k_point`` takes
 integer arrays as well as integers, and a grid window is one evaluation whose
@@ -30,35 +41,31 @@ from typing import Optional
 
 import numpy as np
 
-from .elliptic import (EllipticModulus, _closed_form, _rotation_angle, check_family,
-                       make_modulus, sn2_integral)
-from .errors import DomainError, PoleError
+from .elliptic import EllipticModulus, _closed_form, _rotation_angle, make_modulus, sn2_integral
+from .errors import DomainError, PoleError, check_finite
 from .sg import HalfAngle
+from .surfaces import CurveLattice
 
 _CASES = ("1a", "1b", "1c", "2a", "2b", "2c")
 
 
 @dataclass(frozen=True)
-class KParams:
-    """Steps (gamma, delta) with the derived rotation angles (alpha, beta)
-    and the sn^2 primitives of the steps that the z-coordinate subtracts."""
+class KParams(CurveLattice):
+    """The untwisted curve lattice of rate 1 plus the row step delta, with the
+    derived rotation angle beta and int_0^delta sn^2; twist and rate are
+    fixed, so the constructor takes exactly (mod, family, gamma_step, delta_step)."""
 
-    mod: EllipticModulus
-    family: str
-    gamma_step: float
+    beta_rate: float = field(init=False, default=1.0)
+    twisted: bool = field(init=False, default=False)
     delta_step: float
-    alpha_step: float = field(init=False)
     beta_step: float = field(init=False)
-    gamma_integral: float = field(init=False)
     delta_integral: float = field(init=False)
 
     def __post_init__(self):
-        check_family(self.family)
-        object.__setattr__(self, "alpha_step", _rotation_angle(
-            self.mod, self.family, self.gamma_step, False))
+        super().__post_init__()
+        check_finite(delta_step=self.delta_step)
         object.__setattr__(self, "beta_step", _rotation_angle(
             self.mod, self.family, self.delta_step, True))
-        object.__setattr__(self, "gamma_integral", sn2_integral(self.gamma_step, self.mod))
         object.__setattr__(self, "delta_integral", sn2_integral(self.delta_step, self.mod))
 
     def phases(self, m, n):

@@ -384,7 +384,7 @@ def suite_surface_speed() -> SuiteResult:
     ms = np.arange(-20, 21)
     for k in MODULI:
         for p in _all_surface_params(k=k):
-            speed = abs(p.edge_speed_signed())
+            speed = abs(p.edge_speed)
             for t in (0.0, 0.37, 1.7):
                 g = surfaces.gamma_point(p, ms, t)
                 for e in g[1:] - g[:-1]:

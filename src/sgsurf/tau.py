@@ -150,11 +150,6 @@ def i_r_m(ctx: TauContext, m, t):
     return -(ctx.mod.Ep / ctx.chain_den) * eta_m(ctx, m, t)
 
 
-def dlog_F_dz(ctx: TauContext, m, t, z=0.0):
-    """Analytic z-derivative of log F at fixed lam = lambda0."""
-    return cx.item(_evaluate(ctx, m, t, ctx.lambda0, z)[6])
-
-
 def tau_sample(ctx: TauContext, m, t, lam: Optional[float] = None,
                z=0.0) -> TauSample:
     """Evaluate the quartet and its bilinears; lam defaults to lambda0.

@@ -66,7 +66,7 @@ def _ref_curve_site(p, m, t):
 def _ref_frame(p, m, t):
     b0 = np.array(_ref_curve_site(p, m, t)[1])
     b1 = np.array(_ref_curve_site(p, m + 1, t)[1])
-    T = p.sigma * np.cross(b1, b0) / p.edge_speed_signed()
+    T = p.sigma * np.cross(b1, b0) / p.edge_speed
     return Frame(T=T, N=np.cross(b0, T), B=b0)
 
 

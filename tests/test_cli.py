@@ -88,7 +88,6 @@ def test_ksurface_obj_and_sidecar(tmp_path):
     assert len(sidecar["A_m"]) == 11
     assert len(sidecar["B_n"]) == 8
     assert sidecar["residuals"]["planarity"] < 1e-9
-    assert sidecar["constraint_bypassed"] is False
 
 
 def test_ksurface_determinism(tmp_path):
@@ -99,19 +98,6 @@ def test_ksurface_determinism(tmp_path):
     assert run(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.with_suffix(".json").read_bytes() == b.with_suffix(".json").read_bytes()
-
-
-def test_ksurface_raw_alpha_escape_hatch(tmp_path):
-    # literal rotation step sin(alpha) = 0.8 sn(K/16): bypasses the family
-    # constraint and is flagged in the sidecar
-    mod = elliptic.make_modulus(0.8)
-    raw = 0.8 * elliptic.jacobi(mod.K / 16, mod)[0]
-    out = tmp_path / "fig.obj"
-    rc = run(["ksurface", "--k", "0.6", "--gamma", str(mod.K / 16), "--delta", "0.7",
-              "--m", "16", "--n", "16", "--raw-alpha", str(raw), "--out", str(out)])
-    assert rc == 0
-    sidecar = json.loads(out.with_suffix(".json").read_text())
-    assert sidecar["constraint_bypassed"] is True
 
 
 def test_ksurface_consistent_parameters_reproduce_figure_config(tmp_path):
@@ -288,7 +274,7 @@ COMMAND_ARGV = {
 REMOVED_OPTIONS = ([(cmd, "out-format", fmt) for cmd, fmt in
                     [("curve", "csv"), ("kaleidocycle", "csv"), ("ksurface", "obj"),
                      ("verify", "json"), ("identities", "json")]]
-                   + [("curve", "frame-sign", "+"),
+                   + [("curve", "frame-sign", "+"), ("ksurface", "raw-alpha", "0.5"),
                       ("verify", "family", "dn"), ("identities", "family", "dn")])
 
 
@@ -303,6 +289,37 @@ def test_removed_options_are_config_errors(tmp_path, command, option, value):
     cfg.write_text(f"{option} = {value}\n")
     assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 2
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+NON_FINITE_OPTIONS = [("curve", "k"), ("curve", "gamma"), ("curve", "beta"),
+                      ("curve", "t-start"), ("curve", "t-stop"),
+                      ("kaleidocycle", "beta"), ("kaleidocycle", "t-stop"),
+                      ("ksurface", "k"), ("ksurface", "gamma"), ("ksurface", "delta")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command,option", NON_FINITE_OPTIONS)
+def test_non_finite_values_are_config_errors(tmp_path, command, option, value):
+    # a NaN or infinite parameter would otherwise reach the writers as all-nan rows
+    out = tmp_path / "artifact"
+    argv = COMMAND_ARGV[command] + ["--t-steps", "3"] * (command != "ksurface")
+    if f"--{option}" in argv:   # the config file yields to an explicit flag
+        i = argv.index(f"--{option}")
+        argv = argv[:i] + argv[i + 2:]
+    assert run(argv + [f"--{option}={value}", "--out", str(out)]) == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{option} = {value}\n")
+    assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("gamma", ["0", str(2 * elliptic.make_modulus(0.6).K)])
+def test_degenerate_curve_step_is_config_error(tmp_path, capsys, gamma):
+    # sn(gamma) = 0 gives zero-length edges and no frame
+    out = tmp_path / "c.csv"
+    assert run(["curve", "--k", "0.6", f"--gamma={gamma}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("value,twisted", [("1", True), ("TRUE", True), ("yes", True),
@@ -343,7 +360,7 @@ _OPTIONS = {
               "m_min", "m_max"},
     "kaleidocycle": {"family", "twisted", "beta", "t_start", "t_stop", "t_steps", "n",
                      "m_max"},
-    "ksurface": {"family", "k", "gamma", "delta", "m_count", "n_count", "raw_alpha"},
+    "ksurface": {"family", "k", "gamma", "delta", "m_count", "n_count"},
     "verify": set(),
     "identities": set(),
 }
@@ -360,7 +377,7 @@ def test_written_config_echoes_only_the_command_options(tmp_path):
     assert run(["ksurface", "--k", "0.6", "--m", "4", "--n", "5", "--out", str(out)]) == 0
     config = json.loads(out.with_suffix(".json").read_text())["config"]
     assert config == {"family": "dn", "k": 0.6, "gamma": None, "delta": None,
-                      "m_count": 4, "n_count": 5, "raw_alpha": None}
+                      "m_count": 4, "n_count": 5}
     for command in ("verify", "identities"):
         report = tmp_path / f"{command}.json"
         assert run([command, "--out", str(report)]) == 0

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from sgsurf import elliptic, ksurf, sg
+from sgsurf import elliptic, ksurf, sg, surfaces
 from sgsurf.errors import DomainError, PoleError
 
 MOD = elliptic.make_modulus(0.6)
@@ -34,6 +35,39 @@ def test_angle_constraints():
     p = _params("cn")
     assert math.cos(p.alpha_step) == pytest.approx(cng)
     assert math.cos(p.beta_step) == pytest.approx(-cnd)
+
+
+@pytest.mark.parametrize("family", ["dn", "cn"])
+def test_rows_are_the_curve_moved_rigidly(family):
+    # row n of the K-surface is the untwisted curve of beta_rate 1 at t = n delta,
+    # rotated about z by n (beta + pi) - rate n delta and lifted along z
+    p = _params(family)
+    curve = surfaces.SurfaceParams(mod=p.mod, family=family, gamma_step=p.gamma_step,
+                                   beta_rate=1.0)
+    k = p.mod.k
+    rate, lift = (k, k) if family == "dn" else (1.0, k * k)
+    ms = np.arange(-40, 41)
+    for n in range(-6, 7):
+        t = n * p.delta_step
+        theta = n * (p.beta_step + math.pi) - rate * t
+        c, s = math.cos(theta), math.sin(theta)
+        R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        F, N = ksurf.k_point(p, ms, n)
+        G = surfaces.gamma_point(curve, ms, t) @ R.T
+        G[:, 2] += lift * n * p.delta_integral
+        B = surfaces.b_point(curve, ms, t) @ R.T
+        assert np.abs(F - G).max() < 1e-13
+        assert np.abs(N - (B if family == "dn" else -B)).max() < 1e-13
+
+
+def test_kparams_takes_no_twist_or_rate():
+    assert [f.name for f in dataclasses.fields(ksurf.KParams) if f.init] == [
+        "mod", "family", "gamma_step", "delta_step"]
+    for knob in ({"twisted": True}, {"beta_rate": 2.0}):
+        with pytest.raises(TypeError):
+            ksurf.KParams(mod=MOD, family="dn", gamma_step=0.8, delta_step=0.55, **knob)
+    p = _params("cn")
+    assert (p.twisted, p.beta_rate, p.epsilon_sign) == (False, 1.0, 1)
 
 
 @pytest.mark.parametrize("family", ["dn", "cn"])

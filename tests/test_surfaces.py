@@ -54,7 +54,7 @@ def test_frame_sign_admissibility():
         for gamma, twisted, sigma in cases:
             p = _params(family, twisted, gamma=gamma)
             assert p.sigma == sigma
-            assert p.sigma * p.edge_speed_signed() * p.epsilon_sign > 0.0
+            assert p.sigma * p.edge_speed * p.epsilon_sign > 0.0
     with pytest.raises(DegenerateFrameError):
         surfaces.SurfaceParams(mod=MOD, family="dn", gamma_step=2 * MOD.K, beta_rate=1.0)
 
@@ -73,11 +73,25 @@ def test_every_parameter_class_rejects_an_unknown_family(make):
         make("xx")
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make", [
+    lambda v: surfaces.SurfaceParams(mod=MOD, family="dn", gamma_step=v, beta_rate=1.0),
+    lambda v: surfaces.SurfaceParams(mod=MOD, family="cn", gamma_step=0.8, beta_rate=v),
+    lambda v: tau.TauContext(mod=MOD, family="dn", gamma_step=v, beta_rate=1.0),
+    lambda v: ksurf.KParams(mod=MOD, family="dn", gamma_step=v, delta_step=0.55),
+    lambda v: ksurf.KParams(mod=MOD, family="cn", gamma_step=0.8, delta_step=v),
+], ids=["SurfaceParams.gamma", "SurfaceParams.beta", "TauContext.gamma", "KParams.gamma",
+        "KParams.delta"])
+def test_every_curve_lattice_rejects_non_finite_steps(make, value):
+    with pytest.raises(DomainError, match="must be finite"):
+        make(value)
+
+
 @pytest.mark.parametrize("family,twisted", ALL)
 @pytest.mark.parametrize("k", [0.3, 0.6, 0.9])
 def test_edge_identity_and_speed(family, twisted, k):
     p = _params(family, twisted, k=k)
-    speed = abs(p.edge_speed_signed())
+    speed = abs(p.edge_speed)
     for m in range(-20, 20):
         for t in (0.0, 0.37, 1.7):
             g0, g1 = surfaces.gamma_point(p, m, t), surfaces.gamma_point(p, m + 1, t)
@@ -100,7 +114,7 @@ def test_torsion_cosine_invariance(family, twisted):
 @pytest.mark.parametrize("family,twisted", ALL)
 def test_frames_orthonormal_and_torsion_sine(family, twisted):
     p = _params(family, twisted)
-    s = p.edge_speed_signed()
+    s = p.edge_speed
     sin_nu = p.sigma * s
     for m in (-4, 0, 5):
         f0 = surfaces.frame_at(p, m, 0.3)
@@ -219,6 +233,12 @@ def test_snapshot_validation_report():
     with pytest.raises(ValidationError) as exc:
         surfaces.snapshot(p, range(0, 4), 0.5, tol=0.0)
     assert set(exc.value.report) == {"edge_identity", "constant_speed"}
+
+
+def test_snapshot_fails_on_a_nan_residual():
+    from sgsurf.errors import ValidationError
+    with pytest.raises(ValidationError):
+        surfaces.snapshot(_params("dn"), range(3), math.nan)
 
 
 def test_kaleidocycle_params_and_closure():
