@@ -13,7 +13,8 @@ from .sg import (DiscreteParams, HalfAngle, SemiDiscreteParams, discrete_quad,
                  discrete_sample, discrete_sg_coeff, discrete_sg_residual,
                  semi_residuals, semi_sample, semi_sg_coeffs)
 from .surfaces import (CurveSnapshot, SurfaceParams, b_point, flow_velocity,
-                       frame_at, gamma_point, half_angles, kaleidocycle_params, snapshot)
+                       frame_at, gamma_point, half_angles, kaleidocycle_params, snapshot,
+                       snapshots)
 from .tau import TauContext, TauSample, bilinear_checks, gamma_from_tau, tau_sample
 from .theta import (ThetaParams, WeierstrassConstants, jacobi_complex, theta_j,
                     theta_j_prime, weierstrass_constants, weierstrass_p)

@@ -27,11 +27,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .elliptic import FAMILIES, make_modulus
+from .elliptic import FAMILIES, jacobi, make_modulus
 from .errors import DegenerateFrameError, DomainError, ValidationError, check_finite
 from .ksurf import KParams, k_grid
-from .suites import run_suites
-from .surfaces import SurfaceParams, gamma_point, kaleidocycle_params, snapshot
+from .surfaces import _SPEED_TOL, SurfaceParams, gamma_point, kaleidocycle_params, snapshots
 
 SCHEMA_VERSION = 1
 # Lines formatted by one %-operation in the writers: large enough to amortise
@@ -142,7 +141,7 @@ def cmd_curve(cfg: RunConfig) -> int:
     p = _surface_params(cfg)
     m0, m1 = cfg.m_range
     # every slice is validated before the file is opened
-    snaps = [snapshot(p, range(m0, m1 + 1), float(t)) for t in cfg.t_samples()]
+    snaps = snapshots(p, range(m0, m1 + 1), cfg.t_samples())
     out = cfg.out_path or Path("curve.csv")
     write_curve_csv(out, snaps)
     print(f"wrote {out} ({sum(len(s.m_values) for s in snaps)} rows)")
@@ -158,15 +157,16 @@ def cmd_kaleidocycle(cfg: RunConfig) -> int:
                             twisted=cfg.twisted)
     period = 2 * cfg.n if cfg.family == "dn" else 2
     m_hi = period if cfg.m_range is None else cfg.m_range[1]
+    samples = cfg.t_samples()
+    # every frame is validated before the first file is written
+    snaps = snapshots(p, range(0, m_hi + 1), samples)
+    shifted = gamma_point(p, snaps[0].m_values + period, samples[:, None])
+    points = np.stack([snap.points for snap in snaps])
+    worst = float(np.linalg.norm(shifted - points, axis=-1).max())
     out_dir = cfg.out_path or Path("kaleidocycle")
     out_dir.mkdir(parents=True, exist_ok=True)
-    worst = 0.0
-    samples = cfg.t_samples()
-    for idx, t in enumerate(samples):
-        snap = snapshot(p, range(0, m_hi + 1), float(t))
+    for idx, snap in enumerate(snaps):
         write_curve_csv(out_dir / f"frame_{idx:04d}.csv", [snap])
-        shifted = gamma_point(p, snap.m_values + period, float(t))
-        worst = max(worst, float(np.linalg.norm(shifted - snap.points, axis=1).max()))
     print(f"wrote {len(samples)} frame(s) to {out_dir}; closure defect {worst:.3e}")
     return 0 if worst < 1e-9 else 1
 
@@ -178,6 +178,13 @@ def cmd_ksurface(cfg: RunConfig) -> int:
     gamma = cfg.gamma if cfg.gamma is not None else mod.K
     delta = cfg.delta if cfg.delta is not None else mod.K
     p = KParams(mod=mod, family=cfg.family, gamma_step=gamma, delta_step=delta)
+    # m-edges have length |s(gamma)| and n-edges |s(delta)|, s = sn (dn) or k sn
+    # (cn); KParams admits zero steps, which the 2K periodicity cases need
+    row_speed = jacobi(delta, mod)[0] * (1.0 if cfg.family == "dn" else mod.k)
+    if abs(p.edge_speed) < _SPEED_TOL:
+        raise DegenerateFrameError("sn(gamma) = 0: zero-length m-edges")
+    if abs(row_speed) < _SPEED_TOL:
+        raise DegenerateFrameError("sn(delta) = 0: zero-length n-edges")
     m0, m1 = cfg.m_range
     n0, n1 = cfg.n_range
     grid = k_grid(p, range(m0, m1 + 1), range(n0, n1 + 1))
@@ -199,6 +206,7 @@ def cmd_ksurface(cfg: RunConfig) -> int:
 
 
 def _report(cfg: RunConfig, which: str) -> tuple[dict, bool]:
+    from .suites import run_suites   # only the report commands pay its import
     results = run_suites(which)
     report = {
         "schema": SCHEMA_VERSION,

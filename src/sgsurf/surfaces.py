@@ -23,9 +23,10 @@ The frame sign sigma = +-1 is derived, not passed: sigma s > 0 (untwisted)
 and sigma s < 0 (twisted) admit exactly sigma = sign(s) eps.
 
 The closed forms are evaluated on whole arrays of sites: ``gamma_point``,
-``b_point`` and ``half_angles`` take integer arrays as well as integers, a
-snapshot is one evaluation over the sites m and m + 1, and every element
-equals the single-site value bit for bit.
+``b_point`` and ``half_angles`` take integer arrays as well as integers,
+``snapshots`` is one evaluation over the sites m and m + 1 at every time of
+a window (``snapshot`` is its one-time case), and every element equals the
+single-site value bit for bit.
 """
 
 from __future__ import annotations
@@ -93,9 +94,10 @@ class SurfaceParams(CurveLattice):
         object.__setattr__(self, "sigma", math.copysign(1.0, self.edge_speed) * self.epsilon_sign)
 
 
-def _curve(p: SurfaceParams, m, t: float) -> tuple[np.ndarray, np.ndarray]:
+def _curve(p: SurfaceParams, m, t) -> tuple[np.ndarray, np.ndarray]:
     """(points Gamma_m, binormals B_m) at integer sites m (an int or an int
-    array) and time t; the results carry a trailing axis of length 3."""
+    array) and times t (a float or an array that broadcasts against m); the
+    results carry the broadcast shape plus a trailing axis of length 3."""
     phi, psi = p.phases(m, t)
     sign = 1.0 - 2.0 * (m % 2) if p.twisted else 1.0
     pts, nrm = _closed_form(phi, psi, sign, ((m, p.gamma_integral),), p.mod, p.family)
@@ -103,8 +105,9 @@ def _curve(p: SurfaceParams, m, t: float) -> tuple[np.ndarray, np.ndarray]:
     return pts, (nrm if p.family == "dn" else -nrm)
 
 
-def gamma_point(p: SurfaceParams, m, t: float) -> np.ndarray:
-    """Curve point Gamma_m; m an int or an int array (trailing axis of 3)."""
+def gamma_point(p: SurfaceParams, m, t) -> np.ndarray:
+    """Curve point Gamma_m; m an int or an int array, t a float or an array
+    that broadcasts against m (trailing axis of 3)."""
     return _curve(p, m, t)[0]
 
 
@@ -192,29 +195,42 @@ class CurveSnapshot:
                      for a, b, c in zip(self.tangents, self.normals, self.binormals))
 
 
+def snapshots(p: SurfaceParams, m_range: Sequence[int], ts: Sequence[float],
+              tol: float = 1e-10) -> list[CurveSnapshot]:
+    """One validated snapshot per time in ts, from one evaluation of the whole
+    (t, m) window; raises ValidationError, with the residuals of the first
+    defective slice, before any snapshot is returned."""
+    ms = np.asarray(list(m_range), dtype=int)
+    ts = np.asarray(ts, dtype=float)
+    M = len(ms)
+    # pairs (m, m + 1) inside the window; the other sites m + 1 are appended,
+    # so a contiguous window costs M + 1 evaluations per time
+    paired = np.zeros(M, dtype=bool)
+    paired[:-1] = ms[1:] == ms[:-1] + 1
+    pts, bs = _curve(p, np.concatenate([ms, ms[~paired] + 1]), ts[:, None])
+    nxt = np.where(paired, np.arange(1, M + 1), M - 1 + np.cumsum(~paired))
+    T, N = _tangents_normals(p, bs[:, :M], bs[:, nxt])
+    pts, bs = pts[:, :M], bs[:, :M]
+    adj = np.flatnonzero(paired)
+    edge = pts[:, adj + 1] - pts[:, adj]
+    edge_res = np.abs(edge - p.epsilon_sign * np.cross(bs[:, adj + 1], bs[:, adj])).max(
+        axis=(1, 2), initial=0.0)
+    speed_res = np.abs(np.linalg.norm(edge, axis=-1) - abs(p.edge_speed)).max(
+        axis=1, initial=0.0)
+    ok = (edge_res <= tol) & (speed_res <= tol)   # a NaN residual fails too
+    if not ok.all():
+        i = int(np.argmin(ok))
+        report = {"edge_identity": float(edge_res[i]), "constant_speed": float(speed_res[i])}
+        raise ValidationError(
+            f"snapshot at t = {float(ts[i])!r} violates curve invariants", report)
+    return [CurveSnapshot(t=float(t), m_values=ms, points=pts[i], binormals=bs[i],
+                          tangents=T[i], normals=N[i]) for i, t in enumerate(ts)]
+
+
 def snapshot(p: SurfaceParams, m_range: Sequence[int], t: float,
              tol: float = 1e-10) -> CurveSnapshot:
     """Assemble and validate one snapshot; raises ValidationError on defects."""
-    ms = np.asarray(list(m_range), dtype=int)
-    M = len(ms)
-    # pairs (m, m + 1) inside the window; the other sites m + 1 are appended,
-    # so a contiguous window costs M + 1 evaluations
-    paired = np.zeros(M, dtype=bool)
-    paired[:-1] = ms[1:] == ms[:-1] + 1
-    pts, bs = _curve(p, np.concatenate([ms, ms[~paired] + 1]), t)
-    nxt = np.where(paired, np.arange(1, M + 1), M - 1 + np.cumsum(~paired))
-    T, N = _tangents_normals(p, bs[:M], bs[nxt])
-    pts, bs = pts[:M], bs[:M]
-    adj = np.flatnonzero(paired)
-    edge = pts[adj + 1] - pts[adj]
-    edge_res = float(np.abs(
-        edge - p.epsilon_sign * np.cross(bs[adj + 1], bs[adj])).max(initial=0.0))
-    speed_res = float(np.abs(
-        np.linalg.norm(edge, axis=1) - abs(p.edge_speed)).max(initial=0.0))
-    report = {"edge_identity": edge_res, "constant_speed": speed_res}
-    if not all(res <= tol for res in report.values()):   # a NaN residual fails too
-        raise ValidationError("snapshot violates curve invariants", report)
-    return CurveSnapshot(t=t, m_values=ms, points=pts, binormals=bs, tangents=T, normals=N)
+    return snapshots(p, m_range, [t], tol)[0]
 
 
 def kaleidocycle_params(n: int, family: str = "dn", beta_rate: float = 1.0,

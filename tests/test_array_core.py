@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from sgsurf import cli, elliptic, ksurf, surfaces
+from sgsurf.errors import ValidationError
 from sgsurf.frames import Frame
 
 MODULI = (0.3, 0.6, 0.9)
@@ -133,6 +134,25 @@ def test_snapshot_matches_per_site_reference(family, twisted, k, ms):
         fr = surfaces.frame_at(p, ms[1], t)
         _same(fr.T, snap.frames[1].T)
         _same(fr.N, snap.frames[1].N)
+    # one evaluation of all three slices equals the per-site reference too
+    ts = (0.0, 0.37, 1.7)
+    for t, snap in zip(ts, surfaces.snapshots(p, ms, ts), strict=True):
+        assert snap.t == t
+        ref = [_ref_curve_site(p, m, t) for m in ms]
+        _same(snap.points, [g for g, _ in ref])
+        _same(snap.binormals, [b for _, b in ref])
+        for m, fr in zip(ms, snap.frames):
+            want = _ref_frame(p, m, t)
+            for got_v, want_v in ((fr.T, want.T), (fr.N, want.N), (fr.B, want.B)):
+                _same(got_v, want_v)
+
+
+def test_snapshots_fail_on_one_nan_time():
+    p = _curve_params("dn", False, 0.6)
+    with pytest.raises(ValidationError) as exc:
+        surfaces.snapshots(p, range(-3, 4), [0.0, 0.5, math.nan, 1.0])
+    assert "nan" in str(exc.value)
+    assert set(exc.value.report) == {"edge_identity", "constant_speed"}
 
 
 @pytest.mark.parametrize("family,twisted", CURVES)
@@ -189,6 +209,29 @@ def test_k_grid_jacobi_calls_do_not_grow_with_the_window(monkeypatch):
         counts.append(len(calls))
     assert counts[0] == counts[1] == counts[2] == 1
     assert calls == [32 * 32]
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "--k", "0.6", "--gamma", "0.8", "--m-min", "-5", "--m-max", "5"],
+    ["kaleidocycle", "--n", "5"],
+], ids=["curve", "kaleidocycle"])
+def test_curve_jacobi_calls_do_not_grow_with_the_time_steps(tmp_path, monkeypatch, argv):
+    calls = []
+    real = elliptic.jacobi
+
+    def counting(u, mod):
+        calls.append(np.size(u))
+        return real(u, mod)
+
+    for mod in (elliptic, surfaces, cli):
+        monkeypatch.setattr(mod, "jacobi", counting, raising=False)   # where it is bound
+    counts = []
+    for steps in (1, 4, 16):
+        calls.clear()
+        assert cli.main(argv + ["--t-steps", str(steps), "--t-stop", "2.0",
+                                "--out", str(tmp_path / f"out{steps}")]) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2]
 
 
 # ------------------------------------------------------------------ writers --

@@ -159,7 +159,7 @@ def test_identities_command(tmp_path):
 def test_verify_failure_exit_code(tmp_path, monkeypatch):
     from sgsurf.suites import SuiteResult
     broken = SuiteResult(name="stub", max_residual=1.0, tolerance=1e-10, comparison="lt")
-    monkeypatch.setattr(cli, "run_suites", lambda which: [broken])
+    monkeypatch.setattr("sgsurf.suites.run_suites", lambda which: [broken])
     rc = run(["verify", "--out", str(tmp_path / "r.json")])
     assert rc == 1
 
@@ -322,6 +322,19 @@ def test_degenerate_curve_step_is_config_error(tmp_path, capsys, gamma):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("family", ["dn", "cn"])
+@pytest.mark.parametrize("step", ["gamma", "delta"])
+def test_degenerate_ksurface_step_is_config_error(tmp_path, capsys, family, step):
+    # a zero step collapses every m-edge (gamma) or every n-edge (delta)
+    out = tmp_path / "s.obj"
+    argv = ["ksurface", "--family", family, "--k", "0.6", "--gamma", "0.8", "--delta", "0.8",
+            "--m", "4", "--n", "4", "--out", str(out)]
+    argv[argv.index(f"--{step}") + 1] = "0"
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("value,twisted", [("1", True), ("TRUE", True), ("yes", True),
                                            ("0", False), ("False", False), ("No", False)])
 def test_config_twisted_values(tmp_path, value, twisted):
@@ -406,3 +419,24 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, check=True)
     assert res.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+
+
+def test_geometry_commands_do_not_import_the_suites(tmp_path):
+    script = f"""
+import sys
+from pathlib import Path
+import sgsurf.cli
+loaded = ["sgsurf.suites" in sys.modules]
+d = Path({str(tmp_path)!r})
+codes = [sgsurf.cli.main(argv) for argv in [
+    ["ksurface", "--k", "0.8", "--m", "6", "--n", "6", "--out", str(d / "s.obj")],
+    ["curve", "--k", "0.6", "--gamma", "0.8", "--out", str(d / "c.csv")],
+    ["kaleidocycle", "--n", "4", "--t-steps", "2", "--out", str(d / "anim")],
+]]
+print(codes, loaded + ["sgsurf.suites" in sys.modules])
+"""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True)
+    assert res.stdout.splitlines()[-1] == "[0, 0, 0] [False, False]"
