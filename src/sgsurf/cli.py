@@ -27,12 +27,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .elliptic import FAMILIES, jacobi, make_modulus
+from .elliptic import FAMILIES, make_modulus
 from .errors import DegenerateFrameError, DomainError, ValidationError, check_finite
 from .ksurf import KParams, k_grid
 from .surfaces import _SPEED_TOL, SurfaceParams, gamma_point, kaleidocycle_params, snapshots
 
 SCHEMA_VERSION = 1
+# Most sites (vertices, or curve sites times time slices) a geometry command
+# evaluates: about 250 B of peak memory each, so 1 GB at a 2048 x 2048 mesh.
+MAX_SITES = 2 ** 22
 # Lines formatted by one %-operation in the writers: large enough to amortise
 # the per-call cost, small enough that a file is never held in memory whole.
 _CHUNK_LINES = 4096
@@ -128,18 +131,20 @@ def _config_echo(cfg: RunConfig) -> dict:
 
 # ---------------------------------------------------------------- commands --
 
-def _surface_params(cfg: RunConfig) -> SurfaceParams:
-    if cfg.k is None:
-        raise DomainError("curve command needs a modulus --k")
-    mod = make_modulus(cfg.k)
-    gamma = cfg.gamma if cfg.gamma is not None else mod.K
-    return SurfaceParams(mod=mod, family=cfg.family, gamma_step=gamma,
-                         beta_rate=cfg.beta, twisted=cfg.twisted)
+def _check_window(sites: int) -> None:
+    if sites > MAX_SITES:
+        raise DomainError(f"window of {sites} evaluated sites exceeds the limit of {MAX_SITES}")
 
 
 def cmd_curve(cfg: RunConfig) -> int:
-    p = _surface_params(cfg)
+    if cfg.k is None:
+        raise DomainError("curve command needs a modulus --k")
     m0, m1 = cfg.m_range
+    _check_window((m1 - m0 + 1) * cfg.t_steps)
+    mod = make_modulus(cfg.k)
+    gamma = cfg.gamma if cfg.gamma is not None else mod.K
+    p = SurfaceParams(mod=mod, family=cfg.family, gamma_step=gamma,
+                      beta_rate=cfg.beta, twisted=cfg.twisted)
     # every slice is validated before the file is opened
     snaps = snapshots(p, range(m0, m1 + 1), cfg.t_samples())
     out = cfg.out_path or Path("curve.csv")
@@ -153,10 +158,11 @@ def cmd_kaleidocycle(cfg: RunConfig) -> int:
         raise DomainError("kaleidocycle command needs the order --n")
     if cfg.k is not None:
         raise DomainError("kaleidocycle fixes k = sin(pi/n); do not pass k")
-    p = kaleidocycle_params(cfg.n, family=cfg.family, beta_rate=cfg.beta,
-                            twisted=cfg.twisted)
     period = 2 * cfg.n if cfg.family == "dn" else 2
     m_hi = period if cfg.m_range is None else cfg.m_range[1]
+    _check_window((m_hi + 1) * cfg.t_steps)
+    p = kaleidocycle_params(cfg.n, family=cfg.family, beta_rate=cfg.beta,
+                            twisted=cfg.twisted)
     samples = cfg.t_samples()
     # every frame is validated before the first file is written
     snaps = snapshots(p, range(0, m_hi + 1), samples)
@@ -174,19 +180,18 @@ def cmd_kaleidocycle(cfg: RunConfig) -> int:
 def cmd_ksurface(cfg: RunConfig) -> int:
     if cfg.k is None:
         raise DomainError("ksurface command needs a modulus --k")
+    m0, m1 = cfg.m_range
+    n0, n1 = cfg.n_range
+    _check_window((m1 - m0 + 1) * (n1 - n0 + 1))
     mod = make_modulus(cfg.k)
     gamma = cfg.gamma if cfg.gamma is not None else mod.K
     delta = cfg.delta if cfg.delta is not None else mod.K
     p = KParams(mod=mod, family=cfg.family, gamma_step=gamma, delta_step=delta)
-    # m-edges have length |s(gamma)| and n-edges |s(delta)|, s = sn (dn) or k sn
-    # (cn); KParams admits zero steps, which the 2K periodicity cases need
-    row_speed = jacobi(delta, mod)[0] * (1.0 if cfg.family == "dn" else mod.k)
+    # KParams admits zero-length edges (the 2K periodicity cases need them)
     if abs(p.edge_speed) < _SPEED_TOL:
         raise DegenerateFrameError("sn(gamma) = 0: zero-length m-edges")
-    if abs(row_speed) < _SPEED_TOL:
+    if abs(p.delta_speed) < _SPEED_TOL:
         raise DegenerateFrameError("sn(delta) = 0: zero-length n-edges")
-    m0, m1 = cfg.m_range
-    n0, n1 = cfg.n_range
     grid = k_grid(p, range(m0, m1 + 1), range(n0, n1 + 1))
     rep = grid.invariant_residuals()
     out = cfg.out_path or Path("ksurface.obj")

@@ -164,14 +164,14 @@ def jacobi_epsilon(u, mod: EllipticModulus):
     return u - mod.m * sn2_integral(u, mod)
 
 
-def _rotation_angle(mod: EllipticModulus, family: str, step: float, flipped: bool) -> float:
-    """Rotation step angle of a lattice step: cos = dn(step), sin = k sn(step)
-    for the dn family, cos = cn(step), sin = sn(step) for cn; ``flipped``
-    negates the cosine."""
-    sn, cn, dn = jacobi(step, mod)
+def _lattice_step(mod: EllipticModulus, family: str, step: float, flipped: bool):
+    """(rotation angle, int_0^step sn^2, signed edge scale) of a lattice step, from
+    one Landen pass: cos = dn(step), sin = k sn(step) and scale sn(step) for the dn
+    family, cos = cn, sin = sn and scale k sn for cn; ``flipped`` negates the cosine."""
+    sn, cn, dn, integral = _landen(step, mod)
     if family == "dn":
-        return math.atan2(mod.k * sn, -dn if flipped else dn)
-    return math.atan2(sn, -cn if flipped else cn)
+        return math.atan2(mod.k * sn, -dn if flipped else dn), integral, sn
+    return math.atan2(sn, -cn if flipped else cn), integral, mod.k * sn
 
 
 def _closed_form(phi, psi, sign, lattice, mod: EllipticModulus, family: str):

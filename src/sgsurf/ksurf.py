@@ -37,36 +37,39 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .elliptic import EllipticModulus, _closed_form, _rotation_angle, make_modulus, sn2_integral
+from .elliptic import EllipticModulus, _closed_form, _lattice_step, make_modulus
 from .errors import DomainError, PoleError, check_finite
-from .sg import HalfAngle
 from .surfaces import CurveLattice
+
+if TYPE_CHECKING:   # annotations only: a geometry command does not load sg
+    from .sg import HalfAngle
 
 _CASES = ("1a", "1b", "1c", "2a", "2b", "2c")
 
 
 @dataclass(frozen=True)
 class KParams(CurveLattice):
-    """The untwisted curve lattice of rate 1 plus the row step delta, with the
-    derived rotation angle beta and int_0^delta sn^2; twist and rate are
-    fixed, so the constructor takes exactly (mod, family, gamma_step, delta_step)."""
+    """The untwisted rate-1 curve lattice plus the row step delta, with the derived
+    angle beta, int_0^delta sn^2 and n-edge scale delta_speed (sn delta for dn, k sn
+    delta for cn) from one Landen pass; it takes exactly (mod, family, gamma_step, delta_step)."""
 
     beta_rate: float = field(init=False, default=1.0)
     twisted: bool = field(init=False, default=False)
     delta_step: float
     beta_step: float = field(init=False)
     delta_integral: float = field(init=False)
+    delta_speed: float = field(init=False)
 
     def __post_init__(self):
         super().__post_init__()
         check_finite(delta_step=self.delta_step)
-        object.__setattr__(self, "beta_step", _rotation_angle(
-            self.mod, self.family, self.delta_step, True))
-        object.__setattr__(self, "delta_integral", sn2_integral(self.delta_step, self.mod))
+        derived = _lattice_step(self.mod, self.family, self.delta_step, True)
+        for name, value in zip(("beta_step", "delta_integral", "delta_speed"), derived):
+            object.__setattr__(self, name, value)
 
     def phases(self, m, n):
         return (self.alpha_step * m + self.beta_step * n,
@@ -104,43 +107,46 @@ class KGrid:
 
     def edge_lengths(self) -> tuple[np.ndarray, np.ndarray]:
         """(A over m-edges, B over n-edges), shapes (M-1, N) and (M, N-1)."""
-        a = np.linalg.norm(self.points[1:, :, :] - self.points[:-1, :, :], axis=2)
-        b = np.linalg.norm(self.points[:, 1:, :] - self.points[:, :-1, :], axis=2)
-        return a, b
+        return tuple(np.sqrt(_dot(e, e)) for e in _edges(self.points))
 
     def invariant_residuals(self) -> dict[str, float]:
-        """Planarity, opposite-edge equality and per-row/column length spreads."""
-        pts, nrm = self.points, self.normals
-        # all four star edges dotted against the centre normal
-        d = [
-            ((pts[1:, :] - pts[:-1, :]) * nrm[:-1, :]).sum(axis=2),   # m+1 edge at (m, n)
-            ((pts[:-1, :] - pts[1:, :]) * nrm[1:, :]).sum(axis=2),    # m-1 edge at (m, n)
-            ((pts[:, 1:] - pts[:, :-1]) * nrm[:, :-1]).sum(axis=2),   # n+1 edge
-            ((pts[:, :-1] - pts[:, 1:]) * nrm[:, 1:]).sum(axis=2),    # n-1 edge
-        ]
-        planarity = max((float(np.abs(x).max()) for x in d if x.size), default=0.0)
-        # scalar triple products of star-edge triples at interior vertices
-        triple = 0.0
+        """Planarity, opposite-edge equality and per-row/column length spreads,
+        from each edge formed once: a star edge that points backwards is its
+        exact IEEE negation, which flips only the sign of the products it enters."""
+        pts, nrm = self.points, np.moveaxis(self.normals, -1, 0)
+        em, en = _edges(pts)
+        # star-edge dots, then interior triple products; e1, e3 are the backward edges negated
+        res = [_dot(em, nrm[:, :-1]), _dot(em, nrm[:, 1:]),
+               _dot(en, nrm[:, :, :-1]), _dot(en, nrm[:, :, 1:])]
         if pts.shape[0] > 2 and pts.shape[1] > 2:
-            c = pts[1:-1, 1:-1]
-            edges = [pts[2:, 1:-1] - c, pts[:-2, 1:-1] - c,
-                     pts[1:-1, 2:] - c, pts[1:-1, :-2] - c]
-            for a in range(4):
-                for b in range(a + 1, 4):
-                    for e in range(b + 1, 4):
-                        det = (np.cross(edges[a], edges[b]) * edges[e]).sum(axis=2)
-                        triple = max(triple, float(np.abs(det).max()))
-        planarity = max(planarity, triple)
-        a, b = self.edge_lengths()
-        opp = 0.0
-        spread = 0.0
-        if a.size and a.shape[1] > 1:
-            opp = max(opp, float(np.abs(np.diff(a, axis=1)).max()))
-            spread = max(spread, float((a.max(axis=1) - a.min(axis=1)).max()))
-        if b.size and b.shape[0] > 1:
-            opp = max(opp, float(np.abs(np.diff(b, axis=0)).max()))
-            spread = max(spread, float((b.max(axis=0) - b.min(axis=0)).max()))
+            e0, e1, e2, e3 = em[:, 1:, 1:-1], em[:, :-1, 1:-1], en[:, 1:-1, 1:], en[:, 1:-1, :-1]
+            c01, c02, c12 = _cross(e0, e1), _cross(e0, e2), _cross(e1, e2)
+            res += [_dot(c01, e2), _dot(c01, e3), _dot(c02, e3), _dot(c12, e3)]
+        planarity = max((float(np.abs(x).max()) for x in res if x.size), default=0.0)
+        opp = spread = 0.0
+        for e, axis in ((em, 1), (en, 0)):   # opposite edges follow each other along axis
+            lengths = np.sqrt(_dot(e, e))
+            if lengths.size and lengths.shape[axis] > 1:
+                opp = max(opp, float(np.abs(np.diff(lengths, axis=axis)).max()))
+                spread = max(spread, float(np.ptp(lengths, axis=axis).max()))
         return {"planarity": planarity, "opposite_edges": opp, "length_spread": spread}
+
+
+def _edges(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """m- and n-edges of an (M, N, 3) window, contiguous and component first."""
+    P = np.moveaxis(points, -1, 0)
+    return (np.subtract(P[:, 1:], P[:, :-1], order="C"),
+            np.subtract(P[:, :, 1:], P[:, :, :-1], order="C"))
+
+
+# Products of component-first vectors, each rounded as np.cross forms it and
+# summed in the order in which ndarray.sum and np.linalg.norm sum an axis of 3.
+def _dot(a, b):
+    return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def k_grid(p: KParams, m_values, n_values) -> KGrid:

@@ -627,7 +627,7 @@ def _compat_setup(family):
     # the torsion angles are the rotation angles of the other family:
     # atan2(sn, cn) for dn, atan2(k sn, dn) for cn
     other = "cn" if family == "dn" else "dn"
-    nu1, nu2 = (elliptic._rotation_angle(mod, other, 4.0 * mod.K * step, False)
+    nu1, nu2 = (elliptic._lattice_step(mod, other, 4.0 * mod.K * step, False)[0]
                 for step in (Om, P))
     return p, nu1, nu2
 

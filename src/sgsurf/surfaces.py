@@ -34,15 +34,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .elliptic import (EllipticModulus, _closed_form, _rotation_angle, check_family,
-                       jacobi, make_modulus, sn2_integral)
+from .elliptic import (EllipticModulus, _closed_form, _lattice_step, check_family, jacobi,
+                       make_modulus)
 from .errors import DegenerateFrameError, DomainError, ValidationError, check_finite
-from .frames import Frame
-from .sg import HalfAngle
+
+if TYPE_CHECKING:   # built at call time: a geometry command loads neither module
+    from .frames import Frame
+    from .sg import HalfAngle
 
 _SPEED_TOL = 1e-12
 
@@ -51,8 +53,8 @@ _SPEED_TOL = 1e-12
 class CurveLattice:
     """One curve lattice: family, twist and steps, with the derived rotation
     step alpha, edge sign eps, int_0^gamma sn^2 and signed edge scale s
-    (sn gamma for dn, k sn gamma for cn).  The closed forms and the tau
-    quartet share these phases (phi_m, psi_m)."""
+    (sn gamma for dn, k sn gamma for cn), all but eps from one Landen pass.
+    The closed forms and the tau quartet share these phases (phi_m, psi_m)."""
 
     mod: EllipticModulus
     family: str
@@ -67,12 +69,10 @@ class CurveLattice:
     def __post_init__(self):
         check_family(self.family)
         check_finite(gamma_step=self.gamma_step, beta_rate=self.beta_rate)
-        object.__setattr__(self, "alpha_step", _rotation_angle(
-            self.mod, self.family, self.gamma_step, self.twisted))
+        derived = _lattice_step(self.mod, self.family, self.gamma_step, self.twisted)
+        for name, value in zip(("alpha_step", "gamma_integral", "edge_speed"), derived):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "epsilon_sign", -1 if self.twisted else 1)
-        object.__setattr__(self, "gamma_integral", sn2_integral(self.gamma_step, self.mod))
-        sng = jacobi(self.gamma_step, self.mod)[0]
-        object.__setattr__(self, "edge_speed", sng if self.family == "dn" else self.mod.k * sng)
 
     def phases(self, m, t):
         """(phi_m, psi_m); phi advances by beta k t for dn, beta t for cn."""
@@ -132,6 +132,7 @@ def half_angle_at(p: SurfaceParams, m: int, t: float) -> HalfAngle:
     Includes the analytic time derivative so the sample chain can be fed to
     the semi-discrete residual evaluators.
     """
+    from .sg import HalfAngle
     c, s, dwdt = half_angles(p, m, t)
     return HalfAngle(c=c, s=s, dwdt=dwdt)
 
@@ -144,6 +145,7 @@ def _tangents_normals(p: SurfaceParams, b0: np.ndarray, b1: np.ndarray):
 
 def frame_at(p: SurfaceParams, m: int, t: float) -> Frame:
     """Frenet frame with T along the edge, oriented by the derived sigma."""
+    from .frames import Frame
     _, (b0, b1) = _curve(p, np.array([m, m + 1]), t)
     T, N = _tangents_normals(p, b0, b1)
     return Frame(T=T, N=N, B=b0)
@@ -171,6 +173,7 @@ def flow_angle(p: SurfaceParams, m, t: float) -> HalfAngle:
     and (w_m + w_{m+1})/2 for the twisted ones; rho = beta (dn) or beta k (cn).
     m is an int or an int array.
     """
+    from .sg import HalfAngle
     (c0, c1), (s0, s1), _ = half_angles(p, np.stack([m, m + 1]), t)
     if p.twisted:
         return HalfAngle(c=c0 * c1 - s0 * s1, s=s0 * c1 + c0 * s1)
@@ -191,6 +194,7 @@ class CurveSnapshot:
     @cached_property
     def frames(self) -> tuple[Frame, ...]:
         """One Frame per site, built from the rows on first access."""
+        from .frames import Frame
         return tuple(Frame(T=a, N=b, B=c)
                      for a, b, c in zip(self.tangents, self.normals, self.binormals))
 

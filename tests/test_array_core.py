@@ -234,6 +234,41 @@ def test_curve_jacobi_calls_do_not_grow_with_the_time_steps(tmp_path, monkeypatc
     assert counts[0] == counts[1] == counts[2]
 
 
+def _count_landen_passes(monkeypatch) -> list:
+    passes = []
+    real = elliptic._landen
+
+    def counting(u, mod):
+        passes.append(np.size(u))
+        return real(u, mod)
+
+    monkeypatch.setattr(elliptic, "_landen", counting)
+    return passes
+
+
+def test_each_lattice_step_costs_one_landen_pass(monkeypatch):
+    passes = _count_landen_passes(monkeypatch)
+    mod = elliptic.make_modulus(0.6)
+    surfaces.SurfaceParams(mod=mod, family="cn", gamma_step=0.8, beta_rate=1.0)
+    assert len(passes) == 1
+    passes.clear()
+    ksurf.KParams(mod=mod, family="dn", gamma_step=0.8, delta_step=0.55)
+    assert len(passes) == 2
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["ksurface", "--k", "0.8", "--m", "6", "--n", "6"], 4),
+    (["curve", "--k", "0.6", "--gamma", "0.8", "--t-steps", "3", "--t-stop", "1.0"], 3),
+    (["kaleidocycle", "--n", "5", "--t-steps", "3", "--t-stop", "1.0"], 5),
+], ids=["ksurface", "curve", "kaleidocycle"])
+def test_landen_passes_per_command(tmp_path, monkeypatch, argv, count):
+    # the step constants (one pass per step), the closed form (jacobi and the
+    # sn^2 primitive) and, for kaleidocycle, the closure check's closed form
+    passes = _count_landen_passes(monkeypatch)
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert len(passes) == count
+
+
 # ------------------------------------------------------------------ writers --
 
 SPECIAL = [-0.0, 0.0, math.inf, -math.inf, math.nan, 1e-300, -5e-324, 1.7976931348623157e308,

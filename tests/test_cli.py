@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sgsurf import cli, elliptic
+from sgsurf import cli, elliptic, ksurf, surfaces
 from sgsurf.errors import DomainError
 
 
@@ -397,6 +397,17 @@ def test_written_config_echoes_only_the_command_options(tmp_path):
         assert json.loads(report.read_text())["config"] == {}
 
 
+def _fresh_python(script: str) -> str:
+    """Run script in a fresh interpreter that imports this checkout's package;
+    returns the last line it printed."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True)
+    return res.stdout.splitlines()[-1]
+
+
 def test_no_command_imports_scipy(tmp_path):
     script = f"""
 import sys
@@ -413,30 +424,85 @@ runs = [
 codes = [main(argv) for argv in runs]
 print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
-    # a fresh interpreter that imports this checkout's package
-    src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=env, check=True)
-    assert res.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+    assert _fresh_python(script) == "[0, 0, 0, 0, 0] []"
+
+
+GEOMETRY_MODULES = ["sgsurf", "sgsurf.cli", "sgsurf.elliptic", "sgsurf.errors",
+                    "sgsurf.ksurf", "sgsurf.surfaces"]
 
 
 def test_geometry_commands_do_not_import_the_suites(tmp_path):
+    # nor any other module they do not run: the package namespace re-exports
+    # nothing, and sg and frames are imported only where a value is built
     script = f"""
 import sys
 from pathlib import Path
+import sgsurf
+names = sorted(n for n in vars(sgsurf) if not n.startswith("__"))
 import sgsurf.cli
-loaded = ["sgsurf.suites" in sys.modules]
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "sgsurf")
+
+after_import = loaded()
 d = Path({str(tmp_path)!r})
 codes = [sgsurf.cli.main(argv) for argv in [
     ["ksurface", "--k", "0.8", "--m", "6", "--n", "6", "--out", str(d / "s.obj")],
     ["curve", "--k", "0.6", "--gamma", "0.8", "--out", str(d / "c.csv")],
     ["kaleidocycle", "--n", "4", "--t-steps", "2", "--out", str(d / "anim")],
 ]]
-print(codes, loaded + ["sgsurf.suites" in sys.modules])
+print(names, codes, after_import, loaded())
 """
-    src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=env, check=True)
-    assert res.stdout.splitlines()[-1] == "[0, 0, 0] [False, False]"
+    expected = f"[] [0, 0, 0] {GEOMETRY_MODULES} {GEOMETRY_MODULES}"
+    assert _fresh_python(script) == expected
+
+
+def test_version_is_unchanged(capsys):
+    import sgsurf
+    assert sgsurf.__version__ == "0.1.0"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "0.1.0\n"
+
+
+@pytest.mark.parametrize("argv, sites", [
+    (["ksurface", "--k", "0.6", "--m", "2048", "--n", "2049"], 2048 * 2049),
+    (["ksurface", "--k", "0.6", "--m", "100000", "--n", "100000"], 10 ** 10),
+    (["curve", "--k", "0.6", "--m-min", "-1000", "--m-max", "1000", "--t-steps", "2100"],
+     2001 * 2100),
+    (["kaleidocycle", "--n", "100000000"], 2 * 10 ** 8 + 1),
+    (["kaleidocycle", "--n", "6", "--m-max", "4095", "--t-steps", "1025"], 4096 * 1025),
+], ids=["ksurface-2048x2049", "ksurface-1e10", "curve", "kaleidocycle-period",
+        "kaleidocycle-m-max"])
+def test_oversized_window_is_config_error_before_evaluation(tmp_path, monkeypatch, capsys,
+                                                           argv, sites):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("evaluated an oversized window")
+
+    for mod, name in ((ksurf, "k_grid"), (cli, "k_grid"),
+                      (surfaces, "snapshots"), (cli, "snapshots")):
+        monkeypatch.setattr(mod, name, unreachable)
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert f"window of {sites} evaluated sites" in err and "limit of 4194304" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ksurface", "--k", "0.6", "--m", "2048", "--n", "2048"],
+    ["curve", "--k", "0.6", "--m-min", "0", "--m-max", "4095", "--t-steps", "1024"],
+    ["kaleidocycle", "--n", "6", "--m-max", "4095", "--t-steps", "1024"],
+], ids=["ksurface", "curve", "kaleidocycle"])
+def test_window_at_the_limit_is_evaluated(tmp_path, monkeypatch, argv):
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cli, "k_grid", reached)
+    monkeypatch.setattr(cli, "snapshots", reached)
+    with pytest.raises(Reached):
+        run(argv + ["--out", str(tmp_path / "out")])

@@ -187,3 +187,20 @@ def test_sn2_integral_relative_error_vs_mpmath(k):
             ref = (U - 2 * n * E - mp.ellipe(am, m)) / m
             got = elliptic.sn2_integral(float(u), mod)
             assert abs((got - ref) / ref) <= 1e-14, (u, float(abs((got - ref) / ref)))
+
+
+@pytest.mark.parametrize("family", ["dn", "cn"])
+@pytest.mark.parametrize("k", [1e-6, 0.6, 0.999])
+def test_lattice_step_equals_the_separate_evaluations(family, k):
+    # one Landen pass gives what atan2 of jacobi, sn2_integral and sn used to
+    mod = elliptic.make_modulus(k)
+    for step in (0.0, 0.1247, -0.8, mod.K, 2.0 * mod.K, -7.3, 41.0):
+        sn, cn, dn = elliptic.jacobi(step, mod)
+        for flipped in (False, True):
+            if family == "dn":
+                angle, scale = math.atan2(k * sn, -dn if flipped else dn), sn
+            else:
+                angle, scale = math.atan2(sn, -cn if flipped else cn), k * sn
+            got = elliptic._lattice_step(mod, family, step, flipped)
+            ref = (angle, elliptic.sn2_integral(step, mod), scale)
+            assert [repr(float(x)) for x in got] == [repr(float(x)) for x in ref]

@@ -240,3 +240,69 @@ def test_periodicity_validation():
         ksurf.k_periodicity("3a")
     with pytest.raises(DomainError):
         ksurf.k_periodicity("1a", order=2)
+
+
+# ------------------------------------------- residuals against the plain forms --
+
+def _oracle_edge_lengths(pts):
+    a = np.linalg.norm(pts[1:, :, :] - pts[:-1, :, :], axis=2)
+    b = np.linalg.norm(pts[:, 1:, :] - pts[:, :-1, :], axis=2)
+    return a, b
+
+
+def _oracle_residuals(pts, nrm):
+    """The residuals with every star edge formed apart and four np.cross calls."""
+    d = [
+        ((pts[1:, :] - pts[:-1, :]) * nrm[:-1, :]).sum(axis=2),
+        ((pts[:-1, :] - pts[1:, :]) * nrm[1:, :]).sum(axis=2),
+        ((pts[:, 1:] - pts[:, :-1]) * nrm[:, :-1]).sum(axis=2),
+        ((pts[:, :-1] - pts[:, 1:]) * nrm[:, 1:]).sum(axis=2),
+    ]
+    planarity = max((float(np.abs(x).max()) for x in d if x.size), default=0.0)
+    triple = 0.0
+    if pts.shape[0] > 2 and pts.shape[1] > 2:
+        c = pts[1:-1, 1:-1]
+        edges = [pts[2:, 1:-1] - c, pts[:-2, 1:-1] - c,
+                 pts[1:-1, 2:] - c, pts[1:-1, :-2] - c]
+        for a in range(4):
+            for b in range(a + 1, 4):
+                for e in range(b + 1, 4):
+                    det = (np.cross(edges[a], edges[b]) * edges[e]).sum(axis=2)
+                    triple = max(triple, float(np.abs(det).max()))
+    planarity = max(planarity, triple)
+    a, b = _oracle_edge_lengths(pts)
+    opp = 0.0
+    spread = 0.0
+    if a.size and a.shape[1] > 1:
+        opp = max(opp, float(np.abs(np.diff(a, axis=1)).max()))
+        spread = max(spread, float((a.max(axis=1) - a.min(axis=1)).max()))
+    if b.size and b.shape[0] > 1:
+        opp = max(opp, float(np.abs(np.diff(b, axis=0)).max()))
+        spread = max(spread, float((b.max(axis=0) - b.min(axis=0)).max()))
+    return {"planarity": planarity, "opposite_edges": opp, "length_spread": spread}
+
+
+@pytest.mark.parametrize("family", ["dn", "cn"])
+@pytest.mark.parametrize("k", [1e-6, 0.6, 0.999])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (2, 2), (3, 3), (40, 37)])
+def test_shared_edge_residuals_equal_the_plain_forms(family, k, shape):
+    g = ksurf.k_grid(_params(family, gamma=0.7, delta=0.45, k=k),
+                     range(-3, shape[0] - 3), range(2, shape[1] + 2))
+    assert g.invariant_residuals() == _oracle_residuals(g.points, g.normals)
+    for got, ref in zip(g.edge_lengths(), _oracle_edge_lengths(g.points)):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 5), (7, 3)])
+def test_shared_edge_residuals_equal_the_plain_forms_off_the_surface(shape):
+    # on a K-surface every residual is near 1e-15; random stars make each
+    # dot and triple product the largest one in turn
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(24):
+        pts = rng.normal(size=shape + (3,)) * 10.0 ** rng.integers(-3, 4, size=shape + (1,))
+        g = ksurf.KGrid(params=_params(), m_values=np.arange(shape[0]),
+                        n_values=np.arange(shape[1]), points=pts,
+                        normals=rng.normal(size=shape + (3,)))
+        assert g.invariant_residuals() == _oracle_residuals(g.points, g.normals)
+        for got, ref in zip(g.edge_lengths(), _oracle_edge_lengths(g.points)):
+            assert got.tobytes() == ref.tobytes()
