@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the finiteness check."""
+"""Exception types shared across the package, the finiteness check and the
+one reduction of residuals."""
 
 import math
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -35,3 +38,8 @@ def check_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
+
+
+def max_abs(residuals) -> float:
+    """max |r| over an array or sequence of residuals; NaN if any r is NaN, 0.0 if empty."""
+    return float(np.abs(residuals).max(initial=0.0))

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .elliptic import EllipticModulus, _closed_form, _lattice_step, make_modulus
-from .errors import DomainError, PoleError, check_finite
+from .errors import DomainError, PoleError, check_finite, max_abs
 from .surfaces import CurveLattice
 
 if TYPE_CHECKING:   # annotations only: a geometry command does not load sg
@@ -112,24 +112,28 @@ class KGrid:
     def invariant_residuals(self) -> dict[str, float]:
         """Planarity, opposite-edge equality and per-row/column length spreads,
         from each edge formed once: a star edge that points backwards is its
-        exact IEEE negation, which flips only the sign of the products it enters."""
+        exact IEEE negation, which flips only the sign of the products it enters.
+        Each product array is reduced as soon as it is formed (a NaN anywhere
+        makes its residual NaN), and one cross product is alive at a time."""
         pts, nrm = self.points, np.moveaxis(self.normals, -1, 0)
         em, en = _edges(pts)
         # star-edge dots, then interior triple products; e1, e3 are the backward edges negated
-        res = [_dot(em, nrm[:, :-1]), _dot(em, nrm[:, 1:]),
-               _dot(en, nrm[:, :, :-1]), _dot(en, nrm[:, :, 1:])]
+        res = [max_abs(_dot(em, nrm[:, :-1])), max_abs(_dot(em, nrm[:, 1:])),
+               max_abs(_dot(en, nrm[:, :, :-1])), max_abs(_dot(en, nrm[:, :, 1:]))]
         if pts.shape[0] > 2 and pts.shape[1] > 2:
             e0, e1, e2, e3 = em[:, 1:, 1:-1], em[:, :-1, 1:-1], en[:, 1:-1, 1:], en[:, 1:-1, :-1]
-            c01, c02, c12 = _cross(e0, e1), _cross(e0, e2), _cross(e1, e2)
-            res += [_dot(c01, e2), _dot(c01, e3), _dot(c02, e3), _dot(c12, e3)]
-        planarity = max((float(np.abs(x).max()) for x in res if x.size), default=0.0)
-        opp = spread = 0.0
+            for a, b, others in ((e0, e1, (e2, e3)), (e0, e2, (e3,)), (e1, e2, (e3,))):
+                c = _cross(a, b)
+                res += [max_abs(_dot(c, d)) for d in others]
+                del c
+        opp, spread = [], []
         for e, axis in ((em, 1), (en, 0)):   # opposite edges follow each other along axis
             lengths = np.sqrt(_dot(e, e))
             if lengths.size and lengths.shape[axis] > 1:
-                opp = max(opp, float(np.abs(np.diff(lengths, axis=axis)).max()))
-                spread = max(spread, float(np.ptp(lengths, axis=axis).max()))
-        return {"planarity": planarity, "opposite_edges": opp, "length_spread": spread}
+                opp.append(max_abs(np.diff(lengths, axis=axis)))
+                spread.append(max_abs(np.ptp(lengths, axis=axis)))
+        return {"planarity": max_abs(res), "opposite_edges": max_abs(opp),
+                "length_spread": max_abs(spread)}
 
 
 def _edges(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,15 +223,12 @@ def k_periodicity(case_id: str, order: int = 3, window: int = 8,
         "2c": [(2, 0), (0, 4), (1, 2)],
     }[case_id]
     p = KParams(mod=mod, family=fam, gamma_step=steps[0], delta_step=steps[1])
-    worst = 0.0
     per_shift = {}
     ms, ns = np.arange(window)[:, None], np.arange(window)[None, :]
     F0, _ = k_point(p, ms, ns)
     for dm, dn_ in shifts:
         F1, _ = k_point(p, ms + dm, ns + dn_)
-        defect = float(np.abs(F1 - F0).max(initial=0.0))
-        per_shift[f"({dm},{dn_})"] = defect
-        worst = max(worst, defect)
+        per_shift[f"({dm},{dn_})"] = max_abs(F1 - F0)
     return {
         "case": case_id,
         "family": fam,
@@ -235,5 +236,5 @@ def k_periodicity(case_id: str, order: int = 3, window: int = 8,
         "gamma": steps[0],
         "delta": steps[1],
         "shifts": per_shift,
-        "max_defect": worst,
+        "max_defect": max_abs(list(per_shift.values())),
     }

@@ -1,10 +1,23 @@
 """Self-contained verification suites over fixed grids and seeds.
 
-Each suite measures the worst residual of one family of identities or
-geometric constraints and compares it against a fixed tolerance.  Suites are
-deterministic (seeded RNG, fixed grids) so reports are byte-stable.  Suites
-whose point is sensitivity (a broken input must be detected) use comparison
-"gt": they pass when the residual EXCEEDS the threshold.
+Each suite checks one family of identities or geometric constraints against a
+fixed tolerance.  Suites are deterministic (seeded RNG, fixed grids) so
+reports are byte-stable.
+
+To add a suite, write a generator named ``suite_<name>`` that yields its
+residuals (numbers, lists or arrays) and decorate it with
+``@suite(report_name, tolerance)``; ``identity=True`` also puts it in the
+``identities`` corpus.  The decorated function returns a SuiteResult, and
+``verify`` runs the suites in the order they are registered here.  The value
+of a suite is the largest ``max |r|`` over its yielded items r.  A
+sensitivity suite (``comparison="gt"``: a broken input must be detected, so
+it passes when the value EXCEEDS the tolerance) takes the smallest instead.
+A NaN anywhere makes the value NaN, which fails both comparisons, and a suite
+that yields nothing reads NaN as well.
+
+Residuals that are reduced site by site stay per-site ``np.linalg.norm`` /
+``np.dot`` values, yielded as one list per window: those can differ in the
+last bit from an axis-wise reduction, and the report prints every bit.
 """
 
 from __future__ import annotations
@@ -18,6 +31,7 @@ import numpy as np
 
 from . import _complex as cx
 from . import elliptic, frames, ksurf, sg, surfaces, tau, theta
+from .errors import max_abs
 
 MODULI = (0.3, 0.6, 0.9)
 MODULI_WIDE = (0.3, 0.6, 0.9, 0.99)
@@ -42,47 +56,55 @@ class SuiteResult:
         return d
 
 
-def _lt(name: str, res: float, tol: float) -> SuiteResult:
-    return SuiteResult(name=name, max_residual=float(res), tolerance=tol, comparison="lt")
+ALL_SUITES: list = []   # every registered suite, in registration order
 
 
-def _gt(name: str, res: float, tol: float) -> SuiteResult:
-    return SuiteResult(name=name, max_residual=float(res), tolerance=tol, comparison="gt")
+def suite(name: str, tolerance: float, comparison: str = "lt", identity: bool = False):
+    """Register a generator of residuals as the suite ``name`` (see the module docstring)."""
+    def register(residuals):
+        @functools.wraps(residuals)
+        def run() -> SuiteResult:
+            values = np.array([max_abs(r) for r in residuals()] or [math.nan])
+            value = values.max() if comparison == "lt" else values.min()
+            return SuiteResult(name, float(value), tolerance, comparison)
+
+        run.identity = identity
+        ALL_SUITES.append(run)
+        return run
+
+    return register
 
 
 # ---------------------------------------------------------------- elliptic --
 
-def suite_legendre() -> SuiteResult:
-    worst = max(elliptic.make_modulus(k).legendre_residual() for k in MODULI_WIDE)
-    return _lt("elliptic.legendre_relation", worst, 1e-12)
+@suite("elliptic.legendre_relation", 1e-12)
+def suite_legendre():
+    yield [elliptic.make_modulus(k).legendre_residual() for k in MODULI_WIDE]
 
 
-def suite_jacobi_identities() -> SuiteResult:
-    worst = 0.0
+@suite("elliptic.pythagorean_identities", 1e-12)
+def suite_jacobi_identities():
     for k in MODULI_WIDE:
         mod = elliptic.make_modulus(k)
         u = np.linspace(-4.0 * mod.K, 4.0 * mod.K, 81)
         sn, cn, dn = elliptic.jacobi(u, mod)
-        worst = max(worst,
-                    float(np.abs(sn * sn + cn * cn - 1.0).max()),
-                    float(np.abs(dn * dn + mod.m * sn * sn - 1.0).max()))
-    return _lt("elliptic.pythagorean_identities", worst, 1e-12)
+        yield sn * sn + cn * cn - 1.0
+        yield dn * dn + mod.m * sn * sn - 1.0
 
 
-def suite_jacobi_vs_theta() -> SuiteResult:
+@suite("elliptic.jacobi_vs_theta_oracle", 1e-11)
+def suite_jacobi_vs_theta():
     rng = np.random.default_rng(101)
-    worst = 0.0
     for k in MODULI_WIDE:
         mod = elliptic.make_modulus(k)
         u = rng.uniform(-4.0 * mod.K, 4.0 * mod.K, 25)
         for real, oracle in zip(elliptic.jacobi(u, mod), theta.jacobi_complex(u, mod)):
-            worst = max(worst, float(cx.cabs(real - oracle).max()))
-    return _lt("elliptic.jacobi_vs_theta_oracle", worst, 1e-11)
+            yield cx.cabs(real - oracle)
 
 
-def suite_addition_formulae() -> SuiteResult:
+@suite("elliptic.addition_formulae", 1e-11, identity=True)
+def suite_addition_formulae():
     rng = np.random.default_rng(102)
-    worst = 0.0
     for k in MODULI:
         mod = elliptic.make_modulus(k)
         u, g = rng.uniform(-2.0 * mod.K, 2.0 * mod.K, (70, 2)).T
@@ -90,17 +112,15 @@ def suite_addition_formulae() -> SuiteResult:
         sgm, cg, dg = elliptic.jacobi(g, mod)
         den = 1.0 - mod.m * sgm * sgm * su * su
         s2, c2, d2 = elliptic.jacobi(u + g, mod)
-        for res in (s2 - (cg * dg * su + sgm * cu * du) / den,
-                    c2 - (cg * cu - sgm * dg * su * du) / den,
-                    d2 - (dg * du - mod.m * sgm * cg * su * cu) / den):
-            worst = max(worst, float(np.abs(res).max()))
-    return _lt("elliptic.addition_formulae", worst, 1e-11)
+        yield s2 - (cg * dg * su + sgm * cu * du) / den
+        yield c2 - (cg * cu - sgm * dg * su * du) / den
+        yield d2 - (dg * du - mod.m * sgm * cg * su * cu) / den
 
 
-def suite_elliptic_identity_corpus() -> SuiteResult:
+@suite("elliptic.shifted_identity_corpus", 1e-11, identity=True)
+def suite_elliptic_identity_corpus():
     """Nine product identities of shifted-argument triples at random (gamma, psi)."""
     rng = np.random.default_rng(103)
-    worst = 0.0
     for k in MODULI:
         mod = elliptic.make_modulus(k)
         k2 = mod.m
@@ -109,7 +129,7 @@ def suite_elliptic_identity_corpus() -> SuiteResult:
         s1, c1, d1 = elliptic.jacobi(psi + g, mod)
         sm, cm, dm = elliptic.jacobi(psi - g, mod)
         sg_, cg, dg = elliptic.jacobi(g, mod)
-        rs = (
+        yield from (
             dg * s0 * s1 + c0 * c1 - cg,                                   # (i)
             k2 * cg * s0 * s1 + d0 * d1 - dg,                              # (ii)
             k2 * sg_ * s1 * s1 + dg * s1 * c0 * d1 - s0 * c1 * d1 - sg_,   # (iii)
@@ -120,8 +140,6 @@ def suite_elliptic_identity_corpus() -> SuiteResult:
             sg_ * c1 + s0 * d1 - cg * s1 * d0,                             # (viii)
             dg * dg * sm * s1 + cm * c1 + sg_ * sg_ * dm * d1 - cg * cg,   # (ix)
         )
-        worst = max(worst, max(float(np.abs(r).max()) for r in rs))
-    return _lt("elliptic.shifted_identity_corpus", worst, 1e-11)
 
 
 @functools.lru_cache(maxsize=None)
@@ -134,21 +152,19 @@ def _gauss_legendre(panels: int, nodes: int = 20) -> tuple[np.ndarray, np.ndarra
     return points, np.tile(w, panels) / (2.0 * panels)
 
 
-def suite_sn2_integral() -> SuiteResult:
+@suite("elliptic.sn2_integral_vs_quadrature", 1e-10)
+def suite_sn2_integral():
     """The sn^2 primitive against quadrature of sn^2, from k = 1e-6 to 0.999.
 
     Panels of at most K/4 lie well inside the strip |Im u| < K' where sn is
     analytic, so 20 nodes per panel resolve sn^2 to rounding.
     """
     points, weights = _gauss_legendre(16)
-    worst = 0.0
     for k in (1e-6,) + MODULI + (0.999,):
         mod = elliptic.make_modulus(k)
         u = np.linspace(-4.0 * mod.K, 4.0 * mod.K, 17)
         sn = elliptic.jacobi(u[:, None] * points, mod)[0]
-        ref = u * ((sn * sn) @ weights)
-        worst = max(worst, float(np.abs(elliptic.sn2_integral(u, mod) - ref).max()))
-    return _lt("elliptic.sn2_integral_vs_quadrature", worst, 1e-10)
+        yield elliptic.sn2_integral(u, mod) - u * ((sn * sn) @ weights)
 
 
 # ------------------------------------------------------------------- theta --
@@ -162,10 +178,10 @@ def _thetas_at(p, *args, js=(0, 1, 2, 3)):
     return [{j: each[j][i][0] for j in js} for i in range(len(args))]
 
 
-def suite_theta_addition() -> SuiteResult:
+@suite("theta.addition_identities", 1e-10, identity=True)
+def suite_theta_addition():
     """Four quadratic addition identities, both compound signs."""
     rng = np.random.default_rng(104)
-    worst = 0.0
     for k in (0.3, 0.7):
         mod = elliptic.make_modulus(k)
         T = mod.taup.imag
@@ -190,15 +206,13 @@ def suite_theta_addition() -> SuiteResult:
                  cx.prod(X[2], X[0], Y[2], Y[0]) - cx.prod(s, X[1], X[3], Y[1], Y[3])),
             )
             for lhs, rhs in pairs:
-                res = cx.cabs(lhs - rhs) / np.maximum(1.0, cx.cabs(lhs))
-                worst = max(worst, float(res.max()))
-    return _lt("theta.addition_identities", worst, 1e-10)
+                yield cx.cabs(lhs - rhs) / np.maximum(1.0, cx.cabs(lhs))
 
 
-def suite_theta_lattice_doubling() -> SuiteResult:
+@suite("theta.lattice_doubling_identities", 1e-10, identity=True)
+def suite_theta_lattice_doubling():
     """Landen-type identities between the taup and 2 taup lattices at shifted arguments."""
     rng = np.random.default_rng(105)
-    worst = 0.0
     for k in (0.3, 0.6):
         mod = elliptic.make_modulus(k)
         p1, p2 = theta.lattice_params(mod), theta.lattice_params(mod, 2)
@@ -228,15 +242,13 @@ def suite_theta_lattice_doubling() -> SuiteResult:
             (cx.mul(C[1], D[1]), cx.mul(P[3], M[2]) - cx.mul(P[2], M[3])),
         ]
         for lhs, rhs in checks:
-            res = cx.cabs(lhs - rhs) / np.maximum(np.maximum(1.0, cx.cabs(lhs)), cx.cabs(rhs))
-            worst = max(worst, float(res.max()))
-    return _lt("theta.lattice_doubling_identities", worst, 1e-10)
+            yield cx.cabs(lhs - rhs) / np.maximum(np.maximum(1.0, cx.cabs(lhs)), cx.cabs(rhs))
 
 
-def suite_theta_jacobi_quotients() -> SuiteResult:
+@suite("theta.jacobi_quotients", 1e-10, identity=True)
+def suite_theta_jacobi_quotients():
     """The three quotient formulas tying thetas at v = (psi-K)/(2iK') to sn, cn, dn."""
     rng = np.random.default_rng(106)
-    worst = 0.0
     for k in MODULI:
         mod = elliptic.make_modulus(k)
         psi = np.array([rng.uniform(-3.5, 3.5) for _ in range(100)])
@@ -245,14 +257,13 @@ def suite_theta_jacobi_quotients() -> SuiteResult:
         for res in (cx.div(cx.mul(V[0], Z[3]), cx.mul(V[3], Z[0])) - sn,
                     cx.div(cx.mul(V[1], Z[2]), cx.mul(V[3], Z[0])) - cx.mul(1j, cn),
                     cx.div(cx.mul(V[2], Z[2]), cx.mul(V[3], Z[3])) - dn):
-            worst = max(worst, float(cx.cabs(res).max()))
-    return _lt("theta.jacobi_quotients", worst, 1e-10)
+            yield cx.cabs(res)
 
 
-def suite_weierstrass_scalars() -> SuiteResult:
+@suite("theta.weierstrass_scalars", 1e-10, identity=True)
+def suite_weierstrass_scalars():
     """p(omega/2) = e1 + 1, both periods, and the two zeta-scalar relations."""
     points, weights = _gauss_legendre(4)
-    worst = 0.0
     for k in MODULI:
         mod = elliptic.make_modulus(k)
         wc = theta.weierstrass_constants(mod)
@@ -264,26 +275,22 @@ def suite_weierstrass_scalars() -> SuiteResult:
             np.concatenate([[om / 2.0, z0 + 2.0 * om, z0, z0 + 2.0 * wc.omegap],
                             om / 2.0 + (om / 2.0) * points]), mod)
         half, z_om, z, z_omp = values[:4].tolist()
-        worst = max(worst, abs(half - (wc.e1 + 1.0)))
-        worst = max(worst, abs(z_om - z))
-        worst = max(worst, abs(z_omp - z))
+        yield [abs(half - (wc.e1 + 1.0)), abs(z_om - z), abs(z_omp - z)]
         # zeta(omega/2) - zeta(omega)/2 = k via the one permitted quadrature
         zom = wc.zeta_omega_over_omega * om
         integral = (om / 2.0) * float(values[4:].real @ weights)
-        worst = max(worst, abs(zom + integral - 0.5 * zom - mod.k))
+        yield zom + integral - 0.5 * zom - mod.k
         # p(omega/2) + zeta(omega)/omega = 2 E'/K'
-        worst = max(worst, abs((wc.e1 + 1.0) + wc.zeta_omega_over_omega
-                               - 2.0 * mod.Ep / mod.Kp))
+        yield (wc.e1 + 1.0) + wc.zeta_omega_over_omega - 2.0 * mod.Ep / mod.Kp
         # alternative closed form of the zeta scalar
         alt = math.pi / (mod.K * mod.Kp) - 2.0 * mod.E / mod.K + (1.0 - wc.e1)
-        worst = max(worst, abs(alt - wc.zeta_omega_over_omega))
-    return _lt("theta.weierstrass_scalars", worst, 1e-10)
+        yield alt - wc.zeta_omega_over_omega
 
 
-def suite_theta_modular() -> SuiteResult:
+@suite("theta.modular_identity", 1e-9, identity=True)
+def suite_theta_modular():
     """Imaginary transformation theta_3(v/tau | tau') = exp(pi i (v^2/tau - 1/4)) sqrt(tau) theta_3(v|tau)."""
     rng = np.random.default_rng(107)
-    worst = 0.0
     for k in MODULI:
         mod = elliptic.make_modulus(k)
         pt = theta.ThetaParams(mod.tau)
@@ -293,9 +300,7 @@ def suite_theta_modular() -> SuiteResult:
         lhs = theta.theta_j(3, cx.div(v, mod.tau), ptp)
         rhs = cx.prod(np.exp(cx.mul(1j * math.pi, cx.div(cx.mul(v, v), mod.tau) - 0.25)),
                       cmath.sqrt(mod.tau), theta.theta_j(3, v, pt))
-        res = cx.cabs(lhs - rhs) / np.maximum(1.0, cx.cabs(rhs))
-        worst = max(worst, float(res.max()))
-    return _lt("theta.modular_identity", worst, 1e-9)
+        yield cx.cabs(lhs - rhs) / np.maximum(1.0, cx.cabs(rhs))
 
 
 # ---------------------------------------------------------------------- sg --
@@ -305,25 +310,22 @@ def _semi_params(k, family):
     return sg.SemiDiscreteParams(mod=mod, Omega=0.23, A=0.31, family=family)
 
 
-def suite_semi_sg_residuals() -> SuiteResult:
-    worst = 0.0
+@suite("sg.semi_discrete_residuals", 1e-10)
+def suite_semi_sg_residuals():
     ms, ts = np.arange(-20, 20)[:, None], np.array([0.0, 0.3, 0.7, 1.3, 2.1])
     for k in MODULI_WIDE:
         for family in sg.FAMILIES:
-            r1, r2 = sg.semi_residuals(_semi_params(k, family), ms, ts)
-            worst = max(worst, float(np.abs(r1).max()), float(np.abs(r2).max()))
-    return _lt("sg.semi_discrete_residuals", worst, 1e-10)
+            yield from sg.semi_residuals(_semi_params(k, family), ms, ts)
 
 
-def suite_discrete_sg_residuals() -> SuiteResult:
-    worst = 0.0
+@suite("sg.discrete_residuals", 1e-9)
+def suite_discrete_sg_residuals():
     ms, ns = np.arange(-10, 10)[:, None], np.arange(-10, 10)
     for k in MODULI:
         mod = elliptic.make_modulus(k)
         for family in sg.FAMILIES:
             p = sg.DiscreteParams(mod=mod, Omega=0.23, P=0.17, family=family)
-            worst = max(worst, float(np.abs(sg.discrete_sg_residual(p, ms, ns)).max()))
-    return _lt("sg.discrete_residuals", worst, 1e-9)
+            yield sg.discrete_sg_residual(p, ms, ns)
 
 
 def _perturbed(w: sg.HalfAngle) -> sg.HalfAngle:
@@ -333,7 +335,8 @@ def _perturbed(w: sg.HalfAngle) -> sg.HalfAngle:
     return sg.HalfAngle(c=w.c / nrm, s=s / nrm, dwdt=w.dwdt)
 
 
-def suite_sg_sensitivity() -> SuiteResult:
+@suite("sg.perturbation_sensitivity", 1e-3, "gt")
+def suite_sg_sensitivity():
     """A perturbed field (s scaled by 1.01, renormalized) must be detected."""
     p = _semi_params(0.6, "dn")
     c1, c2 = sg.semi_sg_coeffs(p)
@@ -341,14 +344,11 @@ def suite_sg_sensitivity() -> SuiteResult:
     w = sg.semi_sample(p, np.stack([ms, ms + 1]), 0.3)
     w0 = sg.HalfAngle(c=w.c[0], s=w.s[0], dwdt=w.dwdt[0])
     w1 = sg.HalfAngle(c=w.c[1], s=w.s[1], dwdt=w.dwdt[1])
-    r1, _ = sg.semi_residuals_from(w0, _perturbed(w1), c1, c2)
-    detected = max(0.0, float(np.abs(r1).max()))
+    yield sg.semi_residuals_from(w0, _perturbed(w1), c1, c2)[0]
     mod = elliptic.make_modulus(0.6)
     pd = sg.DiscreteParams(mod=mod, Omega=0.23, P=0.17, family="cn")
     wA, wB, wC, wD = sg.discrete_quad(pd, ms, 0)
-    r = sg.discrete_sg_residual_from(_perturbed(wA), wB, wC, wD, sg.discrete_sg_coeff(pd))
-    detected_d = max(0.0, float(np.abs(r).max()))
-    return _gt("sg.perturbation_sensitivity", min(detected, detected_d), 1e-3)
+    yield sg.discrete_sg_residual_from(_perturbed(wA), wB, wC, wD, sg.discrete_sg_coeff(pd))
 
 
 # ---------------------------------------------------------------- surfaces --
@@ -363,37 +363,31 @@ def _all_surface_params(k=0.6, gamma=0.8, beta=1.0):
     return out
 
 
-# The suites below evaluate the closed forms once per (params, t) window and
-# then reduce site by site: np.linalg.norm / np.dot of one 3-vector can differ
-# in the last bit from an axis-wise reduction, and the report prints every bit.
+# The suites below evaluate the closed forms once per (params, t) window.
 
-def suite_surface_edges() -> SuiteResult:
-    worst = 0.0
+@suite("surfaces.edge_identity", 1e-10)
+def suite_surface_edges():
     ms = np.arange(-20, 21)
     for k in MODULI:
         for p in _all_surface_params(k=k):
             for t in (0.0, 0.37, 1.7):
                 g, b = surfaces.gamma_point(p, ms, t), surfaces.b_point(p, ms, t)
-                res = g[1:] - g[:-1] - p.epsilon_sign * np.cross(b[1:], b[:-1])
-                worst = max(worst, float(np.abs(res).max()))
-    return _lt("surfaces.edge_identity", worst, 1e-10)
+                yield g[1:] - g[:-1] - p.epsilon_sign * np.cross(b[1:], b[:-1])
 
 
-def suite_surface_speed() -> SuiteResult:
-    worst = 0.0
+@suite("surfaces.constant_speed", 1e-10)
+def suite_surface_speed():
     ms = np.arange(-20, 21)
     for k in MODULI:
         for p in _all_surface_params(k=k):
             speed = abs(p.edge_speed)
             for t in (0.0, 0.37, 1.7):
                 g = surfaces.gamma_point(p, ms, t)
-                for e in g[1:] - g[:-1]:
-                    worst = max(worst, abs(float(np.linalg.norm(e)) - speed))
-    return _lt("surfaces.constant_speed", worst, 1e-10)
+                yield [float(np.linalg.norm(e)) - speed for e in g[1:] - g[:-1]]
 
 
-def suite_surface_torsion() -> SuiteResult:
-    worst = 0.0
+@suite("surfaces.binormal_angle_invariance", 1e-12)
+def suite_surface_torsion():
     ms = np.arange(-20, 21)
     for k in MODULI:
         for p in _all_surface_params(k=k):
@@ -401,56 +395,49 @@ def suite_surface_torsion() -> SuiteResult:
             target = cn if p.family == "dn" else dn
             for t in (0.0, 0.37, 1.7):
                 b = surfaces.b_point(p, ms, t)
-                for b0, b1 in zip(b[:-1], b[1:]):
-                    worst = max(worst, abs(float(np.dot(b0, b1)) - target))
-    return _lt("surfaces.binormal_angle_invariance", worst, 1e-12)
+                yield [float(np.dot(b0, b1)) - target for b0, b1 in zip(b[:-1], b[1:])]
 
 
-def suite_surface_flow() -> SuiteResult:
+@suite("surfaces.flow_vs_finite_difference", 1e-6)
+def suite_surface_flow():
     """Closed-form velocity vs central differences (h = 1e-4)."""
-    worst = 0.0
     h = 1e-4
     ms = np.arange(-8, 8)
     for p in _all_surface_params():
         for t in (0.2, 1.1):
             fd = (surfaces.gamma_point(p, ms, t + h)
                   - surfaces.gamma_point(p, ms, t - h)) / (2.0 * h)
-            worst = max(worst, float(np.abs(surfaces.flow_velocity(p, ms, t) - fd).max()))
-    return _lt("surfaces.flow_vs_finite_difference", worst, 1e-6)
+            yield surfaces.flow_velocity(p, ms, t) - fd
 
 
-def suite_surface_flow_orthogonality() -> SuiteResult:
-    worst = 0.0
+@suite("surfaces.flow_binormal_orthogonality", 1e-10)
+def suite_surface_flow_orthogonality():
     ms = np.arange(-8, 8)
     for p in _all_surface_params():
         for t in (0.2, 1.1):
             b = surfaces.b_point(p, ms, t)
-            for v_m, b_m in zip(surfaces.flow_velocity(p, ms, t), b):
-                worst = max(worst, abs(float(np.dot(v_m, b_m))))
-    return _lt("surfaces.flow_binormal_orthogonality", worst, 1e-10)
+            yield [float(np.dot(v_m, b_m))
+                   for v_m, b_m in zip(surfaces.flow_velocity(p, ms, t), b)]
 
 
-def suite_surface_flow_components() -> SuiteResult:
+@suite("surfaces.flow_components", 1e-10)
+def suite_surface_flow_components():
     """Tangential/normal flow components against the half-angle field."""
-    worst = 0.0
     ms = np.arange(-8, 8)
     for p in _all_surface_params():
         rho = p.beta_rate * (1.0 if p.family == "dn" else p.mod.k)
         for t in (0.2, 1.1):
             snap = surfaces.snapshot(p, ms, t)
-            w = surfaces.flow_angle(p, ms, t)
-            rows = zip(surfaces.flow_velocity(p, ms, t), snap.tangents, snap.normals,
-                       w.c.tolist(), w.s.tolist())
-            for v, T, N, c, s in rows:
-                worst = max(worst,
-                            abs(float(np.dot(v, T)) - p.sigma * rho * c),
-                            abs(float(np.dot(v, N)) - p.sigma * rho * s))
-    return _lt("surfaces.flow_components", worst, 1e-10)
+            v, w = surfaces.flow_velocity(p, ms, t), surfaces.flow_angle(p, ms, t)
+            yield [float(np.dot(v_m, T)) - p.sigma * rho * c
+                   for v_m, T, c in zip(v, snap.tangents, w.c.tolist())]
+            yield [float(np.dot(v_m, N)) - p.sigma * rho * s
+                   for v_m, N, s in zip(v, snap.normals, w.s.tolist())]
 
 
-def suite_solution_linkage() -> SuiteResult:
+@suite("surfaces.field_solves_lattice_equations", 1e-9)
+def suite_solution_linkage():
     """The field carried by each surface solves the semi-discrete equations."""
-    worst = 0.0
     for p in _all_surface_params():
         sp = sg.SemiDiscreteParams(
             mod=p.mod, Omega=p.gamma_step / (4.0 * p.mod.K),
@@ -458,31 +445,25 @@ def suite_solution_linkage() -> SuiteResult:
         c1, c2 = sg.semi_sg_coeffs(sp)
         for t in (0.0, 0.45, 1.3):
             c, s, d = surfaces.half_angles(p, np.arange(-12, 13), t)
-            r1, r2 = sg.semi_residuals_from(sg.HalfAngle(c=c[:-1], s=s[:-1], dwdt=d[:-1]),
-                                            sg.HalfAngle(c=c[1:], s=s[1:], dwdt=d[1:]), c1, c2)
-            worst = max(worst, float(np.abs(r1).max()), float(np.abs(r2).max()))
-    return _lt("surfaces.field_solves_lattice_equations", worst, 1e-9)
+            yield from sg.semi_residuals_from(sg.HalfAngle(c=c[:-1], s=s[:-1], dwdt=d[:-1]),
+                                              sg.HalfAngle(c=c[1:], s=s[1:], dwdt=d[1:]), c1, c2)
 
 
-def suite_surface_curvature() -> SuiteResult:
+@suite("surfaces.curvature_vs_field", 1e-10)
+def suite_surface_curvature():
     """Curvature equals +-(w_{m+2} - w_m)/2 at the sine/cosine level."""
-    worst = 0.0
     for p in _all_surface_params():
         sgn = -1.0 if p.twisted else 1.0
         for t in (0.0, 0.45):
             geo = frames.extract_geometry(surfaces.snapshot(p, range(-8, 9), t).frames)
             # half-angle samples at m = -8..9: sites m (first 16) and m + 2 (last 16)
             c, s, _ = surfaces.half_angles(p, np.arange(-8, 10), t)
-            cosd = c[2:] * c[:-2] + s[2:] * s[:-2]
-            sind = s[2:] * c[:-2] - c[2:] * s[:-2]
-            worst = max(worst,
-                        float(np.abs(geo.curvature_cos - cosd).max()),
-                        float(np.abs(geo.curvature_sin - sgn * sind).max()))
-    return _lt("surfaces.curvature_vs_field", worst, 1e-10)
+            yield geo.curvature_cos - (c[2:] * c[:-2] + s[2:] * s[:-2])
+            yield geo.curvature_sin - sgn * (s[2:] * c[:-2] - c[2:] * s[:-2])
 
 
-def suite_kaleidocycle_closure() -> SuiteResult:
-    worst = 0.0
+@suite("surfaces.kaleidocycle_closure", 1e-9)
+def suite_kaleidocycle_closure():
     # dn family: period 2n; cn family: period 2 regardless of n
     cases = [(surfaces.kaleidocycle_params(n), 2 * n, 2 * n + 4, (0.0, 0.3, 0.9, 1.4, 2.2))
              for n in (3, 4, 5, 6, 8)]
@@ -491,9 +472,7 @@ def suite_kaleidocycle_closure() -> SuiteResult:
         ms = np.arange(count)
         for t in times:
             d = surfaces.gamma_point(p, ms + period, t) - surfaces.gamma_point(p, ms, t)
-            for d_m in d:
-                worst = max(worst, float(np.linalg.norm(d_m)))
-    return _lt("surfaces.kaleidocycle_closure", worst, 1e-9)
+            yield [float(np.linalg.norm(d_m)) for d_m in d]
 
 
 # --------------------------------------------------------------------- tau --
@@ -504,8 +483,8 @@ def _tau_contexts(k=0.6, gamma=0.8, beta=1.0):
             for f in ("dn", "cn") for tw in (False, True)]
 
 
-def suite_tau_equivalence() -> SuiteResult:
-    worst = 0.0
+@suite("tau.matches_closed_forms", 1e-8)
+def suite_tau_equivalence():
     for k in MODULI:
         for ctx in _tau_contexts(k=k):
             sp = surfaces.SurfaceParams(
@@ -515,32 +494,26 @@ def suite_tau_equivalence() -> SuiteResult:
             ms = np.arange(-12, 13)
             g1, b1 = tau.gamma_from_tau(ctx, ms[:, None], np.array(ts))
             for i, t in enumerate(ts):
-                g, b = surfaces.gamma_point(sp, ms, t), surfaces.b_point(sp, ms, t)
-                worst = max(worst, float(np.abs(g1[:, i] - g).max()),
-                            float(np.abs(b1[:, i] - b).max()))
-    return _lt("tau.matches_closed_forms", worst, 1e-8)
+                yield g1[:, i] - surfaces.gamma_point(sp, ms, t)
+                yield b1[:, i] - surfaces.b_point(sp, ms, t)
 
 
-def suite_tau_bilinear() -> SuiteResult:
-    worst = 0.0
+@suite("tau.bilinear_relations", 1e-9)
+def suite_tau_bilinear():
     for ctx in _tau_contexts():
-        fh, fr, _ = tau.bilinear_checks(ctx, np.arange(-8, 8)[:, None], np.array([0.0, 0.45]))
-        worst = max(worst, float(fh.max()), float(fr.max()))
-    return _lt("tau.bilinear_relations", worst, 1e-9)
+        yield from tau.bilinear_checks(ctx, np.arange(-8, 8)[:, None], np.array([0.0, 0.45]))[:2]
 
 
-def suite_tau_cauchy_riemann() -> SuiteResult:
-    worst = 0.0
+@suite("tau.analytic_pairing_fd", 1e-6)
+def suite_tau_cauchy_riemann():
     for ctx in _tau_contexts():
-        _, _, cr = tau.bilinear_checks(ctx, np.array([-3, 0, 4]), 0.3)
-        worst = max(worst, float(cr.max()))
-    return _lt("tau.analytic_pairing_fd", worst, 1e-6)
+        yield tau.bilinear_checks(ctx, np.array([-3, 0, 4]), 0.3)[2]
 
 
-def suite_tau_conjugation() -> SuiteResult:
+@suite("tau.conjugation_symmetry", 1e-11)
+def suite_tau_conjugation():
     """The starred quartet entries equal numeric conjugates at real (lam, z)."""
     rng = np.random.default_rng(108)
-    worst = 0.0
     for ctx in _tau_contexts():
         draws = [(int(rng.integers(-6, 7)), float(rng.uniform(0, 1.5)),
                   float(rng.uniform(-0.8, 0.8)), float(rng.uniform(-0.5, 0.5)))
@@ -548,32 +521,27 @@ def suite_tau_conjugation() -> SuiteResult:
         m, t, lam, z = (np.array(x) for x in zip(*draws))
         s = tau.tau_sample(ctx, m, t, lam=lam, z=z)
         scale = np.maximum(np.maximum(1.0, cx.cabs(s.f)), cx.cabs(s.g))
-        worst = max(worst,
-                    float((cx.cabs(s.fstar - s.f.conjugate()) / scale).max()),
-                    float((cx.cabs(s.gstar - s.g.conjugate()) / scale).max()))
-    return _lt("tau.conjugation_symmetry", worst, 1e-11)
+        yield cx.cabs(s.fstar - s.f.conjugate()) / scale
+        yield cx.cabs(s.gstar - s.g.conjugate()) / scale
 
 
-def suite_tau_F_reality() -> SuiteResult:
-    worst = 0.0
+@suite("tau.F_real_positive", 1e-11)
+def suite_tau_F_reality():
     for ctx in _tau_contexts():
         s = tau.tau_sample(ctx, np.arange(-8, 9)[:, None], 0.3, z=np.array([0.0, 0.25]))
         q = cx.mul(s.f, s.fstar) + cx.mul(s.g, s.gstar)
-        worst = max(worst,
-                    float((np.abs(s.F.imag) / cx.cabs(s.F)).max()),
-                    float((cx.cabs(s.F - q) / cx.cabs(s.F)).max()))
+        yield np.abs(s.F.imag) / cx.cabs(s.F)
+        yield cx.cabs(s.F - q) / cx.cabs(s.F)
         if (s.F.real <= 0.0).any():
-            worst = math.inf
-    return _lt("tau.F_real_positive", worst, 1e-11)
+            yield math.inf
 
 
-def suite_tau_eta_consistency() -> SuiteResult:
-    worst = 0.0
+@suite("tau.eta_consistency", 1e-12)
+def suite_tau_eta_consistency():
     ms = np.arange(-6, 7)
     for ctx in _tau_contexts():
         lhs = -(ctx.mod.Ep / ctx.chain_den) * tau.eta_m(ctx, ms, 0.4)
-        worst = max(worst, float(np.abs(lhs - tau.i_r_m(ctx, ms, 0.4)).max()))
-    return _lt("tau.eta_consistency", worst, 1e-12)
+        yield lhs - tau.i_r_m(ctx, ms, 0.4)
 
 
 # ------------------------------------------------------------------- ksurf --
@@ -583,29 +551,26 @@ def _kparams(k=0.6, family="dn", gamma=0.8, delta=0.55):
                          gamma_step=gamma, delta_step=delta)
 
 
-def suite_ksurf_axioms() -> SuiteResult:
-    worst = 0.0
+@suite("ksurf.definition_axioms", 1e-10)
+def suite_ksurf_axioms():
     for family in ("dn", "cn"):
         grid = ksurf.k_grid(_kparams(family=family), range(-10, 10), range(-10, 10))
-        rep = grid.invariant_residuals()
-        worst = max(worst, rep["planarity"], rep["opposite_edges"], rep["length_spread"])
-    return _lt("ksurf.definition_axioms", worst, 1e-10)
+        yield list(grid.invariant_residuals().values())
 
 
-def suite_ksurf_edges() -> SuiteResult:
-    worst = 0.0
+@suite("ksurf.edge_identities", 1e-10)
+def suite_ksurf_edges():
     for family in ("dn", "cn"):
         grid = ksurf.k_grid(_kparams(family=family), range(-10, 11), range(-10, 11))
         F, N = grid.points, grid.normals
         res_m = F[1:, :-1] - F[:-1, :-1] - np.cross(N[1:, :-1], N[:-1, :-1])
         res_n = F[:-1, 1:] - F[:-1, :-1] + np.cross(N[:-1, 1:], N[:-1, :-1])
-        for rm, rn in zip(res_m.reshape(-1, 3), res_n.reshape(-1, 3)):
-            worst = max(worst, float(np.linalg.norm(rm)), float(np.linalg.norm(rn)))
-    return _lt("ksurf.edge_identities", worst, 1e-10)
+        for res in (res_m, res_n):
+            yield [float(np.linalg.norm(r)) for r in res.reshape(-1, 3)]
 
 
-def suite_ksurf_torsions() -> SuiteResult:
-    worst = 0.0
+@suite("ksurf.direction_torsions", 1e-12)
+def suite_ksurf_torsions():
     for family in ("dn", "cn"):
         p = _kparams(family=family)
         sng, cng, dng = elliptic.jacobi(p.gamma_step, p.mod)
@@ -613,11 +578,9 @@ def suite_ksurf_torsions() -> SuiteResult:
         tg = cng if family == "dn" else dng
         td = cnd if family == "dn" else dnd
         G = ksurf.k_grid(p, range(-8, 9), range(-8, 9)).normals
-        sites = (G[:-1, :-1], G[1:, :-1], G[:-1, 1:])
-        for N, Nm, Nn in zip(*(x.reshape(-1, 3) for x in sites)):
-            worst = max(worst, abs(float(np.dot(N, Nm)) - tg),
-                        abs(float(np.dot(N, Nn)) - td))
-    return _lt("ksurf.direction_torsions", worst, 1e-12)
+        N, Nm, Nn = (x.reshape(-1, 3) for x in (G[:-1, :-1], G[1:, :-1], G[:-1, 1:]))
+        yield [float(np.dot(a, b)) - tg for a, b in zip(N, Nm)]
+        yield [float(np.dot(a, b)) - td for a, b in zip(N, Nn)]
 
 
 def _compat_setup(family):
@@ -637,35 +600,30 @@ def _sites(w: sg.HalfAngle) -> list:
     return [sg.HalfAngle(c=c, s=s) for c, s in zip(w.c.ravel().tolist(), w.s.ravel().tolist())]
 
 
-def suite_ksurf_compatibility() -> SuiteResult:
+@suite("ksurf.compatibility_on_solutions", 1e-11)
+def suite_ksurf_compatibility():
     """Zero-curvature residual on solution corners; same-sign and mixed-sign cases."""
-    worst = 0.0
     for family in ("dn", "cn"):
         p, nu1, nu2 = _compat_setup(family)
+        # mixed signs pair with the opposite torsion angle in the n-direction
+        cases = ((nu2, ("+", "+")), (-nu2, ("+", "-")), (nu2, ("-", "-")), (-nu2, ("-", "+")))
         quads = sg.discrete_quad(p, np.arange(-6, 6)[:, None], np.arange(-6, 6))
-        for corners in zip(*(_sites(w) for w in quads)):
-            for s in ("+", "-"):
-                worst = max(worst, ksurf.compat_matrices(*corners, nu1, nu2, (s, s)))
-                # mixed signs pair with the opposite torsion angle in the n-direction
-                other = "-" if s == "+" else "+"
-                worst = max(worst,
-                            ksurf.compat_matrices(*corners, nu1, -nu2, (s, other)))
-    return _lt("ksurf.compatibility_on_solutions", worst, 1e-11)
+        yield [ksurf.compat_matrices(*corners, nu1, nu, signs)
+               for corners in zip(*(_sites(w) for w in quads)) for nu, signs in cases]
 
 
-def suite_ksurf_compat_sensitivity() -> SuiteResult:
-    family = "dn"
-    p, nu1, nu2 = _compat_setup(family)
-    detected = math.inf
+@suite("ksurf.compatibility_sensitivity", 1e-3, "gt")
+def suite_ksurf_compat_sensitivity():
+    """Every perturbed quad must be detected: each site is its own residual."""
+    p, nu1, nu2 = _compat_setup("dn")
     wA, wB, wC, wD = sg.discrete_quad(p, np.arange(-4, 4), 0)
     for corners in zip(_sites(_perturbed(wA)), _sites(wB), _sites(wC), _sites(wD)):
-        detected = min(detected, ksurf.compat_matrices(*corners, nu1, nu2, ("+", "+")))
-    return _gt("ksurf.compatibility_sensitivity", detected, 1e-3)
+        yield ksurf.compat_matrices(*corners, nu1, nu2, ("+", "+"))
 
 
-def suite_ksurf_angle_identity() -> SuiteResult:
+@suite("ksurf.compat_angle_identity", 1e-10)
+def suite_ksurf_angle_identity():
     """-sin(V) = tan(nu1/2) tan(nu2/2) sin(U) on solution corners."""
-    worst = 0.0
     for family in ("dn", "cn"):
         p, nu1, nu2 = _compat_setup(family)
         t1 = ksurf.tan_half(math.sin(nu1), math.cos(nu1))
@@ -674,68 +632,15 @@ def suite_ksurf_angle_identity() -> SuiteResult:
                           sg.discrete_quad(p, np.arange(-6, 6)[:, None], np.arange(-6, 6)))
         sinU = cx.prod(zA, zB, zC, zD).imag
         sinV = cx.prod(zA, zB, zC.conjugate(), zD.conjugate()).imag
-        worst = max(worst, float(np.abs(-sinV - t1 * t2 * sinU).max()))
-    return _lt("ksurf.compat_angle_identity", worst, 1e-10)
+        yield -sinV - t1 * t2 * sinU
 
 
-def suite_ksurf_periodicity() -> SuiteResult:
-    worst = 0.0
+@suite("ksurf.periodicity_cases", 1e-9)
+def suite_ksurf_periodicity():
     for case in ("1a", "1b", "1c", "2a", "2b", "2c"):
-        rep = ksurf.k_periodicity(case, order=3, window=8)
-        worst = max(worst, rep["max_defect"])
-    return _lt("ksurf.periodicity_cases", worst, 1e-9)
-
-
-IDENTITY_SUITES = (
-    suite_theta_addition,
-    suite_theta_lattice_doubling,
-    suite_theta_jacobi_quotients,
-    suite_weierstrass_scalars,
-    suite_theta_modular,
-    suite_elliptic_identity_corpus,
-    suite_addition_formulae,
-)
-
-ALL_SUITES = (
-    suite_legendre,
-    suite_jacobi_identities,
-    suite_jacobi_vs_theta,
-    suite_addition_formulae,
-    suite_elliptic_identity_corpus,
-    suite_sn2_integral,
-    suite_theta_addition,
-    suite_theta_lattice_doubling,
-    suite_theta_jacobi_quotients,
-    suite_weierstrass_scalars,
-    suite_theta_modular,
-    suite_semi_sg_residuals,
-    suite_discrete_sg_residuals,
-    suite_sg_sensitivity,
-    suite_surface_edges,
-    suite_surface_speed,
-    suite_surface_torsion,
-    suite_surface_flow,
-    suite_surface_flow_orthogonality,
-    suite_surface_flow_components,
-    suite_solution_linkage,
-    suite_surface_curvature,
-    suite_kaleidocycle_closure,
-    suite_tau_equivalence,
-    suite_tau_bilinear,
-    suite_tau_cauchy_riemann,
-    suite_tau_conjugation,
-    suite_tau_F_reality,
-    suite_tau_eta_consistency,
-    suite_ksurf_axioms,
-    suite_ksurf_edges,
-    suite_ksurf_torsions,
-    suite_ksurf_compatibility,
-    suite_ksurf_compat_sensitivity,
-    suite_ksurf_angle_identity,
-    suite_ksurf_periodicity,
-)
+        yield ksurf.k_periodicity(case, order=3, window=8)["max_defect"]
 
 
 def run_suites(which="all") -> list[SuiteResult]:
-    fns = IDENTITY_SUITES if which == "identities" else ALL_SUITES
-    return [fn() for fn in fns]
+    """Run every registered suite ("all") or the identity corpus ("identities")."""
+    return [fn() for fn in ALL_SUITES if which != "identities" or fn.identity]

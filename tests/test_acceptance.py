@@ -30,12 +30,15 @@ def test_criterion_1_special_function_core(all_results):
             "elliptic.pythagorean_identities"])
 
 
+# the suites that `sgsurf identities` runs (tests/test_suites.py pins the registry to it)
+IDENTITY_CORPUS = ["theta.addition_identities", "theta.lattice_doubling_identities",
+                   "theta.jacobi_quotients", "theta.weierstrass_scalars",
+                   "theta.modular_identity", "elliptic.shifted_identity_corpus",
+                   "elliptic.addition_formulae"]
+
+
 def test_criterion_2_identity_corpus(all_results):
-    _check("2 identity corpus", all_results,
-           ["theta.addition_identities", "theta.lattice_doubling_identities",
-            "theta.jacobi_quotients", "theta.weierstrass_scalars",
-            "theta.modular_identity", "elliptic.shifted_identity_corpus",
-            "elliptic.addition_formulae"])
+    _check("2 identity corpus", all_results, IDENTITY_CORPUS)
 
 
 def test_criterion_3_sg_residuals(all_results):

@@ -1,9 +1,11 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sgsurf import cli, elliptic, ksurf, surfaces
@@ -162,6 +164,15 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr("sgsurf.suites.run_suites", lambda which: [broken])
     rc = run(["verify", "--out", str(tmp_path / "r.json")])
     assert rc == 1
+
+
+def test_verify_exits_1_when_a_suite_reads_nan(tmp_path, monkeypatch):
+    monkeypatch.setattr("sgsurf.sg.discrete_sg_residual",
+                        lambda p, m, n: np.full(np.broadcast(m, n).shape, np.nan))
+    out = tmp_path / "r.json"
+    assert run(["verify", "--out", str(out)]) == 1
+    entry = {e["name"]: e for e in json.loads(out.read_text())["suites"]}["sg.discrete_residuals"]
+    assert math.isnan(entry["max_residual"]) and not entry["pass"]
 
 
 def test_entry_point_help():

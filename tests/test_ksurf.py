@@ -110,6 +110,16 @@ def test_grid_axioms(family):
     assert rep["length_spread"] < 1e-10  # A_m only depends on m, B_n only on n
 
 
+@pytest.mark.parametrize("vertex", [(5, 4), (0, 0), (2, 4)])
+def test_a_nan_vertex_fails_every_residual(vertex):
+    grid = ksurf.k_grid(_params("dn"), range(6), range(5))
+    pts = grid.points.copy()
+    pts[vertex + (1,)] = np.nan
+    rep = ksurf.KGrid(params=grid.params, m_values=grid.m_values, n_values=grid.n_values,
+                      points=pts, normals=grid.normals).invariant_residuals()
+    assert all(math.isnan(v) for v in rep.values()), rep
+
+
 @pytest.mark.parametrize("family", ["dn", "cn"])
 def test_direction_torsions(family):
     p = _params(family)
@@ -233,6 +243,21 @@ def test_periodicity_other_cases(case):
 def test_periodicity_case_2c_shifts():
     rep = ksurf.k_periodicity("2c", order=3, window=8)
     assert set(rep["shifts"]) == {"(2,0)", "(0,4)", "(1,2)"}
+
+
+def test_periodicity_defect_keeps_a_nan(monkeypatch):
+    real = ksurf.k_point
+
+    def nan_point(p, m, n):
+        F, N = real(p, m, n)
+        F = F.copy()
+        F[1, 1] = np.nan
+        return F, N
+
+    monkeypatch.setattr(ksurf, "k_point", nan_point)
+    rep = ksurf.k_periodicity("2a", order=3, window=8)
+    assert all(math.isnan(d) for d in rep["shifts"].values())
+    assert math.isnan(rep["max_defect"])
 
 
 def test_periodicity_validation():

@@ -1,0 +1,90 @@
+"""The suite registry: one reduction for every suite, NaN-safe, and the suite
+list that `verify`, `identities` and the benchmark's tracer read."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sgsurf import ksurf, sg, suites, surfaces
+from test_acceptance import IDENTITY_CORPUS
+
+
+def _bench_suite_names():
+    """SUITES of bench/spans.py, loaded from its file without touching sys.path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans_for_tests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SUITES
+
+
+def test_registry_matches_the_benchmark_and_the_identity_corpus():
+    # a renamed suite would make the benchmark's per-suite time read 0
+    assert [f.__name__ for f in suites.ALL_SUITES] == [f"suite_{s}" for s in _bench_suite_names()]
+    for fn in suites.ALL_SUITES:
+        assert getattr(suites, fn.__name__) is fn
+    names = [r.name for r in suites.run_suites("identities")]
+    assert sorted(names) == sorted(IDENTITY_CORPUS)
+    # identities keeps verify's order
+    order = [fn().name for fn in suites.ALL_SUITES if fn.identity]
+    assert names == order
+
+
+def _nan_rows(real):
+    def fake(*args, **kwargs):
+        out = np.array(real(*args, **kwargs))
+        out[1] = np.nan
+        return out
+    return fake
+
+
+@pytest.mark.parametrize("target, attr, fake, failing", [
+    # every residual of the lattice equation is NaN
+    (sg, "discrete_sg_residual", lambda p, m, n: np.full(np.broadcast(m, n).shape, np.nan),
+     ["suite_discrete_sg_residuals"]),
+    # one NaN curve point: the per-site norms around it are NaN
+    (surfaces, "gamma_point", _nan_rows(surfaces.gamma_point),
+     ["suite_surface_speed", "suite_kaleidocycle_closure"]),
+    # a NaN defect must fail the "lt" suite and the "gt" sensitivity suite alike
+    (ksurf, "compat_matrices", lambda *args: math.nan,
+     ["suite_ksurf_compatibility", "suite_ksurf_compat_sensitivity"]),
+], ids=["discrete_sg_residual", "gamma_point", "compat_matrices"])
+def test_a_nan_residual_fails_the_suite(monkeypatch, target, attr, fake, failing):
+    monkeypatch.setattr(target, attr, fake)
+    results = [getattr(suites, name)() for name in failing]
+    assert all(math.isnan(r.max_residual) and not r.passed for r in results), results
+
+
+@pytest.mark.parametrize("comparison", ["lt", "gt"])
+def test_a_suite_that_yields_nothing_fails(monkeypatch, comparison):
+    monkeypatch.setattr(suites, "ALL_SUITES", list(suites.ALL_SUITES))
+
+    @suites.suite("test.empty", 1.0, comparison)
+    def suite_empty():
+        yield from ()
+
+    result = suite_empty()
+    assert suites.ALL_SUITES[-1] is suite_empty
+    assert math.isnan(result.max_residual) and not result.passed
+
+
+def test_values_reduce_to_the_largest_or_smallest_max_abs(monkeypatch):
+    monkeypatch.setattr(suites, "ALL_SUITES", list(suites.ALL_SUITES))
+    items = ([0.5, -2.0], np.array([[-3.0], [1.0]]), -1.5, np.array([]))
+
+    @suites.suite("test.lt", 10.0)
+    def suite_lt():
+        yield from items
+
+    @suites.suite("test.gt", 1.0, "gt")
+    def suite_gt():
+        yield from items
+
+    assert suite_lt().as_dict() == {"name": "test.lt", "max_residual": 3.0, "tolerance": 10.0,
+                                    "comparison": "lt", "pass": True}
+    # an empty item is 0.0, so the smallest value fails the sensitivity check
+    result = suite_gt()
+    assert result.max_residual == 0.0 and not result.passed
