@@ -18,6 +18,7 @@ explicit flags win over file values.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -28,7 +29,8 @@ import numpy as np
 
 from . import __version__
 from .elliptic import FAMILIES, make_modulus
-from .errors import DegenerateFrameError, DomainError, ValidationError, check_finite
+from .errors import (DegenerateFrameError, DomainError, ValidationError, check_finite,
+                     finite_or_none)
 from .ksurf import KParams, k_grid
 from .surfaces import _SPEED_TOL, SurfaceParams, gamma_point, kaleidocycle_params, snapshots
 
@@ -111,7 +113,9 @@ def write_obj(path: Path, points: np.ndarray) -> None:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    """Strict JSON (RFC 8259): a non-finite float raises ValueError; callers
+    write a non-finite residual as null."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
                     encoding="utf-8")
 
 
@@ -196,13 +200,13 @@ def cmd_ksurface(cfg: RunConfig) -> int:
     rep = grid.invariant_residuals()
     out = cfg.out_path or Path("ksurface.obj")
     write_obj(out, grid.points)
-    a, b = grid.edge_lengths()
+    a, b = grid.first_edge_lengths()
     sidecar = {
         "schema": SCHEMA_VERSION,
         "config": _config_echo(cfg),
-        "A_m": [float(x) for x in a[:, 0]],
-        "B_n": [float(x) for x in b[0, :]],
-        "residuals": rep,
+        "A_m": [finite_or_none(float(x)) for x in a],
+        "B_n": [finite_or_none(float(x)) for x in b],
+        "residuals": {name: finite_or_none(x) for name, x in rep.items()},
     }
     write_json(out.with_suffix(".json"), sidecar)
     print(f"wrote {out} and {out.with_suffix('.json')}; "
@@ -210,37 +214,28 @@ def cmd_ksurface(cfg: RunConfig) -> int:
     return 0 if all(res <= 1e-9 for res in rep.values()) else 1
 
 
-def _report(cfg: RunConfig, which: str) -> tuple[dict, bool]:
+def _report(cfg: RunConfig, which: str, out: Optional[Path]) -> int:
+    """Run the suites, write their report to out (if given) and print one line each."""
     from .suites import run_suites   # only the report commands pay its import
     results = run_suites(which)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "config": _config_echo(cfg),
-        "suites": [r.as_dict() for r in results],
-    }
-    return report, all(r.passed for r in results)
+    if out:
+        write_json(out, {"schema": SCHEMA_VERSION, "config": _config_echo(cfg),
+                         "suites": [r.as_dict() for r in results]})
+    for r in results:
+        bound = f" ({r.comparison} {r.tolerance:.1e})" if which == "all" else ""
+        print(f"{'pass' if r.passed else 'FAIL'}  {r.name}: {r.max_residual:.3e}{bound}")
+    return 0 if all(r.passed for r in results) else 1
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    report, ok = _report(cfg, "all")
     out = cfg.out_path or Path("verify_report.json")
-    write_json(out, report)
-    for entry in report["suites"]:
-        mark = "pass" if entry["pass"] else "FAIL"
-        print(f"{mark}  {entry['name']}: {entry['max_residual']:.3e} "
-              f"({entry['comparison']} {entry['tolerance']:.1e})")
+    code = _report(cfg, "all", out)
     print(f"report written to {out}")
-    return 0 if ok else 1
+    return code
 
 
 def cmd_identities(cfg: RunConfig) -> int:
-    report, ok = _report(cfg, "identities")
-    if cfg.out_path:
-        write_json(cfg.out_path, report)
-    for entry in report["suites"]:
-        mark = "pass" if entry["pass"] else "FAIL"
-        print(f"{mark}  {entry['name']}: {entry['max_residual']:.3e}")
-    return 0 if ok else 1
+    return _report(cfg, "identities", cfg.out_path)
 
 
 COMMANDS = {
@@ -259,7 +254,10 @@ def run(config: RunConfig) -> int:
 
 # ------------------------------------------------------------------ parser --
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: ``main`` parses the command
+    line with it and ``_config_echo`` reads each command's dests from it."""
     ap = argparse.ArgumentParser(
         prog="sgsurf",
         description="discrete curves, semi-discrete surfaces and K-surfaces "
@@ -390,8 +388,7 @@ def _merge(ns: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = _build_parser()
-    ns = ap.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     try:
         cfg = _merge(ns)
         return COMMANDS[cfg.command](cfg)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, the finiteness check and the
+"""Exception types shared across the package, the finiteness checks and the
 one reduction of residuals."""
 
 import math
@@ -38,6 +38,11 @@ def check_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
+
+
+def finite_or_none(value: float) -> float | None:
+    """value, or None (JSON null) for a NaN or infinity: reports are strict JSON."""
+    return value if math.isfinite(value) else None
 
 
 def max_abs(residuals) -> float:

@@ -109,6 +109,12 @@ class KGrid:
         """(A over m-edges, B over n-edges), shapes (M-1, N) and (M, N-1)."""
         return tuple(np.sqrt(_dot(e, e)) for e in _edges(self.points))
 
+    def first_edge_lengths(self) -> tuple[np.ndarray, np.ndarray]:
+        """The m-edge lengths of the first column and the n-edge lengths of the
+        first row alone: edge_lengths()[0][:, 0] and [1][0, :], bit for bit."""
+        em, en = _edges(self.points[:, :1])[0], _edges(self.points[:1])[1]
+        return np.sqrt(_dot(em, em))[:, 0], np.sqrt(_dot(en, en))[0]
+
     def invariant_residuals(self) -> dict[str, float]:
         """Planarity, opposite-edge equality and per-row/column length spreads,
         from each edge formed once: a star edge that points backwards is its
@@ -168,29 +174,37 @@ def tan_half(sin_nu: float, cos_nu: float) -> float:
 
 
 def compat_matrices(wA: HalfAngle, wB: HalfAngle, wC: HalfAngle, wD: HalfAngle,
-                    nu1: float, nu2: float, signs: tuple[str, str] = ("+", "+")) -> float:
-    """Frobenius defect of the gauge-fixed zero-curvature condition on one quad.
+                    nu1: float, nu2: float, signs: tuple[str, str] = ("+", "+")):
+    """Frobenius defect of the gauge-fixed zero-curvature condition on each quad.
 
     Corner naming: A = w_{m+1,n+1}, B = w_{m,n}, C = w_{m+1,n}, D = w_{m,n+1}.
     The m-step matrix couples (B, C) through e^{-i(C-B)/2} on the diagonal;
     the n-step matrix couples (B, D) through e^{+i(D+B)/2} off the diagonal.
-    Residual of L_{m,n} Lhat_{m+1,n} - Lhat_{m,n} L_{m,n+1}.
+    Residual of L_{m,n} Lhat_{m+1,n} - Lhat_{m,n} L_{m,n+1}.  The corners are
+    HalfAngles of one shape (quads; one quad is evaluated as an array of one),
+    over which the 2x2 matrices are stacked and the defects are returned.
     """
     s1 = 1.0 if signs[0] == "+" else -1.0
     s2 = 1.0 if signs[1] == "+" else -1.0
+    shape = np.shape(wA.c)
+    eA, eB, eC, eD = (np.atleast_1d(w.half_exponential()) for w in (wA, wB, wC, wD))
 
-    def l_step(b: HalfAngle, c: HalfAngle) -> np.ndarray:
-        d = c.half_exponential().conjugate() * b.half_exponential()
+    def matrices(*entries):   # row by row
+        entries = np.broadcast_arrays(*entries)
+        return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
+
+    def l_step(b, c):   # from the half exponentials e^{iB/2}, e^{iC/2}
+        d = c.conjugate() * b
         cv, sv = math.cos(0.5 * nu1), math.sin(0.5 * nu1)
-        return np.array([[cv * d, s1 * sv], [-s1 * sv, cv * d.conjugate()]])
+        return matrices(cv * d, s1 * sv, -s1 * sv, cv * d.conjugate())
 
-    def lhat_step(b: HalfAngle, d: HalfAngle) -> np.ndarray:
-        u = d.half_exponential() * b.half_exponential()
+    def lhat_step(b, d):
+        u = d * b
         cv, sv = math.cos(0.5 * nu2), math.sin(0.5 * nu2)
-        return np.array([[cv, s2 * sv * u], [-s2 * sv * u.conjugate(), cv]])
+        return matrices(cv, s2 * sv * u, -s2 * sv * u.conjugate(), cv)
 
-    defect = l_step(wB, wC) @ lhat_step(wC, wA) - lhat_step(wB, wD) @ l_step(wD, wA)
-    return float(np.linalg.norm(defect))
+    defect = l_step(eB, eC) @ lhat_step(eC, eA) - lhat_step(eB, eD) @ l_step(eD, eA)
+    return np.linalg.norm(defect, axis=(-2, -1)).reshape(shape)[()]
 
 
 def k_periodicity(case_id: str, order: int = 3, window: int = 8,

@@ -14,10 +14,11 @@ with xi = m Omega + xi0 + A t (semi-discrete) or m Omega + n P + xi0
 
 Samples, residuals and the HalfAngle methods take arrays of sites (integer m,
 n and times t that broadcast) as well as single sites: one ``jacobi`` call
-covers a whole grid, the products of the quarter exponentials are rounded as
-Python's complex type rounds them, and every element is bit-identical to the
-single-site evaluation.  A HalfAngle then holds arrays, and PoleError or the
-normalization check fires when any element violates its condition.
+covers a whole grid, and the products of the quarter exponentials are
+numpy's complex products, with a single quad evaluated as an array of one,
+so an element does not depend on how the sites are batched.  A HalfAngle
+then holds arrays, and PoleError or the normalization check fires when any
+element violates its condition.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import _complex as cx
 from .elliptic import FAMILIES, EllipticModulus, check_family, jacobi  # noqa: F401
 from .errors import DomainError, PoleError
 
@@ -52,13 +52,13 @@ class HalfAngle:
 
     def half_exponential(self):
         """exp(i w/2)."""
-        return cx.pack(self.c, self.s)
+        return self.c + 1j * self.s
 
     def quarter_exponential(self):
         """exp(i w/4) on the principal band, sign(sin w/4) = sign(s)."""
         cq = np.sqrt(np.maximum(0.0, 0.5 * (1.0 + self.c)))
         sq = np.copysign(np.sqrt(np.maximum(0.0, 0.5 * (1.0 - self.c))), self.s)
-        return cx.pack(cq, sq)
+        return cq + 1j * sq
 
     def tan_quarter(self):
         """tan(w/4) = sin(w/2) / (1 + cos(w/2)); rejects cos(w/2) = -1."""
@@ -115,13 +115,6 @@ class DiscreteParams:
         return m * self.Omega + n * self.P + self.xi0
 
 
-def _field(mod: EllipticModulus, family: str, u: float) -> tuple[float, float]:
-    sn, cn, dn = jacobi(u, mod)
-    if family == "dn":
-        return dn, mod.k * sn
-    return cn, sn
-
-
 def semi_sample(p: SemiDiscreteParams, m: int, t: float) -> HalfAngle:
     """Field sample with its analytic time derivative (chain rule, no quadrature)."""
     u = 4.0 * p.mod.K * p.xi(m, t)
@@ -173,8 +166,8 @@ def semi_residuals(p: SemiDiscreteParams, m, t):
 
 
 def discrete_sample(p: DiscreteParams, m, n) -> HalfAngle:
-    c, s = _field(p.mod, p.family, 4.0 * p.mod.K * p.xi(m, n))
-    return HalfAngle(c=c, s=s)
+    sn, cn, dn = jacobi(4.0 * p.mod.K * p.xi(m, n), p.mod)
+    return HalfAngle(c=dn, s=p.mod.k * sn) if p.family == "dn" else HalfAngle(c=cn, s=sn)
 
 
 def discrete_quad(p: DiscreteParams, m, n) -> list[HalfAngle]:
@@ -206,11 +199,14 @@ def discrete_sg_residual_from(wA: HalfAngle, wB: HalfAngle, wC: HalfAngle,
     """
     zA, zB = wA.quarter_exponential(), wB.quarter_exponential()
     zC, zD = wC.quarter_exponential(), wD.quarter_exponential()
-    lhs = cx.prod(zA, zC.conjugate(), zD.conjugate(), zB).imag
-    rhs = cx.prod(zA, zC, zD, zB).imag
+    lhs = (zA * zC.conjugate() * zD.conjugate() * zB).imag
+    rhs = (zA * zC * zD * zB).imag
     return lhs - coeff * rhs
 
 
 def discrete_sg_residual(p: DiscreteParams, m, n):
-    """Residual on the quads at (m, n); m and n may be broadcasting arrays."""
-    return discrete_sg_residual_from(*discrete_quad(p, m, n), discrete_sg_coeff(p))
+    """Residual on the quads at (m, n); m and n may be broadcasting arrays
+    (a single quad is evaluated as an array of one)."""
+    shape = np.broadcast_shapes(np.shape(m), np.shape(n))
+    quads = discrete_quad(p, np.atleast_1d(m), np.atleast_1d(n))
+    return discrete_sg_residual_from(*quads, discrete_sg_coeff(p)).reshape(shape)[()]

@@ -94,10 +94,10 @@ class SurfaceParams(CurveLattice):
         object.__setattr__(self, "sigma", math.copysign(1.0, self.edge_speed) * self.epsilon_sign)
 
 
-def _curve(p: SurfaceParams, m, t) -> tuple[np.ndarray, np.ndarray]:
-    """(points Gamma_m, binormals B_m) at integer sites m (an int or an int
-    array) and times t (a float or an array that broadcasts against m); the
-    results carry the broadcast shape plus a trailing axis of length 3."""
+def _curve(p: CurveLattice, m, t) -> tuple[np.ndarray, np.ndarray]:
+    """(points Gamma_m, binormals B_m) of the lattice p at integer sites m (an
+    int or an int array) and times t (a float or an array that broadcasts
+    against m); the results carry the broadcast shape plus a trailing axis of 3."""
     phi, psi = p.phases(m, t)
     sign = 1.0 - 2.0 * (m % 2) if p.twisted else 1.0
     pts, nrm = _closed_form(phi, psi, sign, ((m, p.gamma_integral),), p.mod, p.family)
@@ -171,10 +171,11 @@ def flow_angle(p: SurfaceParams, m, t: float) -> HalfAngle:
 
     w_m = (w_m - w_{m+1})/2 of the carried field for the untwisted families
     and (w_m + w_{m+1})/2 for the twisted ones; rho = beta (dn) or beta k (cn).
-    m is an int or an int array.
+    m is an int or an int array, t a float or an array that broadcasts against m.
     """
     from .sg import HalfAngle
-    (c0, c1), (s0, s1), _ = half_angles(p, np.stack([m, m + 1]), t)
+    m, t = np.broadcast_arrays(m, t)
+    (c0, c1), (s0, s1), _ = half_angles(p, np.stack([m, m + 1]), np.stack([t, t]))
     if p.twisted:
         return HalfAngle(c=c0 * c1 - s0 * s1, s=s0 * c1 + c0 * s1)
     return HalfAngle(c=c0 * c1 + s0 * s1, s=s0 * c1 - c0 * s1)

@@ -19,9 +19,10 @@ Weierstrass scalar 2E'/K') with the analytic z-derivative of log F.
 
 Every entry point takes integer arrays of m (and arrays of t, lam, z that
 broadcast with them) as well as single values.  One pass evaluates each
-theta once per (index, lattice) over all sites, rounds every complex product
-and quotient as Python's complex type does, and so gives each element
-bit-identical to a single-site evaluation; single values give Python numbers.
+theta once per (index, lattice) over all sites with numpy's complex
+arithmetic; single values are evaluated as arrays of one site and returned
+as numpy scalars, so an element does not depend on how the sites are
+batched.  A quotient whose denominator vanishes raises PoleError.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import _complex as cx
+from .errors import PoleError
 from .surfaces import CurveLattice
 from .theta import ThetaParams, _theta_each, lattice_params, theta_with_prime
 
@@ -62,13 +63,13 @@ class TauContext(CurveLattice):
 
     def v_base(self, m, t):
         _, psi = self.phases(m, t)
-        return cx.div(psi - self.mod.K, 2j * self.mod.Kp)
+        return (psi - self.mod.K) / (2j * self.mod.Kp)
 
     def _v(self, m, t, z, shift=None, lam=None):
         """v_base [+ shift] + ([lam] + i z) / chain_den, the argument of every theta."""
         v = self.v_base(m, t) if shift is None else self.v_base(m, t) + shift
-        iz = cx.mul(1j, z)
-        return v + cx.div(iz if lam is None else lam + iz, self.chain_den)
+        iz = 1j * z
+        return v + (iz if lam is None else lam + iz) / self.chain_den
 
 
 @dataclass(frozen=True)
@@ -86,14 +87,26 @@ class TauSample:
     eta: float
 
 
+# The evaluation runs on arrays of at least one dimension (a single site is an
+# array of one); results take the broadcast shape of the arguments again.
+def _shape(*args) -> tuple:
+    return np.broadcast_shapes(*map(np.shape, args))
+
+
+def _shaped(x, shape):
+    return x.reshape(shape)[()]
+
+
 def _evaluate(ctx: TauContext, m, t, lam, z):
-    """(f, g, f*, g*, F, H, d log F / dz) at broadcast (m, t, lam, z).
+    """(f, g, f*, g*, F, H, d log F / dz) at broadcast (m, t, lam, z), each
+    with at least one dimension.
 
     Each theta is one array call per (index, lattice) over every argument
     it is needed at.  The quartet uses v_pm = v + off + (+-lam + i z)/den on
     the 2 tau' lattice, H the shift by a half period there, F the collapsed
     product on the tau' lattice; z may be complex (analytic continuation).
     """
+    m, t, lam, z = (np.atleast_1d(x) for x in (m, t, lam, z))
     phi, _ = ctx.phases(m, t)
     den = ctx.chain_den
     dn = ctx.family == "dn"
@@ -114,23 +127,25 @@ def _evaluate(ctx: TauContext, m, t, lam, z):
     iu = 1j if dn else 1.0
     twf = _I_POWERS[m % 4] if ctx.twisted else 1.0
     twg = _NEG_I_POWERS[m % 4] if ctx.twisted else 1.0
-    em = cx.mul(twf, np.exp(cx.mul(-0.5j, phi)))
-    ep = cx.mul(twg, np.exp(cx.mul(0.5j, phi)))
-    f = cx.mul(em, t3m + cx.mul(iu, t2m))
-    g = cx.mul(ep, t3p + cx.mul(iu, t2p))
-    fstar = cx.mul(ep, t3p - cx.mul(iu, t2p))
-    gstar = cx.mul(em, t3m - cx.mul(iu, t2m))
+    em = twf * np.exp(-0.5j * phi)
+    ep = twg * np.exp(0.5j * phi)
+    f = em * (t3m + iu * t2m)
+    g = ep * (t3p + iu * t2p)
+    fstar = ep * (t3p - iu * t2p)
+    gstar = em * (t3m - iu * t2m)
 
     # F = f f* + g g* collapsed to one theta product, valid at any lam
-    F = cx.prod(2.0, tv, tl)
+    F = 2.0 * tv * tl
 
     # H = D_lam g . f* / (2i) = pref e^{i phi} (t2 t3' - t3 t2') at the half-period shift
     pref = 1.0 / den if dn else -1j / den
     if ctx.twisted:
-        pref = cx.mul(pref, (-1) ** (m % 2))
-    H = cx.prod(pref, np.exp(cx.mul(1j, phi)), cx.mul(t2h, d3h) - cx.mul(t3h, d2h))
+        pref = pref * (-1) ** (m % 2)
+    H = pref * np.exp(1j * phi) * (t2h * d3h - t3h * d2h)
 
-    dlog = cx.div(cx.mul(1j / den, d3v), t3v)
+    if not np.all(t3v):
+        raise PoleError("theta_3(v) = 0: d log F / dz has a pole there")
+    dlog = 1j / den * d3v / t3v
     if not dn:
         # F carries exp(-pi i (2 v(z) + tau')): adds 2 pi / K' to the log-derivative
         dlog = dlog + 2.0 * math.pi / ctx.mod.Kp
@@ -142,7 +157,7 @@ def eta_m(ctx: TauContext, m, t):
     _, psi = ctx.phases(m, t)
     off = 0.5 if ctx.family == "dn" else 1.5
     mod = ctx.mod
-    return cx.item(psi - off * math.pi / mod.Ep - m * mod.m * mod.Kp * ctx.gamma_integral / mod.Ep)
+    return psi - off * math.pi / mod.Ep - m * mod.m * mod.Kp * ctx.gamma_integral / mod.Ep
 
 
 def i_r_m(ctx: TauContext, m, t):
@@ -158,8 +173,9 @@ def tau_sample(ctx: TauContext, m, t, lam: Optional[float] = None,
     """
     if lam is None:
         lam = ctx.lambda0
+    shape = _shape(m, t, lam, z)
     values = _evaluate(ctx, m, t, lam, z)[:6]
-    return TauSample(*(cx.item(x) for x in values),
+    return TauSample(*(_shaped(x, shape) for x in values),
                      R=i_r_m(ctx, m, t), eta=eta_m(ctx, m, t))
 
 
@@ -168,16 +184,20 @@ def gamma_from_tau(ctx: TauContext, m, t) -> tuple[np.ndarray, np.ndarray]:
 
     m an int or an int array (the results carry a trailing axis of length 3).
     """
+    shape = _shape(m, t) + (3,)
     f, g, fstar, gstar, F, H, dlog = _evaluate(ctx, m, t, ctx.lambda0, 0.0)
-    Hc, iF = np.conjugate(H), cx.mul(1j, F)
-    fsg, fgs = cx.mul(fstar, g), cx.mul(f, gstar)
-    gamma = (cx.div(H + Hc, F).real,
-             cx.div(H - Hc, iF).real,
-             i_r_m(ctx, m, t) - 0.5 * np.real(dlog))
-    b = (cx.div(fsg + fgs, F).real,
-         cx.div(fsg - fgs, iF).real,
-         cx.div(cx.mul(f, fstar) - cx.mul(g, gstar), F).real)
-    return np.stack(gamma, axis=-1), np.stack(b, axis=-1)
+    if not np.all(F):
+        raise PoleError("F = 0: the tau curve is not defined there")
+    Hc, iF = np.conjugate(H), 1j * F
+    fsg, fgs = fstar * g, f * gstar
+    gamma = (((H + Hc) / F).real,
+             ((H - Hc) / iF).real,
+             i_r_m(ctx, m, t) - 0.5 * dlog.real)
+    b = (((fsg + fgs) / F).real,
+         ((fsg - fgs) / iF).real,
+         ((f * fstar - g * gstar) / F).real)
+    return (np.stack(np.broadcast_arrays(*gamma), axis=-1).reshape(shape),
+            np.stack(b, axis=-1).reshape(shape))
 
 
 def bilinear_checks(ctx: TauContext, m, t, fd_step: float = 1e-5):
@@ -200,35 +220,33 @@ def bilinear_checks(ctx: TauContext, m, t, fd_step: float = 1e-5):
     The six evaluations (m and m + 1 at lambda0, and m at lam +- h, z +- h)
     are one pass.
     """
-    m, t = np.broadcast_arrays(m, t)
+    shape = _shape(m, t)
+    m, t = np.broadcast_arrays(np.atleast_1d(m), np.atleast_1d(t))
     h = fd_step
     lam0 = ctx.lambda0
-    shape = (6,) + (1,) * m.ndim
+    column = (6,) + (1,) * m.ndim
     f, g, fs, gs, F, H, dlog = _evaluate(
         ctx, np.stack([m, m + 1, m, m, m, m]), t,
-        np.array([lam0, lam0, lam0 + h, lam0 - h, lam0, lam0]).reshape(shape),
-        np.array([0.0, 0.0, 0.0, 0.0, h, -h]).reshape(shape))
+        np.array([lam0, lam0, lam0 + h, lam0 - h, lam0, lam0]).reshape(column),
+        np.array([0.0, 0.0, 0.0, 0.0, h, -h]).reshape(column))
     f0, f1, g0, g1, fs0, fs1, gs0, gs1 = f[0], f[1], g[0], g[1], fs[0], fs[1], gs[0], gs[1]
     F0, F1, H0, H1 = F[0], F[1], H[0], H[1]
     R0, R1 = i_r_m(ctx, m, t), i_r_m(ctx, m + 1, t)
     eps = ctx.epsilon_sign
 
-    psi_fh = (cx.prod(fs0, fs1, cx.mul(f0, g1) - cx.mul(f1, g0))
-              + cx.prod(g0, g1, cx.mul(fs0, gs1) - cx.mul(fs1, gs0)))
-    lhs = cx.mul(F0, H1) - cx.mul(H0, F1)
-    scale = cx.cabs(cx.mul(F0, H1)) + cx.cabs(cx.mul(H0, F1)) + cx.cabs(psi_fh) + 1e-300
-    fh_res = cx.cabs(lhs - cx.mul(eps / 1j, psi_fh)) / scale
+    psi_fh = fs0 * fs1 * (f0 * g1 - f1 * g0) + g0 * g1 * (fs0 * gs1 - fs1 * gs0)
+    scale = abs(F0 * H1) + abs(H0 * F1) + abs(psi_fh) + 1e-300
+    fh_res = abs(F0 * H1 - H0 * F1 - eps / 1j * psi_fh) / scale
 
-    dF0, dF1 = cx.mul(dlog[0], F0), cx.mul(dlog[1], F1)
-    psi_fr = cx.prod(f1, fs0, g0, gs1) - cx.prod(fs1, f0, gs0, g1)
-    lhs2 = cx.mul(0.5, cx.mul(dF0, F1) - cx.mul(F0, dF1)) + cx.prod(R1 - R0, F0, F1)
-    scale2 = cx.cabs(lhs2) + cx.cabs(psi_fr) + cx.cabs(cx.mul(F0, F1)) + 1e-300
-    fr_res = cx.cabs(lhs2 - cx.mul(2.0 * eps / 1j, psi_fr)) / scale2
+    dF0, dF1 = dlog[0] * F0, dlog[1] * F1
+    psi_fr = f1 * fs0 * g0 * gs1 - fs1 * f0 * gs0 * g1
+    lhs2 = 0.5 * (dF0 * F1 - F0 * dF1) + (R1 - R0) * F0 * F1
+    scale2 = abs(lhs2) + abs(psi_fr) + abs(F0 * F1) + 1e-300
+    fr_res = abs(lhs2 - 2.0 * eps / 1j * psi_fr) / scale2
 
     cr_res = 0.0
     for x, sign in zip((f, g, fs, gs), (1.0, -1.0, -1.0, 1.0)):
-        d_lam = cx.div(x[2] - x[3], 2.0 * h)
-        d_z = cx.div(x[4] - x[5], 2.0 * h)
-        cr_res = np.maximum(cr_res, cx.cabs(d_lam - cx.mul(sign * 1j, d_z))
-                            / np.maximum(1.0, cx.cabs(d_lam)))
-    return cx.item(fh_res), cx.item(fr_res), cx.item(cr_res)
+        d_lam = (x[2] - x[3]) / (2.0 * h)
+        d_z = (x[4] - x[5]) / (2.0 * h)
+        cr_res = np.maximum(cr_res, abs(d_lam - sign * 1j * d_z) / np.maximum(1.0, abs(d_lam)))
+    return _shaped(fh_res, shape), _shaped(fr_res, shape), _shaped(cr_res, shape)

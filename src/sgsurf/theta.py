@@ -12,12 +12,13 @@ imaginary part would overflow the restored prefactor in double precision.
 
 ``theta_with_prime``, ``theta_j``, ``theta_j_prime`` and ``jacobi_complex``
 take complex arrays of arguments as well as single values and sum the
-q-series over all sites at once.  Each site stops summing at the term where
-its own truncation test passes, and every product, quotient and modulus is
-rounded as Python's complex type rounds it (``_complex``), so each element
-is bit-identical to the single-site evaluation.  A single argument gives
-Python complex results.  ``ThetaOverflowError`` and ``PoleError`` are raised
-when any element violates the condition.
+q-series over all sites at once, each site stopping at the term where its
+own truncation test passes.  The arithmetic is numpy's, on arrays (a single
+argument is an array of one site, returned as a Python complex), so an
+element does not depend on how the sites are batched; numpy may fuse the
+parts of a complex product, so values can differ from Python's complex
+arithmetic in the last bits.  ``ThetaOverflowError`` and ``PoleError`` are
+raised when any element violates the condition.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _complex as cx
 from .elliptic import EllipticModulus
 from .errors import PoleError, ThetaOverflowError
 
@@ -97,10 +97,9 @@ def lattice_params(mod: EllipticModulus, multiple: int = 1) -> ThetaParams:
 
 
 def _exp(z: np.ndarray) -> np.ndarray:
-    """cmath.exp on an array.  numpy agrees with cmath bit for bit up to
-    Re z = log(DBL_MAX / 4), where cmath switches to a scaled form; the rare
-    elements beyond go through cmath itself, which raises OverflowError
-    where the result overflows."""
+    """np.exp, except that the rare elements with Re z above log(DBL_MAX / 4)
+    go through cmath, which raises OverflowError where the result overflows
+    instead of returning inf."""
     big = z.real > _LOG_LARGE
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.exp(z)
@@ -115,36 +114,30 @@ def _series(j: int, v: np.ndarray, p: ThetaParams) -> tuple[np.ndarray, np.ndarr
     theta_1 pairs its value with sin and its derivative with cos, the others
     the other way round.  A site leaves the sum at the first term n >= 2 with
     |t| + |dt| <= eps (|val| + |dval|), plus 1e-300 for theta_1 and theta_2.
-    Sums are kept as real and imaginary parts; each product is CPython's.
     """
     tiny = 1e-300 if j in (1, 2) else 0.0
-    parts = np.zeros((4, v.size))          # val.re, val.im, dval.re, dval.im
-    if j in (0, 3):
-        parts[0] = 1.0
+    val = np.full(v.size, 1.0 if j in (0, 3) else 0.0, dtype=complex)
+    dval = np.zeros(v.size, dtype=complex)
     live = np.arange(v.size)
-    lv, lp = v, parts.copy()
+    lv, lval, ldval = v, val.copy(), dval.copy()
     for n, w, a, da in p._terms(j):
         wv = w * lv
         sin, cos = np.sin(wv), np.cos(wv)
         x, dx = (sin, cos) if j == 1 else (cos, sin)
-        t = (a.real * x.real - a.imag * x.imag, a.real * x.imag + a.imag * x.real)
-        dt = (da.real * dx.real - da.imag * dx.imag, da.real * dx.imag + da.imag * dx.real)
-        lp[0] += t[0]
-        lp[1] += t[1]
-        lp[2] += dt[0]
-        lp[3] += dt[1]
+        t, dt = a * x, da * dx
+        lval += t
+        ldval += dt
         if n < 2:
             continue
-        done = (np.hypot(*t) + np.hypot(*dt)
-                <= p.trunc_eps * (np.hypot(lp[0], lp[1]) + np.hypot(lp[2], lp[3]) + tiny))
+        done = abs(t) + abs(dt) <= p.trunc_eps * (abs(lval) + abs(ldval) + tiny)
         if done.any():
-            parts[:, live[done]] = lp[:, done]
+            val[live[done]], dval[live[done]] = lval[done], ldval[done]
             keep = ~done
-            live, lv, lp = live[keep], lv[keep], lp[:, keep]
+            live, lv, lval, ldval = live[keep], lv[keep], lval[keep], ldval[keep]
             if not live.size:
                 break
-    parts[:, live] = lp
-    return cx.pack(parts[0], parts[1]), cx.pack(parts[2], parts[3])
+    val[live], dval[live] = lval, ldval
+    return val, dval
 
 
 def theta_with_prime(j: int, v, p: ThetaParams):
@@ -164,22 +157,16 @@ def theta_with_prime(j: int, v, p: ThetaParams):
         )
     if not np.isfinite(flat).all():
         raise ValueError("theta argument must be finite")
-    # Python's round gives an int, i.e. +0.0 where numpy's round keeps -0.0
-    c = np.round(flat.imag / im_tau) + 0.0
-    v1 = flat - cx.mul(c, p.tau)
-    n1 = np.round(v1.real) + 0.0
+    c = np.round(flat.imag / im_tau)
+    v1 = flat - c * p.tau
+    n1 = np.round(v1.real)
     v0 = v1 - n1
-    odd = np.zeros(flat.shape, dtype=bool)
-    if j in (1, 2):
-        odd ^= n1 % 2 == 1
-    if j in (0, 1):
-        odd ^= c % 2 == 1
-    sign = np.where(odd, -1.0, 1.0)
-    two_i_pi_c = cx.mul(_TWO_I_PI, c)
-    pref = cx.mul(sign, _exp(cx.mul(cx.mul(cx.mul(_NEG_I_PI, c), c), p.tau)
-                             - cx.mul(two_i_pi_c, v0)))
+    # the real period flips theta_1 and theta_2, the quasi-period theta_0 and theta_1
+    sign = (-1.0) ** ((n1 if j in (1, 2) else 0.0) + (c if j in (0, 1) else 0.0))
+    two_i_pi_c = _TWO_I_PI * c
+    pref = sign * _exp(_NEG_I_PI * c * c * p.tau - two_i_pi_c * v0)
     val, dval = _series(j, v0, p)
-    val, dval = cx.mul(pref, val), cx.mul(pref, dval - cx.mul(two_i_pi_c, val))
+    val, dval = pref * val, pref * (dval - two_i_pi_c * val)
     if v.ndim == 0:
         return complex(val[0]), complex(dval[0])
     return val.reshape(v.shape), dval.reshape(v.shape)
@@ -215,17 +202,17 @@ def jacobi_complex(u, mod: EllipticModulus):
     """
     p = lattice_params(mod)
     u = np.asarray(u, dtype=complex)
-    v = cx.div(u.ravel() - mod.K, 2j * mod.Kp)
+    v = (u.ravel() - mod.K) / (2j * mod.Kp)
     args = np.append(v, 0.0)
     t0, t1, t2, t3 = (theta_j(j, args, p) for j in range(4))
     t3v, t00, t20, t30 = t3[:-1], t0[-1], t2[-1], t3[-1]
-    near = cx.cabs(t3v) < 1e-12 * cx.cabs(t30)
+    near = abs(t3v) < 1e-12 * abs(t30)
     if near.any():
         raise PoleError(f"argument {u.ravel()[near][0]} too close to a pole of sn/cn/dn")
-    den = cx.mul(t3v, t00)
-    sn = cx.div(cx.mul(t0[:-1], t30), den)
-    cn = cx.div(cx.mul(cx.mul(-1j, t1[:-1]), t20), den)
-    dn = cx.div(cx.mul(t2[:-1], t20), cx.mul(t3v, t30))
+    den = t3v * t00
+    sn = t0[:-1] * t30 / den
+    cn = -1j * t1[:-1] * t20 / den
+    dn = t2[:-1] * t20 / (t3v * t30)
     if u.ndim == 0:
         return complex(sn[0]), complex(cn[0]), complex(dn[0])
     return sn.reshape(u.shape), cn.reshape(u.shape), dn.reshape(u.shape)
@@ -265,6 +252,7 @@ def weierstrass_p(z, mod: EllipticModulus):
     (a + b odd), where the quotient representation degenerates even though
     the limit of the combination is finite.  z is a number or an array.
     """
-    sn, _, dn = jacobi_complex(cx.mul(2j, z) + 1j * mod.Kp, mod)
-    e1 = weierstrass_constants(mod).e1
-    return cx.square(dn - cx.mul(1j * mod.k, sn)) + e1
+    z = np.asarray(z, dtype=complex)
+    sn, _, dn = jacobi_complex(2j * z.ravel() + 1j * mod.Kp, mod)
+    w = dn - 1j * mod.k * sn
+    return (w * w + weierstrass_constants(mod).e1).reshape(z.shape)[()]

@@ -165,6 +165,14 @@ def test_flow_fields_on_arrays_equal_per_site_calls(family, twisted):
         _same(v, [surfaces.flow_velocity(p, int(m), t) for m in ms])
         _same(w.c, [surfaces.flow_angle(p, int(m), t).c for m in ms])
         _same(w.s, [surfaces.flow_angle(p, int(m), t).s for m in ms])
+    # a column of times against a row of sites: one row per time
+    ts = np.array([[0.0], [0.45]])
+    v, w = surfaces.flow_velocity(p, ms, ts), surfaces.flow_angle(p, ms, ts)
+    assert v.shape == (2, len(ms), 3) and w.c.shape == w.s.shape == (2, len(ms))
+    for i, t in enumerate((0.0, 0.45)):
+        _same(v[i], surfaces.flow_velocity(p, ms, t))
+        _same(w.c[i], surfaces.flow_angle(p, ms, t).c)
+        _same(w.s[i], surfaces.flow_angle(p, ms, t).s)
 
 
 @pytest.mark.parametrize("family,n", [("dn", 3), ("dn", 6), ("cn", 4)])
@@ -267,6 +275,18 @@ def test_landen_passes_per_command(tmp_path, monkeypatch, argv, count):
     passes = _count_landen_passes(monkeypatch)
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
     assert len(passes) == count
+
+
+def test_verify_evaluates_each_suite_window_once(tmp_path, monkeypatch):
+    # counted by wrapping, not timed: 1,160 compat_matrices calls and 970 Landen
+    # passes when the suites evaluated one quad, or one time, per call
+    passes = _count_landen_passes(monkeypatch)
+    calls = []
+    real = ksurf.compat_matrices
+    monkeypatch.setattr(ksurf, "compat_matrices", lambda *a: calls.append(1) or real(*a))
+    assert cli.main(["verify", "--out", str(tmp_path / "report.json")]) == 0
+    assert len(calls) <= 10
+    assert len(passes) <= 600
 
 
 # ------------------------------------------------------------------ writers --

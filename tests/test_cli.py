@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -171,8 +172,34 @@ def test_verify_exits_1_when_a_suite_reads_nan(tmp_path, monkeypatch):
                         lambda p, m, n: np.full(np.broadcast(m, n).shape, np.nan))
     out = tmp_path / "r.json"
     assert run(["verify", "--out", str(out)]) == 1
-    entry = {e["name"]: e for e in json.loads(out.read_text())["suites"]}["sg.discrete_residuals"]
-    assert math.isnan(entry["max_residual"]) and not entry["pass"]
+    entry = {e["name"]: e for e in _strict_json(out)["suites"]}["sg.discrete_residuals"]
+    assert entry["max_residual"] is None and not entry["pass"]
+
+
+def _strict_json(path):
+    """The file parsed as RFC 8259 JSON: NaN and Infinity tokens are rejected."""
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("vertex", [(2, 3), (2, 0)], ids=["interior", "first-column"])
+def test_ksurface_sidecar_writes_a_nan_residual_as_null(tmp_path, monkeypatch, vertex):
+    real = cli.k_grid
+
+    def one_nan_vertex(*args):
+        grid = real(*args)
+        grid.points[vertex + (0,)] = np.nan
+        return grid
+
+    monkeypatch.setattr(cli, "k_grid", one_nan_vertex)
+    out = tmp_path / "s.obj"
+    assert run(["ksurface", "--k", "0.6", "--m", "5", "--n", "6", "--out", str(out)]) == 1
+    sidecar = _strict_json(out.with_suffix(".json"))
+    assert sidecar["residuals"]["planarity"] is None
+    # a NaN vertex on the first column makes its two m-edge lengths null as well
+    nulls = [i for i, x in enumerate(sidecar["A_m"]) if x is None]
+    assert nulls == ([1, 2] if vertex[1] == 0 else []) and None not in sidecar["B_n"]
 
 
 def test_entry_point_help():
@@ -394,6 +421,22 @@ _OPTIONS = {
 def test_config_echo_keys_are_the_command_options(command):
     cfg = cli.RunConfig(command=command)
     assert set(cli._config_echo(cfg)) == _OPTIONS[command]
+
+
+def test_one_parser_build_per_process(tmp_path, monkeypatch):
+    # main parses the command line and _config_echo reads the command's dests
+    # with the same parser; run(config) builds it on first use
+    cli._build_parser.cache_clear()
+    inits = []
+    real = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: inits.append(1) or real(self, *a, **kw))
+    out = tmp_path / "mesh.obj"
+    assert cli.run(cli.RunConfig(command="ksurface", k=0.6, out_path=out)) == 0
+    for m in (2, 3):
+        assert run(["ksurface", "--k", "0.6", "--m", str(m), "--n", "3", "--out", str(out)]) == 0
+    # one build: the top-level parser and one subparser per command
+    assert len(inits) == 1 + len(cli.COMMANDS)
 
 
 def test_written_config_echoes_only_the_command_options(tmp_path):

@@ -318,6 +318,18 @@ def test_shared_edge_residuals_equal_the_plain_forms(family, k, shape):
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("family", ["dn", "cn"])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (8, 1), (40, 37)])
+def test_first_edge_lengths_are_the_edge_length_slices(family, shape):
+    # the ksurface sidecar's A_m and B_n, formed from the first column and row only
+    g = ksurf.k_grid(_params(family, gamma=0.7, delta=0.45), range(-3, shape[0] - 3),
+                     range(2, shape[1] + 2))
+    a, b = g.edge_lengths()
+    first_a, first_b = g.first_edge_lengths()
+    assert first_a.tobytes() == a[:, 0].tobytes() and first_a.shape == (shape[0] - 1,)
+    assert first_b.tobytes() == b[0, :].tobytes() and first_b.shape == (shape[1] - 1,)
+
+
 @pytest.mark.parametrize("shape", [(3, 3), (4, 5), (7, 3)])
 def test_shared_edge_residuals_equal_the_plain_forms_off_the_surface(shape):
     # on a K-surface every residual is near 1e-15; random stars make each

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sgsurf import elliptic, surfaces, tau, theta
+from sgsurf.errors import PoleError
 
 MOD = elliptic.make_modulus(0.6)
 GAMMA, BETA = 0.8, 1.0
@@ -233,3 +234,28 @@ def test_random_parameter_sweep_matches_closed_forms():
                 g1, b1 = tau.gamma_from_tau(ctx, m, t)
                 assert np.abs(g1 - surfaces.gamma_point(sp, m, t)).max() < 1e-10
                 assert np.abs(b1 - surfaces.b_point(sp, m, t)).max() < 1e-10
+
+
+def test_a_vanishing_denominator_raises_pole_error(monkeypatch):
+    # d log F / dz divides by theta_3(v) and the curve by F; an exact zero of
+    # either is a pole, not an inf or NaN in the result
+    c = _ctx("dn", False)
+    real = tau._theta_each
+
+    def zero_theta_3(j, p, *args):
+        out = real(j, p, *args)
+        return [(v * 0.0, d) for v, d in out] if j == 3 and p is c.lattice else out
+
+    monkeypatch.setattr(tau, "_theta_each", zero_theta_3)
+    with pytest.raises(PoleError):
+        tau.tau_sample(c, np.arange(3), 0.3)
+    monkeypatch.setattr(tau, "_theta_each", real)
+    evaluate = tau._evaluate
+
+    def zero_F(*args):
+        f, g, fstar, gstar, F, H, dlog = evaluate(*args)
+        return f, g, fstar, gstar, F * 0.0, H, dlog
+
+    monkeypatch.setattr(tau, "_evaluate", zero_F)
+    with pytest.raises(PoleError):
+        tau.gamma_from_tau(c, np.arange(3), 0.3)
