@@ -7,23 +7,25 @@ cos(2 pi n v) with q = exp(i pi tau) (https://dlmf.nist.gov/20.2#i).
 
 Arguments are reduced into the fundamental band before summation: first by
 v -> v - c tau using the quasi-period factor exp(-i pi c^2 tau - 2 pi i c v),
-then by the unit real period.  The public entry points refuse arguments whose
-imaginary part would overflow the restored prefactor in double precision.
+then by the unit real period.  The public entry points refuse non-finite
+arguments (DomainError) and arguments whose imaginary part would overflow the
+restored prefactor in double precision (ThetaOverflowError).
 
 ``theta_with_prime``, ``theta_j``, ``theta_j_prime`` and ``jacobi_complex``
-take complex arrays of arguments as well as single values and sum the
-q-series over all sites at once, each site stopping at the term where its
-own truncation test passes.  The arithmetic is numpy's, on arrays (a single
-argument is an array of one site, returned as a Python complex), so an
-element does not depend on how the sites are batched; numpy may fuse the
-parts of a complex product, so values can differ from Python's complex
-arithmetic in the last bits.  ``ThetaOverflowError`` and ``PoleError`` are
-raised when any element violates the condition.
+take complex arrays of arguments as well as single values.  On the band the
+lattice and the index fix how many terms the q-series needs, so a call sums
+that many terms at every site in one array pass from real sin, cos, sinh and
+cosh.  The arithmetic is numpy's, on arrays (a single argument is an array of
+one site, returned as a Python complex), so an element does not depend on how
+the sites are batched; it can differ from a per-site sum with complex sin and
+cos in the last bits.  ``ThetaOverflowError`` and ``PoleError`` are raised
+when any element violates the condition.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import EllipticModulus
-from .errors import PoleError, ThetaOverflowError
+from .errors import DomainError, PoleError, ThetaOverflowError
 
 _N_MAX = 64
 # |Im v| * pi / Im tau below this keeps the restored prefactor finite in binary64
@@ -48,47 +50,13 @@ class ThetaParams:
     tau: complex
     trunc_eps: float = 1e-16
     q: complex = field(init=False)
-    # per-index term constants of the q-series, built on first use
-    _term_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        if self.tau.imag <= 0.0:
-            raise ValueError(f"lattice parameter needs Im(tau) > 0, got {self.tau}")
+        if not self.tau.imag > 0.0:   # NaN fails too
+            raise DomainError(f"lattice parameter needs Im(tau) > 0, got {self.tau}")
         if abs(self.tau.real) > 1e-15:
-            raise ValueError("only pure-imaginary lattice parameters are supported")
+            raise DomainError("only pure-imaginary lattice parameters are supported")
         object.__setattr__(self, "q", cmath.exp(1j * math.pi * self.tau))
-
-    def _terms(self, j: int) -> list:
-        """(n, w, weight of the value term, weight of the derivative term) for
-        each term of the theta_j series in summation order, computed with the
-        Python scalar expressions of the series.
-
-        theta_1, theta_2 sum over n >= 0 with weight q^((n + 1/2)^2) and
-        frequency (2n + 1) pi; theta_0, theta_3 add to 1 the terms n >= 1
-        with weight q^(n^2) and frequency 2 n pi.  The list ends after the
-        first weight that underflows to zero: every site has stopped by then.
-        """
-        if j in self._term_cache:
-            return self._term_cache[j]
-        terms = []
-        q = self.q
-        for n in range(0 if j in (1, 2) else 1, _N_MAX):
-            if j in (1, 2):
-                a = q ** ((n + 0.5) ** 2)
-                w = (2 * n + 1) * math.pi
-                if j == 1:
-                    terms.append((n, w, 2.0 * (-1) ** n * a, 2.0 * (-1) ** n * a * w))
-                else:
-                    terms.append((n, w, 2.0 * a, -2.0 * a * w))
-            else:
-                a = q ** (n * n)
-                s = -1.0 if (j == 0 and n % 2) else 1.0
-                w = 2 * n * math.pi
-                terms.append((n, w, 2.0 * s * a, -2.0 * s * a * w))
-            if n >= 2 and a == 0:
-                break
-        self._term_cache[j] = terms
-        return terms
 
 
 def lattice_params(mod: EllipticModulus, multiple: int = 1) -> ThetaParams:
@@ -96,48 +64,79 @@ def lattice_params(mod: EllipticModulus, multiple: int = 1) -> ThetaParams:
     return ThetaParams(tau=multiple * mod.taup)
 
 
+@functools.lru_cache(maxsize=256)
+def _term_table(tau: complex, trunc_eps: float, j: int):
+    """(w, a): the frequency (N, 1) and the value and derivative weights
+    (2, N, 1) of the N kept terms of the theta_j series in summation order,
+    read-only and built with the Python scalar expressions of the series.
+
+    theta_1, theta_2 sum over n >= 0 with weight q^((n + 1/2)^2) and frequency
+    (2n + 1) pi; theta_0, theta_3 add to 1 the terms n >= 1 with weight q^(n^2)
+    and frequency 2 n pi.  On the band |Im v| <= Im tau / 2, term n (value or
+    derivative) is at most rho_n times the first term of its sum (or the
+    constant 1), since |sin(r x) / sin x| <= r exp((r - 1) |Im x|), and so for
+    cos: rho_n = (2n + 1)^2 |q|^(n^2) for theta_1, theta_2 and n^2 |q|^(n^2 - n)
+    for theta_0, theta_3, with |q| = exp(-pi Im tau).  N counts the terms
+    before the first with rho_n <= trunc_eps (at most _N_MAX): that term moves
+    no sum by an ulp of the sum of the moduli of its terms.
+    """
+    q, odd, rows = cmath.exp(1j * math.pi * tau), j in (1, 2), []
+    for n in range(0 if odd else 1, _N_MAX):
+        r, e = (2 * n + 1, n * n) if odd else (n, n * n - n)   # rho_n = r^2 |q|^e
+        if 2.0 * math.log(r) - math.pi * tau.imag * e <= math.log(trunc_eps):
+            break
+        s = -1.0 if j in (0, 1) and n % 2 else 1.0
+        a = 2.0 * s * q ** ((n + 0.5) ** 2 if odd else n * n)
+        w = (2 * n + 1) * math.pi if odd else 2 * n * math.pi
+        rows.append((w, a, a * w if j == 1 else -a * w))
+    w, a, da = zip(*rows)
+    table = np.array(w)[:, None], np.array([a, da])[:, :, None]
+    for col in table:
+        col.flags.writeable = False
+    return table
+
+
 def _exp(z: np.ndarray) -> np.ndarray:
     """np.exp, except that the rare elements with Re z above log(DBL_MAX / 4)
     go through cmath, which raises OverflowError where the result overflows
     instead of returning inf."""
+    if z.real.max(initial=0.0) <= _LOG_LARGE:
+        return np.exp(z)
     big = z.real > _LOG_LARGE
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.exp(z)
-    if big.any():
-        out[big] = [cmath.exp(x) for x in z[big].tolist()]
+    out[big] = [cmath.exp(x) for x in z[big].tolist()]
     return out
 
 
 def _series(j: int, v: np.ndarray, p: ThetaParams) -> tuple[np.ndarray, np.ndarray]:
-    """Raw q-series values and argument-derivatives at reduced arguments v (1-D).
+    """Raw q-series values and argument-derivatives at reduced arguments v (1-D,
+    |Re v| <= 1/2, |Im v| <= Im tau / 2).
 
-    theta_1 pairs its value with sin and its derivative with cos, the others
-    the other way round.  A site leaves the sum at the first term n >= 2 with
-    |t| + |dt| <= eps (|val| + |dval|), plus 1e-300 for theta_1 and theta_2.
+    Every site sums the same N terms of ``_term_table`` in one (N x sites)
+    pass, with sin and cos of w v from real functions,
+        sin(x + iy) = sin x cosh y + i cos x sinh y,
+        cos(x + iy) = cos x cosh y - i sin x sinh y,
+    and the rows added in term order.  theta_1 pairs its value with sin and its
+    derivative with cos, the others the other way round.
     """
-    tiny = 1e-300 if j in (1, 2) else 0.0
-    val = np.full(v.size, 1.0 if j in (0, 3) else 0.0, dtype=complex)
-    dval = np.zeros(v.size, dtype=complex)
-    live = np.arange(v.size)
-    lv, lval, ldval = v, val.copy(), dval.copy()
-    for n, w, a, da in p._terms(j):
-        wv = w * lv
-        sin, cos = np.sin(wv), np.cos(wv)
-        x, dx = (sin, cos) if j == 1 else (cos, sin)
-        t, dt = a * x, da * dx
-        lval += t
-        ldval += dt
-        if n < 2:
-            continue
-        done = abs(t) + abs(dt) <= p.trunc_eps * (abs(lval) + abs(ldval) + tiny)
-        if done.any():
-            val[live[done]], dval[live[done]] = lval[done], ldval[done]
-            keep = ~done
-            live, lv, lval, ldval = live[keep], lv[keep], lval[keep], ldval[keep]
-            if not live.size:
-                break
-    val[live], dval[live] = lval, ldval
-    return val, dval
+    w, a = _term_table(p.tau, p.trunc_eps, j)
+    x, y = w * v.real, w * v.imag
+    # in place where an operand is not needed again: the largest calls hold
+    # several (N x sites) arrays at once
+    sin_x, sinh_y = np.sin(x), np.sinh(y)
+    cos_x, cosh_y = np.cos(x, out=x), np.cosh(y, out=y)
+    trig = np.empty((2,) + x.shape, dtype=complex)
+    sin_wv, cos_wv = (trig[0], trig[1]) if j == 1 else (trig[1], trig[0])
+    np.multiply(sin_x, cosh_y, out=sin_wv.real)
+    np.multiply(cos_x, sinh_y, out=sin_wv.imag)
+    np.multiply(cos_x, cosh_y, out=cos_wv.real)
+    np.multiply(sin_x, np.negative(sinh_y, out=sinh_y), out=cos_wv.imag)
+    terms = np.multiply(a, trig, out=trig)
+    if j in (0, 3):
+        terms[0, 0] += 1.0
+    sums = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+    return sums[0], sums[1]
 
 
 def theta_with_prime(j: int, v, p: ThetaParams):
@@ -146,25 +145,26 @@ def theta_with_prime(j: int, v, p: ThetaParams):
     v is a complex number or array; the results have its shape.
     """
     if j not in (0, 1, 2, 3):
-        raise ValueError(f"theta index must be 0..3, got {j}")
+        raise DomainError(f"theta index must be 0..3, got {j}")
     v = np.asarray(v, dtype=complex)
     flat = v.ravel()
-    im_tau = p.tau.imag
-    outside = np.abs(flat.imag) * math.pi / im_tau >= _BAND_LIMIT
-    if outside.any():
-        raise ThetaOverflowError(
-            f"Im(v) = {flat.imag[outside][0]:g} outside convergence band for Im(tau) = {im_tau:g}"
-        )
     if not np.isfinite(flat).all():
-        raise ValueError("theta argument must be finite")
-    c = np.round(flat.imag / im_tau)
-    v1 = flat - c * p.tau
-    n1 = np.round(v1.real)
-    v0 = v1 - n1
-    # the real period flips theta_1 and theta_2, the quasi-period theta_0 and theta_1
-    sign = (-1.0) ** ((n1 if j in (1, 2) else 0.0) + (c if j in (0, 1) else 0.0))
+        raise DomainError("theta argument must be finite")
+    im_tau = p.tau.imag
+    if np.abs(flat.imag).max(initial=0.0) * math.pi / im_tau >= _BAND_LIMIT:
+        outside = flat.imag[np.abs(flat.imag) * math.pi / im_tau >= _BAND_LIMIT]
+        raise ThetaOverflowError(
+            f"Im(v) = {outside[0]:g} outside convergence band for Im(tau) = {im_tau:g}")
+    c = np.rint(flat.imag / im_tau)
+    v0 = flat - c * p.tau
+    n1 = np.rint(v0.real)
+    v0 -= n1
     two_i_pi_c = _TWO_I_PI * c
-    pref = sign * _exp(_NEG_I_PI * c * c * p.tau - two_i_pi_c * v0)
+    pref = _exp(_NEG_I_PI * c * c * p.tau - two_i_pi_c * v0)
+    # the real period flips theta_1 and theta_2, the quasi-period theta_0 and theta_1
+    if j != 3:
+        flips = c if j == 0 else n1 if j == 2 else n1 + c
+        np.negative(pref, out=pref, where=np.fmod(flips, 2.0) != 0.0)
     val, dval = _series(j, v0, p)
     val, dval = pref * val, pref * (dval - two_i_pi_c * val)
     if v.ndim == 0:
@@ -177,9 +177,9 @@ def _theta_each(j: int, p: ThetaParams, *args) -> list:
     from one array call over all of them."""
     arrs = [np.asarray(a, dtype=complex) for a in args]
     vals, primes = theta_with_prime(j, np.concatenate([a.ravel() for a in arrs]), p)
-    cuts = np.cumsum([a.size for a in arrs])[:-1]
-    return [(v.reshape(a.shape), d.reshape(a.shape))
-            for a, v, d in zip(arrs, np.split(vals, cuts), np.split(primes, cuts))]
+    ends = np.cumsum([a.size for a in arrs]).tolist()
+    return [(vals[e - a.size:e].reshape(a.shape), primes[e - a.size:e].reshape(a.shape))
+            for a, e in zip(arrs, ends)]
 
 
 def theta_j(j: int, v, p: ThetaParams):

@@ -1,16 +1,18 @@
 """Array evaluation of the theta, tau, sg and ksurf layers against per-site references.
 
 The theta reference is the DLMF 20.2 q-series summed one site at a time with
-cmath and Python complex arithmetic, with the same band reduction and the
-same truncation test as the library.  numpy may fuse the two products of a
-complex product where Python rounds each, so the array evaluation agrees
-with the reference within THETA_ULPS ulps of the series' magnitude, not bit
-for bit.  What is pinned bit for bit is batch invariance: every array entry
-point gives each site the same bits in a batch of any size, in a strided
-view and in a one-site call.
+cmath and Python complex arithmetic, with the same band reduction as the
+library and a per-site truncation test.  The library sums a fixed number of
+terms per lattice with sin and cos built from real functions, and numpy may
+fuse the two products of a complex product where Python rounds each, so the
+array evaluation agrees with the reference within THETA_ULPS ulps of the
+series' magnitude, not bit for bit.  What is pinned bit for bit is batch
+invariance: every array entry point gives each site the same bits in a batch
+of any size, in a strided view and in a one-site call.
 """
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -19,7 +21,7 @@ import pytest
 from sgsurf import elliptic, ksurf, sg, suites, surfaces, tau, theta
 from sgsurf.errors import PoleError, ThetaOverflowError
 
-# measured worst case 2.1 ulps over the arguments of the DLMF test below
+# measured worst case 2.58 ulps over the arguments of the DLMF test below
 THETA_ULPS = 4
 # the compat defects are norms of sums of products of entries of modulus <= 1;
 # measured worst case 2 ulps of 1
@@ -92,11 +94,6 @@ def _ref_theta_scaled(j, v, p):
     return (pref * val, pref * (dval - 2j * math.pi * c * val)), scales
 
 
-def _ref_theta(j, v, p):
-    """Single-site theta_j(v), theta_j'(v): quasi-period reduction, then the series."""
-    return _ref_theta_scaled(j, v, p)[0]
-
-
 def _arguments(p, rng, count):
     """Random arguments up to Im v = +-2.5 Im tau, near the band edge, and special points."""
     T = p.tau.imag
@@ -109,13 +106,28 @@ def _arguments(p, rng, count):
     return np.concatenate([v, special])
 
 
+def _lattices(mod):
+    """tau', tau, 2 tau' and a lattice whose real part lies within the admitted
+    1e-15, so that q and the series weights are not real."""
+    return mod.taup, mod.tau, 2 * mod.taup, complex(-8e-16, mod.taup.imag)
+
+
+def _term(j, n, v, q):
+    """Term n of the theta_j series at v and its v-derivative (DLMF 20.2.1-20.2.4)."""
+    if j in (1, 2):
+        a, w = 2.0 * q ** ((n + 0.5) ** 2), (2 * n + 1) * math.pi
+        if j == 1:
+            return (-1) ** n * a * cmath.sin(w * v), (-1) ** n * a * w * cmath.cos(w * v)
+        return a * cmath.cos(w * v), -a * w * cmath.sin(w * v)
+    a, w = 2.0 * (-1.0 if j == 0 and n % 2 else 1.0) * q ** (n * n), 2 * n * math.pi
+    return a * cmath.cos(w * v), -a * w * cmath.sin(w * v)
+
+
 @pytest.mark.parametrize("k", [0.05, 0.3, 0.6, 0.7, 0.9, 0.99])
 def test_array_theta_matches_per_site_dlmf_series(k):
     mod = elliptic.make_modulus(k)
     rng = np.random.default_rng(int(k * 1000))
-    # the last lattice has a real part within the admitted 1e-15, so that q
-    # and the series weights are not real
-    for tau_ in (mod.taup, mod.tau, 2 * mod.taup, complex(-8e-16, mod.taup.imag)):
+    for tau_ in _lattices(mod):
         p = theta.ThetaParams(tau_)
         v = _arguments(p, rng, 60)
         for j in range(4):
@@ -137,11 +149,36 @@ def test_array_theta_matches_per_site_dlmf_series(k):
                 assert (np.abs(got - want) <= THETA_ULPS * ULP * scale).all()
 
 
+@pytest.mark.parametrize("k", [0.05, 0.3, 0.6, 0.9, 0.99])
+def test_the_first_omitted_term_moves_no_sum_by_an_ulp(k):
+    for tau_ in _lattices(elliptic.make_modulus(k)):
+        p = theta.ThetaParams(tau_)
+        half = 0.5 * p.tau.imag
+        v = np.array([x + s * 1j * half for x in (-0.5, 0.0, 0.25, 0.5) for s in (1, -1)])
+        for j in range(4):
+            # theta_1, theta_2 start at n = 0; theta_0, theta_3 add 1 to n >= 1
+            first, const = (0, 0.0) if j in (1, 2) else (1, 1.0)
+            count = len(theta._term_table(p.tau, p.trunc_eps, j)[0])
+            assert 2 <= count <= 8
+            val, dval = theta._series(j, v, p)
+            for i, x in enumerate(v.tolist()):
+                kept = [_term(j, n, x, p.q) for n in range(first, first + count)]
+                mag = const + sum(abs(t) for t, _ in kept)
+                dmag = sum(abs(dt) for _, dt in kept)
+                t, dt = _term(j, first + count, x, p.q)
+                assert abs(t) <= ULP * mag and abs(dt) <= ULP * dmag
+                # the library sums exactly the kept terms
+                assert abs(val[i] - const - sum(t for t, _ in kept)) <= THETA_ULPS * ULP * mag
+                assert abs(dval[i] - sum(dt for _, dt in kept)) <= THETA_ULPS * ULP * dmag
+
+
 def test_single_arguments_give_python_complex():
     p = theta.ThetaParams(elliptic.make_modulus(0.6).taup)
     val, dval = theta.theta_with_prime(2, 0.1 + 0.05j, p)
     assert type(val) is complex and type(dval) is complex
-    assert (val, dval) == _ref_theta(2, 0.1 + 0.05j, p)
+    want, scales = _ref_theta_scaled(2, 0.1 + 0.05j, p)
+    for got, ref, scale in zip((val, dval), want, scales):
+        assert abs(got - ref) <= THETA_ULPS * ULP * scale
     sn, cn, dn = theta.jacobi_complex(0.7, elliptic.make_modulus(0.6))
     assert type(sn) is complex
 
@@ -394,6 +431,27 @@ def test_suite_theta_series_calls_do_not_grow_with_samples(monkeypatch, suite, c
     # one series per (modulus, index, lattice, context), each over all samples at once
     assert len(sizes) == calls
     assert min(sizes) >= sites
+
+
+def test_verify_builds_each_term_table_once(monkeypatch):
+    built, sizes = [], []
+    build, series = theta._term_table.__wrapped__, theta._series
+
+    def counting_build(tau_, eps, j):
+        built.append((tau_, j))
+        return build(tau_, eps, j)
+
+    def counting_series(j, v, p):
+        sizes.append(v.size)
+        return series(j, v, p)
+
+    monkeypatch.setattr(theta, "_term_table", functools.lru_cache(maxsize=256)(counting_build))
+    monkeypatch.setattr(theta, "_series", counting_series)
+    assert all(r.passed for r in suites.run_suites())
+    # every lattice and index builds its table once, however many ThetaParams
+    # and series calls share it
+    assert len(built) == len(set(built))
+    assert 3 * len(built) < len(sizes)
 
 
 # ------------------------------------------------------------- snapshot --

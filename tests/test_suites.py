@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgsurf import ksurf, sg, suites, surfaces
+from sgsurf import ksurf, sg, suites, surfaces, theta
+from sgsurf.errors import ValidationError
 from test_acceptance import IDENTITY_CORPUS
 
 
@@ -41,6 +42,34 @@ def _nan_rows(real):
     return fake
 
 
+def _nan_site(real):
+    """real, with the point and normal of one site NaN (site 1, or the only one)."""
+    def fake(*args):
+        out = tuple(np.array(x) for x in real(*args))
+        for x in out:
+            x.reshape(-1, 3)[min(1, x.size // 3 - 1)] = np.nan
+        return out
+    return fake
+
+
+def _all_nan(real):
+    """real, with every value it returns NaN."""
+    def fake(*args):
+        return tuple(np.full_like(x, np.nan) for x in real(*args))
+    return fake
+
+
+# every suite that evaluates a curve through the closed form, directly
+CURVE_SUITES = ["suite_surface_edges", "suite_surface_speed", "suite_surface_torsion",
+                "suite_surface_flow", "suite_surface_flow_orthogonality",
+                "suite_kaleidocycle_closure", "suite_tau_equivalence"]
+# every suite that evaluates a theta series (tau.eta_consistency has closed forms only)
+THETA_SUITES = ["suite_jacobi_vs_theta", "suite_theta_addition", "suite_theta_lattice_doubling",
+                "suite_theta_jacobi_quotients", "suite_weierstrass_scalars", "suite_theta_modular",
+                "suite_tau_equivalence", "suite_tau_bilinear", "suite_tau_cauchy_riemann",
+                "suite_tau_conjugation", "suite_tau_F_reality"]
+
+
 @pytest.mark.parametrize("target, attr, fake, failing", [
     # every residual of the lattice equation is NaN
     (sg, "discrete_sg_residual", lambda p, m, n: np.full(np.broadcast(m, n).shape, np.nan),
@@ -51,11 +80,24 @@ def _nan_rows(real):
     # a NaN defect must fail the "lt" suite and the "gt" sensitivity suite alike
     (ksurf, "compat_matrices", lambda *args: math.nan,
      ["suite_ksurf_compatibility", "suite_ksurf_compat_sensitivity"]),
-], ids=["discrete_sg_residual", "gamma_point", "compat_matrices"])
+    # one NaN site of the curve evaluator, whichever public function a suite calls
+    (surfaces, "_closed_form", _nan_site(surfaces._closed_form), CURVE_SUITES),
+    # NaN theta sums must reach every theta and tau residual
+    (theta, "_series", _all_nan(theta._series), THETA_SUITES),
+], ids=["discrete_sg_residual", "gamma_point", "compat_matrices", "closed_form", "theta_series"])
 def test_a_nan_residual_fails_the_suite(monkeypatch, target, attr, fake, failing):
     monkeypatch.setattr(target, attr, fake)
-    results = [getattr(suites, name)() for name in failing]
+    with np.errstate(invalid="ignore"):   # NaN / NaN in the residuals
+        results = [getattr(suites, name)() for name in failing]
     assert all(math.isnan(r.max_residual) and not r.passed for r in results), results
+
+
+@pytest.mark.parametrize("name", ["suite_surface_flow_components", "suite_surface_curvature"])
+def test_a_nan_curve_point_stops_the_snapshot_suites(monkeypatch, name):
+    # these suites read frames off a validated snapshot, which refuses a NaN point
+    monkeypatch.setattr(surfaces, "_closed_form", _nan_site(surfaces._closed_form))
+    with pytest.raises(ValidationError):
+        getattr(suites, name)()
 
 
 @pytest.mark.parametrize("comparison", ["lt", "gt"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sgsurf import elliptic, theta
-from sgsurf.errors import PoleError, ThetaOverflowError
+from sgsurf.errors import DomainError, PoleError, ThetaOverflowError
 
 MOD = elliptic.make_modulus(0.6)
 P = theta.ThetaParams(MOD.taup)
@@ -17,6 +17,21 @@ def test_params_validation():
     with pytest.raises(ValueError):
         theta.ThetaParams(0.3 + 0.5j)
     assert 0.0 < theta.ThetaParams(1j).q.real < 1.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: theta.ThetaParams(-0.5j),                        # Im(tau) <= 0
+    lambda: theta.ThetaParams(complex(0.0, math.nan)),
+    lambda: theta.ThetaParams(0.3 + 0.5j),                   # not pure imaginary
+    lambda: theta.theta_with_prime(4, 0.1, P),               # no such index
+    # a non-finite argument, whichever part: never ThetaOverflowError
+    lambda: theta.theta_with_prime(3, complex(math.inf, 0.0), P),
+    lambda: theta.theta_with_prime(3, complex(0.0, math.inf), P),
+    lambda: theta.theta_with_prime(1, np.array([0.1, complex(0.0, math.nan)]), P),
+], ids=["im-tau", "nan-tau", "re-tau", "index", "inf-real", "inf-imag", "nan-imag"])
+def test_bad_lattices_indices_and_arguments_raise_domain_error(make):
+    with pytest.raises(DomainError):
+        make()
 
 
 def test_theta1_odd_others_even():
