@@ -19,13 +19,15 @@ def main():
 
     print("flow decomposition (dn family, untwisted)")
     p = surfaces.SurfaceParams(mod=mod, family="dn", gamma_step=0.8, beta_rate=1.0)
+    # the frame (T, N, B) at site m is row m of one snapshot
+    snap = surfaces.snapshot(p, range(5), 0.5)
     for m in range(4):
         v = surfaces.flow_velocity(p, m, 0.5)
-        fr = surfaces.frame_at(p, m, 0.5)
+        T, N, B = snap.tangents[m], snap.normals[m], snap.binormals[m]
         w = surfaces.flow_angle(p, m, 0.5)
-        print(f"  m={m}: <v,T>={np.dot(v, fr.T):+.6f} (cos w = {w.c:+.6f}) "
-              f"<v,N>={np.dot(v, fr.N):+.6f} (sin w = {w.s:+.6f}) "
-              f"<v,B>={np.dot(v, fr.B):+.1e}")
+        print(f"  m={m}: <v,T>={np.dot(v, T):+.6f} (cos w = {w.c:+.6f}) "
+              f"<v,N>={np.dot(v, N):+.6f} (sin w = {w.s:+.6f}) "
+              f"<v,B>={np.dot(v, B):+.1e}")
 
     print("tau-function route vs closed forms (worst componentwise gap)")
     for family in ("dn", "cn"):

@@ -12,8 +12,10 @@ residuals (numbers, lists or arrays) and decorate it with
 of a suite is the largest ``max |r|`` over its yielded items r.  A
 sensitivity suite (``comparison="gt"``: a broken input must be detected, so
 it passes when the value EXCEEDS the tolerance) takes the smallest instead.
-A NaN anywhere makes the value NaN, which fails both comparisons, and a suite
-that yields nothing reads NaN as well.
+A NaN anywhere makes the value NaN, which fails both comparisons; a suite
+that yields nothing reads NaN as well, and so does one that raises
+ValidationError while it draws its residuals (a snapshot that fails its
+curve invariants), so the other suites still run.
 
 Each suite evaluates a window of sites in one array call, with numpy's
 complex arithmetic, and reduces it axis-wise; the report prints every bit,
@@ -30,7 +32,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import elliptic, frames, ksurf, sg, surfaces, tau, theta
-from .errors import finite_or_none, max_abs
+from .errors import ValidationError, finite_or_none, max_abs
 
 MODULI = (0.3, 0.6, 0.9)
 MODULI_WIDE = (0.3, 0.6, 0.9, 0.99)
@@ -65,7 +67,10 @@ def suite(name: str, tolerance: float, comparison: str = "lt", identity: bool = 
     def register(residuals):
         @functools.wraps(residuals)
         def run() -> SuiteResult:
-            values = np.array([max_abs(r) for r in residuals()] or [math.nan])
+            try:
+                values = np.array([max_abs(r) for r in residuals()] or [math.nan])
+            except ValidationError:   # an input that fails its invariants reads NaN
+                values = np.array([math.nan])
             value = values.max() if comparison == "lt" else values.min()
             return SuiteResult(name, float(value), tolerance, comparison)
 
@@ -365,6 +370,12 @@ def _dot(a, b):   # dot products over the trailing axis of 3
     return (a * b).sum(axis=-1)
 
 
+def _frame_rows(snaps):
+    """(T, N, B) of the snapshots, stacked along a leading time axis."""
+    return [np.stack([getattr(s, rows) for s in snaps])
+            for rows in ("tangents", "normals", "binormals")]
+
+
 @suite("surfaces.edge_identity", 1e-10)
 def suite_surface_edges():
     ms = np.arange(-20, 21)
@@ -416,11 +427,11 @@ def suite_surface_flow_components():
     ms = np.arange(-8, 8)
     for p in _all_surface_params():
         rho = p.sigma * p.beta_rate * (1.0 if p.family == "dn" else p.mod.k)
-        snaps = surfaces.snapshots(p, ms, _FLOW_TIMES[:, 0])
+        T, N, _ = _frame_rows(surfaces.snapshots(p, ms, _FLOW_TIMES[:, 0]))
         v = surfaces.flow_velocity(p, ms, _FLOW_TIMES)
         w = surfaces.flow_angle(p, ms, _FLOW_TIMES)
-        yield _dot(v, np.stack([s.tangents for s in snaps])) - rho * w.c
-        yield _dot(v, np.stack([s.normals for s in snaps])) - rho * w.s
+        yield _dot(v, T) - rho * w.c
+        yield _dot(v, N) - rho * w.s
 
 
 @suite("surfaces.field_solves_lattice_equations", 1e-9)
@@ -440,14 +451,14 @@ def suite_solution_linkage():
 @suite("surfaces.curvature_vs_field", 1e-10)
 def suite_surface_curvature():
     """Curvature equals +-(w_{m+2} - w_m)/2 at the sine/cosine level."""
+    ts = np.array([0.0, 0.45])
     for p in _all_surface_params():
         sgn = -1.0 if p.twisted else 1.0
-        for t in (0.0, 0.45):
-            geo = frames.extract_geometry(surfaces.snapshot(p, range(-8, 9), t).frames)
-            # half-angle samples at m = -8..9: sites m (first 16) and m + 2 (last 16)
-            c, s, _ = surfaces.half_angles(p, np.arange(-8, 10), t)
-            yield geo.curvature_cos - (c[2:] * c[:-2] + s[2:] * s[:-2])
-            yield geo.curvature_sin - sgn * (s[2:] * c[:-2] - c[2:] * s[:-2])
+        geo = frames.extract_geometry(*_frame_rows(surfaces.snapshots(p, range(-8, 9), ts)))
+        # half-angle samples at m = -8..9: sites m (first 16) and m + 2 (last 16)
+        c, s, _ = surfaces.half_angles(p, np.arange(-8, 10), ts[:, None])
+        yield geo.curvature_cos - (c[:, 2:] * c[:, :-2] + s[:, 2:] * s[:, :-2])
+        yield geo.curvature_sin - sgn * (s[:, 2:] * c[:, :-2] - c[:, 2:] * s[:, :-2])
 
 
 @suite("surfaces.kaleidocycle_closure", 1e-9)

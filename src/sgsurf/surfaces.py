@@ -18,9 +18,11 @@ expression scaled by k^2 for cn.  Every edge satisfies
 Gamma_{m+1} - Gamma_m = eps B_{m+1} x B_m, the edge length is |sn gamma|
 (dn) or |k sn gamma| (cn), and <B_m, B_{m+1}> is cn(gamma) resp. dn(gamma).
 
-Frames: T_m = sigma (B_{m+1} x B_m) / s with s = sn(gamma) or k sn(gamma).
-The frame sign sigma = +-1 is derived, not passed: sigma s > 0 (untwisted)
-and sigma s < 0 (twisted) admit exactly sigma = sign(s) eps.
+Frames: T_m = sigma (B_{m+1} x B_m) / s with s = sn(gamma) or k sn(gamma),
+and N_m = B_m x T_m.  The frame sign sigma = +-1 is derived, not passed:
+sigma s > 0 (untwisted) and sigma s < 0 (twisted) admit exactly
+sigma = sign(s) eps.  Frames are rows of arrays, never objects: a snapshot
+holds them as ``tangents``, ``normals`` and ``binormals``.
 
 The closed forms are evaluated on whole arrays of sites: ``gamma_point``,
 ``b_point`` and ``half_angles`` take integer arrays as well as integers,
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -42,8 +43,7 @@ from .elliptic import (EllipticModulus, _closed_form, _lattice_step, check_famil
                        make_modulus)
 from .errors import DegenerateFrameError, DomainError, ValidationError, check_finite
 
-if TYPE_CHECKING:   # built at call time: a geometry command loads neither module
-    from .frames import Frame
+if TYPE_CHECKING:   # built at call time: a geometry command does not load sg
     from .sg import HalfAngle
 
 _SPEED_TOL = 1e-12
@@ -116,8 +116,9 @@ def b_point(p: SurfaceParams, m, t: float) -> np.ndarray:
     return _curve(p, m, t)[1]
 
 
-def half_angles(p: SurfaceParams, m, t: float):
-    """(c, s, dw/dt) of the carried field at integer sites m (int or array)."""
+def half_angles(p: SurfaceParams, m, t):
+    """(c, s, dw/dt) of the carried field at integer sites m (int or array) and
+    times t (a float or an array that broadcasts against m)."""
     _, psi = p.phases(m, t)
     sn, cn, dn = jacobi(psi, p.mod)
     k, b = p.mod.k, p.beta_rate
@@ -126,29 +127,10 @@ def half_angles(p: SurfaceParams, m, t: float):
     return cn, sn, 2.0 * b * dn
 
 
-def half_angle_at(p: SurfaceParams, m: int, t: float) -> HalfAngle:
-    """Field sample carried by the surface: (dn, -k sn) for dn, (cn, sn) for cn.
-
-    Includes the analytic time derivative so the sample chain can be fed to
-    the semi-discrete residual evaluators.
-    """
-    from .sg import HalfAngle
-    c, s, dwdt = half_angles(p, m, t)
-    return HalfAngle(c=c, s=s, dwdt=dwdt)
-
-
 def _tangents_normals(p: SurfaceParams, b0: np.ndarray, b1: np.ndarray):
     """Frame vectors T and N from the binormals at m and m + 1 (rows alike)."""
     T = p.sigma * np.cross(b1, b0) / p.edge_speed
     return T, np.cross(b0, T)
-
-
-def frame_at(p: SurfaceParams, m: int, t: float) -> Frame:
-    """Frenet frame with T along the edge, oriented by the derived sigma."""
-    from .frames import Frame
-    _, (b0, b1) = _curve(p, np.array([m, m + 1]), t)
-    T, N = _tangents_normals(p, b0, b1)
-    return Frame(T=T, N=N, B=b0)
 
 
 def flow_velocity(p: SurfaceParams, m, t: float) -> np.ndarray:
@@ -183,7 +165,8 @@ def flow_angle(p: SurfaceParams, m, t: float) -> HalfAngle:
 
 @dataclass(frozen=True)
 class CurveSnapshot:
-    """One time slice of the deforming curve with its frames."""
+    """One time slice of the deforming curve; row j of tangents, normals and
+    binormals is the frame (T, N, B) at site m_values[j]."""
 
     t: float
     m_values: np.ndarray
@@ -191,13 +174,6 @@ class CurveSnapshot:
     binormals: np.ndarray  # (M, 3)
     tangents: np.ndarray   # (M, 3)
     normals: np.ndarray    # (M, 3)
-
-    @cached_property
-    def frames(self) -> tuple[Frame, ...]:
-        """One Frame per site, built from the rows on first access."""
-        from .frames import Frame
-        return tuple(Frame(T=a, N=b, B=c)
-                     for a, b, c in zip(self.tangents, self.normals, self.binormals))
 
 
 def snapshots(p: SurfaceParams, m_range: Sequence[int], ts: Sequence[float],

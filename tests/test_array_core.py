@@ -13,7 +13,6 @@ import pytest
 
 from sgsurf import cli, elliptic, ksurf, surfaces
 from sgsurf.errors import ValidationError
-from sgsurf.frames import Frame
 
 MODULI = (0.3, 0.6, 0.9)
 FAMILIES = ("dn", "cn")
@@ -65,10 +64,11 @@ def _ref_curve_site(p, m, t):
 
 
 def _ref_frame(p, m, t):
+    """(T, N, B) at site m."""
     b0 = np.array(_ref_curve_site(p, m, t)[1])
     b1 = np.array(_ref_curve_site(p, m + 1, t)[1])
     T = p.sigma * np.cross(b1, b0) / p.edge_speed
-    return Frame(T=T, N=np.cross(b0, T), B=b0)
+    return T, np.cross(b0, T), b0
 
 
 def _curve_params(family, twisted, k, gamma=0.8):
@@ -125,15 +125,11 @@ def test_snapshot_matches_per_site_reference(family, twisted, k, ms):
         ref = [_ref_curve_site(p, m, t) for m in ms]
         _same(snap.points, [g for g, _ in ref])
         _same(snap.binormals, [b for _, b in ref])
-        for m, fr in zip(ms, snap.frames):
-            want = _ref_frame(p, m, t)
-            for got_v, want_v in ((fr.T, want.T), (fr.N, want.N), (fr.B, want.B)):
+        for m, *got in zip(ms, snap.tangents, snap.normals, snap.binormals):
+            for got_v, want_v in zip(got, _ref_frame(p, m, t)):
                 _same(got_v, want_v)
         _same(surfaces.gamma_point(p, ms[1], t), ref[1][0])
         _same(surfaces.b_point(p, ms[1], t), ref[1][1])
-        fr = surfaces.frame_at(p, ms[1], t)
-        _same(fr.T, snap.frames[1].T)
-        _same(fr.N, snap.frames[1].N)
     # one evaluation of all three slices equals the per-site reference too
     ts = (0.0, 0.37, 1.7)
     for t, snap in zip(ts, surfaces.snapshots(p, ms, ts), strict=True):
@@ -141,9 +137,8 @@ def test_snapshot_matches_per_site_reference(family, twisted, k, ms):
         ref = [_ref_curve_site(p, m, t) for m in ms]
         _same(snap.points, [g for g, _ in ref])
         _same(snap.binormals, [b for _, b in ref])
-        for m, fr in zip(ms, snap.frames):
-            want = _ref_frame(p, m, t)
-            for got_v, want_v in ((fr.T, want.T), (fr.N, want.N), (fr.B, want.B)):
+        for m, *got in zip(ms, snap.tangents, snap.normals, snap.binormals):
+            for got_v, want_v in zip(got, _ref_frame(p, m, t)):
                 _same(got_v, want_v)
 
 

@@ -18,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from sgsurf import elliptic, ksurf, sg, suites, surfaces, tau, theta
+from sgsurf import elliptic, ksurf, sg, suites, tau, theta
 from sgsurf.errors import PoleError, ThetaOverflowError
 
 # measured worst case 2.58 ulps over the arguments of the DLMF test below
@@ -453,17 +453,3 @@ def test_verify_builds_each_term_table_once(monkeypatch):
     assert len(built) == len(set(built))
     assert 3 * len(built) < len(sizes)
 
-
-# ------------------------------------------------------------- snapshot --
-
-def test_lazy_frames_equal_eager_construction():
-    p = surfaces.SurfaceParams(mod=elliptic.make_modulus(0.6), family="cn", gamma_step=0.8,
-                               beta_rate=1.0, twisted=True)
-    snap = surfaces.snapshot(p, [-4, -3, -2, 0, 5, 6], 0.4)
-    assert "frames" not in vars(snap)
-    eager = [surfaces.frame_at(p, m, 0.4) for m in (-4, -3, -2, 0, 5, 6)]
-    assert len(snap.frames) == len(eager)
-    for lazy, ref in zip(snap.frames, eager):
-        for name in ("T", "N", "B"):
-            assert np.array_equal(getattr(lazy, name), getattr(ref, name))
-    assert snap.frames is snap.frames

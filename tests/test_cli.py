@@ -505,9 +505,12 @@ codes = [sgsurf.cli.main(argv) for argv in [
     ["curve", "--k", "0.6", "--gamma", "0.8", "--out", str(d / "c.csv")],
     ["kaleidocycle", "--n", "4", "--t-steps", "2", "--out", str(d / "anim")],
 ]]
-print(names, codes, after_import, loaded())
+after_runs = loaded()
+import sgsurf.frames
+print(names, codes, after_import, after_runs, "sgsurf.sg" in sys.modules)
 """
-    expected = f"[] [0, 0, 0] {GEOMETRY_MODULES} {GEOMETRY_MODULES}"
+    # frames is array geometry and loads no sg
+    expected = f"[] [0, 0, 0] {GEOMETRY_MODULES} {GEOMETRY_MODULES} False"
     assert _fresh_python(script) == expected
 
 

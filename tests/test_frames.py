@@ -1,141 +1,92 @@
-import math
+"""extract_geometry on row arrays: a batch of chains equals one call per chain
+bit for bit and a per-pair reference within rounding, a degenerate pair
+raises wherever it sits, and a NaN propagates."""
 
 import numpy as np
 import pytest
 
-from sgsurf import frames, sg
+from sgsurf import elliptic, frames, ksurf, surfaces
 from sgsurf.errors import DegenerateFrameError
 
-
-def _half(w):
-    return sg.HalfAngle(c=math.cos(w / 2), s=math.sin(w / 2))
+FIELDS = ("curvature_cos", "curvature_sin", "torsion_cos", "torsion_sin")
 
 
-def _random_su2(rng):
-    th = rng.uniform(0, 2 * math.pi)
-    ax = rng.normal(size=3)
-    ax /= np.linalg.norm(ax)
-    return math.cos(th / 2) * np.eye(2) + math.sin(th / 2) * frames.phi_iso(ax)
+def _ref_geometry(T, N, B):
+    """The four sequences of one chain, one float(np.dot) per frame pair."""
+    pairs = range(len(T) - 1)
+    return [[float(np.dot(T[j + 1], T[j])) for j in pairs],
+            [-float(np.dot(N[j + 1], T[j])) for j in pairs],
+            [float(np.dot(B[j + 1], B[j])) for j in pairs],
+            [float(np.dot(B[j + 1], N[j])) for j in pairs]]
 
 
-def test_phi_iso_basics():
-    assert np.abs(frames.phi_iso([0.0, 0.0, 0.0])).max() == 0.0
-    assert np.array_equal(frames.phi_iso([1.0, 0.0, 0.0]), frames.E1)
-    assert np.array_equal(frames.phi_iso([0.0, 1.0, 0.0]), frames.E2)
-    assert np.array_equal(frames.phi_iso([0.0, 0.0, 1.0]), frames.E3)
+def _constant_chains(shape):
+    """(T, N, B) = (e1, e2, e3) at every site of a chain block of the given shape."""
+    return [np.broadcast_to(e, shape + (3,)).copy() for e in np.eye(3)]
 
 
-def test_phi_iso_cross_product_bracket():
-    rng = np.random.default_rng(10)
-    for _ in range(25):
-        a, b = rng.normal(size=3), rng.normal(size=3)
-        lhs = frames.phi_iso(np.cross(a, b))
-        rhs = 0.5 * (frames.phi_iso(a) @ frames.phi_iso(b)
-                     - frames.phi_iso(b) @ frames.phi_iso(a))
-        assert np.abs(lhs - rhs).max() < 1e-13
-        assert np.abs(frames.vector_from_su2(frames.phi_iso(a)) - a).max() < 1e-14
+def _snapshot_rows():
+    """A (2, 17, 3) stack: two times of one twisted cn curve."""
+    p = surfaces.SurfaceParams(mod=elliptic.make_modulus(0.6), family="cn", gamma_step=0.8,
+                               beta_rate=1.0, twisted=True)
+    snaps = surfaces.snapshots(p, range(-8, 9), (0.0, 0.45))
+    return [np.stack([getattr(s, rows) for s in snaps])
+            for rows in ("tangents", "normals", "binormals")]
 
 
-def test_transfer_su2_identity_case():
-    # nu = 0 and equal neighbours: the plus_k step is the identity
-    h = _half(0.9)
-    L = frames.transfer_su2(h, h, 0.0, "plus_k", "+")
-    assert np.abs(L - np.eye(2)).max() < 1e-15
-    # the minus_k diagonal carries the angle sum, so only w = 0 is trivial
-    L = frames.transfer_su2(_half(0.0), _half(0.0), 0.0, "minus_k", "+")
-    assert np.abs(L - np.eye(2)).max() < 1e-15
+def _mesh_rows():
+    """A (64, 65, 3) block: along each K-surface row, T is the unit edge to the
+    next vertex, B the surface normal and N = B x T."""
+    p = ksurf.KParams(mod=elliptic.make_modulus(0.8), family="dn", gamma_step=0.1247,
+                      delta_step=0.1247)
+    grid = ksurf.k_grid(p, range(66), range(64))
+    pts, nrm = grid.points.transpose(1, 0, 2), grid.normals.transpose(1, 0, 2)
+    edge = pts[:, 1:] - pts[:, :-1]
+    T = edge / np.linalg.norm(edge, axis=-1, keepdims=True)
+    B = nrm[:, :-1]
+    return [T, np.cross(B, T), B]
 
 
-@pytest.mark.parametrize("variant", frames.VARIANTS)
-@pytest.mark.parametrize("sign", frames.SIGNS)
-def test_transfer_su2_unitary(variant, sign):
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        w0, w1, nu = rng.uniform(-2.5, 2.5, 3)
-        L = frames.transfer_su2(_half(w0), _half(w1), nu, variant, sign)
-        assert np.abs(L @ L.conj().T - np.eye(2)).max() < 1e-14
-        assert abs(np.linalg.det(L) - 1.0) < 1e-14
-
-
-def test_adjoint_e3_expansion():
-    # L E3 L^{-1} = -+ sin(nu) (cos(w1/2) E1 + sin(w1/2) E2) + cos(nu) E3
-    rng = np.random.default_rng(12)
-    for _ in range(30):
-        w0, w1, nu = rng.uniform(-2.5, 2.5, 3)
-        for sign, sg_ in (("+", 1.0), ("-", -1.0)):
-            L = frames.transfer_su2(_half(w0), _half(w1), nu, "plus_k", sign)
-            M = L @ frames.E3 @ L.conj().T
-            c1, s1 = math.cos(w1 / 2), math.sin(w1 / 2)
-            target = (-sg_ * math.sin(nu) * c1 * frames.E1
-                      - sg_ * math.sin(nu) * s1 * frames.E2
-                      + math.cos(nu) * frames.E3)
-            assert np.abs(M - target).max() < 1e-13
-
-
-def test_transfer_so3_structure():
-    assert np.abs(frames.transfer_so3(0.0, 0.0) - np.eye(3)).max() == 0.0
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        R = frames.transfer_so3(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        assert np.abs(R.T @ R - np.eye(3)).max() < 1e-14
-        assert abs(np.linalg.det(R) - 1.0) < 1e-14
-
-
-@pytest.mark.parametrize("variant", frames.VARIANTS)
-@pytest.mark.parametrize("sign", frames.SIGNS)
-def test_binormal_cross_product_relation(variant, sign):
-    # B_{m+1} x B_m = sin(nu) T_m for frames propagated by the SU(2) step
-    rng = np.random.default_rng(14)
-    for _ in range(100):
-        w0, w1, nu = rng.uniform(-2.5, 2.5, 3)
-        U0 = _random_su2(rng)
-        L = frames.transfer_su2(_half(w0), _half(w1), nu, variant, sign)
-        f0 = frames.frame_from_unitary(U0, _half(w1), variant, sign)
-        f1 = frames.frame_from_unitary(U0 @ L, _half(w1), variant, sign)
-        assert np.abs(np.cross(f1.B, f0.B) - math.sin(nu) * f0.T).max() < 1e-10
-
-
-@pytest.mark.parametrize("variant,curv_of", [
-    ("plus_k", lambda w0, w2: (w2 - w0) / 2),
-    # the minus_k step realizes curvature -(w_{m+2} + w_m)/2 on its frames
-    ("minus_k", lambda w0, w2: -(w2 + w0) / 2),
-])
-def test_su2_adjoint_matches_so3_transfer(variant, curv_of):
-    rng = np.random.default_rng(15)
-    for _ in range(60):
-        w0, w1, w2, nu = rng.uniform(-2.0, 2.0, 4)
-        for sign in frames.SIGNS:
-            U0 = _random_su2(rng)
-            L = frames.transfer_su2(_half(w0), _half(w1), nu, variant, sign)
-            f0 = frames.frame_from_unitary(U0, _half(w1), variant, sign)
-            f1 = frames.frame_from_unitary(U0 @ L, _half(w2), variant, sign)
-            R = frames.transfer_so3(curv_of(w0, w2), nu)
-            assert np.abs(f1.matrix() - f0.matrix() @ R).max() < 1e-10
-            f0.validate()
-            f1.validate()
-
-
-def test_extract_geometry_constant_chain():
-    f = frames.Frame(T=np.array([1.0, 0, 0]), N=np.array([0, 1.0, 0]),
-                     B=np.array([0, 0, 1.0]))
-    geo = frames.extract_geometry([f, f, f])
-    assert np.allclose(geo.curvature_cos, 1.0)
-    assert np.allclose(geo.curvature_sin, 0.0)
-    assert np.allclose(geo.torsion_cos, 1.0)
-    assert np.allclose(geo.torsion_sin, 0.0)
+@pytest.mark.parametrize("chains, expect", [
+    (_snapshot_rows, None),
+    (_mesh_rows, None),
+    # one frame repeated: no curvature and no torsion
+    (lambda: _constant_chains((3,)), (1.0, 0.0, 1.0, 0.0)),
+], ids=["snapshot_stack", "mesh_rows", "constant_chain"])
+def test_extract_geometry_batch_equals_row_by_row(chains, expect):
+    T, N, B = chains()
+    geo = frames.extract_geometry(T, N, B)
+    for name in FIELDS:
+        assert getattr(geo, name).shape == T.shape[:-2] + (T.shape[-2] - 1,)
+    for idx in np.ndindex(T.shape[:-2]):
+        one = frames.extract_geometry(T[idx], N[idx], B[idx])
+        for name, ref in zip(FIELDS, _ref_geometry(T[idx], N[idx], B[idx])):
+            assert getattr(geo, name)[idx].tobytes() == getattr(one, name).tobytes()
+            # the sum of three products may round in another order than np.dot
+            assert np.abs(getattr(one, name) - ref).max() <= 4 * np.finfo(float).eps
+    if expect is not None:
+        for name, value in zip(FIELDS, expect):
+            assert np.all(getattr(geo, name) == value)
 
 
 def test_extract_geometry_antiparallel_raises():
-    f0 = frames.Frame(T=np.array([1.0, 0, 0]), N=np.array([0, 1.0, 0]),
-                      B=np.array([0, 0, 1.0]))
-    f1 = frames.Frame(T=np.array([-1.0, 0, 0]), N=np.array([0, 1.0, 0]),
-                      B=np.array([0, 0, -1.0]))
-    with pytest.raises(DegenerateFrameError):
-        frames.extract_geometry([f0, f1])
+    # reversing T and B at one site makes that tangent antiparallel to the previous one
+    for idx in np.ndindex(3, 5):
+        if idx[1] == 0:
+            continue
+        T, N, B = _constant_chains((3, 5))
+        T[idx], B[idx] = -T[idx], -B[idx]
+        with pytest.raises(DegenerateFrameError):
+            frames.extract_geometry(T, N, B)
 
 
-def test_frame_validate_rejects_skew():
-    f = frames.Frame(T=np.array([1.0, 0, 0]), N=np.array([0.1, 1.0, 0]),
-                     B=np.array([0, 0, 1.0]))
-    with pytest.raises(DegenerateFrameError):
-        f.validate()
+def test_a_nan_row_gives_nan_sequences():
+    T, N, B = _constant_chains((2, 5))
+    for rows in (T, N, B):
+        rows[1, 2] = np.nan
+    geo = frames.extract_geometry(T, N, B)
+    for name in FIELDS:
+        values = getattr(geo, name)
+        # the pairs (1, 2) and (2, 3) of the second chain hold site 2
+        assert np.isnan(values[1, 1:3]).all()
+        assert np.isfinite(np.delete(values.ravel(), [5, 6])).all()

@@ -2,14 +2,14 @@
 list that `verify`, `identities` and the benchmark's tracer read."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sgsurf import ksurf, sg, suites, surfaces, theta
-from sgsurf.errors import ValidationError
+from sgsurf import cli, ksurf, sg, suites, surfaces, theta
 from test_acceptance import IDENTITY_CORPUS
 
 
@@ -92,12 +92,30 @@ def test_a_nan_residual_fails_the_suite(monkeypatch, target, attr, fake, failing
     assert all(math.isnan(r.max_residual) and not r.passed for r in results), results
 
 
-@pytest.mark.parametrize("name", ["suite_surface_flow_components", "suite_surface_curvature"])
+SNAPSHOT_SUITES = ["suite_surface_flow_components", "suite_surface_curvature"]
+
+
+@pytest.mark.parametrize("name", SNAPSHOT_SUITES)
 def test_a_nan_curve_point_stops_the_snapshot_suites(monkeypatch, name):
-    # these suites read frames off a validated snapshot, which refuses a NaN point
+    # these suites read frames off a validated snapshot, which refuses a NaN
+    # point with ValidationError; the runner records that as a NaN value
     monkeypatch.setattr(surfaces, "_closed_form", _nan_site(surfaces._closed_form))
-    with pytest.raises(ValidationError):
-        getattr(suites, name)()
+    result = getattr(suites, name)()
+    assert math.isnan(result.max_residual) and not result.passed
+    assert result.as_dict()["max_residual"] is None
+
+
+def test_verify_reports_every_suite_when_a_snapshot_fails(monkeypatch, tmp_path):
+    monkeypatch.setattr(surfaces, "_closed_form", _nan_site(surfaces._closed_form))
+    out = tmp_path / "report.json"
+    with np.errstate(invalid="ignore"):
+        assert cli.main(["verify", "--out", str(out)]) == 1
+    entries = json.loads(out.read_text())["suites"]
+    assert len(entries) == len(suites.ALL_SUITES) == 36
+    # the report keeps registration order; exactly the curve suites fail, all with null
+    failing = {fn.__name__: e for fn, e in zip(suites.ALL_SUITES, entries) if not e["pass"]}
+    assert sorted(failing) == sorted(CURVE_SUITES + SNAPSHOT_SUITES)
+    assert all(e["max_residual"] is None for e in failing.values())
 
 
 @pytest.mark.parametrize("comparison", ["lt", "gt"])

@@ -116,21 +116,23 @@ def test_frames_orthonormal_and_torsion_sine(family, twisted):
     p = _params(family, twisted)
     s = p.edge_speed
     sin_nu = p.sigma * s
-    for m in (-4, 0, 5):
-        f0 = surfaces.frame_at(p, m, 0.3)
-        f1 = surfaces.frame_at(p, m + 1, 0.3)
-        f0.validate()
-        assert float(np.dot(f1.B, f0.N)) == pytest.approx(sin_nu, abs=1e-12)
-        # sin nu is positive for untwisted frames, negative for twisted ones
-        assert (sin_nu > 0) == (not twisted)
+    snap = surfaces.snapshot(p, range(-4, 7), 0.3)
+    # columns (T N B) at every site: orthonormal and right-handed
+    F = np.stack([snap.tangents, snap.normals, snap.binormals], axis=-1)
+    assert np.abs(F.transpose(0, 2, 1) @ F - np.eye(3)).max() < 1e-10
+    assert np.abs(np.linalg.det(F) - 1.0).max() < 1e-10
+    B, N = snap.binormals, snap.normals
+    assert (B[1:] * N[:-1]).sum(axis=-1) == pytest.approx([sin_nu] * 10, abs=1e-12)
+    # sin nu is positive for untwisted frames, negative for twisted ones
+    assert (sin_nu > 0) == (not twisted)
 
 
 def test_geometry_extraction_matches_family_torsion():
     for family, target_fn in (("dn", lambda m: elliptic.jacobi(0.8, m)[1]),
                               ("cn", lambda m: elliptic.jacobi(0.8, m)[2])):
         p = _params(family)
-        chain = [surfaces.frame_at(p, m, 0.4) for m in range(-5, 6)]
-        geo = frames.extract_geometry(chain)
+        snap = surfaces.snapshot(p, range(-5, 6), 0.4)
+        geo = frames.extract_geometry(snap.tangents, snap.normals, snap.binormals)
         assert np.abs(geo.torsion_cos - target_fn(p.mod)).max() < 1e-12
 
 
@@ -138,11 +140,11 @@ def test_geometry_extraction_matches_family_torsion():
 def test_curvature_matches_field_difference(family, twisted):
     p = _params(family, twisted)
     sgn = -1.0 if twisted else 1.0
-    chain = [surfaces.frame_at(p, m, 0.45) for m in range(-8, 9)]
-    geo = frames.extract_geometry(chain)
+    snap = surfaces.snapshot(p, range(-8, 9), 0.45)
+    geo = frames.extract_geometry(snap.tangents, snap.normals, snap.binormals)
     for j, m in enumerate(range(-8, 8)):
-        h0 = surfaces.half_angle_at(p, m, 0.45)
-        h2 = surfaces.half_angle_at(p, m + 2, 0.45)
+        h0 = sg.HalfAngle(*surfaces.half_angles(p, m, 0.45))
+        h2 = sg.HalfAngle(*surfaces.half_angles(p, m + 2, 0.45))
         assert geo.curvature_cos[j] == pytest.approx(h2.c * h0.c + h2.s * h0.s, abs=1e-10)
         assert geo.curvature_sin[j] == pytest.approx(sgn * (h2.s * h0.c - h2.c * h0.s),
                                                      abs=1e-10)
@@ -151,8 +153,8 @@ def test_curvature_matches_field_difference(family, twisted):
 def test_dn_curvature_sine_expanded_form():
     # -sin K_{m+1} = k sn(psi_{m+2}) dn(psi_m) - k sn(psi_m) dn(psi_{m+2})
     p = _params("dn")
-    chain = [surfaces.frame_at(p, m, 0.45) for m in range(-6, 7)]
-    geo = frames.extract_geometry(chain)
+    snap = surfaces.snapshot(p, range(-6, 7), 0.45)
+    geo = frames.extract_geometry(snap.tangents, snap.normals, snap.binormals)
     for j, m in enumerate(range(-6, 6)):
         _, psi0 = p.phases(m, 0.45)
         _, psi2 = p.phases(m + 2, 0.45)
@@ -167,17 +169,17 @@ def test_flow_velocity(family, twisted):
     p = _params(family, twisted)
     h = 1e-4
     rho = p.beta_rate * (1.0 if family == "dn" else p.mod.k)
-    for m in range(-8, 8):
-        for t in (0.2, 1.1):
+    for t in (0.2, 1.1):
+        snap = surfaces.snapshot(p, range(-8, 8), t)
+        for m, T, N in zip(snap.m_values, snap.tangents, snap.normals):
             v = surfaces.flow_velocity(p, m, t)
             fd = (surfaces.gamma_point(p, m, t + h)
                   - surfaces.gamma_point(p, m, t - h)) / (2.0 * h)
             assert np.abs(v - fd).max() < 1e-6
             assert abs(float(np.dot(v, surfaces.b_point(p, m, t)))) < 1e-10
-            fr = surfaces.frame_at(p, m, t)
             w = surfaces.flow_angle(p, m, t)
-            assert float(np.dot(v, fr.T)) == pytest.approx(p.sigma * rho * w.c, abs=1e-10)
-            assert float(np.dot(v, fr.N)) == pytest.approx(p.sigma * rho * w.s, abs=1e-10)
+            assert float(np.dot(v, T)) == pytest.approx(p.sigma * rho * w.c, abs=1e-10)
+            assert float(np.dot(v, N)) == pytest.approx(p.sigma * rho * w.s, abs=1e-10)
 
 
 @pytest.mark.parametrize("family,twisted", ALL)
@@ -188,8 +190,9 @@ def test_field_solves_lattice_equations(family, twisted):
     c1, c2 = sg.semi_sg_coeffs(sp)
     for m in range(-12, 12):
         for t in (0.0, 0.45, 1.3):
-            r1, r2 = sg.semi_residuals_from(surfaces.half_angle_at(p, m, t),
-                                            surfaces.half_angle_at(p, m + 1, t), c1, c2)
+            r1, r2 = sg.semi_residuals_from(sg.HalfAngle(*surfaces.half_angles(p, m, t)),
+                                            sg.HalfAngle(*surfaces.half_angles(p, m + 1, t)),
+                                            c1, c2)
             assert abs(r1) < 1e-9 and abs(r2) < 1e-9
 
 
@@ -205,7 +208,7 @@ def test_snapshot_assembly():
     snap = surfaces.snapshot(p, range(-3, 4), 0.5)
     assert snap.points.shape == (7, 3)
     assert snap.binormals.shape == (7, 3)
-    assert len(snap.frames) == 7
+    assert snap.tangents.shape == snap.normals.shape == (7, 3)
     assert list(snap.m_values) == list(range(-3, 4))
     # invariants are only checked across consecutive sites, so gaps are fine
     sparse = surfaces.snapshot(p, [0, 2, 4], 0.5)
@@ -289,13 +292,13 @@ def test_random_parameter_sweep():
                                    twisted=twisted)
         tried += 1
         rho = b * (1.0 if family == "dn" else k)
-        for m in (-5, 0, 4):
-            for t in (0.0, 0.61):
+        for t in (0.0, 0.61):
+            snap = surfaces.snapshot(p, (-5, 0, 4), t)
+            for m, T, N in zip(snap.m_values, snap.tangents, snap.normals):
                 e = surfaces.gamma_point(p, m + 1, t) - surfaces.gamma_point(p, m, t)
                 bx = np.cross(surfaces.b_point(p, m + 1, t), surfaces.b_point(p, m, t))
                 assert np.abs(e - p.epsilon_sign * bx).max() < 1e-11
                 v = surfaces.flow_velocity(p, m, t)
-                fr = surfaces.frame_at(p, m, t)
                 w = surfaces.flow_angle(p, m, t)
-                assert float(np.dot(v, fr.T)) == pytest.approx(p.sigma * rho * w.c, abs=1e-11)
-                assert float(np.dot(v, fr.N)) == pytest.approx(p.sigma * rho * w.s, abs=1e-11)
+                assert float(np.dot(v, T)) == pytest.approx(p.sigma * rho * w.c, abs=1e-11)
+                assert float(np.dot(v, N)) == pytest.approx(p.sigma * rho * w.s, abs=1e-11)
