@@ -370,21 +370,12 @@ def _merge(ns: argparse.Namespace) -> RunConfig:
             ranges[f"{axis}_range"] = (0, count - 1)
     elif m_max is not None or raw["command"] == "curve":
         ranges["m_range"] = (m_min, 12 if m_max is None else m_max)
-    return RunConfig(
-        command=raw["command"],
-        family=pick("family", "dn"),
-        twisted=bool(pick("twisted", False)),
-        k=pick("k"),
-        n=pick("n"),
-        gamma=pick("gamma"),
-        delta=pick("delta"),
-        beta=pick("beta", 1.0),
-        t_start=pick("t_start", 0.0),
-        t_stop=pick("t_stop", 0.0),
-        t_steps=pick("t_steps", 1),
-        out_path=pick("out_path"),
-        **ranges,
-    )
+    # only what a flag or the config file set: RunConfig holds the defaults
+    names = ("family", "twisted", "k", "n", "gamma", "delta", "beta",
+             "t_start", "t_stop", "t_steps", "out_path")
+    given = {name: pick(name) for name in names}
+    return RunConfig(command=raw["command"], **ranges,
+                     **{name: v for name, v in given.items() if v is not None})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

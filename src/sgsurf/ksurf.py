@@ -25,7 +25,11 @@ delta, and row n is the curve of beta_rate 1 at t = n delta moved rigidly,
 
 with R_n the rotation about z by n (beta + pi) - r n delta, where r = k,
 c = k for dn and r = 1, c = k^2 for cn (Bobenko-Pinkall, J. Differential
-Geom. 43 (1996): the semi-discrete -> discrete step).
+Geom. 43 (1996): the semi-discrete -> discrete step).  The same ``KParams``
+fixes the discrete sine-Gordon field the surface carries,
+``surfaces.half_angles(p, m, n)`` at psi_{m,n}: ``sg`` certifies its lattice
+equation and ``compat_matrices`` its zero-curvature condition, with the
+torsion angles cos(nu) = <N_{m,n}, N_{m+1,n}> and <N_{m,n}, N_{m,n+1}>.
 
 Quads are emitted with m-then-n winding so exported meshes orient uniformly.
 The closed forms are evaluated on whole arrays of sites: ``k_point`` takes
@@ -37,16 +41,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .elliptic import EllipticModulus, _closed_form, _lattice_step, make_modulus
+from .elliptic import _closed_form, _lattice_step, make_modulus
 from .errors import DomainError, PoleError, check_finite, max_abs
-from .surfaces import CurveLattice
-
-if TYPE_CHECKING:   # annotations only: a geometry command does not load sg
-    from .sg import HalfAngle
+from .surfaces import CurveLattice, HalfAngle
 
 _CASES = ("1a", "1b", "1c", "2a", "2b", "2c")
 
@@ -207,21 +207,19 @@ def compat_matrices(wA: HalfAngle, wB: HalfAngle, wC: HalfAngle, wD: HalfAngle,
     return np.linalg.norm(defect, axis=(-2, -1)).reshape(shape)[()]
 
 
-def k_periodicity(case_id: str, order: int = 3, window: int = 8,
-                  mod: Optional[EllipticModulus] = None) -> dict:
+def k_periodicity(case_id: str, order: int = 3, window: int = 8) -> dict:
     """Verify the translation invariances of one enumerated periodic case.
 
-    Cases 1a-1c are dn-family, 2a-2c cn-family; 1a/1b mandate the modulus
-    k' = cos(pi/order) with order > 2, the others accept any modulus
-    (default: the same one).  Returns a report with the checked shifts and
-    the worst closure defect over a window x window block.
+    Cases 1a-1c are dn-family, 2a-2c cn-family; every case takes the modulus
+    k' = cos(pi/order), which 1a/1b mandate with order > 2.  Returns a report
+    with the checked shifts and the worst closure defect over a window x
+    window block.
     """
     if case_id not in _CASES:
         raise DomainError(f"case_id must be one of {_CASES}, got {case_id!r}")
     if case_id in ("1a", "1b") and order <= 2:
         raise DomainError("cases 1a/1b need order > 2")
-    if mod is None:
-        mod = make_modulus(math.sin(math.pi / order))
+    mod = make_modulus(math.sin(math.pi / order))
     K = mod.K
     fam = "dn" if case_id.startswith("1") else "cn"
     steps = {

@@ -306,16 +306,26 @@ def suite_theta_modular():
 
 # ---------------------------------------------------------------------- sg --
 
+# The fields of these suites have steps 0.23 along m and 0.17 along n, and
+# rate 0.31 in t, in units of the real period 4K.
+
 def _semi_params(k, family):
     mod = elliptic.make_modulus(k)
-    return sg.SemiDiscreteParams(mod=mod, Omega=0.23, A=0.31, family=family)
+    return surfaces.CurveLattice(mod=mod, family=family, gamma_step=4.0 * mod.K * 0.23,
+                                 beta_rate=4.0 * mod.K * 0.31)
+
+
+def _discrete_params(k, family, omega=0.23, rho=0.17):
+    mod = elliptic.make_modulus(k)
+    return ksurf.KParams(mod=mod, family=family, gamma_step=4.0 * mod.K * omega,
+                         delta_step=4.0 * mod.K * rho)
 
 
 @suite("sg.semi_discrete_residuals", 1e-10)
 def suite_semi_sg_residuals():
     ms, ts = np.arange(-20, 20)[:, None], np.array([0.0, 0.3, 0.7, 1.3, 2.1])
     for k in MODULI_WIDE:
-        for family in sg.FAMILIES:
+        for family in elliptic.FAMILIES:
             yield from sg.semi_residuals(_semi_params(k, family), ms, ts)
 
 
@@ -323,17 +333,15 @@ def suite_semi_sg_residuals():
 def suite_discrete_sg_residuals():
     ms, ns = np.arange(-10, 10)[:, None], np.arange(-10, 10)
     for k in MODULI:
-        mod = elliptic.make_modulus(k)
-        for family in sg.FAMILIES:
-            p = sg.DiscreteParams(mod=mod, Omega=0.23, P=0.17, family=family)
-            yield sg.discrete_sg_residual(p, ms, ns)
+        for family in elliptic.FAMILIES:
+            yield sg.discrete_sg_residual(_discrete_params(k, family), ms, ns)
 
 
-def _perturbed(w: sg.HalfAngle) -> sg.HalfAngle:
+def _perturbed(w: surfaces.HalfAngle) -> surfaces.HalfAngle:
     """The samples with s scaled by 1.01 and (c, s) renormalized."""
     s = 1.01 * w.s
     nrm = np.hypot(w.c, s)
-    return sg.HalfAngle(c=w.c / nrm, s=s / nrm, dwdt=w.dwdt)
+    return surfaces.HalfAngle(c=w.c / nrm, s=s / nrm, dwdt=w.dwdt)
 
 
 @suite("sg.perturbation_sensitivity", 1e-3, "gt")
@@ -342,10 +350,9 @@ def suite_sg_sensitivity():
     p = _semi_params(0.6, "dn")
     c1, c2 = sg.semi_sg_coeffs(p)
     ms = np.arange(-5, 5)
-    w0, w1 = sg._unstack(sg.semi_sample(p, np.stack([ms, ms + 1]), 0.3))
+    w0, w1 = sg._unstack(surfaces.half_angles(p, np.stack([ms, ms + 1]), 0.3))
     yield sg.semi_residuals_from(w0, _perturbed(w1), c1, c2)[0]
-    mod = elliptic.make_modulus(0.6)
-    pd = sg.DiscreteParams(mod=mod, Omega=0.23, P=0.17, family="cn")
+    pd = _discrete_params(0.6, "cn")
     wA, wB, wC, wD = sg.discrete_quad(pd, ms, 0)
     yield sg.discrete_sg_residual_from(_perturbed(wA), wB, wC, wD, sg.discrete_sg_coeff(pd))
 
@@ -438,14 +445,8 @@ def suite_surface_flow_components():
 def suite_solution_linkage():
     """The field carried by each surface solves the semi-discrete equations."""
     for p in _all_surface_params():
-        sp = sg.SemiDiscreteParams(
-            mod=p.mod, Omega=p.gamma_step / (4.0 * p.mod.K),
-            A=p.beta_rate / (4.0 * p.mod.K), family=p.family)
-        c1, c2 = sg.semi_sg_coeffs(sp)
         for t in (0.0, 0.45, 1.3):
-            c, s, d = surfaces.half_angles(p, np.arange(-12, 13), t)
-            yield from sg.semi_residuals_from(sg.HalfAngle(c=c[:-1], s=s[:-1], dwdt=d[:-1]),
-                                              sg.HalfAngle(c=c[1:], s=s[1:], dwdt=d[1:]), c1, c2)
+            yield from sg.semi_residuals(p, np.arange(-12, 12), t)
 
 
 @suite("surfaces.curvature_vs_field", 1e-10)
@@ -456,7 +457,8 @@ def suite_surface_curvature():
         sgn = -1.0 if p.twisted else 1.0
         geo = frames.extract_geometry(*_frame_rows(surfaces.snapshots(p, range(-8, 9), ts)))
         # half-angle samples at m = -8..9: sites m (first 16) and m + 2 (last 16)
-        c, s, _ = surfaces.half_angles(p, np.arange(-8, 10), ts[:, None])
+        w = surfaces.half_angles(p, np.arange(-8, 10), ts[:, None])
+        c, s = w.c, w.s
         yield geo.curvature_cos - (c[:, 2:] * c[:, :-2] + s[:, 2:] * s[:, :-2])
         yield geo.curvature_sin - sgn * (s[:, 2:] * c[:, :-2] - c[:, 2:] * s[:, :-2])
 
@@ -532,10 +534,13 @@ def suite_tau_F_reality():
 
 @suite("tau.eta_consistency", 1e-12)
 def suite_tau_eta_consistency():
+    """The closed form i R_m against z + Re(d log F / dz) / 2, from the curve's z
+    and the theta quotient of the tau route."""
     ms = np.arange(-6, 7)
     for ctx in _tau_contexts():
-        lhs = -(ctx.mod.Ep / ctx.chain_den) * tau.eta_m(ctx, ms, 0.4)
-        yield lhs - tau.i_r_m(ctx, ms, 0.4)
+        z = surfaces._curve(ctx, ms, 0.4)[0][:, 2]
+        dlog = tau._evaluate(ctx, ms, 0.4, ctx.lambda0, 0.0)[-1]
+        yield tau.i_r_m(ctx, ms, 0.4) - (z + 0.5 * dlog.real)
 
 
 # ------------------------------------------------------------------- ksurf --
@@ -575,14 +580,12 @@ def suite_ksurf_torsions():
 
 
 def _compat_setup(family):
-    mod = elliptic.make_modulus(0.6)
-    Om, P = 0.13, 0.19
-    p = sg.DiscreteParams(mod=mod, Omega=Om, P=P, family=family)
+    p = _discrete_params(0.6, family, 0.13, 0.19)
     # the torsion angles are the rotation angles of the other family:
     # atan2(sn, cn) for dn, atan2(k sn, dn) for cn
     other = "cn" if family == "dn" else "dn"
-    nu1, nu2 = (elliptic._lattice_step(mod, other, 4.0 * mod.K * step, False)[0]
-                for step in (Om, P))
+    nu1, nu2 = (elliptic._lattice_step(p.mod, other, step, False)[0]
+                for step in (p.gamma_step, p.delta_step))
     return p, nu1, nu2
 
 

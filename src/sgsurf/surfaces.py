@@ -24,6 +24,12 @@ sigma s > 0 (untwisted) and sigma s < 0 (twisted) admit exactly
 sigma = sign(s) eps.  Frames are rows of arrays, never objects: a snapshot
 holds them as ``tangents``, ``normals`` and ``binormals``.
 
+Field: a lattice carries the elliptic sine-Gordon field w_m at its phases
+psi, (cos w/2, sin w/2) = (dn psi, -k sn psi) (dn) or (cn psi, sn psi) (cn).
+``half_angles`` is its one evaluator, for a curve (psi_m = m gamma + beta t,
+with dw/dt) and for a K-surface (``ksurf.KParams``, psi = m gamma + n delta)
+alike, and returns a ``HalfAngle``; ``sg`` certifies the lattice equations.
+
 The closed forms are evaluated on whole arrays of sites: ``gamma_point``,
 ``b_point`` and ``half_angles`` take integer arrays as well as integers,
 ``snapshots`` is one evaluation over the sites m and m + 1 at every time of
@@ -35,18 +41,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .elliptic import (EllipticModulus, _closed_form, _lattice_step, check_family, jacobi,
                        make_modulus)
-from .errors import DegenerateFrameError, DomainError, ValidationError, check_finite
-
-if TYPE_CHECKING:   # built at call time: a geometry command does not load sg
-    from .sg import HalfAngle
+from .errors import (DegenerateFrameError, DomainError, PoleError, ValidationError,
+                     check_finite)
 
 _SPEED_TOL = 1e-12
+_POLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -116,15 +121,51 @@ def b_point(p: SurfaceParams, m, t: float) -> np.ndarray:
     return _curve(p, m, t)[1]
 
 
-def half_angles(p: SurfaceParams, m, t):
-    """(c, s, dw/dt) of the carried field at integer sites m (int or array) and
-    times t (a float or an array that broadcasts against m)."""
+@dataclass(frozen=True)
+class HalfAngle:
+    """One field sample, or an array of them, stored as (cos w/2, sin w/2)
+    plus optional d w/dt; the normalization check and PoleError fire when any
+    element violates its condition."""
+
+    c: float
+    s: float
+    dwdt: Optional[float] = None
+
+    def __post_init__(self):
+        err = abs(self.c * self.c + self.s * self.s - 1.0)
+        if getattr(err, "ndim", 0):
+            err = err.max()
+        if err > 1e-12:
+            raise DomainError(f"half-angle pair not normalized: |c^2+s^2-1| = {err:.3e}")
+
+    def half_exponential(self):
+        """exp(i w/2)."""
+        return self.c + 1j * self.s
+
+    def quarter_exponential(self):
+        """exp(i w/4) on the principal band, sign(sin w/4) = sign(s)."""
+        cq = np.sqrt(np.maximum(0.0, 0.5 * (1.0 + self.c)))
+        sq = np.copysign(np.sqrt(np.maximum(0.0, 0.5 * (1.0 - self.c))), self.s)
+        return cq + 1j * sq
+
+    def tan_quarter(self):
+        """tan(w/4) = sin(w/2) / (1 + cos(w/2)); rejects cos(w/2) = -1."""
+        if np.any(np.abs(1.0 + self.c) < _POLE_TOL):
+            raise PoleError("tan(w/4) undefined at cos(w/2) = -1")
+        return self.s / (1.0 + self.c)
+
+
+def half_angles(p: CurveLattice, m, t) -> HalfAngle:
+    """The field carried by the lattice p, with dw/dt, at integer sites m (int
+    or array) and times t of a curve, or rows n of a K-surface (a float, int or
+    array that broadcasts against m): cos(w/2), sin(w/2) = dn(psi), -k sn(psi)
+    (dn) or cn(psi), sn(psi) (cn) at the phase psi of ``p.phases``."""
     _, psi = p.phases(m, t)
     sn, cn, dn = jacobi(psi, p.mod)
     k, b = p.mod.k, p.beta_rate
     if p.family == "dn":
-        return dn, -k * sn, -2.0 * b * k * cn
-    return cn, sn, 2.0 * b * dn
+        return HalfAngle(c=dn, s=-k * sn, dwdt=-2.0 * b * k * cn)
+    return HalfAngle(c=cn, s=sn, dwdt=2.0 * b * dn)
 
 
 def _tangents_normals(p: SurfaceParams, b0: np.ndarray, b1: np.ndarray):
@@ -155,9 +196,9 @@ def flow_angle(p: SurfaceParams, m, t: float) -> HalfAngle:
     and (w_m + w_{m+1})/2 for the twisted ones; rho = beta (dn) or beta k (cn).
     m is an int or an int array, t a float or an array that broadcasts against m.
     """
-    from .sg import HalfAngle
     m, t = np.broadcast_arrays(m, t)
-    (c0, c1), (s0, s1), _ = half_angles(p, np.stack([m, m + 1]), np.stack([t, t]))
+    w = half_angles(p, np.stack([m, m + 1]), np.stack([t, t]))
+    (c0, c1), (s0, s1) = w.c, w.s
     if p.twisted:
         return HalfAngle(c=c0 * c1 - s0 * s1, s=s0 * c1 + c0 * s1)
     return HalfAngle(c=c0 * c1 + s0 * s1, s=s0 * c1 - c0 * s1)

@@ -39,6 +39,7 @@ from .theta import ThetaParams, _theta_each, lattice_params, theta_with_prime
 
 _I_POWERS = np.array([1j ** r for r in range(4)])          # i^(m mod 4)
 _NEG_I_POWERS = np.array([(-1j) ** r for r in range(4)])   # (-i)^(m mod 4)
+_FD_STEP = 1e-5   # central-difference step of the Cauchy-Riemann check
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,7 @@ def gamma_from_tau(ctx: TauContext, m, t) -> tuple[np.ndarray, np.ndarray]:
             np.stack(b, axis=-1).reshape(shape))
 
 
-def bilinear_checks(ctx: TauContext, m, t, fd_step: float = 1e-5):
+def bilinear_checks(ctx: TauContext, m, t):
     """Residuals of the three structural relations tying the quartet together.
 
     fh_res: F_m H_{m+1} - H_m F_{m+1} = (eps/i) Psi^FH, with the quartic
@@ -211,8 +212,8 @@ def bilinear_checks(ctx: TauContext, m, t, fd_step: float = 1e-5):
                                               - f*_{m+1} f_m g*_m g_{m+1};
     cr_res: max residual of the Cauchy-Riemann pairing f_lam = i f_z,
             f*_lam = -i f*_z, g_lam = -i g_z, g*_lam = i g*_z by central
-            differences (the lam and z dependence is structural, entering
-            only through v_pm).
+            differences of step _FD_STEP (the lam and z dependence is
+            structural, entering only through v_pm).
 
     All three residuals are normalized by the magnitude of their terms,
     since the quartet grows exponentially along m and an absolute residual
@@ -222,7 +223,7 @@ def bilinear_checks(ctx: TauContext, m, t, fd_step: float = 1e-5):
     """
     shape = _shape(m, t)
     m, t = np.broadcast_arrays(np.atleast_1d(m), np.atleast_1d(t))
-    h = fd_step
+    h = _FD_STEP
     lam0 = ctx.lambda0
     column = (6,) + (1,) * m.ndim
     f, g, fs, gs, F, H, dlog = _evaluate(

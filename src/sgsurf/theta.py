@@ -36,6 +36,8 @@ from .elliptic import EllipticModulus
 from .errors import DomainError, PoleError, ThetaOverflowError
 
 _N_MAX = 64
+# a series keeps its terms down to this fraction of its first term
+_TRUNC_EPS = 1e-16
 # |Im v| * pi / Im tau below this keeps the restored prefactor finite in binary64
 _BAND_LIMIT = 30.0
 _NEG_I_PI = -1j * math.pi
@@ -45,10 +47,9 @@ _LOG_LARGE = math.log(sys.float_info.max / 4.0)
 
 @dataclass(frozen=True)
 class ThetaParams:
-    """Lattice parameter and truncation control for one theta lattice."""
+    """Lattice parameter of one theta lattice, with its nome q."""
 
     tau: complex
-    trunc_eps: float = 1e-16
     q: complex = field(init=False)
 
     def __post_init__(self):
@@ -65,7 +66,7 @@ def lattice_params(mod: EllipticModulus, multiple: int = 1) -> ThetaParams:
 
 
 @functools.lru_cache(maxsize=256)
-def _term_table(tau: complex, trunc_eps: float, j: int):
+def _term_table(tau: complex, j: int):
     """(w, a): the frequency (N, 1) and the value and derivative weights
     (2, N, 1) of the N kept terms of the theta_j series in summation order,
     read-only and built with the Python scalar expressions of the series.
@@ -77,13 +78,13 @@ def _term_table(tau: complex, trunc_eps: float, j: int):
     constant 1), since |sin(r x) / sin x| <= r exp((r - 1) |Im x|), and so for
     cos: rho_n = (2n + 1)^2 |q|^(n^2) for theta_1, theta_2 and n^2 |q|^(n^2 - n)
     for theta_0, theta_3, with |q| = exp(-pi Im tau).  N counts the terms
-    before the first with rho_n <= trunc_eps (at most _N_MAX): that term moves
+    before the first with rho_n <= _TRUNC_EPS (at most _N_MAX): that term moves
     no sum by an ulp of the sum of the moduli of its terms.
     """
     q, odd, rows = cmath.exp(1j * math.pi * tau), j in (1, 2), []
     for n in range(0 if odd else 1, _N_MAX):
         r, e = (2 * n + 1, n * n) if odd else (n, n * n - n)   # rho_n = r^2 |q|^e
-        if 2.0 * math.log(r) - math.pi * tau.imag * e <= math.log(trunc_eps):
+        if 2.0 * math.log(r) - math.pi * tau.imag * e <= math.log(_TRUNC_EPS):
             break
         s = -1.0 if j in (0, 1) and n % 2 else 1.0
         a = 2.0 * s * q ** ((n + 0.5) ** 2 if odd else n * n)
@@ -120,7 +121,7 @@ def _series(j: int, v: np.ndarray, p: ThetaParams) -> tuple[np.ndarray, np.ndarr
     and the rows added in term order.  theta_1 pairs its value with sin and its
     derivative with cos, the others the other way round.
     """
-    w, a = _term_table(p.tau, p.trunc_eps, j)
+    w, a = _term_table(p.tau, j)
     x, y = w * v.real, w * v.imag
     # in place where an operand is not needed again: the largest calls hold
     # several (N x sites) arrays at once

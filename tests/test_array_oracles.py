@@ -18,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from sgsurf import elliptic, ksurf, sg, suites, tau, theta
+from sgsurf import elliptic, ksurf, sg, suites, surfaces, tau, theta
 from sgsurf.errors import PoleError, ThetaOverflowError
 
 # measured worst case 2.58 ulps over the arguments of the DLMF test below
@@ -89,7 +89,7 @@ def _ref_theta_scaled(j, v, p):
     if j in (0, 1) and c % 2:
         sign = -sign
     pref = sign * cmath.exp(-1j * math.pi * c * c * p.tau - 2j * math.pi * c * v0)
-    val, dval, mag, dmag = _ref_series(j, v0, p.q, p.trunc_eps)
+    val, dval, mag, dmag = _ref_series(j, v0, p.q, theta._TRUNC_EPS)
     scales = abs(pref) * mag, abs(pref) * (dmag + 2.0 * math.pi * abs(c) * mag)
     return (pref * val, pref * (dval - 2j * math.pi * c * val)), scales
 
@@ -158,7 +158,7 @@ def test_the_first_omitted_term_moves_no_sum_by_an_ulp(k):
         for j in range(4):
             # theta_1, theta_2 start at n = 0; theta_0, theta_3 add 1 to n >= 1
             first, const = (0, 0.0) if j in (1, 2) else (1, 1.0)
-            count = len(theta._term_table(p.tau, p.trunc_eps, j)[0])
+            count = len(theta._term_table(p.tau, j)[0])
             assert 2 <= count <= 8
             val, dval = theta._series(j, v, p)
             for i, x in enumerate(v.tolist()):
@@ -263,16 +263,24 @@ def test_tau_entry_points_are_batch_invariant(ctx):
     _assert_batch_invariant(lambda a, b: tau.bilinear_checks(ctx, a, b), m, t)
 
 
-@pytest.mark.parametrize("family", sg.FAMILIES)
+def _field_lattices(family, k, omega, rho, rate=0.31):
+    """The curve lattice (omega, rate) and the KParams (omega, rho), in units of 4K."""
+    mod = elliptic.make_modulus(k)
+    K4 = 4.0 * mod.K
+    return (surfaces.CurveLattice(mod=mod, family=family, gamma_step=omega * K4,
+                                  beta_rate=rate * K4),
+            ksurf.KParams(mod=mod, family=family, gamma_step=omega * K4, delta_step=rho * K4))
+
+
+@pytest.mark.parametrize("family", elliptic.FAMILIES)
 def test_sg_and_compat_entry_points_are_batch_invariant(family):
-    mod = elliptic.make_modulus(0.7)
-    sp = sg.SemiDiscreteParams(mod=mod, Omega=0.23, A=0.31, family=family)
-    dp = sg.DiscreteParams(mod=mod, Omega=0.13, P=0.19, family=family)
+    sp = _field_lattices(family, 0.7, 0.23, 0.19)[0]
+    dp = _field_lattices(family, 0.7, 0.13, 0.19)[1]
     m, t = _tau_sites()[:2]
     n = m[::-1].copy()
 
     def semi(a, b):
-        w = sg.semi_sample(sp, a, b)
+        w = surfaces.half_angles(sp, a, b)
         return (w.c, w.s, w.dwdt, w.half_exponential(), w.quarter_exponential(),
                 *sg.semi_residuals(sp, a, b))
 
@@ -336,13 +344,11 @@ def test_tau_context_builds_its_lattices_once(monkeypatch):
 
 # ------------------------------------------------------------------- sg --
 
-@pytest.mark.parametrize("family", sg.FAMILIES)
+@pytest.mark.parametrize("family", elliptic.FAMILIES)
 def test_sg_arrays_match_per_site_calls(family):
-    mod = elliptic.make_modulus(0.7)
-    sp = sg.SemiDiscreteParams(mod=mod, Omega=0.23, A=0.31, family=family)
-    dp = sg.DiscreteParams(mod=mod, Omega=0.23, P=0.17, family=family)
+    sp, dp = _field_lattices(family, 0.7, 0.23, 0.17)
     ms, ts = np.arange(-6, 6)[:, None], np.array([0.0, 0.3, 1.3])
-    w = sg.semi_sample(sp, ms, ts)
+    w = surfaces.half_angles(sp, ms, ts)
     r1, r2 = sg.semi_residuals(sp, ms, ts)
     ns = np.arange(-4, 5)
     d = sg.discrete_sg_residual(dp, ms, ns)
@@ -350,14 +356,14 @@ def test_sg_arrays_match_per_site_calls(family):
     zq = [q.quarter_exponential() for q in quads]
     for i, m in enumerate(range(-6, 6)):
         for j, t in enumerate(ts.tolist()):
-            one = sg.semi_sample(sp, m, t)
+            one = surfaces.half_angles(sp, m, t)
             _same([w.c[i, j], w.s[i, j], w.dwdt[i, j]], [one.c, one.s, one.dwdt])
             _same([r1[i, j], r2[i, j]], sg.semi_residuals(sp, m, t))
         for j, n in enumerate(ns.tolist()):
             _same(d[i, j], sg.discrete_sg_residual(dp, m, n))
             corners = ((m + 1, n + 1), (m, n), (m + 1, n), (m, n + 1))
             for q, z, (a, b) in zip(quads, zq, corners):
-                one = sg.discrete_sample(dp, a, b)
+                one = surfaces.half_angles(dp, a, b)
                 _same([q.c[i, j], q.s[i, j]], [one.c, one.s])
                 _same(z[i, j], one.quarter_exponential())
 
@@ -392,10 +398,9 @@ def _compat_per_quad(wA, wB, wC, wD, nu1, nu2, signs):
     return float(np.linalg.norm(defect))
 
 
-@pytest.mark.parametrize("family", sg.FAMILIES)
+@pytest.mark.parametrize("family", elliptic.FAMILIES)
 def test_array_compat_matrices_match_the_per_quad_formula(family):
-    mod = elliptic.make_modulus(0.6)
-    p = sg.DiscreteParams(mod=mod, Omega=0.13, P=0.19, family=family)
+    p = _field_lattices(family, 0.6, 0.13, 0.19)[1]
     quads = sg.discrete_quad(p, np.arange(-6, 6)[:, None], np.arange(-6, 6))
     rng = np.random.default_rng(14)
     # the solution's own torsion angles give defects near 0; random ones near 1
@@ -437,9 +442,9 @@ def test_verify_builds_each_term_table_once(monkeypatch):
     built, sizes = [], []
     build, series = theta._term_table.__wrapped__, theta._series
 
-    def counting_build(tau_, eps, j):
+    def counting_build(tau_, j):
         built.append((tau_, j))
-        return build(tau_, eps, j)
+        return build(tau_, j)
 
     def counting_series(j, v, p):
         sizes.append(v.size)

@@ -487,7 +487,7 @@ GEOMETRY_MODULES = ["sgsurf", "sgsurf.cli", "sgsurf.elliptic", "sgsurf.errors",
 
 def test_geometry_commands_do_not_import_the_suites(tmp_path):
     # nor any other module they do not run: the package namespace re-exports
-    # nothing, and sg and frames are imported only where a value is built
+    # nothing, and the field of a lattice is evaluated without loading sg
     script = f"""
 import sys
 from pathlib import Path
@@ -507,9 +507,14 @@ codes = [sgsurf.cli.main(argv) for argv in [
 ]]
 after_runs = loaded()
 import sgsurf.frames
+from sgsurf import elliptic, ksurf, surfaces
+mod = elliptic.make_modulus(0.6)
+surfaces.flow_angle(surfaces.SurfaceParams(mod=mod, family="dn", gamma_step=0.8,
+                                           beta_rate=1.0), 0, 0.3)
+surfaces.half_angles(ksurf.KParams(mod=mod, family="cn", gamma_step=0.8, delta_step=0.55), 0, 1)
 print(names, codes, after_import, after_runs, "sgsurf.sg" in sys.modules)
 """
-    # frames is array geometry and loads no sg
+    # frames is array geometry, and a field sample is a surfaces.HalfAngle: no sg
     expected = f"[] [0, 0, 0] {GEOMETRY_MODULES} {GEOMETRY_MODULES} False"
     assert _fresh_python(script) == expected
 

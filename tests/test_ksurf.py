@@ -147,16 +147,19 @@ def test_tan_half():
 
 
 def _compat_inputs(family):
-    Om, P = 0.13, 0.19
-    p = sg.DiscreteParams(mod=MOD, Omega=Om, P=P, family=family)
-    g, d = 4 * MOD.K * Om, 4 * MOD.K * P
-    sng, cng, dng = elliptic.jacobi(g, MOD)
-    snd, cnd, dnd = elliptic.jacobi(d, MOD)
+    p = _params(family, gamma=4 * MOD.K * 0.13, delta=4 * MOD.K * 0.19)
+    sng, cng, dng = elliptic.jacobi(p.gamma_step, MOD)
+    snd, cnd, dnd = elliptic.jacobi(p.delta_step, MOD)
     if family == "dn":
         nu1, nu2 = math.atan2(sng, cng), math.atan2(snd, cnd)
     else:
         nu1, nu2 = math.atan2(MOD.k * sng, dng), math.atan2(MOD.k * snd, dnd)
     return p, nu1, nu2
+
+
+def _quads(p):
+    """The field on the quads (m, n), m and n in -6..5, as corners (A, B, C, D)."""
+    return sg.discrete_quad(p, np.arange(-6, 6)[:, None], np.arange(-6, 6))
 
 
 @pytest.mark.parametrize("family", ["dn", "cn"])
@@ -166,14 +169,9 @@ def test_compat_same_sign(family):
     t1 = ksurf.tan_half(math.sin(nu1), math.cos(nu1))
     t2 = ksurf.tan_half(math.sin(nu2), math.cos(nu2))
     assert sg.discrete_sg_coeff(p) == pytest.approx(-t1 * t2, abs=1e-12)
-    worst = 0.0
-    for m in range(-6, 6):
-        for n in range(-6, 6):
-            corners = (sg.discrete_sample(p, m + 1, n + 1), sg.discrete_sample(p, m, n),
-                       sg.discrete_sample(p, m + 1, n), sg.discrete_sample(p, m, n + 1))
-            for s in ("+", "-"):
-                worst = max(worst, ksurf.compat_matrices(*corners, nu1, nu2, (s, s)))
-    assert worst < 1e-11
+    corners = _quads(p)
+    for s in ("+", "-"):
+        assert ksurf.compat_matrices(*corners, nu1, nu2, (s, s)).max() < 1e-11
 
 
 @pytest.mark.parametrize("family", ["dn", "cn"])
@@ -184,29 +182,18 @@ def test_compat_mixed_sign(family):
     t1 = ksurf.tan_half(math.sin(nu1), math.cos(nu1))
     t2 = ksurf.tan_half(math.sin(-nu2), math.cos(-nu2))
     assert sg.discrete_sg_coeff(p) == pytest.approx(t1 * t2, abs=1e-12)
-    worst = 0.0
-    for m in range(-6, 6):
-        for n in range(-6, 6):
-            corners = (sg.discrete_sample(p, m + 1, n + 1), sg.discrete_sample(p, m, n),
-                       sg.discrete_sample(p, m + 1, n), sg.discrete_sample(p, m, n + 1))
-            worst = max(worst, ksurf.compat_matrices(*corners, nu1, -nu2, ("+", "-")))
-            worst = max(worst, ksurf.compat_matrices(*corners, nu1, -nu2, ("-", "+")))
-    assert worst < 1e-11
+    corners = _quads(p)
+    for signs in (("+", "-"), ("-", "+")):
+        assert ksurf.compat_matrices(*corners, nu1, -nu2, signs).max() < 1e-11
 
 
 def test_compat_sensitivity():
     p, nu1, nu2 = _compat_inputs("dn")
-    detected = 0.0
-    for m in range(-4, 4):
-        wA = sg.discrete_sample(p, m + 1, 1)
-        s = 1.01 * wA.s
-        nrm = math.hypot(wA.c, s)
-        wAp = sg.HalfAngle(c=wA.c / nrm, s=s / nrm)
-        r = ksurf.compat_matrices(wAp, sg.discrete_sample(p, m, 0),
-                                  sg.discrete_sample(p, m + 1, 0),
-                                  sg.discrete_sample(p, m, 1), nu1, nu2, ("+", "+"))
-        detected = max(detected, r)
-    assert detected > 1e-3
+    wA, wB, wC, wD = sg.discrete_quad(p, np.arange(-4, 4), 0)
+    s = 1.01 * wA.s
+    nrm = np.hypot(wA.c, s)
+    wAp = sg.HalfAngle(c=wA.c / nrm, s=s / nrm)
+    assert ksurf.compat_matrices(wAp, wB, wC, wD, nu1, nu2, ("+", "+")).max() > 1e-3
 
 
 @pytest.mark.parametrize("family", ["dn", "cn"])
@@ -215,15 +202,29 @@ def test_compat_angle_identity(family):
     p, nu1, nu2 = _compat_inputs(family)
     t1 = ksurf.tan_half(math.sin(nu1), math.cos(nu1))
     t2 = ksurf.tan_half(math.sin(nu2), math.cos(nu2))
-    for m in range(-6, 6):
-        for n in range(-6, 6):
-            zA = sg.discrete_sample(p, m + 1, n + 1).quarter_exponential()
-            zB = sg.discrete_sample(p, m, n).quarter_exponential()
-            zC = sg.discrete_sample(p, m + 1, n).quarter_exponential()
-            zD = sg.discrete_sample(p, m, n + 1).quarter_exponential()
-            sinU = (zA * zB * zC * zD).imag
-            sinV = (zA * zB * zC.conjugate() * zD.conjugate()).imag
-            assert -sinV == pytest.approx(t1 * t2 * sinU, abs=1e-10)
+    zA, zB, zC, zD = (w.quarter_exponential() for w in _quads(p))
+    sinU = (zA * zB * zC * zD).imag
+    sinV = (zA * zB * zC.conjugate() * zD.conjugate()).imag
+    assert np.abs(-sinV - t1 * t2 * sinU).max() < 1e-10
+
+
+@pytest.mark.parametrize("family", ["dn", "cn"])
+def test_rendered_lattice_carries_a_compatible_field(family):
+    # the very KParams that k_grid renders fixes the field: it solves the discrete
+    # sG equation, and it passes the zero-curvature condition with the torsion
+    # angles of the other family, whose cosines are the mesh's normal dot products
+    p = _params(family)
+    ms, ns = np.arange(-6, 6)[:, None], np.arange(-6, 6)
+    assert np.abs(sg.discrete_sg_residual(p, ms, ns)).max() < 1e-9
+    other = "cn" if family == "dn" else "dn"
+    nu1, nu2 = (elliptic._lattice_step(p.mod, other, step, False)[0]
+                for step in (p.gamma_step, p.delta_step))
+    assert ksurf.compat_matrices(*_quads(p), nu1, nu2).max() < 1e-11
+    N = ksurf.k_grid(p, range(-6, 7), range(-6, 7)).normals
+    along_m = (N[:-1] * N[1:]).sum(axis=-1)
+    along_n = (N[:, :-1] * N[:, 1:]).sum(axis=-1)
+    assert np.abs(along_m - math.cos(nu1)).max() < 1e-12
+    assert np.abs(along_n - math.cos(nu2)).max() < 1e-12
 
 
 def test_periodicity_case_1a():

@@ -62,12 +62,13 @@ def _all_nan(real):
 # every suite that evaluates a curve through the closed form, directly
 CURVE_SUITES = ["suite_surface_edges", "suite_surface_speed", "suite_surface_torsion",
                 "suite_surface_flow", "suite_surface_flow_orthogonality",
-                "suite_kaleidocycle_closure", "suite_tau_equivalence"]
-# every suite that evaluates a theta series (tau.eta_consistency has closed forms only)
+                "suite_kaleidocycle_closure", "suite_tau_equivalence",
+                "suite_tau_eta_consistency"]
+# every suite that evaluates a theta series
 THETA_SUITES = ["suite_jacobi_vs_theta", "suite_theta_addition", "suite_theta_lattice_doubling",
                 "suite_theta_jacobi_quotients", "suite_weierstrass_scalars", "suite_theta_modular",
                 "suite_tau_equivalence", "suite_tau_bilinear", "suite_tau_cauchy_riemann",
-                "suite_tau_conjugation", "suite_tau_F_reality"]
+                "suite_tau_conjugation", "suite_tau_F_reality", "suite_tau_eta_consistency"]
 
 
 @pytest.mark.parametrize("target, attr, fake, failing", [

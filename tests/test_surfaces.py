@@ -63,9 +63,7 @@ def test_frame_sign_admissibility():
     lambda f: surfaces.SurfaceParams(mod=MOD, family=f, gamma_step=0.8, beta_rate=1.0),
     lambda f: tau.TauContext(mod=MOD, family=f, gamma_step=0.8, beta_rate=1.0),
     lambda f: ksurf.KParams(mod=MOD, family=f, gamma_step=0.8, delta_step=0.55),
-    lambda f: sg.SemiDiscreteParams(mod=MOD, Omega=0.23, A=0.31, family=f),
-    lambda f: sg.DiscreteParams(mod=MOD, Omega=0.23, P=0.17, family=f),
-], ids=["SurfaceParams", "TauContext", "KParams", "SemiDiscreteParams", "DiscreteParams"])
+], ids=["SurfaceParams", "TauContext", "KParams"])
 def test_every_parameter_class_rejects_an_unknown_family(make):
     for family in ("dn", "cn"):
         assert make(family).family == family
@@ -143,8 +141,8 @@ def test_curvature_matches_field_difference(family, twisted):
     snap = surfaces.snapshot(p, range(-8, 9), 0.45)
     geo = frames.extract_geometry(snap.tangents, snap.normals, snap.binormals)
     for j, m in enumerate(range(-8, 8)):
-        h0 = sg.HalfAngle(*surfaces.half_angles(p, m, 0.45))
-        h2 = sg.HalfAngle(*surfaces.half_angles(p, m + 2, 0.45))
+        h0 = surfaces.half_angles(p, m, 0.45)
+        h2 = surfaces.half_angles(p, m + 2, 0.45)
         assert geo.curvature_cos[j] == pytest.approx(h2.c * h0.c + h2.s * h0.s, abs=1e-10)
         assert geo.curvature_sin[j] == pytest.approx(sgn * (h2.s * h0.c - h2.c * h0.s),
                                                      abs=1e-10)
@@ -184,15 +182,11 @@ def test_flow_velocity(family, twisted):
 
 @pytest.mark.parametrize("family,twisted", ALL)
 def test_field_solves_lattice_equations(family, twisted):
+    # the surface's own lattice fixes the field and the coefficients
     p = _params(family, twisted)
-    sp = sg.SemiDiscreteParams(mod=p.mod, Omega=p.gamma_step / (4 * p.mod.K),
-                               A=p.beta_rate / (4 * p.mod.K), family=family)
-    c1, c2 = sg.semi_sg_coeffs(sp)
     for m in range(-12, 12):
         for t in (0.0, 0.45, 1.3):
-            r1, r2 = sg.semi_residuals_from(sg.HalfAngle(*surfaces.half_angles(p, m, t)),
-                                            sg.HalfAngle(*surfaces.half_angles(p, m + 1, t)),
-                                            c1, c2)
+            r1, r2 = sg.semi_residuals(p, m, t)
             assert abs(r1) < 1e-9 and abs(r2) < 1e-9
 
 
