@@ -97,9 +97,9 @@ def write_curve_csv(path: Path, snapshots) -> None:
     with path.open("w", encoding="utf-8") as f:
         f.write("t,m,x,y,z,Bx,By,Bz\n")
         for snap in snapshots:
-            rows = np.column_stack([np.full(len(snap.m_values), float(snap.t)),
-                                    snap.m_values, snap.points, snap.binormals])
-            _write_lines(f, "%.17g,%d" + ",%.17g" * 6 + "\n", rows)
+            # t is one number per snapshot: formatted once, it leads every line
+            rows = np.column_stack([snap.m_values, snap.points, snap.binormals])
+            _write_lines(f, "%.17g," % float(snap.t) + "%d" + ",%.17g" * 6 + "\n", rows)
 
 
 def write_obj(path: Path, points: np.ndarray) -> None:

@@ -30,6 +30,7 @@ depend on how the sites are batched.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -107,9 +108,18 @@ def _agm(k: float, kp: float) -> tuple[list[float], list[float], list[float]]:
 
 
 def make_modulus(k: float) -> EllipticModulus:
-    """Build the constant pack for a modulus in the open interval (0, 1)."""
+    """The constant pack for a modulus in the open interval (0, 1).
+
+    Packs are frozen and memoized on float(k), so equal moduli share one pack
+    and ``mod.k`` is a Python float; an invalid k raises on every call.
+    """
     if not 0.0 < k < 1.0:
         raise DomainError(f"modulus must satisfy 0 < k < 1, got {k}")
+    return _modulus(float(k))
+
+
+@functools.lru_cache(maxsize=256)
+def _modulus(k: float) -> EllipticModulus:
     kp = math.sqrt((1.0 - k) * (1.0 + k))   # 1 - k^2 without cancellation near k = 1
     a, c, w = _agm(k, kp)
     L = len(a) - 1

@@ -176,12 +176,11 @@ def suite_sn2_integral():
 # ------------------------------------------------------------------- theta --
 
 # The theta suites evaluate each distinct argument once: one array call per
-# (index, lattice) over all samples.
+# lattice over all samples and indices.
 
 def _thetas_at(p, *args, js=(0, 1, 2, 3)):
-    """[{j: theta_j(a)} for each argument a], one array call per index j."""
-    each = {j: theta._theta_each(j, p, *args) for j in js}
-    return [{j: each[j][i][0] for j in js} for i in range(len(args))]
+    """[{j: theta_j(a)} for each argument a], from one array call."""
+    return [{j: val for j, (val, _) in zip(js, each)} for each in theta._theta_each(js, p, *args)]
 
 
 @suite("theta.addition_identities", 1e-10, identity=True)
@@ -307,14 +306,17 @@ def suite_theta_modular():
 # ---------------------------------------------------------------------- sg --
 
 # The fields of these suites have steps 0.23 along m and 0.17 along n, and
-# rate 0.31 in t, in units of the real period 4K.
+# rate 0.31 in t, in units of the real period 4K.  Every lattice helper below
+# builds its frozen lattices once per process; evaluated arrays are never kept.
 
+@functools.lru_cache(maxsize=None)
 def _semi_params(k, family):
     mod = elliptic.make_modulus(k)
     return surfaces.CurveLattice(mod=mod, family=family, gamma_step=4.0 * mod.K * 0.23,
                                  beta_rate=4.0 * mod.K * 0.31)
 
 
+@functools.lru_cache(maxsize=None)
 def _discrete_params(k, family, omega=0.23, rho=0.17):
     mod = elliptic.make_modulus(k)
     return ksurf.KParams(mod=mod, family=family, gamma_step=4.0 * mod.K * omega,
@@ -359,11 +361,12 @@ def suite_sg_sensitivity():
 
 # ---------------------------------------------------------------- surfaces --
 
+@functools.lru_cache(maxsize=None)
 def _all_surface_params(k=0.6, gamma=0.8, beta=1.0):
     mod = elliptic.make_modulus(k)
-    return [surfaces.SurfaceParams(mod=mod, family=family, gamma_step=gamma, beta_rate=beta,
-                                   twisted=twisted)
-            for family in ("dn", "cn") for twisted in (False, True)]
+    return tuple(surfaces.SurfaceParams(mod=mod, family=family, gamma_step=gamma,
+                                        beta_rate=beta, twisted=twisted)
+                 for family in ("dn", "cn") for twisted in (False, True))
 
 
 # The suites below evaluate the closed forms once per window: sites m along
@@ -476,10 +479,12 @@ def suite_kaleidocycle_closure():
 
 # --------------------------------------------------------------------- tau --
 
+@functools.lru_cache(maxsize=None)
 def _tau_contexts(k=0.6, gamma=0.8, beta=1.0):
     mod = elliptic.make_modulus(k)
-    return [tau.TauContext(mod=mod, family=f, gamma_step=gamma, beta_rate=beta, twisted=tw)
-            for f in ("dn", "cn") for tw in (False, True)]
+    return tuple(tau.TauContext(mod=mod, family=f, gamma_step=gamma, beta_rate=beta,
+                                twisted=tw)
+                 for f in ("dn", "cn") for tw in (False, True))
 
 
 @suite("tau.matches_closed_forms", 1e-8)
@@ -506,15 +511,26 @@ def suite_tau_cauchy_riemann():
         yield tau.bilinear_checks(ctx, np.array([-3, 0, 4]), 0.3)[2]
 
 
-@suite("tau.conjugation_symmetry", 1e-11)
-def suite_tau_conjugation():
-    """The starred quartet entries equal numeric conjugates at real (lam, z)."""
+@functools.lru_cache(maxsize=None)
+def _conjugation_draws() -> tuple:
+    """Per tau context, 40 seeded scalar draws of (m, t, lam, z) as read-only arrays."""
     rng = np.random.default_rng(108)
-    for ctx in _tau_contexts():
+    out = []
+    for _ in _tau_contexts():
         draws = [(int(rng.integers(-6, 7)), float(rng.uniform(0, 1.5)),
                   float(rng.uniform(-0.8, 0.8)), float(rng.uniform(-0.5, 0.5)))
                  for _ in range(40)]
-        m, t, lam, z = (np.array(x) for x in zip(*draws))
+        columns = tuple(np.array(x) for x in zip(*draws))
+        for col in columns:
+            col.flags.writeable = False
+        out.append(columns)
+    return tuple(out)
+
+
+@suite("tau.conjugation_symmetry", 1e-11)
+def suite_tau_conjugation():
+    """The starred quartet entries equal numeric conjugates at real (lam, z)."""
+    for ctx, (m, t, lam, z) in zip(_tau_contexts(), _conjugation_draws()):
         s = tau.tau_sample(ctx, m, t, lam=lam, z=z)
         scale = np.maximum(np.maximum(1.0, abs(s.f)), abs(s.g))
         yield abs(s.fstar - s.f.conjugate()) / scale
@@ -545,6 +561,7 @@ def suite_tau_eta_consistency():
 
 # ------------------------------------------------------------------- ksurf --
 
+@functools.lru_cache(maxsize=None)
 def _kparams(k=0.6, family="dn", gamma=0.8, delta=0.55):
     return ksurf.KParams(mod=elliptic.make_modulus(k), family=family,
                          gamma_step=gamma, delta_step=delta)
@@ -579,6 +596,7 @@ def suite_ksurf_torsions():
         yield _dot(G[:-1, :-1], G[:-1, 1:]) - td
 
 
+@functools.lru_cache(maxsize=None)
 def _compat_setup(family):
     p = _discrete_params(0.6, family, 0.13, 0.19)
     # the torsion angles are the rotation angles of the other family:

@@ -18,11 +18,12 @@ and the third coordinate combines i R_m (a closed form built from the
 Weierstrass scalar 2E'/K') with the analytic z-derivative of log F.
 
 Every entry point takes integer arrays of m (and arrays of t, lam, z that
-broadcast with them) as well as single values.  One pass evaluates each
-theta once per (index, lattice) over all sites with numpy's complex
-arithmetic; single values are evaluated as arrays of one site and returned
-as numpy scalars, so an element does not depend on how the sites are
-batched.  A quotient whose denominator vanishes raises PoleError.
+broadcast with them) as well as single values.  One pass evaluates the
+phases once and the thetas in one call per lattice, every index over all
+sites, with numpy's complex arithmetic; single values are evaluated as
+arrays of one site and returned as numpy scalars, so an element does not
+depend on how the sites are batched.  A quotient whose denominator vanishes
+raises PoleError.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import PoleError
 from .surfaces import CurveLattice
-from .theta import ThetaParams, _theta_each, lattice_params, theta_with_prime
+from .theta import ThetaParams, _theta_each, lattice_params
 
 _I_POWERS = np.array([1j ** r for r in range(4)])          # i^(m mod 4)
 _NEG_I_POWERS = np.array([(-1j) ** r for r in range(4)])   # (-i)^(m mod 4)
@@ -62,16 +63,6 @@ class TauContext(CurveLattice):
         """Denominator of the (lam, z) -> v chain rule: k K' (dn) or K' (cn)."""
         return self.mod.k * self.mod.Kp if self.family == "dn" else self.mod.Kp
 
-    def v_base(self, m, t):
-        _, psi = self.phases(m, t)
-        return (psi - self.mod.K) / (2j * self.mod.Kp)
-
-    def _v(self, m, t, z, shift=None, lam=None):
-        """v_base [+ shift] + ([lam] + i z) / chain_den, the argument of every theta."""
-        v = self.v_base(m, t) if shift is None else self.v_base(m, t) + shift
-        iz = 1j * z
-        return v + (iz if lam is None else lam + iz) / self.chain_den
-
 
 @dataclass(frozen=True)
 class TauSample:
@@ -84,8 +75,6 @@ class TauSample:
     gstar: complex
     F: complex
     H: complex
-    R: float  # the real value of i R_m
-    eta: float
 
 
 # The evaluation runs on arrays of at least one dimension (a single site is an
@@ -102,27 +91,31 @@ def _evaluate(ctx: TauContext, m, t, lam, z):
     """(f, g, f*, g*, F, H, d log F / dz) at broadcast (m, t, lam, z), each
     with at least one dimension.
 
-    Each theta is one array call per (index, lattice) over every argument
-    it is needed at.  The quartet uses v_pm = v + off + (+-lam + i z)/den on
-    the 2 tau' lattice, H the shift by a half period there, F the collapsed
-    product on the tau' lattice; z may be complex (analytic continuation).
+    The phases are evaluated once, and every theta argument is v = (psi - K)
+    / (2 i K') plus its shift and (lam + i z)/den: the quartet's v_pm = v + off
+    + (+-lam + i z)/den on the 2 tau' lattice, H's shift by a half period
+    there, and F's collapsed product on the tau' lattice; z may be complex
+    (analytic continuation).  Each lattice takes one theta call, over every
+    index and argument it needs.
     """
     m, t, lam, z = (np.atleast_1d(x) for x in (m, t, lam, z))
-    phi, _ = ctx.phases(m, t)
+    phi, psi = ctx.phases(m, t)
+    base = (psi - ctx.mod.K) / (2j * ctx.mod.Kp)
     den = ctx.chain_den
     dn = ctx.family == "dn"
     off = 0.0 if dn else 0.5 + ctx.mod.taup
     half = 0.5 if dn else 1.0 + ctx.mod.taup
-    v = ctx._v(m, t, z)
-    shifted = ctx._v(m, t, z, off, lam), ctx._v(m, t, z, off, -lam), ctx._v(m, t, z, half)
-    (t3p, _), (t3m, _), (t3h, d3h) = _theta_each(3, ctx.lattice2, *shifted)
-    (t2p, _), (t2m, _), (t2h, d2h) = _theta_each(2, ctx.lattice2, *shifted)
+    iz = 1j * z
+    v = base + iz / den
+    ((t3p, _), (t2p, _)), ((t3m, _), (t2m, _)), ((t3h, d3h), (t2h, d2h)) = _theta_each(
+        (3, 2), ctx.lattice2, base + off + (lam + iz) / den, base + off + (-lam + iz) / den,
+        base + half + iz / den)
     if dn:
-        (t3v, d3v), (tl, _) = _theta_each(3, ctx.lattice, v, lam / den)
+        [(t3v, d3v)], [(tl, _)] = _theta_each((3,), ctx.lattice, v, lam / den)
         tv = t3v
     else:
-        (tv, _), (tl, _) = _theta_each(0, ctx.lattice, v + 0.5 + ctx.mod.taup, lam / den)
-        t3v, d3v = theta_with_prime(3, v, ctx.lattice)
+        [(tv, _), _], [(tl, _), _], [_, (t3v, d3v)] = _theta_each(
+            (0, 3), ctx.lattice, v + 0.5 + ctx.mod.taup, lam / den, v)
 
     # quartet: f = i^m e^{-i phi/2} (t3m + iu t2m), g = (-i)^m e^{i phi/2} (t3p + iu t2p)
     iu = 1j if dn else 1.0
@@ -175,9 +168,7 @@ def tau_sample(ctx: TauContext, m, t, lam: Optional[float] = None,
     if lam is None:
         lam = ctx.lambda0
     shape = _shape(m, t, lam, z)
-    values = _evaluate(ctx, m, t, lam, z)[:6]
-    return TauSample(*(_shaped(x, shape) for x in values),
-                     R=i_r_m(ctx, m, t), eta=eta_m(ctx, m, t))
+    return TauSample(*(_shaped(x, shape) for x in _evaluate(ctx, m, t, lam, z)[:6]))
 
 
 def gamma_from_tau(ctx: TauContext, m, t) -> tuple[np.ndarray, np.ndarray]:

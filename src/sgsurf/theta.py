@@ -11,14 +11,16 @@ then by the unit real period.  The public entry points refuse non-finite
 arguments (DomainError) and arguments whose imaginary part would overflow the
 restored prefactor in double precision (ThetaOverflowError).
 
-``theta_with_prime``, ``theta_j``, ``theta_j_prime`` and ``jacobi_complex``
-take complex arrays of arguments as well as single values.  On the band the
-lattice and the index fix how many terms the q-series needs, so a call sums
-that many terms at every site in one array pass from real sin, cos, sinh and
-cosh.  The arithmetic is numpy's, on arrays (a single argument is an array of
-one site, returned as a Python complex), so an element does not depend on how
-the sites are batched; it can differ from a per-site sum with complex sin and
-cos in the last bits.  ``ThetaOverflowError`` and ``PoleError`` are raised
+``theta_with_prime``, ``theta_j`` and ``jacobi_complex`` take complex arrays
+of arguments as well as single values.  One band reduction serves every
+index asked for at the same arguments (``_thetas``; ``theta_with_prime`` is
+its one-index case).  On the band the lattice and the index fix how many
+terms the q-series needs, so a call sums that many terms at every site in one
+array pass from real sin, cos, sinh and cosh, one table of them per frequency
+parity.  The arithmetic is numpy's, on arrays (a single argument is an array
+of one site, returned as a Python complex), so an element does not depend on
+how the sites are batched or on which other indices share the call; it can
+differ from a per-site sum with complex sin and cos in the last bits.  ``ThetaOverflowError`` and ``PoleError`` are raised
 when any element violates the condition.
 """
 
@@ -110,43 +112,49 @@ def _exp(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _series(j: int, v: np.ndarray, p: ThetaParams) -> tuple[np.ndarray, np.ndarray]:
-    """Raw q-series values and argument-derivatives at reduced arguments v (1-D,
-    |Re v| <= 1/2, |Im v| <= Im tau / 2).
+def _series(js, v: np.ndarray, p: ThetaParams) -> list:
+    """[(raw q-series values, argument-derivatives) for j in js] at reduced
+    arguments v (1-D, |Re v| <= 1/2, |Im v| <= Im tau / 2).
 
     Every site sums the same N terms of ``_term_table`` in one (N x sites)
     pass, with sin and cos of w v from real functions,
         sin(x + iy) = sin x cosh y + i cos x sinh y,
         cos(x + iy) = cos x cosh y - i sin x sinh y,
-    and the rows added in term order.  theta_1 pairs its value with sin and its
-    derivative with cos, the others the other way round.
+    and the rows added in term order.  The table of sin and cos is built once
+    per frequency parity: theta_1 and theta_2 share the odd frequencies,
+    theta_0 and theta_3 the even ones.  theta_1 pairs its value with sin and
+    its derivative with cos, the others the other way round.
     """
-    w, a = _term_table(p.tau, j)
-    x, y = w * v.real, w * v.imag
-    # in place where an operand is not needed again: the largest calls hold
-    # several (N x sites) arrays at once
-    sin_x, sinh_y = np.sin(x), np.sinh(y)
-    cos_x, cosh_y = np.cos(x, out=x), np.cosh(y, out=y)
-    trig = np.empty((2,) + x.shape, dtype=complex)
-    sin_wv, cos_wv = (trig[0], trig[1]) if j == 1 else (trig[1], trig[0])
-    np.multiply(sin_x, cosh_y, out=sin_wv.real)
-    np.multiply(cos_x, sinh_y, out=sin_wv.imag)
-    np.multiply(cos_x, cosh_y, out=cos_wv.real)
-    np.multiply(sin_x, np.negative(sinh_y, out=sinh_y), out=cos_wv.imag)
-    terms = np.multiply(a, trig, out=trig)
-    if j in (0, 3):
-        terms[0, 0] += 1.0
-    sums = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
-    return sums[0], sums[1]
+    trig, out = {}, []
+    for j in js:
+        w, a = _term_table(p.tau, j)
+        odd = j in (1, 2)
+        if odd not in trig:
+            x, y = w * v.real, w * v.imag
+            # in place where an operand is not needed again: the largest calls
+            # hold several (N x sites) arrays at once
+            sin_x, sinh_y = np.sin(x), np.sinh(y)
+            cos_x, cosh_y = np.cos(x, out=x), np.cosh(y, out=y)
+            table = trig[odd] = np.empty((2,) + x.shape, dtype=complex)   # sin wv, cos wv
+            np.multiply(sin_x, cosh_y, out=table[0].real)
+            np.multiply(cos_x, sinh_y, out=table[0].imag)
+            np.multiply(cos_x, cosh_y, out=table[1].real)
+            np.multiply(sin_x, np.negative(sinh_y, out=sinh_y), out=table[1].imag)
+        terms = a * (trig[odd] if j == 1 else trig[odd][::-1])
+        if j in (0, 3):
+            terms[0, 0] += 1.0
+        sums = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+        out.append((sums[0], sums[1]))
+    return out
 
 
-def theta_with_prime(j: int, v, p: ThetaParams):
-    """(theta_j(v), theta_j'(v)); the derivative is with respect to v itself.
+def _thetas(js, v, p: ThetaParams) -> list:
+    """[(theta_j(v), theta_j'(v)) for j in js], from one band reduction of v.
 
-    v is a complex number or array; the results have its shape.
+    The finiteness and band checks, the reduction and the quasi-period
+    prefactor are shared by the indices; v is a complex number or array and
+    the results have its shape.
     """
-    if j not in (0, 1, 2, 3):
-        raise DomainError(f"theta index must be 0..3, got {j}")
     v = np.asarray(v, dtype=complex)
     flat = v.ravel()
     if not np.isfinite(flat).all():
@@ -162,33 +170,44 @@ def theta_with_prime(j: int, v, p: ThetaParams):
     v0 -= n1
     two_i_pi_c = _TWO_I_PI * c
     pref = _exp(_NEG_I_PI * c * c * p.tau - two_i_pi_c * v0)
-    # the real period flips theta_1 and theta_2, the quasi-period theta_0 and theta_1
-    if j != 3:
-        flips = c if j == 0 else n1 if j == 2 else n1 + c
-        np.negative(pref, out=pref, where=np.fmod(flips, 2.0) != 0.0)
-    val, dval = _series(j, v0, p)
-    val, dval = pref * val, pref * (dval - two_i_pi_c * val)
-    if v.ndim == 0:
-        return complex(val[0]), complex(dval[0])
-    return val.reshape(v.shape), dval.reshape(v.shape)
+    out = []
+    for j, (val, dval) in zip(js, _series(js, v0, p)):
+        # the real period flips theta_1 and theta_2, the quasi-period theta_0 and theta_1
+        pj = pref
+        if j != 3:
+            flips = c if j == 0 else n1 if j == 2 else n1 + c
+            pj = np.negative(pref, out=pref.copy(), where=np.fmod(flips, 2.0) != 0.0)
+        val, dval = pj * val, pj * (dval - two_i_pi_c * val)
+        if v.ndim == 0:
+            out.append((complex(val[0]), complex(dval[0])))
+        else:
+            out.append((val.reshape(v.shape), dval.reshape(v.shape)))
+    return out
 
 
-def _theta_each(j: int, p: ThetaParams, *args) -> list:
-    """[(theta_j(a), theta_j'(a)) for each argument a] (numbers or arrays),
-    from one array call over all of them."""
+def theta_with_prime(j: int, v, p: ThetaParams):
+    """(theta_j(v), theta_j'(v)); the derivative is with respect to v itself.
+
+    v is a complex number or array; the results have its shape.
+    """
+    if j not in (0, 1, 2, 3):
+        raise DomainError(f"theta index must be 0..3, got {j}")
+    return _thetas((j,), v, p)[0]
+
+
+def _theta_each(js, p: ThetaParams, *args) -> list:
+    """[[(theta_j(a), theta_j'(a)) for j in js] for each argument a] (numbers or
+    arrays), from one band reduction over all of them."""
     arrs = [np.asarray(a, dtype=complex) for a in args]
-    vals, primes = theta_with_prime(j, np.concatenate([a.ravel() for a in arrs]), p)
+    each = _thetas(js, np.concatenate([a.ravel() for a in arrs]), p)
     ends = np.cumsum([a.size for a in arrs]).tolist()
-    return [(vals[e - a.size:e].reshape(a.shape), primes[e - a.size:e].reshape(a.shape))
+    return [[(vals[e - a.size:e].reshape(a.shape), primes[e - a.size:e].reshape(a.shape))
+             for vals, primes in each]
             for a, e in zip(arrs, ends)]
 
 
 def theta_j(j: int, v, p: ThetaParams):
     return theta_with_prime(j, v, p)[0]
-
-
-def theta_j_prime(j: int, v, p: ThetaParams):
-    return theta_with_prime(j, v, p)[1]
 
 
 def jacobi_complex(u, mod: EllipticModulus):
@@ -199,13 +218,12 @@ def jacobi_complex(u, mod: EllipticModulus):
         cn u = -i theta_1(v) theta_2(0) / (theta_3(v) theta_0(0)),
         dn u =    theta_2(v) theta_2(0) / (theta_3(v) theta_3(0)).
     On real u this agrees with elliptic.jacobi and serves as its oracle.
-    u is a number or an array; each theta_j is one call over v and 0.
+    u is a number or an array; the four thetas are one call over v and 0.
     """
     p = lattice_params(mod)
     u = np.asarray(u, dtype=complex)
     v = (u.ravel() - mod.K) / (2j * mod.Kp)
-    args = np.append(v, 0.0)
-    t0, t1, t2, t3 = (theta_j(j, args, p) for j in range(4))
+    t0, t1, t2, t3 = (val for val, _ in _thetas((0, 1, 2, 3), np.append(v, 0.0), p))
     t3v, t00, t20, t30 = t3[:-1], t0[-1], t2[-1], t3[-1]
     near = abs(t3v) < 1e-12 * abs(t30)
     if near.any():

@@ -160,7 +160,7 @@ def test_the_first_omitted_term_moves_no_sum_by_an_ulp(k):
             first, const = (0, 0.0) if j in (1, 2) else (1, 1.0)
             count = len(theta._term_table(p.tau, j)[0])
             assert 2 <= count <= 8
-            val, dval = theta._series(j, v, p)
+            [(val, dval)] = theta._series((j,), v, p)
             for i, x in enumerate(v.tolist()):
                 kept = [_term(j, n, x, p.q) for n in range(first, first + count)]
                 mag = const + sum(abs(t) for t, _ in kept)
@@ -251,7 +251,7 @@ def test_theta_entry_points_are_batch_invariant():
                                  for f, tw in (("dn", False), ("cn", True))],
                          ids=["dn-untwisted", "cn-twisted"])
 def test_tau_entry_points_are_batch_invariant(ctx):
-    names = ("f", "g", "fstar", "gstar", "F", "H", "R", "eta")
+    names = ("f", "g", "fstar", "gstar", "F", "H")
     m, t, lam, z = _tau_sites()
 
     def sample(*args):
@@ -259,6 +259,7 @@ def test_tau_entry_points_are_batch_invariant(ctx):
         return tuple(getattr(s, name) for name in names)
 
     _assert_batch_invariant(sample, m, t, lam, z)
+    _assert_batch_invariant(lambda a, b: (tau.i_r_m(ctx, a, b), tau.eta_m(ctx, a, b)), m, t)
     _assert_batch_invariant(lambda a, b: tau.gamma_from_tau(ctx, a, b), m, t)
     _assert_batch_invariant(lambda a, b: tau.bilinear_checks(ctx, a, b), m, t)
 
@@ -318,10 +319,12 @@ def test_tau_arrays_match_per_site_calls(ctx):
     s = tau.tau_sample(ctx, m, t, lam=lam, z=z)
     g, b = tau.gamma_from_tau(ctx, m, t)
     checks = tau.bilinear_checks(ctx, m, t)
+    r = tau.i_r_m(ctx, m, t)
     for i in range(12):
         one = tau.tau_sample(ctx, int(m[i]), float(t[i]), lam=float(lam[i]), z=float(z[i]))
-        for name in ("f", "g", "fstar", "gstar", "F", "H", "R", "eta"):
+        for name in ("f", "g", "fstar", "gstar", "F", "H"):
             _same(getattr(s, name)[i], getattr(one, name))
+        _same(r[i], tau.i_r_m(ctx, int(m[i]), float(t[i])))
         g1, b1 = tau.gamma_from_tau(ctx, int(m[i]), float(t[i]))
         _same(g[i], g1)
         _same(b[i], b1)
@@ -416,45 +419,48 @@ def test_array_compat_matrices_match_the_per_quad_formula(family):
 
 # --------------------------------------------------------------- suites --
 
-@pytest.mark.parametrize("suite, calls, sites", [
-    # two moduli x four indices on one lattice; 100 samples at 6 arguments, and 0
-    (suites.suite_theta_addition, 8, 601),
-    # three moduli x (dn: two indices on 2 tau' + theta_3 on tau';
-    #                 cn: the same + theta_0 on tau') x two twists; 25 sites x 3 times
-    (suites.suite_tau_equivalence, 3 * (3 + 3 + 4 + 4), 75),
+@pytest.mark.parametrize("suite, calls, sums, sites", [
+    # two moduli x one lattice, four indices each; 100 samples at 6 arguments, and 0
+    (suites.suite_theta_addition, 2, 8, 601),
+    # three moduli x two twists x (2 tau': theta_2, theta_3; tau': theta_3 for dn,
+    # theta_0 and theta_3 for cn); 25 sites x 3 times
+    (suites.suite_tau_equivalence, 3 * 2 * (2 + 2), 3 * 2 * (3 + 4), 75),
 ])
-def test_suite_theta_series_calls_do_not_grow_with_samples(monkeypatch, suite, calls, sites):
-    sizes = []
+def test_suite_theta_series_calls_do_not_grow_with_samples(monkeypatch, suite, calls, sums, sites):
+    sizes, indices = [], []
     real = theta._series
 
-    def counting(j, v, p):
+    def counting(js, v, p):
         sizes.append(v.size)
-        return real(j, v, p)
+        indices.extend(js)
+        return real(js, v, p)
 
     monkeypatch.setattr(theta, "_series", counting)
     assert suite().passed
-    # one series per (modulus, index, lattice, context), each over all samples at once
+    # one series call per (modulus, lattice, context), each over all samples
+    # and every index at once
     assert len(sizes) == calls
+    assert len(indices) == sums
     assert min(sizes) >= sites
 
 
 def test_verify_builds_each_term_table_once(monkeypatch):
-    built, sizes = [], []
+    built, sums = [], []
     build, series = theta._term_table.__wrapped__, theta._series
 
     def counting_build(tau_, j):
         built.append((tau_, j))
         return build(tau_, j)
 
-    def counting_series(j, v, p):
-        sizes.append(v.size)
-        return series(j, v, p)
+    def counting_series(js, v, p):
+        sums.extend(v.size for _ in js)
+        return series(js, v, p)
 
     monkeypatch.setattr(theta, "_term_table", functools.lru_cache(maxsize=256)(counting_build))
     monkeypatch.setattr(theta, "_series", counting_series)
     assert all(r.passed for r in suites.run_suites())
     # every lattice and index builds its table once, however many ThetaParams
-    # and series calls share it
+    # and index sums share it
     assert len(built) == len(set(built))
-    assert 3 * len(built) < len(sizes)
+    assert 3 * len(built) < len(sums)
 

@@ -17,6 +17,23 @@ def test_make_modulus_rejects_degenerate(k):
         elliptic.make_modulus(k)
 
 
+def test_equal_moduli_share_one_pack_with_a_float_k():
+    mod = elliptic.make_modulus(np.float64(0.123456))
+    assert type(mod.k) is float
+    assert elliptic.make_modulus(0.123456) is mod
+    assert elliptic.make_modulus(0.6) is elliptic.make_modulus(np.float64(0.6))
+    assert type(elliptic.make_modulus(0.6).k) is float
+
+
+@pytest.mark.parametrize("k", [0.0, 1.0, math.nan])
+def test_an_invalid_modulus_raises_on_every_call(k):
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            elliptic.make_modulus(k)
+        with pytest.raises(DomainError):
+            elliptic.make_modulus(np.float64(k))
+
+
 @pytest.mark.parametrize("k", MODULI)
 def test_complete_integral_vs_quadrature(k):
     # independent oracle: adaptive quadrature of the defining integral

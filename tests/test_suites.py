@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgsurf import cli, ksurf, sg, suites, surfaces, theta
+from sgsurf import cli, elliptic, ksurf, sg, suites, surfaces, theta
 from test_acceptance import IDENTITY_CORPUS
 
 
@@ -91,6 +91,37 @@ def test_a_nan_residual_fails_the_suite(monkeypatch, target, attr, fake, failing
     with np.errstate(invalid="ignore"):   # NaN / NaN in the residuals
         results = [getattr(suites, name)() for name in failing]
     assert all(math.isnan(r.max_residual) and not r.passed for r in results), results
+
+
+@pytest.mark.parametrize("target, attr, fake, failing", [
+    (surfaces, "_closed_form", _nan_site(surfaces._closed_form), CURVE_SUITES),
+    (theta, "_series", _all_nan(theta._series), THETA_SUITES),
+], ids=["closed_form", "theta_series"])
+def test_nan_probes_fail_their_suites_after_a_full_run(monkeypatch, target, attr, fake, failing):
+    # the suites keep their lattices and moduli across runs, never an
+    # evaluated array: a probe set after a full run still reaches every suite
+    assert all(r.passed for r in suites.run_suites())
+    monkeypatch.setattr(target, attr, fake)
+    with np.errstate(invalid="ignore"):
+        results = [getattr(suites, name)() for name in failing]
+    assert all(math.isnan(r.max_residual) and not r.passed for r in results), results
+
+
+def test_a_fresh_verify_round_builds_each_constant_once(monkeypatch):
+    caches = [elliptic._modulus] + [f for f in vars(suites).values() if hasattr(f, "cache_clear")]
+    for cache in caches:
+        cache.cache_clear()
+    reductions = []
+    real = theta._thetas
+    monkeypatch.setattr(theta, "_thetas",
+                        lambda js, v, p: reductions.append(js) or real(js, v, p))
+    suites.run_suites()
+    suites.run_suites("identities")
+    # 12 distinct k: MODULI_WIDE, 1e-6, 0.999, 0.7 and five kaleidocycle orders
+    assert elliptic._modulus.cache_info().misses == 12
+    # one band reduction per theta call of a suite window or tau evaluation,
+    # every index it needs at once (228 when each index reduced on its own)
+    assert len(reductions) == 104
 
 
 SNAPSHOT_SUITES = ["suite_surface_flow_components", "suite_surface_curvature"]

@@ -75,7 +75,7 @@ def test_F_closed_form_at_lambda0():
     p1 = theta.ThetaParams(MOD.taup)
     for m in (-4, 0, 5):
         s = tau.tau_sample(c, m, 0.3)
-        v = c.v_base(m, 0.3)
+        v = (c.phases(m, 0.3)[1] - MOD.K) / (2j * MOD.Kp)
         ref = 2.0 * theta.theta_j(3, v, p1) * theta.theta_j(0, 0.0, p1)
         assert s.F == pytest.approx(ref, rel=1e-12)
 
@@ -242,9 +242,12 @@ def test_a_vanishing_denominator_raises_pole_error(monkeypatch):
     c = _ctx("dn", False)
     real = tau._theta_each
 
-    def zero_theta_3(j, p, *args):
-        out = real(j, p, *args)
-        return [(v * 0.0, d) for v, d in out] if j == 3 and p is c.lattice else out
+    def zero_theta_3(js, p, *args):
+        out = real(js, p, *args)
+        if p is not c.lattice:
+            return out
+        return [[(v * 0.0, d) if j == 3 else (v, d) for j, (v, d) in zip(js, each)]
+                for each in out]
 
     monkeypatch.setattr(tau, "_theta_each", zero_theta_3)
     with pytest.raises(PoleError):

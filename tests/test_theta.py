@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -80,9 +81,9 @@ def test_overflow_guard():
 
 def test_derivatives_at_zero():
     for j in (0, 2, 3):
-        assert abs(theta.theta_j_prime(j, 0.0, P)) < 1e-14
+        assert abs(theta.theta_with_prime(j, 0.0, P)[1]) < 1e-14
     # classical product identity, verified against the plain series values
-    lhs = theta.theta_j_prime(1, 0.0, P)
+    lhs = theta.theta_with_prime(1, 0.0, P)[1]
     rhs = math.pi * (theta.theta_j(0, 0.0, P)
                      * theta.theta_j(2, 0.0, P)
                      * theta.theta_j(3, 0.0, P))
@@ -96,7 +97,7 @@ def test_derivative_vs_finite_difference():
         v = complex(rng.uniform(-1, 1), rng.uniform(-0.4, 0.4))
         for j in (0, 1, 2, 3):
             fd = (theta.theta_j(j, v + h, P) - theta.theta_j(j, v - h, P)) / (2.0 * h)
-            d = theta.theta_j_prime(j, v, P)
+            d = theta.theta_with_prime(j, v, P)[1]
             assert abs(d - fd) <= 1e-8 * max(1.0, abs(d))
 
 
@@ -167,3 +168,30 @@ def test_modular_identity_spot():
     rhs = (cmath.exp(1j * math.pi * (v * v / MOD.tau - 0.25))
            * cmath.sqrt(MOD.tau) * theta.theta_j(3, v, theta.ThetaParams(MOD.tau)))
     assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("k", [0.3, 0.6, 0.9])
+@pytest.mark.parametrize("multiple", [1, 2], ids=["taup", "2taup"])
+def test_one_reduction_for_any_indices_gives_the_one_index_bits(k, multiple):
+    # the indices of one call share its band reduction and, per frequency
+    # parity, its trig table; each index must still sum exactly as alone
+    p = theta.lattice_params(elliptic.make_modulus(k), multiple)
+    half = 0.5 * p.tau.imag
+    # band edges: Re v on the real half periods, Im v on odd multiples of
+    # Im tau / 2, where the reduction's integer shifts switch
+    v = np.array([x + 1j * y for x in (-0.5, 0.5, 1.5, 0.25)
+                  for y in (0.0, half, -half, 3.0 * half, -5.0 * half)])
+    alone = {j: theta.theta_with_prime(j, v, p) for j in range(4)}
+    for r in range(1, 5):
+        for js in itertools.permutations(range(4), r):
+            for j, got in zip(js, theta._thetas(js, v, p)):
+                assert [_bits(x) for x in got] == [_bits(x) for x in alone[j]]
+        for js in itertools.combinations(range(4), r):
+            for i, x in enumerate(v.tolist()):
+                for j, got in zip(js, theta._thetas(js, x, p)):
+                    assert all(type(y) is complex for y in got)
+                    assert [_bits(y) for y in got] == [_bits(y[i]) for y in alone[j]]
