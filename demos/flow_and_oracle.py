@@ -32,18 +32,17 @@ def main():
     print("tau-function route vs closed forms (worst componentwise gap)")
     for family in ("dn", "cn"):
         for twisted in (False, True):
-            ctx = tau.TauContext(mod=mod, family=family, gamma_step=0.8,
-                                 beta_rate=1.0, twisted=twisted)
+            # one lattice feeds both routes
             sp = surfaces.SurfaceParams(mod=mod, family=family, gamma_step=0.8,
                                         beta_rate=1.0, twisted=twisted)
             worst = 0.0
             for m in range(-10, 11):
                 for t in (0.0, 0.7):
-                    g1, b1 = tau.gamma_from_tau(ctx, m, t)
+                    g1, b1 = tau.gamma_from_tau(sp, m, t)
                     worst = max(worst,
                                 float(np.abs(g1 - surfaces.gamma_point(sp, m, t)).max()),
                                 float(np.abs(b1 - surfaces.b_point(sp, m, t)).max()))
-            fh, fr_res, cr = tau.bilinear_checks(ctx, 2, 0.3)
+            fh, fr_res, cr = tau.bilinear_checks(sp, 2, 0.3)
             tag = "twisted" if twisted else "untwisted"
             print(f"  {family} {tag:9s}: gap {worst:.2e}, bilinear residuals "
                   f"{fh:.1e} / {fr_res:.1e}, analytic pairing {cr:.1e}")

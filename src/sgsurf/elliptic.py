@@ -166,14 +166,6 @@ def sn2_integral(u, mod: EllipticModulus):
     return _landen(u, mod)[3]
 
 
-def jacobi_epsilon(u, mod: EllipticModulus):
-    """Jacobi epsilon eps(u) = integral of dn^2 from 0 to u = u - k^2 int_0^u sn^2.
-
-    Quasi-periodic: eps(u + 2K) = eps(u) + 2E.
-    """
-    return u - mod.m * sn2_integral(u, mod)
-
-
 def _lattice_step(mod: EllipticModulus, family: str, step: float, flipped: bool):
     """(rotation angle, int_0^step sn^2, signed edge scale) of a lattice step, from
     one Landen pass: cos = dn(step), sin = k sn(step) and scale sn(step) for the dn

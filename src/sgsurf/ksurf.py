@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import _closed_form, _lattice_step, make_modulus
-from .errors import DomainError, PoleError, check_finite, max_abs
+from .errors import DomainError, check_finite, max_abs
 from .surfaces import CurveLattice, HalfAngle
 
 _CASES = ("1a", "1b", "1c", "2a", "2b", "2c")
@@ -85,14 +85,6 @@ def k_point(p: KParams, m, n) -> tuple[np.ndarray, np.ndarray]:
     phi, psi = p.phases(m, n)
     lattice = ((m, p.gamma_integral), (n, p.delta_integral))
     return _closed_form(phi, psi, 1.0 - 2.0 * (n % 2), lattice, p.mod, p.family)
-
-
-def k_edge_residuals(p: KParams, m: int, n: int) -> tuple[float, float]:
-    """Norms of the two edge-identity defects at one vertex."""
-    (F, Fm, Fn), (N, Nm, Nn) = k_point(p, np.array([m, m + 1, m]), np.array([n, n, n + 1]))
-    res_m = float(np.linalg.norm(Fm - F - np.cross(Nm, N)))
-    res_n = float(np.linalg.norm(Fn - F + np.cross(Nn, N)))
-    return res_m, res_n
 
 
 @dataclass(frozen=True)
@@ -164,13 +156,6 @@ def k_grid(p: KParams, m_values, n_values) -> KGrid:
     ns = np.asarray(list(n_values), dtype=int)
     pts, nrm = k_point(p, ms[:, None], ns[None, :])
     return KGrid(params=p, m_values=ms, n_values=ns, points=pts, normals=nrm)
-
-
-def tan_half(sin_nu: float, cos_nu: float) -> float:
-    """tan(nu/2) = sin(nu) / (1 + cos(nu)); the cos(nu) = -1 ray is rejected."""
-    if abs(1.0 + cos_nu) < 1e-12:
-        raise PoleError("tan(nu/2) undefined at cos(nu) = -1")
-    return sin_nu / (1.0 + cos_nu)
 
 
 def compat_matrices(wA: HalfAngle, wB: HalfAngle, wC: HalfAngle, wD: HalfAngle,

@@ -30,7 +30,9 @@ import numpy as np
 from .elliptic import jacobi
 from .errors import DomainError, PoleError
 from .ksurf import KParams
-from .surfaces import _POLE_TOL, CurveLattice, HalfAngle, half_angles
+from .surfaces import CurveLattice, HalfAngle, half_angles
+
+_POLE_TOL = 1e-12
 
 
 def _unstack(w: HalfAngle) -> list[HalfAngle]:

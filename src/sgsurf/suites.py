@@ -362,10 +362,12 @@ def suite_sg_sensitivity():
 # ---------------------------------------------------------------- surfaces --
 
 @functools.lru_cache(maxsize=None)
-def _all_surface_params(k=0.6, gamma=0.8, beta=1.0):
+def _all_surface_params(k):
+    """The four curve lattices (dn, cn; untwisted, twisted) of modulus k with
+    gamma = 0.8 and beta = 1, which the surface and tau suites share."""
     mod = elliptic.make_modulus(k)
-    return tuple(surfaces.SurfaceParams(mod=mod, family=family, gamma_step=gamma,
-                                        beta_rate=beta, twisted=twisted)
+    return tuple(surfaces.SurfaceParams(mod=mod, family=family, gamma_step=0.8,
+                                        beta_rate=1.0, twisted=twisted)
                  for family in ("dn", "cn") for twisted in (False, True))
 
 
@@ -390,7 +392,7 @@ def _frame_rows(snaps):
 def suite_surface_edges():
     ms = np.arange(-20, 21)
     for k in MODULI:
-        for p in _all_surface_params(k=k):
+        for p in _all_surface_params(k):
             g, b = surfaces._curve(p, ms, _TIMES)
             yield g[:, 1:] - g[:, :-1] - p.epsilon_sign * np.cross(b[:, 1:], b[:, :-1])
 
@@ -399,7 +401,7 @@ def suite_surface_edges():
 def suite_surface_speed():
     ms = np.arange(-20, 21)
     for k in MODULI:
-        for p in _all_surface_params(k=k):
+        for p in _all_surface_params(k):
             g = surfaces.gamma_point(p, ms, _TIMES)
             yield np.linalg.norm(g[:, 1:] - g[:, :-1], axis=-1) - abs(p.edge_speed)
 
@@ -408,7 +410,7 @@ def suite_surface_speed():
 def suite_surface_torsion():
     ms = np.arange(-20, 21)
     for k in MODULI:
-        for p in _all_surface_params(k=k):
+        for p in _all_surface_params(k):
             sn, cn, dn = elliptic.jacobi(p.gamma_step, p.mod)
             b = surfaces.b_point(p, ms, _TIMES)
             yield _dot(b[:, :-1], b[:, 1:]) - (cn if p.family == "dn" else dn)
@@ -419,7 +421,7 @@ def suite_surface_flow():
     """Closed-form velocity vs central differences (h = 1e-4)."""
     h = 1e-4
     ms = np.arange(-8, 8)
-    for p in _all_surface_params():
+    for p in _all_surface_params(0.6):
         ahead, behind = surfaces.gamma_point(p, ms, np.stack([_FLOW_TIMES + h, _FLOW_TIMES - h]))
         yield surfaces.flow_velocity(p, ms, _FLOW_TIMES) - (ahead - behind) / (2.0 * h)
 
@@ -427,7 +429,7 @@ def suite_surface_flow():
 @suite("surfaces.flow_binormal_orthogonality", 1e-10)
 def suite_surface_flow_orthogonality():
     ms = np.arange(-8, 8)
-    for p in _all_surface_params():
+    for p in _all_surface_params(0.6):
         yield _dot(surfaces.flow_velocity(p, ms, _FLOW_TIMES), surfaces.b_point(p, ms, _FLOW_TIMES))
 
 
@@ -435,7 +437,7 @@ def suite_surface_flow_orthogonality():
 def suite_surface_flow_components():
     """Tangential/normal flow components against the half-angle field."""
     ms = np.arange(-8, 8)
-    for p in _all_surface_params():
+    for p in _all_surface_params(0.6):
         rho = p.sigma * p.beta_rate * (1.0 if p.family == "dn" else p.mod.k)
         T, N, _ = _frame_rows(surfaces.snapshots(p, ms, _FLOW_TIMES[:, 0]))
         v = surfaces.flow_velocity(p, ms, _FLOW_TIMES)
@@ -447,7 +449,7 @@ def suite_surface_flow_components():
 @suite("surfaces.field_solves_lattice_equations", 1e-9)
 def suite_solution_linkage():
     """The field carried by each surface solves the semi-discrete equations."""
-    for p in _all_surface_params():
+    for p in _all_surface_params(0.6):
         for t in (0.0, 0.45, 1.3):
             yield from sg.semi_residuals(p, np.arange(-12, 12), t)
 
@@ -456,7 +458,7 @@ def suite_solution_linkage():
 def suite_surface_curvature():
     """Curvature equals +-(w_{m+2} - w_m)/2 at the sine/cosine level."""
     ts = np.array([0.0, 0.45])
-    for p in _all_surface_params():
+    for p in _all_surface_params(0.6):
         sgn = -1.0 if p.twisted else 1.0
         geo = frames.extract_geometry(*_frame_rows(surfaces.snapshots(p, range(-8, 9), ts)))
         # half-angle samples at m = -8..9: sites m (first 16) and m + 2 (last 16)
@@ -479,44 +481,36 @@ def suite_kaleidocycle_closure():
 
 # --------------------------------------------------------------------- tau --
 
-@functools.lru_cache(maxsize=None)
-def _tau_contexts(k=0.6, gamma=0.8, beta=1.0):
-    mod = elliptic.make_modulus(k)
-    return tuple(tau.TauContext(mod=mod, family=f, gamma_step=gamma, beta_rate=beta,
-                                twisted=tw)
-                 for f in ("dn", "cn") for tw in (False, True))
-
-
 @suite("tau.matches_closed_forms", 1e-8)
 def suite_tau_equivalence():
     """The tau route against the closed forms of the same curve lattice."""
     ms, ts = np.arange(-12, 13), np.array([[0.0], [0.37], [1.1]])
     for k in MODULI:
-        for ctx in _tau_contexts(k=k):
-            g1, b1 = tau.gamma_from_tau(ctx, ms, ts)
-            g2, b2 = surfaces._curve(ctx, ms, ts)
+        for p in _all_surface_params(k):
+            g1, b1 = tau.gamma_from_tau(p, ms, ts)
+            g2, b2 = surfaces._curve(p, ms, ts)
             yield g1 - g2
             yield b1 - b2
 
 
 @suite("tau.bilinear_relations", 1e-9)
 def suite_tau_bilinear():
-    for ctx in _tau_contexts():
-        yield from tau.bilinear_checks(ctx, np.arange(-8, 8)[:, None], np.array([0.0, 0.45]))[:2]
+    for p in _all_surface_params(0.6):
+        yield from tau.bilinear_checks(p, np.arange(-8, 8)[:, None], np.array([0.0, 0.45]))[:2]
 
 
 @suite("tau.analytic_pairing_fd", 1e-6)
 def suite_tau_cauchy_riemann():
-    for ctx in _tau_contexts():
-        yield tau.bilinear_checks(ctx, np.array([-3, 0, 4]), 0.3)[2]
+    for p in _all_surface_params(0.6):
+        yield tau.bilinear_checks(p, np.array([-3, 0, 4]), 0.3)[2]
 
 
 @functools.lru_cache(maxsize=None)
 def _conjugation_draws() -> tuple:
-    """Per tau context, 40 seeded scalar draws of (m, t, lam, z) as read-only arrays."""
+    """Per k = 0.6 curve lattice, 40 seeded scalar draws of (m, t, lam, z) as read-only arrays."""
     rng = np.random.default_rng(108)
     out = []
-    for _ in _tau_contexts():
+    for _ in _all_surface_params(0.6):
         draws = [(int(rng.integers(-6, 7)), float(rng.uniform(0, 1.5)),
                   float(rng.uniform(-0.8, 0.8)), float(rng.uniform(-0.5, 0.5)))
                  for _ in range(40)]
@@ -530,8 +524,8 @@ def _conjugation_draws() -> tuple:
 @suite("tau.conjugation_symmetry", 1e-11)
 def suite_tau_conjugation():
     """The starred quartet entries equal numeric conjugates at real (lam, z)."""
-    for ctx, (m, t, lam, z) in zip(_tau_contexts(), _conjugation_draws()):
-        s = tau.tau_sample(ctx, m, t, lam=lam, z=z)
+    for p, (m, t, lam, z) in zip(_all_surface_params(0.6), _conjugation_draws()):
+        s = tau.tau_sample(p, m, t, lam=lam, z=z)
         scale = np.maximum(np.maximum(1.0, abs(s.f)), abs(s.g))
         yield abs(s.fstar - s.f.conjugate()) / scale
         yield abs(s.gstar - s.g.conjugate()) / scale
@@ -539,8 +533,8 @@ def suite_tau_conjugation():
 
 @suite("tau.F_real_positive", 1e-11)
 def suite_tau_F_reality():
-    for ctx in _tau_contexts():
-        s = tau.tau_sample(ctx, np.arange(-8, 9)[:, None], 0.3, z=np.array([0.0, 0.25]))
+    for p in _all_surface_params(0.6):
+        s = tau.tau_sample(p, np.arange(-8, 9)[:, None], 0.3, z=np.array([0.0, 0.25]))
         q = s.f * s.fstar + s.g * s.gstar
         yield abs(s.F.imag) / abs(s.F)
         yield abs(s.F - q) / abs(s.F)
@@ -553,31 +547,32 @@ def suite_tau_eta_consistency():
     """The closed form i R_m against z + Re(d log F / dz) / 2, from the curve's z
     and the theta quotient of the tau route."""
     ms = np.arange(-6, 7)
-    for ctx in _tau_contexts():
-        z = surfaces._curve(ctx, ms, 0.4)[0][:, 2]
-        dlog = tau._evaluate(ctx, ms, 0.4, ctx.lambda0, 0.0)[-1]
-        yield tau.i_r_m(ctx, ms, 0.4) - (z + 0.5 * dlog.real)
+    for p in _all_surface_params(0.6):
+        z = surfaces._curve(p, ms, 0.4)[0][:, 2]
+        dlog = tau._evaluate(p, ms, 0.4, tau.lambda0(p), 0.0)[-1]
+        yield tau.i_r_m(p, ms, 0.4) - (z + 0.5 * dlog.real)
 
 
 # ------------------------------------------------------------------- ksurf --
 
 @functools.lru_cache(maxsize=None)
-def _kparams(k=0.6, family="dn", gamma=0.8, delta=0.55):
-    return ksurf.KParams(mod=elliptic.make_modulus(k), family=family,
-                         gamma_step=gamma, delta_step=delta)
+def _kparams(family):
+    """The one K-surface lattice of the suites: k = 0.6, gamma = 0.8, delta = 0.55."""
+    return ksurf.KParams(mod=elliptic.make_modulus(0.6), family=family,
+                         gamma_step=0.8, delta_step=0.55)
 
 
 @suite("ksurf.definition_axioms", 1e-10)
 def suite_ksurf_axioms():
     for family in ("dn", "cn"):
-        grid = ksurf.k_grid(_kparams(family=family), range(-10, 10), range(-10, 10))
+        grid = ksurf.k_grid(_kparams(family), range(-10, 10), range(-10, 10))
         yield list(grid.invariant_residuals().values())
 
 
 @suite("ksurf.edge_identities", 1e-10)
 def suite_ksurf_edges():
     for family in ("dn", "cn"):
-        grid = ksurf.k_grid(_kparams(family=family), range(-10, 11), range(-10, 11))
+        grid = ksurf.k_grid(_kparams(family), range(-10, 11), range(-10, 11))
         F, N = grid.points, grid.normals
         res_m = F[1:, :-1] - F[:-1, :-1] - np.cross(N[1:, :-1], N[:-1, :-1])
         res_n = F[:-1, 1:] - F[:-1, :-1] + np.cross(N[:-1, 1:], N[:-1, :-1])
@@ -588,7 +583,7 @@ def suite_ksurf_edges():
 @suite("ksurf.direction_torsions", 1e-12)
 def suite_ksurf_torsions():
     for family in ("dn", "cn"):
-        p = _kparams(family=family)
+        p = _kparams(family)
         _, cn, dn = elliptic.jacobi(np.array([p.gamma_step, p.delta_step]), p.mod)
         tg, td = cn if family == "dn" else dn
         G = ksurf.k_grid(p, range(-8, 9), range(-8, 9)).normals
@@ -631,8 +626,7 @@ def suite_ksurf_angle_identity():
     """-sin(V) = tan(nu1/2) tan(nu2/2) sin(U) on solution corners."""
     for family in ("dn", "cn"):
         p, nu1, nu2 = _compat_setup(family)
-        t1 = ksurf.tan_half(math.sin(nu1), math.cos(nu1))
-        t2 = ksurf.tan_half(math.sin(nu2), math.cos(nu2))
+        t1, t2 = (math.sin(nu) / (1.0 + math.cos(nu)) for nu in (nu1, nu2))
         zA, zB, zC, zD = (w.quarter_exponential() for w in
                           sg.discrete_quad(p, np.arange(-6, 6)[:, None], np.arange(-6, 6)))
         sinU = (zA * zB * zC * zD).imag

@@ -47,11 +47,9 @@ import numpy as np
 
 from .elliptic import (EllipticModulus, _closed_form, _lattice_step, check_family, jacobi,
                        make_modulus)
-from .errors import (DegenerateFrameError, DomainError, PoleError, ValidationError,
-                     check_finite)
+from .errors import DegenerateFrameError, DomainError, ValidationError, check_finite
 
 _SPEED_TOL = 1e-12
-_POLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -124,8 +122,8 @@ def b_point(p: SurfaceParams, m, t: float) -> np.ndarray:
 @dataclass(frozen=True)
 class HalfAngle:
     """One field sample, or an array of them, stored as (cos w/2, sin w/2)
-    plus optional d w/dt; the normalization check and PoleError fire when any
-    element violates its condition."""
+    plus optional d w/dt; the normalization check fires when any element
+    violates it."""
 
     c: float
     s: float
@@ -147,12 +145,6 @@ class HalfAngle:
         cq = np.sqrt(np.maximum(0.0, 0.5 * (1.0 + self.c)))
         sq = np.copysign(np.sqrt(np.maximum(0.0, 0.5 * (1.0 - self.c))), self.s)
         return cq + 1j * sq
-
-    def tan_quarter(self):
-        """tan(w/4) = sin(w/2) / (1 + cos(w/2)); rejects cos(w/2) = -1."""
-        if np.any(np.abs(1.0 + self.c) < _POLE_TOL):
-            raise PoleError("tan(w/4) undefined at cos(w/2) = -1")
-        return self.s / (1.0 + self.c)
 
 
 def half_angles(p: CurveLattice, m, t) -> HalfAngle:

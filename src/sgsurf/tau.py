@@ -17,6 +17,12 @@ single theta product, H is the Hirota lambda-derivative D_lam g . f* / (2i),
 and the third coordinate combines i R_m (a closed form built from the
 Weierstrass scalar 2E'/K') with the analytic z-derivative of log F.
 
+The entry points take a ``surfaces.CurveLattice``, the very lattice the
+closed forms evaluate (a ``SurfaceParams`` or any other), and derive the rest
+from its modulus and family: ``lambda0`` (k K'/2 or K'/2), the chain-rule
+denominator (k K' or K') and the tau' and 2 tau' theta lattices, which
+``theta.lattice_params`` builds once per modulus.
+
 Every entry point takes integer arrays of m (and arrays of t, lam, z that
 broadcast with them) as well as single values.  One pass evaluates the
 phases once and the thetas in one call per lattice, every index over all
@@ -29,39 +35,29 @@ raises PoleError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import PoleError
 from .surfaces import CurveLattice
-from .theta import ThetaParams, _theta_each, lattice_params
+from .theta import _theta_each, lattice_params
 
 _I_POWERS = np.array([1j ** r for r in range(4)])          # i^(m mod 4)
 _NEG_I_POWERS = np.array([(-1j) ** r for r in range(4)])   # (-i)^(m mod 4)
 _FD_STEP = 1e-5   # central-difference step of the Cauchy-Riemann check
 
 
-@dataclass(frozen=True)
-class TauContext(CurveLattice):
-    """The curve lattice with the theta lattices fixing one tau-function quartet."""
+def _chain_den(p: CurveLattice) -> float:
+    """Denominator of the (lam, z) -> v chain rule: k K' (dn) or K' (cn)."""
+    return p.mod.k * p.mod.Kp if p.family == "dn" else p.mod.Kp
 
-    lambda0: float = field(init=False)
-    lattice: ThetaParams = field(init=False, repr=False)    # tau'
-    lattice2: ThetaParams = field(init=False, repr=False)   # 2 tau'
 
-    def __post_init__(self):
-        super().__post_init__()
-        lam0 = self.mod.k * self.mod.Kp / 2.0 if self.family == "dn" else self.mod.Kp / 2.0
-        object.__setattr__(self, "lambda0", lam0)
-        object.__setattr__(self, "lattice", lattice_params(self.mod))
-        object.__setattr__(self, "lattice2", lattice_params(self.mod, 2))
-
-    @property
-    def chain_den(self) -> float:
-        """Denominator of the (lam, z) -> v chain rule: k K' (dn) or K' (cn)."""
-        return self.mod.k * self.mod.Kp if self.family == "dn" else self.mod.Kp
+def lambda0(p: CurveLattice) -> float:
+    """The spectral parameter at which the quartet assembles the curve: k K'/2
+    (dn) or K'/2 (cn)."""
+    return _chain_den(p) / 2.0
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,7 @@ def _shaped(x, shape):
     return x.reshape(shape)[()]
 
 
-def _evaluate(ctx: TauContext, m, t, lam, z):
+def _evaluate(p: CurveLattice, m, t, lam, z):
     """(f, g, f*, g*, F, H, d log F / dz) at broadcast (m, t, lam, z), each
     with at least one dimension.
 
@@ -99,28 +95,29 @@ def _evaluate(ctx: TauContext, m, t, lam, z):
     index and argument it needs.
     """
     m, t, lam, z = (np.atleast_1d(x) for x in (m, t, lam, z))
-    phi, psi = ctx.phases(m, t)
-    base = (psi - ctx.mod.K) / (2j * ctx.mod.Kp)
-    den = ctx.chain_den
-    dn = ctx.family == "dn"
-    off = 0.0 if dn else 0.5 + ctx.mod.taup
-    half = 0.5 if dn else 1.0 + ctx.mod.taup
+    phi, psi = p.phases(m, t)
+    base = (psi - p.mod.K) / (2j * p.mod.Kp)
+    den = _chain_den(p)
+    lattice, lattice2 = lattice_params(p.mod), lattice_params(p.mod, 2)   # tau', 2 tau'
+    dn = p.family == "dn"
+    off = 0.0 if dn else 0.5 + p.mod.taup
+    half = 0.5 if dn else 1.0 + p.mod.taup
     iz = 1j * z
     v = base + iz / den
     ((t3p, _), (t2p, _)), ((t3m, _), (t2m, _)), ((t3h, d3h), (t2h, d2h)) = _theta_each(
-        (3, 2), ctx.lattice2, base + off + (lam + iz) / den, base + off + (-lam + iz) / den,
+        (3, 2), lattice2, base + off + (lam + iz) / den, base + off + (-lam + iz) / den,
         base + half + iz / den)
     if dn:
-        [(t3v, d3v)], [(tl, _)] = _theta_each((3,), ctx.lattice, v, lam / den)
+        [(t3v, d3v)], [(tl, _)] = _theta_each((3,), lattice, v, lam / den)
         tv = t3v
     else:
         [(tv, _), _], [(tl, _), _], [_, (t3v, d3v)] = _theta_each(
-            (0, 3), ctx.lattice, v + 0.5 + ctx.mod.taup, lam / den, v)
+            (0, 3), lattice, v + 0.5 + p.mod.taup, lam / den, v)
 
     # quartet: f = i^m e^{-i phi/2} (t3m + iu t2m), g = (-i)^m e^{i phi/2} (t3p + iu t2p)
     iu = 1j if dn else 1.0
-    twf = _I_POWERS[m % 4] if ctx.twisted else 1.0
-    twg = _NEG_I_POWERS[m % 4] if ctx.twisted else 1.0
+    twf = _I_POWERS[m % 4] if p.twisted else 1.0
+    twg = _NEG_I_POWERS[m % 4] if p.twisted else 1.0
     em = twf * np.exp(-0.5j * phi)
     ep = twg * np.exp(0.5j * phi)
     f = em * (t3m + iu * t2m)
@@ -133,7 +130,7 @@ def _evaluate(ctx: TauContext, m, t, lam, z):
 
     # H = D_lam g . f* / (2i) = pref e^{i phi} (t2 t3' - t3 t2') at the half-period shift
     pref = 1.0 / den if dn else -1j / den
-    if ctx.twisted:
+    if p.twisted:
         pref = pref * (-1) ** (m % 2)
     H = pref * np.exp(1j * phi) * (t2h * d3h - t3h * d2h)
 
@@ -142,49 +139,49 @@ def _evaluate(ctx: TauContext, m, t, lam, z):
     dlog = 1j / den * d3v / t3v
     if not dn:
         # F carries exp(-pi i (2 v(z) + tau')): adds 2 pi / K' to the log-derivative
-        dlog = dlog + 2.0 * math.pi / ctx.mod.Kp
+        dlog = dlog + 2.0 * math.pi / p.mod.Kp
     return f, g, fstar, gstar, F, H, dlog
 
 
-def eta_m(ctx: TauContext, m, t):
+def eta_m(p: CurveLattice, m, t):
     """Phase function of the spectral prefactor; offset pi/2E' (dn) or 3pi/2E' (cn)."""
-    _, psi = ctx.phases(m, t)
-    off = 0.5 if ctx.family == "dn" else 1.5
-    mod = ctx.mod
-    return psi - off * math.pi / mod.Ep - m * mod.m * mod.Kp * ctx.gamma_integral / mod.Ep
+    _, psi = p.phases(m, t)
+    off = 0.5 if p.family == "dn" else 1.5
+    mod = p.mod
+    return psi - off * math.pi / mod.Ep - m * mod.m * mod.Kp * p.gamma_integral / mod.Ep
 
 
-def i_r_m(ctx: TauContext, m, t):
+def i_r_m(p: CurveLattice, m, t):
     """Closed form of i R_m = -(E'/chain_den) eta_m, a real number."""
-    return -(ctx.mod.Ep / ctx.chain_den) * eta_m(ctx, m, t)
+    return -(p.mod.Ep / _chain_den(p)) * eta_m(p, m, t)
 
 
-def tau_sample(ctx: TauContext, m, t, lam: Optional[float] = None,
+def tau_sample(p: CurveLattice, m, t, lam: Optional[float] = None,
                z=0.0) -> TauSample:
     """Evaluate the quartet and its bilinears; lam defaults to lambda0.
 
     m (int), t, lam and z may be arrays that broadcast against each other.
     """
     if lam is None:
-        lam = ctx.lambda0
+        lam = lambda0(p)
     shape = _shape(m, t, lam, z)
-    return TauSample(*(_shaped(x, shape) for x in _evaluate(ctx, m, t, lam, z)[:6]))
+    return TauSample(*(_shaped(x, shape) for x in _evaluate(p, m, t, lam, z)[:6]))
 
 
-def gamma_from_tau(ctx: TauContext, m, t) -> tuple[np.ndarray, np.ndarray]:
+def gamma_from_tau(p: CurveLattice, m, t) -> tuple[np.ndarray, np.ndarray]:
     """(curve point, binormal) assembled from the quartet at lam = lambda0, z = 0.
 
     m an int or an int array (the results carry a trailing axis of length 3).
     """
     shape = _shape(m, t) + (3,)
-    f, g, fstar, gstar, F, H, dlog = _evaluate(ctx, m, t, ctx.lambda0, 0.0)
+    f, g, fstar, gstar, F, H, dlog = _evaluate(p, m, t, lambda0(p), 0.0)
     if not np.all(F):
         raise PoleError("F = 0: the tau curve is not defined there")
     Hc, iF = np.conjugate(H), 1j * F
     fsg, fgs = fstar * g, f * gstar
     gamma = (((H + Hc) / F).real,
              ((H - Hc) / iF).real,
-             i_r_m(ctx, m, t) - 0.5 * dlog.real)
+             i_r_m(p, m, t) - 0.5 * dlog.real)
     b = (((fsg + fgs) / F).real,
          ((fsg - fgs) / iF).real,
          ((f * fstar - g * gstar) / F).real)
@@ -192,7 +189,7 @@ def gamma_from_tau(ctx: TauContext, m, t) -> tuple[np.ndarray, np.ndarray]:
             np.stack(b, axis=-1).reshape(shape))
 
 
-def bilinear_checks(ctx: TauContext, m, t):
+def bilinear_checks(p: CurveLattice, m, t):
     """Residuals of the three structural relations tying the quartet together.
 
     fh_res: F_m H_{m+1} - H_m F_{m+1} = (eps/i) Psi^FH, with the quartic
@@ -215,16 +212,16 @@ def bilinear_checks(ctx: TauContext, m, t):
     shape = _shape(m, t)
     m, t = np.broadcast_arrays(np.atleast_1d(m), np.atleast_1d(t))
     h = _FD_STEP
-    lam0 = ctx.lambda0
+    lam0 = lambda0(p)
     column = (6,) + (1,) * m.ndim
     f, g, fs, gs, F, H, dlog = _evaluate(
-        ctx, np.stack([m, m + 1, m, m, m, m]), t,
+        p, np.stack([m, m + 1, m, m, m, m]), t,
         np.array([lam0, lam0, lam0 + h, lam0 - h, lam0, lam0]).reshape(column),
         np.array([0.0, 0.0, 0.0, 0.0, h, -h]).reshape(column))
     f0, f1, g0, g1, fs0, fs1, gs0, gs1 = f[0], f[1], g[0], g[1], fs[0], fs[1], gs[0], gs[1]
     F0, F1, H0, H1 = F[0], F[1], H[0], H[1]
-    R0, R1 = i_r_m(ctx, m, t), i_r_m(ctx, m + 1, t)
-    eps = ctx.epsilon_sign
+    R0, R1 = i_r_m(p, m, t), i_r_m(p, m + 1, t)
+    eps = p.epsilon_sign
 
     psi_fh = fs0 * fs1 * (f0 * g1 - f1 * g0) + g0 * g1 * (fs0 * gs1 - fs1 * gs0)
     scale = abs(F0 * H1) + abs(H0 * F1) + abs(psi_fh) + 1e-300

@@ -62,8 +62,10 @@ class ThetaParams:
         object.__setattr__(self, "q", cmath.exp(1j * math.pi * self.tau))
 
 
+@functools.lru_cache(maxsize=256)
 def lattice_params(mod: EllipticModulus, multiple: int = 1) -> ThetaParams:
-    """ThetaParams for the taup lattice of a modulus, or an integer multiple of it."""
+    """ThetaParams for the taup lattice of a modulus, or an integer multiple of
+    it; memoized, so each (modulus, multiple) builds its lattice once."""
     return ThetaParams(tau=multiple * mod.taup)
 
 

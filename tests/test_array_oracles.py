@@ -197,8 +197,6 @@ def test_one_pole_element_raises():
     u = np.array([0.3, 0.5, 1j * mod.Kp, 1.1])   # sn, cn and dn have a pole at iK'
     with pytest.raises(PoleError):
         theta.jacobi_complex(u, mod)
-    with pytest.raises(PoleError):
-        sg.HalfAngle(c=np.array([0.6, -1.0]), s=np.array([0.8, 0.0])).tan_quarter()
 
 
 def test_jacobi_complex_and_weierstrass_arrays_match_single_values():
@@ -228,6 +226,13 @@ def _assert_batch_invariant(evaluate, *sites):
         _same(whole[::3], part)
 
 
+def _curve_lattices(k=0.6):
+    """The four curve lattices (dn, cn; untwisted, twisted) that the tau route reads."""
+    mod = elliptic.make_modulus(k)
+    return [surfaces.SurfaceParams(mod=mod, family=f, gamma_step=0.8, beta_rate=1.0, twisted=tw)
+            for f in ("dn", "cn") for tw in (False, True)]
+
+
 def _tau_sites(count=97):
     rng = np.random.default_rng(12)
     return (rng.integers(-9, 10, count), rng.uniform(0, 1.5, count),
@@ -246,22 +251,20 @@ def test_theta_entry_points_are_batch_invariant():
     _assert_batch_invariant(lambda x: (theta.weierstrass_p(x, mod),), 0.2 * u + 0.1j)
 
 
-@pytest.mark.parametrize("ctx", [tau.TauContext(mod=elliptic.make_modulus(0.6), family=f,
-                                                gamma_step=0.8, beta_rate=1.0, twisted=tw)
-                                 for f, tw in (("dn", False), ("cn", True))],
+@pytest.mark.parametrize("p", [_curve_lattices()[i] for i in (0, 3)],
                          ids=["dn-untwisted", "cn-twisted"])
-def test_tau_entry_points_are_batch_invariant(ctx):
+def test_tau_entry_points_are_batch_invariant(p):
     names = ("f", "g", "fstar", "gstar", "F", "H")
     m, t, lam, z = _tau_sites()
 
     def sample(*args):
-        s = tau.tau_sample(ctx, *args[:2], lam=args[2], z=args[3])
+        s = tau.tau_sample(p, *args[:2], lam=args[2], z=args[3])
         return tuple(getattr(s, name) for name in names)
 
     _assert_batch_invariant(sample, m, t, lam, z)
-    _assert_batch_invariant(lambda a, b: (tau.i_r_m(ctx, a, b), tau.eta_m(ctx, a, b)), m, t)
-    _assert_batch_invariant(lambda a, b: tau.gamma_from_tau(ctx, a, b), m, t)
-    _assert_batch_invariant(lambda a, b: tau.bilinear_checks(ctx, a, b), m, t)
+    _assert_batch_invariant(lambda a, b: (tau.i_r_m(p, a, b), tau.eta_m(p, a, b)), m, t)
+    _assert_batch_invariant(lambda a, b: tau.gamma_from_tau(p, a, b), m, t)
+    _assert_batch_invariant(lambda a, b: tau.bilinear_checks(p, a, b), m, t)
 
 
 def _field_lattices(family, k, omega, rho, rate=0.31):
@@ -302,46 +305,44 @@ def test_sg_and_compat_entry_points_are_batch_invariant(family):
 
 # ------------------------------------------------------------------ tau --
 
-def _contexts(k=0.6):
-    mod = elliptic.make_modulus(k)
-    return [tau.TauContext(mod=mod, family=f, gamma_step=0.8, beta_rate=1.0, twisted=tw)
-            for f in ("dn", "cn") for tw in (False, True)]
-
-
-@pytest.mark.parametrize("ctx", _contexts(), ids=lambda c: f"{c.family}-{c.twisted}")
-def test_tau_arrays_match_per_site_calls(ctx):
+@pytest.mark.parametrize("p", _curve_lattices(), ids=lambda c: f"{c.family}-{c.twisted}")
+def test_tau_arrays_match_per_site_calls(p):
     rng = np.random.default_rng(9)
     m = rng.integers(-9, 10, 12)
     t = rng.uniform(0, 1.5, 12)
     lam = rng.uniform(-0.8, 0.8, 12)
     z = rng.uniform(-0.5, 0.5, 12)
     z[:2] = (0.0, -0.0)
-    s = tau.tau_sample(ctx, m, t, lam=lam, z=z)
-    g, b = tau.gamma_from_tau(ctx, m, t)
-    checks = tau.bilinear_checks(ctx, m, t)
-    r = tau.i_r_m(ctx, m, t)
+    s = tau.tau_sample(p, m, t, lam=lam, z=z)
+    g, b = tau.gamma_from_tau(p, m, t)
+    checks = tau.bilinear_checks(p, m, t)
+    r = tau.i_r_m(p, m, t)
     for i in range(12):
-        one = tau.tau_sample(ctx, int(m[i]), float(t[i]), lam=float(lam[i]), z=float(z[i]))
+        one = tau.tau_sample(p, int(m[i]), float(t[i]), lam=float(lam[i]), z=float(z[i]))
         for name in ("f", "g", "fstar", "gstar", "F", "H"):
             _same(getattr(s, name)[i], getattr(one, name))
-        _same(r[i], tau.i_r_m(ctx, int(m[i]), float(t[i])))
-        g1, b1 = tau.gamma_from_tau(ctx, int(m[i]), float(t[i]))
+        _same(r[i], tau.i_r_m(p, int(m[i]), float(t[i])))
+        g1, b1 = tau.gamma_from_tau(p, int(m[i]), float(t[i]))
         _same(g[i], g1)
         _same(b[i], b1)
-        for arr, single in zip(checks, tau.bilinear_checks(ctx, int(m[i]), float(t[i]))):
+        for arr, single in zip(checks, tau.bilinear_checks(p, int(m[i]), float(t[i]))):
             _same(arr[i], single)
-    one = tau.tau_sample(ctx, 2, 0.3)
+    one = tau.tau_sample(p, 2, 0.3)
     assert np.ndim(one.F) == 0 and np.iscomplexobj(one.F)
 
 
 def test_tau_context_builds_its_lattices_once(monkeypatch):
-    ctx = _contexts()[0]
+    # the tau' and 2 tau' theta lattices of a modulus are memoized: a second
+    # evaluation on the same curve lattice builds no ThetaParams
+    p = _curve_lattices()[0]
+    tau.gamma_from_tau(p, np.arange(-5, 6), 0.3)
+    tau.bilinear_checks(p, np.arange(3), 0.3)
     built = []
     real = theta.ThetaParams.__post_init__
     monkeypatch.setattr(theta.ThetaParams, "__post_init__",
                         lambda self: built.append(self) or real(self))
-    tau.gamma_from_tau(ctx, np.arange(-5, 6), 0.3)
-    tau.bilinear_checks(ctx, np.arange(3), 0.3)
+    tau.gamma_from_tau(p, np.arange(-5, 6), 0.3)
+    tau.bilinear_checks(p, np.arange(3), 0.3)
     assert built == []
 
 

@@ -167,13 +167,6 @@ def test_sn2_integral_vs_quadrature(k):
         assert float(elliptic.sn2_integral(float(u), mod)) == pytest.approx(ref, abs=1e-10)
 
 
-def test_epsilon_function_quasi_period():
-    mod = elliptic.make_modulus(0.9)
-    for u in (-1.2, 0.7, 2.9):
-        assert float(elliptic.jacobi_epsilon(u + 2.0 * mod.K, mod)) == pytest.approx(
-            float(elliptic.jacobi_epsilon(u, mod)) + 2.0 * mod.E, abs=1e-12)
-
-
 @pytest.mark.parametrize("k", [1e-8, 1e-4, 0.3, 0.6, 0.9, 0.99])
 def test_jacobi_matches_scipy_ellipj(k):
     # scipy's descending-Landen ellipj as an independent oracle, fed the same

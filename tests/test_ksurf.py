@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sgsurf import elliptic, ksurf, sg, surfaces
-from sgsurf.errors import DomainError, PoleError
+from sgsurf.errors import DomainError
 
 MOD = elliptic.make_modulus(0.6)
 
@@ -81,13 +81,14 @@ def test_normals_unit(family):
 
 @pytest.mark.parametrize("family", ["dn", "cn"])
 def test_edge_identities(family):
-    p = _params(family)
-    worst = 0.0
-    for m in range(-10, 10):
-        for n in range(-10, 10):
-            rm, rn = ksurf.k_edge_residuals(p, m, n)
-            worst = max(worst, rm, rn)
-    assert worst < 1e-10
+    # F_{m+1,n} - F = N_{m+1,n} x N and F_{m,n+1} - F = -N_{m,n+1} x N at every
+    # vertex (m, n) of -10..9 x -10..9
+    grid = ksurf.k_grid(_params(family), range(-10, 11), range(-10, 11))
+    F, N = grid.points, grid.normals
+    res_m = F[1:, :-1] - F[:-1, :-1] - np.cross(N[1:, :-1], N[:-1, :-1])
+    res_n = F[:-1, 1:] - F[:-1, :-1] + np.cross(N[:-1, 1:], N[:-1, :-1])
+    assert np.linalg.norm(res_m, axis=-1).max() < 1e-10
+    assert np.linalg.norm(res_n, axis=-1).max() < 1e-10
 
 
 def test_edge_sign_sensitivity():
@@ -136,14 +137,9 @@ def test_direction_torsions(family):
             assert abs(float(np.dot(N, Nn)) - td) < 1e-12
 
 
-def test_tan_half():
-    with pytest.raises(PoleError):
-        ksurf.tan_half(0.0, -1.0)
-    # half-argument product: sn(u)/(1 + cn(u)) = sn(u/2) dn(u/2) / cn(u/2)
-    for u in (0.5, 1.1, 2.3):
-        sn, cn, dn = elliptic.jacobi(u, MOD)
-        sh, ch, dh = elliptic.jacobi(u / 2, MOD)
-        assert ksurf.tan_half(sn, cn) == pytest.approx(sh * dh / ch, abs=1e-12)
+def _tan_half(nu):
+    """tan(nu/2) = sin(nu) / (1 + cos(nu))."""
+    return math.sin(nu) / (1.0 + math.cos(nu))
 
 
 def _compat_inputs(family):
@@ -166,9 +162,7 @@ def _quads(p):
 def test_compat_same_sign(family):
     # coupling equals -tan(nu1/2) tan(nu2/2): the same-sign condition
     p, nu1, nu2 = _compat_inputs(family)
-    t1 = ksurf.tan_half(math.sin(nu1), math.cos(nu1))
-    t2 = ksurf.tan_half(math.sin(nu2), math.cos(nu2))
-    assert sg.discrete_sg_coeff(p) == pytest.approx(-t1 * t2, abs=1e-12)
+    assert sg.discrete_sg_coeff(p) == pytest.approx(-_tan_half(nu1) * _tan_half(nu2), abs=1e-12)
     corners = _quads(p)
     for s in ("+", "-"):
         assert ksurf.compat_matrices(*corners, nu1, nu2, (s, s)).max() < 1e-11
@@ -179,9 +173,7 @@ def test_compat_mixed_sign(family):
     # mixed signs need the opposite n-direction torsion angle, so that the
     # coupling equals +tan(nu1/2) tan(nu2/2)
     p, nu1, nu2 = _compat_inputs(family)
-    t1 = ksurf.tan_half(math.sin(nu1), math.cos(nu1))
-    t2 = ksurf.tan_half(math.sin(-nu2), math.cos(-nu2))
-    assert sg.discrete_sg_coeff(p) == pytest.approx(t1 * t2, abs=1e-12)
+    assert sg.discrete_sg_coeff(p) == pytest.approx(_tan_half(nu1) * _tan_half(-nu2), abs=1e-12)
     corners = _quads(p)
     for signs in (("+", "-"), ("-", "+")):
         assert ksurf.compat_matrices(*corners, nu1, -nu2, signs).max() < 1e-11
@@ -200,8 +192,7 @@ def test_compat_sensitivity():
 def test_compat_angle_identity(family):
     # -sin(V) = tan(nu1/2) tan(nu2/2) sin(U), U = (A+B+C+D)/4, V = (A+B-C-D)/4
     p, nu1, nu2 = _compat_inputs(family)
-    t1 = ksurf.tan_half(math.sin(nu1), math.cos(nu1))
-    t2 = ksurf.tan_half(math.sin(nu2), math.cos(nu2))
+    t1, t2 = _tan_half(nu1), _tan_half(nu2)
     zA, zB, zC, zD = (w.quarter_exponential() for w in _quads(p))
     sinU = (zA * zB * zC * zD).imag
     sinV = (zA * zB * zC.conjugate() * zD.conjugate()).imag

@@ -186,16 +186,19 @@ def test_cn_coeff_dn_quotient_identity():
 
 
 def test_quarter_angle_vs_theta_quotient():
-    """tan(w/4) of the stored cn-family field is the reciprocal of the quotient
-    theta_0 theta_2 / (theta_3 theta_1); the quotient itself belongs to the
-    complementary lift with cos(w/2) = -cn."""
+    """tan(w/4) of the stored cn-family field (imag / real of its quarter
+    exponential) is the reciprocal of the quotient theta_0 theta_2 / (theta_3
+    theta_1); the quotient itself belongs to the complementary lift with
+    cos(w/2) = -cn."""
     p = theta.ThetaParams(MOD.tau)
     rng = np.random.default_rng(8)
     for xi in rng.uniform(-0.9, 0.9, 50):
         sn, cn, dn = elliptic.jacobi(4.0 * MOD.K * xi, MOD)
         quotient = (theta.theta_j(0, xi, p) * theta.theta_j(2, xi, p)
                     / (theta.theta_j(3, xi, p) * theta.theta_j(1, xi, p))).real
-        stored = sg.HalfAngle(c=cn, s=sn).tan_quarter()
+        q = sg.HalfAngle(c=cn, s=sn).quarter_exponential()
+        stored = q.imag / q.real
         assert stored * quotient == pytest.approx(1.0, abs=1e-9)
-        flipped = sg.HalfAngle(c=-cn, s=sn).tan_quarter()
+        q = sg.HalfAngle(c=-cn, s=sn).quarter_exponential()
+        flipped = q.imag / q.real
         assert flipped == pytest.approx(quotient, abs=1e-9 * max(1.0, abs(quotient)))

@@ -124,6 +124,14 @@ def test_a_fresh_verify_round_builds_each_constant_once(monkeypatch):
     assert len(reductions) == 104
 
 
+def test_surface_and_tau_suites_share_one_lattice_set_per_modulus():
+    # the curve suites and the tau suites read the same four lattices of each
+    # modulus, so a fresh round builds one cached set per modulus and no more
+    suites._all_surface_params.cache_clear()
+    suites.run_suites("all")
+    assert suites._all_surface_params.cache_info().currsize == len(suites.MODULI)
+
+
 SNAPSHOT_SUITES = ["suite_surface_flow_components", "suite_surface_curvature"]
 
 

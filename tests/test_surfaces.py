@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sgsurf import elliptic, frames, ksurf, sg, surfaces, tau
+from sgsurf import elliptic, frames, ksurf, sg, surfaces
 from sgsurf.errors import DegenerateFrameError, DomainError
 
 MOD = elliptic.make_modulus(0.6)
@@ -61,9 +61,9 @@ def test_frame_sign_admissibility():
 
 @pytest.mark.parametrize("make", [
     lambda f: surfaces.SurfaceParams(mod=MOD, family=f, gamma_step=0.8, beta_rate=1.0),
-    lambda f: tau.TauContext(mod=MOD, family=f, gamma_step=0.8, beta_rate=1.0),
+    lambda f: surfaces.CurveLattice(mod=MOD, family=f, gamma_step=0.8, beta_rate=1.0),
     lambda f: ksurf.KParams(mod=MOD, family=f, gamma_step=0.8, delta_step=0.55),
-], ids=["SurfaceParams", "TauContext", "KParams"])
+], ids=["SurfaceParams", "CurveLattice", "KParams"])
 def test_every_parameter_class_rejects_an_unknown_family(make):
     for family in ("dn", "cn"):
         assert make(family).family == family
@@ -75,10 +75,10 @@ def test_every_parameter_class_rejects_an_unknown_family(make):
 @pytest.mark.parametrize("make", [
     lambda v: surfaces.SurfaceParams(mod=MOD, family="dn", gamma_step=v, beta_rate=1.0),
     lambda v: surfaces.SurfaceParams(mod=MOD, family="cn", gamma_step=0.8, beta_rate=v),
-    lambda v: tau.TauContext(mod=MOD, family="dn", gamma_step=v, beta_rate=1.0),
+    lambda v: surfaces.CurveLattice(mod=MOD, family="dn", gamma_step=v, beta_rate=1.0),
     lambda v: ksurf.KParams(mod=MOD, family="dn", gamma_step=v, delta_step=0.55),
     lambda v: ksurf.KParams(mod=MOD, family="cn", gamma_step=0.8, delta_step=v),
-], ids=["SurfaceParams.gamma", "SurfaceParams.beta", "TauContext.gamma", "KParams.gamma",
+], ids=["SurfaceParams.gamma", "SurfaceParams.beta", "CurveLattice.gamma", "KParams.gamma",
         "KParams.delta"])
 def test_every_curve_lattice_rejects_non_finite_steps(make, value):
     with pytest.raises(DomainError, match="must be finite"):

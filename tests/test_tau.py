@@ -11,44 +11,39 @@ MOD = elliptic.make_modulus(0.6)
 GAMMA, BETA = 0.8, 1.0
 
 
-def _ctx(family, twisted=False, k=0.6):
-    return tau.TauContext(mod=elliptic.make_modulus(k), family=family,
-                          gamma_step=GAMMA, beta_rate=BETA, twisted=twisted)
-
-
-def _surface(ctx):
-    return surfaces.SurfaceParams(
-        mod=ctx.mod, family=ctx.family, gamma_step=ctx.gamma_step,
-        beta_rate=ctx.beta_rate, twisted=ctx.twisted)
+def _lattice(family, twisted=False, k=0.6):
+    """The curve lattice that both the tau route and the closed forms read."""
+    return surfaces.SurfaceParams(mod=elliptic.make_modulus(k), family=family,
+                                  gamma_step=GAMMA, beta_rate=BETA, twisted=twisted)
 
 
 def test_context_constants():
-    c = _ctx("dn")
-    assert c.lambda0 == pytest.approx(0.6 * MOD.Kp / 2)
+    c = _lattice("dn")
+    assert tau.lambda0(c) == pytest.approx(0.6 * MOD.Kp / 2)
     assert c.epsilon_sign == 1
-    assert _ctx("dn", twisted=True).epsilon_sign == -1
-    assert _ctx("cn").lambda0 == pytest.approx(MOD.Kp / 2)
+    assert _lattice("dn", twisted=True).epsilon_sign == -1
+    assert tau.lambda0(_lattice("cn")) == pytest.approx(MOD.Kp / 2)
     sn, cn, dn = elliptic.jacobi(GAMMA, MOD)
     assert math.cos(c.alpha_step) == pytest.approx(dn)
     assert math.sin(c.alpha_step) == pytest.approx(0.6 * sn)
-    ct = _ctx("cn", twisted=True)
+    ct = _lattice("cn", twisted=True)
     assert math.cos(ct.alpha_step) == pytest.approx(-cn)
 
 
 def test_dn_field_value_at_special_point():
     # -i g / f* at lam = lambda0, z = i lambda0 encodes the dn field
-    c = _ctx("dn")
+    c = _lattice("dn")
     for m, t in ((0, 0.0), (3, 0.4), (-2, 1.1)):
-        s = tau.tau_sample(c, m, t, z=1j * c.lambda0)
+        s = tau.tau_sample(c, m, t, z=1j * tau.lambda0(c))
         _, psi = c.phases(m, t)
         sn, _, dn = elliptic.jacobi(psi, c.mod)
         assert -1j * s.g / s.fstar == pytest.approx(dn - 1j * c.mod.k * sn, abs=1e-12)
 
 
 def test_cn_field_value_at_special_point():
-    c = _ctx("cn")
+    c = _lattice("cn")
     for m, t in ((0, 0.0), (3, 0.4), (-2, 1.1)):
-        s = tau.tau_sample(c, m, t, z=1j * c.lambda0)
+        s = tau.tau_sample(c, m, t, z=1j * tau.lambda0(c))
         _, psi = c.phases(m, t)
         sn, cn, _ = elliptic.jacobi(psi, c.mod)
         assert -1j * s.g / s.fstar == pytest.approx(cn + 1j * sn, abs=1e-12)
@@ -57,7 +52,7 @@ def test_cn_field_value_at_special_point():
 @pytest.mark.parametrize("family", ["dn", "cn"])
 @pytest.mark.parametrize("twisted", [False, True])
 def test_F_collapses_to_quartet_sum(family, twisted):
-    c = _ctx(family, twisted)
+    c = _lattice(family, twisted)
     rng = np.random.default_rng(20)
     for _ in range(25):
         m = int(rng.integers(-6, 7))
@@ -71,7 +66,7 @@ def test_F_collapses_to_quartet_sum(family, twisted):
 
 def test_F_closed_form_at_lambda0():
     # dn family: F = 2 theta_3(v(z)) theta_0(0) on the taup lattice
-    c = _ctx("dn")
+    c = _lattice("dn")
     p1 = theta.ThetaParams(MOD.taup)
     for m in (-4, 0, 5):
         s = tau.tau_sample(c, m, 0.3)
@@ -83,7 +78,7 @@ def test_F_closed_form_at_lambda0():
 @pytest.mark.parametrize("family", ["dn", "cn"])
 @pytest.mark.parametrize("twisted", [False, True])
 def test_F_real_positive(family, twisted):
-    c = _ctx(family, twisted)
+    c = _lattice(family, twisted)
     for m in range(-8, 9):
         for z in (0.0, 0.25):
             s = tau.tau_sample(c, m, 0.3, z=z)
@@ -121,7 +116,7 @@ def test_conjugation_symmetry_quartet_level():
     rng = np.random.default_rng(22)
     for family in ("dn", "cn"):
         for twisted in (False, True):
-            c = _ctx(family, twisted)
+            c = _lattice(family, twisted)
             for _ in range(20):
                 s = tau.tau_sample(c, int(rng.integers(-6, 7)), float(rng.uniform(0, 1.5)),
                                    lam=float(rng.uniform(-0.8, 0.8)),
@@ -134,7 +129,7 @@ def test_conjugation_symmetry_quartet_level():
 def test_H_over_F_closed_forms():
     # dn: H/F = exp(i phi) dn(psi) / (2k); cn: H/F = (k/2) exp(i phi) cn(psi)
     for family in ("dn", "cn"):
-        c = _ctx(family)
+        c = _lattice(family)
         for m, t in ((0, 0.0), (2, 0.7), (-3, 1.2)):
             s = tau.tau_sample(c, m, t)
             phi, psi = c.phases(m, t)
@@ -147,7 +142,7 @@ def test_H_over_F_closed_forms():
 
 
 def test_binormal_third_component():
-    c = _ctx("dn")
+    c = _lattice("dn")
     for m in (-3, 0, 4):
         s = tau.tau_sample(c, m, 0.3)
         _, psi = c.phases(m, 0.3)
@@ -156,7 +151,7 @@ def test_binormal_third_component():
 
 
 def test_origin_point_dn():
-    g, b = tau.gamma_from_tau(_ctx("dn"), 0, 0.0)
+    g, b = tau.gamma_from_tau(_lattice("dn"), 0, 0.0)
     assert g == pytest.approx(np.array([1 / 0.6, 0.0, 0.0]), abs=1e-12)
     assert b == pytest.approx(np.array([0.0, 0.0, -1.0]), abs=1e-12)
 
@@ -165,22 +160,21 @@ def test_origin_point_dn():
 @pytest.mark.parametrize("twisted", [False, True])
 @pytest.mark.parametrize("k", [0.3, 0.6, 0.9])
 def test_matches_closed_form_surfaces(family, twisted, k):
-    c = _ctx(family, twisted, k=k)
-    sp = _surface(c)
+    c = _lattice(family, twisted, k=k)
     worst = 0.0
     for m in range(-12, 13):
         for t in (0.0, 0.37, 1.1):
             g1, b1 = tau.gamma_from_tau(c, m, t)
             worst = max(worst,
-                        float(np.abs(g1 - surfaces.gamma_point(sp, m, t)).max()),
-                        float(np.abs(b1 - surfaces.b_point(sp, m, t)).max()))
+                        float(np.abs(g1 - surfaces.gamma_point(c, m, t)).max()),
+                        float(np.abs(b1 - surfaces.b_point(c, m, t)).max()))
     assert worst < 1e-8
 
 
 @pytest.mark.parametrize("family", ["dn", "cn"])
 @pytest.mark.parametrize("twisted", [False, True])
 def test_bilinear_relations(family, twisted):
-    c = _ctx(family, twisted)
+    c = _lattice(family, twisted)
     for m in range(-8, 8):
         for t in (0.0, 0.45):
             fh, fr, _ = tau.bilinear_checks(c, m, t)
@@ -190,7 +184,7 @@ def test_bilinear_relations(family, twisted):
 
 def test_cauchy_riemann_finite_difference():
     for family in ("dn", "cn"):
-        c = _ctx(family)
+        c = _lattice(family)
         for m in (-3, 0, 4):
             _, _, cr = tau.bilinear_checks(c, m, 0.3)
             assert cr < 1e-6
@@ -198,16 +192,16 @@ def test_cauchy_riemann_finite_difference():
 
 def test_eta_consistency():
     for family in ("dn", "cn"):
-        c = _ctx(family)
+        c = _lattice(family)
         for m in (-5, 0, 7):
-            assert -(c.mod.Ep / c.chain_den) * tau.eta_m(c, m, 0.4) == pytest.approx(
+            assert -(c.mod.Ep / tau._chain_den(c)) * tau.eta_m(c, m, 0.4) == pytest.approx(
                 tau.i_r_m(c, m, 0.4), abs=1e-13)
 
 
 def test_overflow_propagates_from_theta():
     from sgsurf.errors import ThetaOverflowError
     with pytest.raises(ThetaOverflowError):
-        tau.tau_sample(_ctx("dn"), 200, 0.0)
+        tau.tau_sample(_lattice("dn"), 200, 0.0)
 
 
 def test_random_parameter_sweep_matches_closed_forms():
@@ -224,14 +218,12 @@ def test_random_parameter_sweep_matches_closed_forms():
             continue
         family = str(rng.choice(["dn", "cn"]))
         twisted = bool(rng.integers(0, 2))
-        ctx = tau.TauContext(mod=mod, family=family, gamma_step=g, beta_rate=b,
-                             twisted=twisted)
         sp = surfaces.SurfaceParams(mod=mod, family=family, gamma_step=g, beta_rate=b,
                                     twisted=twisted)
         tried += 1
         for m in (-4, 0, 5):
             for t in (0.0, 0.61):
-                g1, b1 = tau.gamma_from_tau(ctx, m, t)
+                g1, b1 = tau.gamma_from_tau(sp, m, t)
                 assert np.abs(g1 - surfaces.gamma_point(sp, m, t)).max() < 1e-10
                 assert np.abs(b1 - surfaces.b_point(sp, m, t)).max() < 1e-10
 
@@ -239,12 +231,12 @@ def test_random_parameter_sweep_matches_closed_forms():
 def test_a_vanishing_denominator_raises_pole_error(monkeypatch):
     # d log F / dz divides by theta_3(v) and the curve by F; an exact zero of
     # either is a pole, not an inf or NaN in the result
-    c = _ctx("dn", False)
+    c = _lattice("dn", False)
     real = tau._theta_each
 
     def zero_theta_3(js, p, *args):
         out = real(js, p, *args)
-        if p is not c.lattice:
+        if p != theta.lattice_params(c.mod):
             return out
         return [[(v * 0.0, d) if j == 3 else (v, d) for j, (v, d) in zip(js, each)]
                 for each in out]
