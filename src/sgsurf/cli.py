@@ -11,8 +11,10 @@ Output is deterministic: floats are printed with 17 significant digits, JSON
 keys are sorted, and all randomized suites use fixed seeds.  Exit codes:
 0 success, 1 validation failure, 2 configuration error.
 
-A flat key=value config file can seed any long option (--config FILE);
-explicit flags win over file values.
+A flat key=value config file (--config FILE) can set any option of the
+command: its keys are the options' dests (hyphens or underscores, ``out`` for
+--out), and explicit flags win over file values.  ``_build_parser`` is the one
+table of options, their types, choices and defaults.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -41,41 +42,6 @@ MAX_SITES = 2 ** 22
 # Lines formatted by one %-operation in the writers: large enough to amortise
 # the per-call cost, small enough that a file is never held in memory whole.
 _CHUNK_LINES = 4096
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; filled from flags and the config file."""
-
-    command: str
-    family: str = "dn"
-    twisted: bool = False
-    k: Optional[float] = None
-    n: Optional[int] = None
-    gamma: Optional[float] = None
-    delta: Optional[float] = None
-    beta: float = 1.0
-    m_range: Optional[tuple[int, int]] = None   # kaleidocycle: None = one period
-    n_range: tuple[int, int] = (0, 12)
-    t_start: float = 0.0
-    t_stop: float = 0.0
-    t_steps: int = 1
-    out_path: Optional[Path] = None
-
-    def __post_init__(self):
-        if self.m_range is None and self.command != "kaleidocycle":
-            self.m_range = (0, 12)
-        for name, rng in (("m", self.m_range), ("n", self.n_range)):
-            if rng is not None and rng[0] > rng[1]:
-                raise DomainError(f"empty {name} range {rng[0]}..{rng[1]}")
-        if self.t_steps < 1:
-            raise DomainError(f"--t-steps must be at least 1, got {self.t_steps}")
-        check_finite(t_start=self.t_start, t_stop=self.t_stop)
-
-    def t_samples(self) -> np.ndarray:
-        if self.t_steps == 1:
-            return np.array([self.t_start])
-        return np.linspace(self.t_start, self.t_stop, self.t_steps)
 
 
 # ----------------------------------------------------------------- writers --
@@ -119,18 +85,11 @@ def write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8")
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    """The options of cfg.command, named as its subparser registers them
-    (dests), with their configured values (None: the command's default).
+def _config_echo(ns: argparse.Namespace) -> dict:
+    """The options of the parsed command, keyed by dest, with their values.
     The config file and the output path say where the run's inputs and
     artifact live, not what the artifact contains, so they are left out."""
-    dests = vars(_build_parser().parse_args([cfg.command]))
-    ranges = {}
-    for axis, (lo, hi) in (("m", cfg.m_range or (None, None)), ("n", cfg.n_range)):
-        ranges.update({f"{axis}_min": lo, f"{axis}_max": hi,
-                       f"{axis}_count": None if lo is None else hi - lo + 1})
-    return {d: ranges[d] if d in ranges else getattr(cfg, d)
-            for d in dests if d not in ("command", "config", "out_path")}
+    return {d: v for d, v in vars(ns).items() if d not in ("command", "config", "out_path")}
 
 
 # ---------------------------------------------------------------- commands --
@@ -140,40 +99,54 @@ def _check_window(sites: int) -> None:
         raise DomainError(f"window of {sites} evaluated sites exceeds the limit of {MAX_SITES}")
 
 
-def cmd_curve(cfg: RunConfig) -> int:
-    if cfg.k is None:
+def _m_values(lo: int, hi: int) -> range:
+    if lo > hi:
+        raise DomainError(f"empty m range {lo}..{hi}")
+    return range(lo, hi + 1)
+
+
+def _t_samples(ns: argparse.Namespace, sites: int) -> np.ndarray:
+    """The time samples of a motion command, after checking --t-steps, the
+    times, and the window of sites per slice times --t-steps slices."""
+    if ns.t_steps < 1:
+        raise DomainError(f"--t-steps must be at least 1, got {ns.t_steps}")
+    check_finite(t_start=ns.t_start, t_stop=ns.t_stop)
+    _check_window(sites * ns.t_steps)
+    if ns.t_steps == 1:
+        return np.array([ns.t_start])
+    return np.linspace(ns.t_start, ns.t_stop, ns.t_steps)
+
+
+def cmd_curve(ns: argparse.Namespace) -> int:
+    if ns.k is None:
         raise DomainError("curve command needs a modulus --k")
-    m0, m1 = cfg.m_range
-    _check_window((m1 - m0 + 1) * cfg.t_steps)
-    mod = make_modulus(cfg.k)
-    gamma = cfg.gamma if cfg.gamma is not None else mod.K
-    p = SurfaceParams(mod=mod, family=cfg.family, gamma_step=gamma,
-                      beta_rate=cfg.beta, twisted=cfg.twisted)
+    ms = _m_values(ns.m_min, ns.m_max)
+    ts = _t_samples(ns, len(ms))
+    mod = make_modulus(ns.k)
+    gamma = ns.gamma if ns.gamma is not None else mod.K
+    p = SurfaceParams(mod=mod, family=ns.family, gamma_step=gamma,
+                      beta_rate=ns.beta, twisted=ns.twisted)
     # every slice is validated before the file is opened
-    snaps = snapshots(p, range(m0, m1 + 1), cfg.t_samples())
-    out = cfg.out_path or Path("curve.csv")
-    write_curve_csv(out, snaps)
-    print(f"wrote {out} ({sum(len(s.m_values) for s in snaps)} rows)")
+    snaps = snapshots(p, ms, ts)
+    write_curve_csv(ns.out_path, snaps)
+    print(f"wrote {ns.out_path} ({sum(len(s.m_values) for s in snaps)} rows)")
     return 0
 
 
-def cmd_kaleidocycle(cfg: RunConfig) -> int:
-    if cfg.n is None:
+def cmd_kaleidocycle(ns: argparse.Namespace) -> int:
+    if ns.n is None:
         raise DomainError("kaleidocycle command needs the order --n")
-    if cfg.k is not None:
-        raise DomainError("kaleidocycle fixes k = sin(pi/n); do not pass k")
-    period = 2 * cfg.n if cfg.family == "dn" else 2
-    m_hi = period if cfg.m_range is None else cfg.m_range[1]
-    _check_window((m_hi + 1) * cfg.t_steps)
-    p = kaleidocycle_params(cfg.n, family=cfg.family, beta_rate=cfg.beta,
-                            twisted=cfg.twisted)
-    samples = cfg.t_samples()
+    period = 2 * ns.n if ns.family == "dn" else 2
+    ms = _m_values(0, period if ns.m_max is None else ns.m_max)
+    samples = _t_samples(ns, len(ms))
+    p = kaleidocycle_params(ns.n, family=ns.family, beta_rate=ns.beta,
+                            twisted=ns.twisted)
     # every frame is validated before the first file is written
-    snaps = snapshots(p, range(0, m_hi + 1), samples)
+    snaps = snapshots(p, ms, samples)
     shifted = gamma_point(p, snaps[0].m_values + period, samples[:, None])
     points = np.stack([snap.points for snap in snaps])
     worst = float(np.linalg.norm(shifted - points, axis=-1).max())
-    out_dir = cfg.out_path or Path("kaleidocycle")
+    out_dir = ns.out_path
     out_dir.mkdir(parents=True, exist_ok=True)
     for idx, snap in enumerate(snaps):
         write_curve_csv(out_dir / f"frame_{idx:04d}.csv", [snap])
@@ -181,29 +154,30 @@ def cmd_kaleidocycle(cfg: RunConfig) -> int:
     return 0 if worst < 1e-9 else 1
 
 
-def cmd_ksurface(cfg: RunConfig) -> int:
-    if cfg.k is None:
+def cmd_ksurface(ns: argparse.Namespace) -> int:
+    if ns.k is None:
         raise DomainError("ksurface command needs a modulus --k")
-    m0, m1 = cfg.m_range
-    n0, n1 = cfg.n_range
-    _check_window((m1 - m0 + 1) * (n1 - n0 + 1))
-    mod = make_modulus(cfg.k)
-    gamma = cfg.gamma if cfg.gamma is not None else mod.K
-    delta = cfg.delta if cfg.delta is not None else mod.K
-    p = KParams(mod=mod, family=cfg.family, gamma_step=gamma, delta_step=delta)
+    for flag, count in (("--m", ns.m_count), ("--n", ns.n_count)):
+        if count < 1:
+            raise DomainError(f"{flag} must be at least 1, got {count}")
+    _check_window(ns.m_count * ns.n_count)
+    mod = make_modulus(ns.k)
+    gamma = ns.gamma if ns.gamma is not None else mod.K
+    delta = ns.delta if ns.delta is not None else mod.K
+    p = KParams(mod=mod, family=ns.family, gamma_step=gamma, delta_step=delta)
     # KParams admits zero-length edges (the 2K periodicity cases need them)
     if abs(p.edge_speed) < _SPEED_TOL:
         raise DegenerateFrameError("sn(gamma) = 0: zero-length m-edges")
     if abs(p.delta_speed) < _SPEED_TOL:
         raise DegenerateFrameError("sn(delta) = 0: zero-length n-edges")
-    grid = k_grid(p, range(m0, m1 + 1), range(n0, n1 + 1))
+    grid = k_grid(p, range(ns.m_count), range(ns.n_count))
     rep = grid.invariant_residuals()
-    out = cfg.out_path or Path("ksurface.obj")
+    out = ns.out_path
     write_obj(out, grid.points)
     a, b = grid.first_edge_lengths()
     sidecar = {
         "schema": SCHEMA_VERSION,
-        "config": _config_echo(cfg),
+        "config": _config_echo(ns),
         "A_m": [finite_or_none(float(x)) for x in a],
         "B_n": [finite_or_none(float(x)) for x in b],
         "residuals": {name: finite_or_none(x) for name, x in rep.items()},
@@ -214,28 +188,27 @@ def cmd_ksurface(cfg: RunConfig) -> int:
     return 0 if all(res <= 1e-9 for res in rep.values()) else 1
 
 
-def _report(cfg: RunConfig, which: str, out: Optional[Path]) -> int:
-    """Run the suites, write their report to out (if given) and print one line each."""
+def _report(ns: argparse.Namespace, which: str) -> int:
+    """Run the suites, write their report to --out (if set) and print one line each."""
     from .suites import run_suites   # only the report commands pay its import
     results = run_suites(which)
-    if out:
-        write_json(out, {"schema": SCHEMA_VERSION, "config": _config_echo(cfg),
-                         "suites": [r.as_dict() for r in results]})
+    if ns.out_path:
+        write_json(ns.out_path, {"schema": SCHEMA_VERSION, "config": _config_echo(ns),
+                                 "suites": [r.as_dict() for r in results]})
     for r in results:
         bound = f" ({r.comparison} {r.tolerance:.1e})" if which == "all" else ""
         print(f"{'pass' if r.passed else 'FAIL'}  {r.name}: {r.max_residual:.3e}{bound}")
     return 0 if all(r.passed for r in results) else 1
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    out = cfg.out_path or Path("verify_report.json")
-    code = _report(cfg, "all", out)
-    print(f"report written to {out}")
+def cmd_verify(ns: argparse.Namespace) -> int:
+    code = _report(ns, "all")
+    print(f"report written to {ns.out_path}")
     return code
 
 
-def cmd_identities(cfg: RunConfig) -> int:
-    return _report(cfg, "identities", cfg.out_path)
+def cmd_identities(ns: argparse.Namespace) -> int:
+    return _report(ns, "identities")
 
 
 COMMANDS = {
@@ -247,66 +220,63 @@ COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Programmatic entry point: dispatch a prepared configuration."""
-    return COMMANDS[config.command](config)
-
-
 # ------------------------------------------------------------------ parser --
 
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process: ``main`` parses the command
-    line with it and ``_config_echo`` reads each command's dests from it."""
+    """The CLI parser, built once per process, and the one table of options:
+    each option's type, choices and default are declared here and nowhere
+    else.  The commands read the namespace it parses, and ``main`` checks
+    config-file values with the same actions, found through ``ap.commands``
+    (command name -> its subparser)."""
     ap = argparse.ArgumentParser(
         prog="sgsurf",
         description="discrete curves, semi-discrete surfaces and K-surfaces "
                     "from elliptic sine-Gordon solutions")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
+    ap.commands = {}
 
-    def common(p):
+    def command(name, summary, out):
+        p = ap.commands[name] = sub.add_parser(name, help=summary)
         p.add_argument("--config", type=Path, help="flat key=value defaults file")
-        p.add_argument("--out", type=Path, dest="out_path")
+        p.add_argument("--out", type=Path, dest="out_path", default=out)
+        return p
+
+    def geometry(name, summary, out):
+        p = command(name, summary, out)
+        p.add_argument("--family", choices=FAMILIES, default="dn")
+        return p
 
     def motion(p):
         """Options of the commands that evolve a curve in time."""
-        p.add_argument("--twisted", action="store_true", default=None)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--t-start", type=float, dest="t_start")
-        p.add_argument("--t-stop", type=float, dest="t_stop")
-        p.add_argument("--t-steps", type=int, dest="t_steps")
+        p.add_argument("--twisted", action="store_true")
+        p.add_argument("--beta", type=float, default=1.0)
+        p.add_argument("--t-start", type=float, default=0.0)
+        p.add_argument("--t-stop", type=float, default=0.0)
+        p.add_argument("--t-steps", type=int, default=1)
 
-    pc = sub.add_parser("curve", help="export curve snapshots as CSV")
-    common(pc)
-    pc.add_argument("--family", choices=FAMILIES)
+    pc = geometry("curve", "export curve snapshots as CSV", "curve.csv")
     motion(pc)
     pc.add_argument("--k", type=float)
-    pc.add_argument("--gamma", type=float)
-    pc.add_argument("--m-min", type=int, dest="m_min")
-    pc.add_argument("--m-max", type=int, dest="m_max")
+    pc.add_argument("--gamma", type=float, help="default: K")
+    pc.add_argument("--m-min", type=int, default=0)
+    pc.add_argument("--m-max", type=int, default=12)
 
-    pk = sub.add_parser("kaleidocycle", help="export a closed linkage animation")
-    common(pk)
-    pk.add_argument("--family", choices=FAMILIES)
+    pk = geometry("kaleidocycle", "export a closed linkage animation", "kaleidocycle")
     motion(pk)
     pk.add_argument("--n", type=int, help="hinge half-count; modulus k = sin(pi/n)")
-    pk.add_argument("--m-max", type=int, dest="m_max")
+    pk.add_argument("--m-max", type=int, help="default: one period, 2n (dn) or 2 (cn)")
 
-    ps = sub.add_parser("ksurface", help="export a discrete K-surface mesh")
-    common(ps)
-    ps.add_argument("--family", choices=FAMILIES)
+    ps = geometry("ksurface", "export a discrete K-surface mesh", "ksurface.obj")
     ps.add_argument("--k", type=float)
-    ps.add_argument("--gamma", type=float)
-    ps.add_argument("--delta", type=float)
-    ps.add_argument("--m", type=int, dest="m_count", help="vertex count in m")
-    ps.add_argument("--n", type=int, dest="n_count", help="vertex count in n")
+    ps.add_argument("--gamma", type=float, help="default: K")
+    ps.add_argument("--delta", type=float, help="default: K")
+    ps.add_argument("--m", type=int, dest="m_count", default=20, help="vertex count in m")
+    ps.add_argument("--n", type=int, dest="n_count", default=20, help="vertex count in n")
 
-    pv = sub.add_parser("verify", help="run all verification suites")
-    common(pv)
-
-    pi = sub.add_parser("identities", help="run the identity corpus")
-    common(pi)
+    command("verify", "run all verification suites", "verify_report.json")
+    command("identities", "run the identity corpus", None)
     return ap
 
 
@@ -330,59 +300,42 @@ def _boolean(s: str) -> bool:
     return v in ("1", "true", "yes")
 
 
-_CONFIG_TYPES = {
-    "family": str, "twisted": _boolean,
-    "k": float, "n": int, "gamma": float, "delta": float, "beta": float,
-    "m_min": int, "m_max": int, "m_count": int, "n_count": int,
-    "t_start": float, "t_stop": float, "t_steps": int,
-    "out_path": Path, "out": Path,
-}
-
-
-def _merge(ns: argparse.Namespace) -> RunConfig:
-    raw = vars(ns).copy()
-    file_vals = {}
-    if raw.get("config"):
-        for key, sval in _load_config_file(raw["config"]).items():
-            if key not in _CONFIG_TYPES:
-                raise DomainError(f"unknown config key {key!r}")
-            name = "out_path" if key == "out" else key
-            if name not in raw:
-                raise DomainError(f"{raw['command']} has no option {key!r}")
-            try:
-                file_vals[name] = _CONFIG_TYPES[key](sval)
-            except ValueError as exc:
-                raise DomainError(f"config key {key!r}: {exc}") from None
-
-    def pick(name, default=None):
-        v = raw.get(name)
-        if v is None:
-            v = file_vals.get(name, default)
-        return v
-
-    ranges = {}
-    m_min, m_max = pick("m_min", 0), pick("m_max")
-    if raw["command"] == "ksurface":
-        for axis in ("m", "n"):
-            count = pick(f"{axis}_count", 20)
-            if count < 1:
-                raise DomainError(f"--{axis} must be at least 1, got {count}")
-            ranges[f"{axis}_range"] = (0, count - 1)
-    elif m_max is not None or raw["command"] == "curve":
-        ranges["m_range"] = (m_min, 12 if m_max is None else m_max)
-    # only what a flag or the config file set: RunConfig holds the defaults
-    names = ("family", "twisted", "k", "n", "gamma", "delta", "beta",
-             "t_start", "t_stop", "t_steps", "out_path")
-    given = {name: pick(name) for name in names}
-    return RunConfig(command=raw["command"], **ranges,
-                     **{name: v for name, v in given.items() if v is not None})
+def _config_tokens(parser: argparse.ArgumentParser, path: Path) -> list[str]:
+    """The flags that set the options of a config file, keyed by dest (or
+    ``out``).  Each value is checked by the action that parses its flag, so a
+    bad key or value raises DomainError here instead of argparse's SystemExit."""
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    actions["out"] = actions["out_path"]
+    tokens = []
+    for key, value in _load_config_file(path).items():
+        if key not in actions:
+            raise DomainError(f"{parser.prog} has no option {key!r}")
+        action = actions[key]
+        try:
+            parsed = (_boolean if action.nargs == 0 else action.type or str)(value)
+        except ValueError as exc:
+            raise DomainError(f"config key {key!r}: {exc}") from None
+        if action.choices is not None and parsed not in action.choices:
+            raise DomainError(f"config key {key!r}: {value!r} is not one of {action.choices}")
+        flag = action.option_strings[0]
+        if action.nargs != 0:
+            tokens.append(f"{flag}={value}")
+        elif parsed:   # a switch such as --twisted
+            tokens.append(flag)
+    return tokens
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ns = _build_parser().parse_args(argv)
+    ap = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns = ap.parse_args(argv)
     try:
-        cfg = _merge(ns)
-        return COMMANDS[cfg.command](cfg)
+        if ns.config is not None:
+            # file values go first: argparse keeps the last value of a flag,
+            # so the command line's own flags win
+            tokens = _config_tokens(ap.commands[ns.command], ns.config)
+            ns = ap.parse_args([ns.command, *tokens, *argv[argv.index(ns.command) + 1:]])
+        return COMMANDS[ns.command](ns)
     except (DomainError, DegenerateFrameError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,6 @@ import numpy as np
 import pytest
 
 from sgsurf import cli, elliptic, ksurf, surfaces
-from sgsurf.errors import DomainError
 
 
 def run(args):
@@ -50,13 +50,6 @@ def test_kaleidocycle_order_validation(tmp_path):
     cfg.write_text("k = 0.6\n")  # explicit modulus is forbidden here
     assert run(["kaleidocycle", "--n", "4", "--config", str(cfg),
                 "--out", str(tmp_path / "y")]) == 2
-
-
-def test_run_config_dispatch(tmp_path):
-    cfg = cli.RunConfig(command="curve", k=0.6, gamma=0.8, m_range=(0, 3),
-                        out_path=tmp_path / "direct.csv")
-    assert cli.run(cfg) == 0
-    assert (tmp_path / "direct.csv").exists()
 
 
 def test_kaleidocycle_frames(tmp_path):
@@ -235,13 +228,6 @@ def test_empty_m_range_is_config_error_without_artifact(tmp_path, argv):
     assert not out.exists()
 
 
-def test_run_config_rejects_reversed_ranges():
-    with pytest.raises(DomainError):
-        cli.RunConfig(command="curve", m_range=(3, 1))
-    with pytest.raises(DomainError):
-        cli.RunConfig(command="ksurface", n_range=(0, -1))
-
-
 @pytest.mark.parametrize("m_max,rows", [(None, 9), ("11", 12), ("12", 13), ("13", 14)])
 def test_kaleidocycle_m_max_is_honoured(tmp_path, m_max, rows):
     out = tmp_path / "anim"
@@ -386,7 +372,7 @@ def test_config_twisted_values(tmp_path, value, twisted):
 
 
 @pytest.mark.parametrize("line", ["twisted = ture", "twisted = on", "twisted =", "k = 0,6",
-                                  "m-max = 2.5"])
+                                  "m-max = 2.5", "family = xx"])
 def test_malformed_config_values_are_config_errors(tmp_path, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{line}\n")
@@ -419,22 +405,25 @@ _OPTIONS = {
 
 @pytest.mark.parametrize("command", sorted(_OPTIONS))
 def test_config_echo_keys_are_the_command_options(command):
-    cfg = cli.RunConfig(command=command)
-    assert set(cli._config_echo(cfg)) == _OPTIONS[command]
+    ns = cli._build_parser().parse_args([command])
+    assert set(cli._config_echo(ns)) == _OPTIONS[command]
 
 
 def test_one_parser_build_per_process(tmp_path, monkeypatch):
-    # main parses the command line and _config_echo reads the command's dests
-    # with the same parser; run(config) builds it on first use
+    # main parses the command line, and a config file's values, with the
+    # parser it builds on first use
     cli._build_parser.cache_clear()
     inits = []
     real = argparse.ArgumentParser.__init__
     monkeypatch.setattr(argparse.ArgumentParser, "__init__",
                         lambda self, *a, **kw: inits.append(1) or real(self, *a, **kw))
     out = tmp_path / "mesh.obj"
-    assert cli.run(cli.RunConfig(command="ksurface", k=0.6, out_path=out)) == 0
     for m in (2, 3):
         assert run(["ksurface", "--k", "0.6", "--m", str(m), "--n", "3", "--out", str(out)]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k = 0.6\nm_count = 4\n")
+    assert run(["ksurface", "--config", str(cfg), "--n", "3", "--out", str(out)]) == 0
+    assert json.loads(out.with_suffix(".json").read_text())["config"]["m_count"] == 4
     # one build: the top-level parser and one subparser per command
     assert len(inits) == 1 + len(cli.COMMANDS)
 
@@ -449,6 +438,92 @@ def test_written_config_echoes_only_the_command_options(tmp_path):
         report = tmp_path / f"{command}.json"
         assert run([command, "--out", str(report)]) == 0
         assert json.loads(report.read_text())["config"] == {}
+
+
+def _command_options():
+    """Every option each subparser registers, except --help and --config."""
+    return [pytest.param(name, action, id=name + action.option_strings[0])
+            for name, parser in cli._build_parser().commands.items()
+            for action in parser._actions if action.dest not in ("help", "config")]
+
+
+# A command line on which every option of the command changes the output, and
+# a value for each option other than its default and its value there.
+_BASE_ARGV = {
+    "curve": ["curve", "--k", "0.6", "--gamma", "0.8", "--m-max", "3", "--t-steps", "2",
+              "--t-stop", "1.0"],
+    "kaleidocycle": ["kaleidocycle", "--n", "4", "--t-steps", "2", "--t-stop", "1.0"],
+    "ksurface": ["ksurface", "--k", "0.6", "--gamma", "0.8", "--delta", "0.55",
+                 "--m", "4", "--n", "3"],
+    "verify": ["verify"],
+    "identities": ["identities"],
+}
+_OPTION_VALUES = {"family": "cn", "twisted": "yes", "beta": "2.0", "t_start": "0.1",
+                  "t_stop": "2.0", "t_steps": "3", "k": "0.7", "gamma": "0.9", "delta": "0.5",
+                  "m_min": "-2", "m_max": "5", "n": "5", "m_count": "5", "n_count": "4"}
+
+
+def _tree(root: Path) -> dict:
+    return {str(f.relative_to(root)): f.read_bytes() for f in root.rglob("*") if f.is_file()}
+
+
+@pytest.mark.parametrize("command,action", _command_options())
+def test_a_config_value_writes_the_same_bytes_as_its_flag(tmp_path, command, action):
+    flag = action.option_strings[0]
+    base = _BASE_ARGV[command]
+    argv = list(base)
+    if flag in argv:   # the config file yields to an explicit flag
+        i = argv.index(flag)
+        del argv[i:i + 2]
+    out = {}
+    for side in ("base", "flag", "file"):
+        (tmp_path / side).mkdir()
+        out[side] = str(tmp_path / side / "artifact")
+    cfg = tmp_path / "run.cfg"
+    if action.dest == "out_path":
+        cfg.write_text(f"out = {out['file']}\n")
+        by_flag, by_file = ["--out", out["flag"]], []
+    else:
+        value = _OPTION_VALUES[action.dest]
+        cfg.write_text(f"{action.dest} = {value}\n")
+        by_flag = ([flag] if action.nargs == 0 else [flag, value]) + ["--out", out["flag"]]
+        by_file = ["--out", out["file"]]
+    assert run(base + ["--out", out["base"]]) == 0
+    assert run(argv + by_flag) == 0
+    assert run(argv + ["--config", str(cfg)] + by_file) == 0
+    flagged = _tree(tmp_path / "flag")
+    assert flagged and _tree(tmp_path / "file") == flagged
+    if action.dest != "out_path":   # the option is in effect
+        assert _tree(tmp_path / "base") != flagged
+
+
+def test_an_explicit_flag_at_its_default_beats_the_config_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m-max = 4\n")
+    out = tmp_path / "c.csv"
+    assert run(["curve", "--k", "0.6", "--config", str(cfg), "--m-max", "12",
+                "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 13
+
+
+def test_ksurface_counts_default_to_20(tmp_path):
+    out = tmp_path / "mesh.obj"
+    assert run(["ksurface", "--k", "0.6", "--out", str(out)]) == 0
+    assert sum(ln.startswith("v ") for ln in out.read_text().splitlines()) == 20 * 20
+    config = json.loads(out.with_suffix(".json").read_text())["config"]
+    assert (config["m_count"], config["n_count"]) == (20, 20)
+
+
+def test_readme_option_table_matches_the_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = {}
+    for commands, options in re.findall(r"^ *\| (`[a-z].*?) \| (.*?) \|$", readme, re.M):
+        for name in re.findall(r"`([a-z]+)`", commands):
+            documented[name] = re.findall(r"--[a-z-]+", options)
+    registered = {name: [s for a in parser._actions for s in a.option_strings
+                         if s not in ("-h", "--help", "--config", "--out")]
+                  for name, parser in cli._build_parser().commands.items()}
+    assert documented == registered
 
 
 def _fresh_python(script: str) -> str:
