@@ -99,19 +99,24 @@ def _check_window(sites: int) -> None:
         raise DomainError(f"window of {sites} evaluated sites exceeds the limit of {MAX_SITES}")
 
 
-def _m_values(lo: int, hi: int) -> range:
+def _m_values(lo: int, hi: int, reach: int) -> range:
+    """The sites lo..hi, checked to be non-empty and int64 up to hi + reach."""
     if lo > hi:
         raise DomainError(f"empty m range {lo}..{hi}")
+    if lo < -2 ** 63 or hi + reach >= 2 ** 63:
+        raise DomainError(f"m range {lo}..{hi} (evaluated up to m + {reach}) "
+                          "leaves the 64-bit integers")
     return range(lo, hi + 1)
 
 
-def _t_samples(ns: argparse.Namespace, sites: int) -> np.ndarray:
+def _t_samples(ns: argparse.Namespace, ms: range) -> np.ndarray:
     """The time samples of a motion command, after checking --t-steps, the
-    times, and the window of sites per slice times --t-steps slices."""
+    times, and the window of sites ms per slice times --t-steps slices."""
     if ns.t_steps < 1:
         raise DomainError(f"--t-steps must be at least 1, got {ns.t_steps}")
     check_finite(t_start=ns.t_start, t_stop=ns.t_stop)
-    _check_window(sites * ns.t_steps)
+    # not len(ms): a range longer than sys.maxsize has no length
+    _check_window((ms.stop - ms.start) * ns.t_steps)
     if ns.t_steps == 1:
         return np.array([ns.t_start])
     return np.linspace(ns.t_start, ns.t_stop, ns.t_steps)
@@ -120,8 +125,8 @@ def _t_samples(ns: argparse.Namespace, sites: int) -> np.ndarray:
 def cmd_curve(ns: argparse.Namespace) -> int:
     if ns.k is None:
         raise DomainError("curve command needs a modulus --k")
-    ms = _m_values(ns.m_min, ns.m_max)
-    ts = _t_samples(ns, len(ms))
+    ms = _m_values(ns.m_min, ns.m_max, 1)
+    ts = _t_samples(ns, ms)
     mod = make_modulus(ns.k)
     gamma = ns.gamma if ns.gamma is not None else mod.K
     p = SurfaceParams(mod=mod, family=ns.family, gamma_step=gamma,
@@ -137,8 +142,9 @@ def cmd_kaleidocycle(ns: argparse.Namespace) -> int:
     if ns.n is None:
         raise DomainError("kaleidocycle command needs the order --n")
     period = 2 * ns.n if ns.family == "dn" else 2
-    ms = _m_values(0, period if ns.m_max is None else ns.m_max)
-    samples = _t_samples(ns, len(ms))
+    # the closure check evaluates every site m + period
+    ms = _m_values(0, period if ns.m_max is None else ns.m_max, period)
+    samples = _t_samples(ns, ms)
     p = kaleidocycle_params(ns.n, family=ns.family, beta_rate=ns.beta,
                             twisted=ns.twisted)
     # every frame is validated before the first file is written
@@ -281,8 +287,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: Path) -> dict:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    if "\0" in text:   # no option value or path holds one
+        raise DomainError(f"{path}: holds a NUL byte")
     values = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

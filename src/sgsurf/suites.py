@@ -17,6 +17,13 @@ that yields nothing reads NaN as well, and so does one that raises
 ValidationError while it draws its residuals (a snapshot that fails its
 curve invariants), so the other suites still run.
 
+A suite over fixed cases (moduli, lattices or tuples) passes ``cases=``, a
+function that returns them; its generator takes one case, and the
+runner chains all cases into the one reduction, whose max or min does not
+depend on the grouping.  The seven suites that draw from one seeded stream
+across their moduli keep their own loop, as per-case calls would change
+their draws.
+
 Each suite evaluates a window of sites in one array call, with numpy's
 complex arithmetic, and reduces it axis-wise; the report prints every bit,
 so reordering an operation can move the report bytes.
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass, asdict
 
@@ -62,13 +70,16 @@ class SuiteResult:
 ALL_SUITES: list = []   # every registered suite, in registration order
 
 
-def suite(name: str, tolerance: float, comparison: str = "lt", identity: bool = False):
+def suite(name: str, tolerance: float, comparison: str = "lt", identity: bool = False,
+          cases=None):
     """Register a generator of residuals as the suite ``name`` (see the module docstring)."""
     def register(residuals):
         @functools.wraps(residuals)
         def run() -> SuiteResult:
             try:
-                values = np.array([max_abs(r) for r in residuals()] or [math.nan])
+                items = (residuals() if cases is None
+                         else itertools.chain.from_iterable(map(residuals, cases())))
+                values = np.array([max_abs(r) for r in items] or [math.nan])
             except ValidationError:   # an input that fails its invariants reads NaN
                 values = np.array([math.nan])
             value = values.max() if comparison == "lt" else values.min()
@@ -83,19 +94,18 @@ def suite(name: str, tolerance: float, comparison: str = "lt", identity: bool = 
 
 # ---------------------------------------------------------------- elliptic --
 
-@suite("elliptic.legendre_relation", 1e-12)
-def suite_legendre():
-    yield [elliptic.make_modulus(k).legendre_residual() for k in MODULI_WIDE]
+@suite("elliptic.legendre_relation", 1e-12, cases=lambda: MODULI_WIDE)
+def suite_legendre(k):
+    yield elliptic.make_modulus(k).legendre_residual()
 
 
-@suite("elliptic.pythagorean_identities", 1e-12)
-def suite_jacobi_identities():
-    for k in MODULI_WIDE:
-        mod = elliptic.make_modulus(k)
-        u = np.linspace(-4.0 * mod.K, 4.0 * mod.K, 81)
-        sn, cn, dn = elliptic.jacobi(u, mod)
-        yield sn * sn + cn * cn - 1.0
-        yield dn * dn + mod.m * sn * sn - 1.0
+@suite("elliptic.pythagorean_identities", 1e-12, cases=lambda: MODULI_WIDE)
+def suite_jacobi_identities(k):
+    mod = elliptic.make_modulus(k)
+    u = np.linspace(-4.0 * mod.K, 4.0 * mod.K, 81)
+    sn, cn, dn = elliptic.jacobi(u, mod)
+    yield sn * sn + cn * cn - 1.0
+    yield dn * dn + mod.m * sn * sn - 1.0
 
 
 @suite("elliptic.jacobi_vs_theta_oracle", 1e-11)
@@ -158,19 +168,18 @@ def _gauss_legendre(panels: int, nodes: int = 20) -> tuple[np.ndarray, np.ndarra
     return points, np.tile(w, panels) / (2.0 * panels)
 
 
-@suite("elliptic.sn2_integral_vs_quadrature", 1e-10)
-def suite_sn2_integral():
+@suite("elliptic.sn2_integral_vs_quadrature", 1e-10, cases=lambda: (1e-6,) + MODULI + (0.999,))
+def suite_sn2_integral(k):
     """The sn^2 primitive against quadrature of sn^2, from k = 1e-6 to 0.999.
 
     Panels of at most K/4 lie well inside the strip |Im u| < K' where sn is
     analytic, so 20 nodes per panel resolve sn^2 to rounding.
     """
     points, weights = _gauss_legendre(16)
-    for k in (1e-6,) + MODULI + (0.999,):
-        mod = elliptic.make_modulus(k)
-        u = np.linspace(-4.0 * mod.K, 4.0 * mod.K, 17)
-        sn = elliptic.jacobi(u[:, None] * points, mod)[0]
-        yield elliptic.sn2_integral(u, mod) - u * ((sn * sn) @ weights)
+    mod = elliptic.make_modulus(k)
+    u = np.linspace(-4.0 * mod.K, 4.0 * mod.K, 17)
+    sn = elliptic.jacobi(u[:, None] * points, mod)[0]
+    yield elliptic.sn2_integral(u, mod) - u * ((sn * sn) @ weights)
 
 
 # ------------------------------------------------------------------- theta --
@@ -260,31 +269,30 @@ def suite_theta_jacobi_quotients():
             yield abs(res)
 
 
-@suite("theta.weierstrass_scalars", 1e-10, identity=True)
-def suite_weierstrass_scalars():
+@suite("theta.weierstrass_scalars", 1e-10, identity=True, cases=lambda: MODULI)
+def suite_weierstrass_scalars(k):
     """p(omega/2) = e1 + 1, both periods, and the two zeta-scalar relations."""
     points, weights = _gauss_legendre(4)
-    for k in MODULI:
-        mod = elliptic.make_modulus(k)
-        wc = theta.weierstrass_constants(mod)
-        om = wc.omega
-        z0 = 0.213 + 0.11j
-        # one array call covers the spot values and the quadrature nodes on
-        # [omega/2, omega]
-        values = theta.weierstrass_p(
-            np.concatenate([[om / 2.0, z0 + 2.0 * om, z0, z0 + 2.0 * wc.omegap],
-                            om / 2.0 + (om / 2.0) * points]), mod)
-        half, z_om, z, z_omp = values[:4].tolist()
-        yield [abs(half - (wc.e1 + 1.0)), abs(z_om - z), abs(z_omp - z)]
-        # zeta(omega/2) - zeta(omega)/2 = k via the one permitted quadrature
-        zom = wc.zeta_omega_over_omega * om
-        integral = (om / 2.0) * float(values[4:].real @ weights)
-        yield zom + integral - 0.5 * zom - mod.k
-        # p(omega/2) + zeta(omega)/omega = 2 E'/K'
-        yield (wc.e1 + 1.0) + wc.zeta_omega_over_omega - 2.0 * mod.Ep / mod.Kp
-        # alternative closed form of the zeta scalar
-        alt = math.pi / (mod.K * mod.Kp) - 2.0 * mod.E / mod.K + (1.0 - wc.e1)
-        yield alt - wc.zeta_omega_over_omega
+    mod = elliptic.make_modulus(k)
+    wc = theta.weierstrass_constants(mod)
+    om = wc.omega
+    z0 = 0.213 + 0.11j
+    # one array call covers the spot values and the quadrature nodes on
+    # [omega/2, omega]
+    values = theta.weierstrass_p(
+        np.concatenate([[om / 2.0, z0 + 2.0 * om, z0, z0 + 2.0 * wc.omegap],
+                        om / 2.0 + (om / 2.0) * points]), mod)
+    half, z_om, z, z_omp = values[:4].tolist()
+    yield [abs(half - (wc.e1 + 1.0)), abs(z_om - z), abs(z_omp - z)]
+    # zeta(omega/2) - zeta(omega)/2 = k via the one permitted quadrature
+    zom = wc.zeta_omega_over_omega * om
+    integral = (om / 2.0) * float(values[4:].real @ weights)
+    yield zom + integral - 0.5 * zom - mod.k
+    # p(omega/2) + zeta(omega)/omega = 2 E'/K'
+    yield (wc.e1 + 1.0) + wc.zeta_omega_over_omega - 2.0 * mod.Ep / mod.Kp
+    # alternative closed form of the zeta scalar
+    alt = math.pi / (mod.K * mod.Kp) - 2.0 * mod.E / mod.K + (1.0 - wc.e1)
+    yield alt - wc.zeta_omega_over_omega
 
 
 @suite("theta.modular_identity", 1e-9, identity=True)
@@ -306,8 +314,9 @@ def suite_theta_modular():
 # ---------------------------------------------------------------------- sg --
 
 # The fields of these suites have steps 0.23 along m and 0.17 along n, and
-# rate 0.31 in t, in units of the real period 4K.  Every lattice helper below
-# builds its frozen lattices once per process; evaluated arrays are never kept.
+# rate 0.31 in t, in units of the real period 4K.  The lattice builders and
+# case functions below are cached, so each frozen lattice is built once per
+# process; evaluated arrays are never kept.
 
 @functools.lru_cache(maxsize=None)
 def _semi_params(k, family):
@@ -323,20 +332,17 @@ def _discrete_params(k, family, omega=0.23, rho=0.17):
                          delta_step=4.0 * mod.K * rho)
 
 
-@suite("sg.semi_discrete_residuals", 1e-10)
-def suite_semi_sg_residuals():
+@suite("sg.semi_discrete_residuals", 1e-10, cases=lambda: [
+       _semi_params(k, family) for k in MODULI_WIDE for family in elliptic.FAMILIES])
+def suite_semi_sg_residuals(p):
     ms, ts = np.arange(-20, 20)[:, None], np.array([0.0, 0.3, 0.7, 1.3, 2.1])
-    for k in MODULI_WIDE:
-        for family in elliptic.FAMILIES:
-            yield from sg.semi_residuals(_semi_params(k, family), ms, ts)
+    yield from sg.semi_residuals(p, ms, ts)
 
 
-@suite("sg.discrete_residuals", 1e-9)
-def suite_discrete_sg_residuals():
-    ms, ns = np.arange(-10, 10)[:, None], np.arange(-10, 10)
-    for k in MODULI:
-        for family in elliptic.FAMILIES:
-            yield sg.discrete_sg_residual(_discrete_params(k, family), ms, ns)
+@suite("sg.discrete_residuals", 1e-9, cases=lambda: [
+       _discrete_params(k, family) for k in MODULI for family in elliptic.FAMILIES])
+def suite_discrete_sg_residuals(p):
+    yield sg.discrete_sg_residual(p, np.arange(-10, 10)[:, None], np.arange(-10, 10))
 
 
 def _perturbed(w: surfaces.HalfAngle) -> surfaces.HalfAngle:
@@ -362,13 +368,17 @@ def suite_sg_sensitivity():
 # ---------------------------------------------------------------- surfaces --
 
 @functools.lru_cache(maxsize=None)
-def _all_surface_params(k):
+def _curves(k):
     """The four curve lattices (dn, cn; untwisted, twisted) of modulus k with
     gamma = 0.8 and beta = 1, which the surface and tau suites share."""
     mod = elliptic.make_modulus(k)
     return tuple(surfaces.SurfaceParams(mod=mod, family=family, gamma_step=0.8,
                                         beta_rate=1.0, twisted=twisted)
-                 for family in ("dn", "cn") for twisted in (False, True))
+                 for family in elliptic.FAMILIES for twisted in (False, True))
+
+
+def _all_curves():   # the twelve curve lattices over MODULI, k-major
+    return [p for k in MODULI for p in _curves(k)]
 
 
 # The suites below evaluate the closed forms once per window: sites m along
@@ -376,6 +386,7 @@ def _all_surface_params(k):
 
 _TIMES = np.array([[0.0], [0.37], [1.7]])
 _FLOW_TIMES = np.array([[0.2], [1.1]])
+_FLOW_MS = np.arange(-8, 8)
 
 
 def _dot(a, b):   # dot products over the trailing axis of 3
@@ -388,256 +399,230 @@ def _frame_rows(snaps):
             for rows in ("tangents", "normals", "binormals")]
 
 
-@suite("surfaces.edge_identity", 1e-10)
-def suite_surface_edges():
-    ms = np.arange(-20, 21)
-    for k in MODULI:
-        for p in _all_surface_params(k):
-            g, b = surfaces._curve(p, ms, _TIMES)
-            yield g[:, 1:] - g[:, :-1] - p.epsilon_sign * np.cross(b[:, 1:], b[:, :-1])
+@suite("surfaces.edge_identity", 1e-10, cases=_all_curves)
+def suite_surface_edges(p):
+    g, b = surfaces._curve(p, np.arange(-20, 21), _TIMES)
+    yield g[:, 1:] - g[:, :-1] - p.epsilon_sign * np.cross(b[:, 1:], b[:, :-1])
 
 
-@suite("surfaces.constant_speed", 1e-10)
-def suite_surface_speed():
-    ms = np.arange(-20, 21)
-    for k in MODULI:
-        for p in _all_surface_params(k):
-            g = surfaces.gamma_point(p, ms, _TIMES)
-            yield np.linalg.norm(g[:, 1:] - g[:, :-1], axis=-1) - abs(p.edge_speed)
+@suite("surfaces.constant_speed", 1e-10, cases=_all_curves)
+def suite_surface_speed(p):
+    g = surfaces.gamma_point(p, np.arange(-20, 21), _TIMES)
+    yield np.linalg.norm(g[:, 1:] - g[:, :-1], axis=-1) - abs(p.edge_speed)
 
 
-@suite("surfaces.binormal_angle_invariance", 1e-12)
-def suite_surface_torsion():
-    ms = np.arange(-20, 21)
-    for k in MODULI:
-        for p in _all_surface_params(k):
-            sn, cn, dn = elliptic.jacobi(p.gamma_step, p.mod)
-            b = surfaces.b_point(p, ms, _TIMES)
-            yield _dot(b[:, :-1], b[:, 1:]) - (cn if p.family == "dn" else dn)
+@suite("surfaces.binormal_angle_invariance", 1e-12, cases=_all_curves)
+def suite_surface_torsion(p):
+    sn, cn, dn = elliptic.jacobi(p.gamma_step, p.mod)
+    b = surfaces.b_point(p, np.arange(-20, 21), _TIMES)
+    yield _dot(b[:, :-1], b[:, 1:]) - (cn if p.family == "dn" else dn)
 
 
-@suite("surfaces.flow_vs_finite_difference", 1e-6)
-def suite_surface_flow():
+@suite("surfaces.flow_vs_finite_difference", 1e-6, cases=lambda: _curves(0.6))
+def suite_surface_flow(p):
     """Closed-form velocity vs central differences (h = 1e-4)."""
     h = 1e-4
-    ms = np.arange(-8, 8)
-    for p in _all_surface_params(0.6):
-        ahead, behind = surfaces.gamma_point(p, ms, np.stack([_FLOW_TIMES + h, _FLOW_TIMES - h]))
-        yield surfaces.flow_velocity(p, ms, _FLOW_TIMES) - (ahead - behind) / (2.0 * h)
+    ahead, behind = surfaces.gamma_point(p, _FLOW_MS, np.stack([_FLOW_TIMES + h, _FLOW_TIMES - h]))
+    yield surfaces.flow_velocity(p, _FLOW_MS, _FLOW_TIMES) - (ahead - behind) / (2.0 * h)
 
 
-@suite("surfaces.flow_binormal_orthogonality", 1e-10)
-def suite_surface_flow_orthogonality():
-    ms = np.arange(-8, 8)
-    for p in _all_surface_params(0.6):
-        yield _dot(surfaces.flow_velocity(p, ms, _FLOW_TIMES), surfaces.b_point(p, ms, _FLOW_TIMES))
+@suite("surfaces.flow_binormal_orthogonality", 1e-10, cases=lambda: _curves(0.6))
+def suite_surface_flow_orthogonality(p):
+    yield _dot(surfaces.flow_velocity(p, _FLOW_MS, _FLOW_TIMES),
+               surfaces.b_point(p, _FLOW_MS, _FLOW_TIMES))
 
 
-@suite("surfaces.flow_components", 1e-10)
-def suite_surface_flow_components():
+@suite("surfaces.flow_components", 1e-10, cases=lambda: _curves(0.6))
+def suite_surface_flow_components(p):
     """Tangential/normal flow components against the half-angle field."""
-    ms = np.arange(-8, 8)
-    for p in _all_surface_params(0.6):
-        rho = p.sigma * p.beta_rate * (1.0 if p.family == "dn" else p.mod.k)
-        T, N, _ = _frame_rows(surfaces.snapshots(p, ms, _FLOW_TIMES[:, 0]))
-        v = surfaces.flow_velocity(p, ms, _FLOW_TIMES)
-        w = surfaces.flow_angle(p, ms, _FLOW_TIMES)
-        yield _dot(v, T) - rho * w.c
-        yield _dot(v, N) - rho * w.s
+    rho = p.sigma * p.beta_rate * (1.0 if p.family == "dn" else p.mod.k)
+    T, N, _ = _frame_rows(surfaces.snapshots(p, _FLOW_MS, _FLOW_TIMES[:, 0]))
+    v = surfaces.flow_velocity(p, _FLOW_MS, _FLOW_TIMES)
+    w = surfaces.flow_angle(p, _FLOW_MS, _FLOW_TIMES)
+    yield _dot(v, T) - rho * w.c
+    yield _dot(v, N) - rho * w.s
 
 
-@suite("surfaces.field_solves_lattice_equations", 1e-9)
-def suite_solution_linkage():
+@suite("surfaces.field_solves_lattice_equations", 1e-9, cases=lambda: _curves(0.6))
+def suite_solution_linkage(p):
     """The field carried by each surface solves the semi-discrete equations."""
-    for p in _all_surface_params(0.6):
-        for t in (0.0, 0.45, 1.3):
-            yield from sg.semi_residuals(p, np.arange(-12, 12), t)
+    for t in (0.0, 0.45, 1.3):
+        yield from sg.semi_residuals(p, np.arange(-12, 12), t)
 
 
-@suite("surfaces.curvature_vs_field", 1e-10)
-def suite_surface_curvature():
+@suite("surfaces.curvature_vs_field", 1e-10, cases=lambda: _curves(0.6))
+def suite_surface_curvature(p):
     """Curvature equals +-(w_{m+2} - w_m)/2 at the sine/cosine level."""
     ts = np.array([0.0, 0.45])
-    for p in _all_surface_params(0.6):
-        sgn = -1.0 if p.twisted else 1.0
-        geo = frames.extract_geometry(*_frame_rows(surfaces.snapshots(p, range(-8, 9), ts)))
-        # half-angle samples at m = -8..9: sites m (first 16) and m + 2 (last 16)
-        w = surfaces.half_angles(p, np.arange(-8, 10), ts[:, None])
-        c, s = w.c, w.s
-        yield geo.curvature_cos - (c[:, 2:] * c[:, :-2] + s[:, 2:] * s[:, :-2])
-        yield geo.curvature_sin - sgn * (s[:, 2:] * c[:, :-2] - c[:, 2:] * s[:, :-2])
+    sgn = -1.0 if p.twisted else 1.0
+    geo = frames.extract_geometry(*_frame_rows(surfaces.snapshots(p, range(-8, 9), ts)))
+    # half-angle samples at m = -8..9: sites m (first 16) and m + 2 (last 16)
+    w = surfaces.half_angles(p, np.arange(-8, 10), ts[:, None])
+    c, s = w.c, w.s
+    yield geo.curvature_cos - (c[:, 2:] * c[:, :-2] + s[:, 2:] * s[:, :-2])
+    yield geo.curvature_sin - sgn * (s[:, 2:] * c[:, :-2] - c[:, 2:] * s[:, :-2])
 
 
-@suite("surfaces.kaleidocycle_closure", 1e-9)
-def suite_kaleidocycle_closure():
-    # dn family: period 2n; cn family: period 2 regardless of n
-    cases = [(surfaces.kaleidocycle_params(n), 2 * n, 2 * n + 4, (0.0, 0.3, 0.9, 1.4, 2.2))
-             for n in (3, 4, 5, 6, 8)]
-    cases.append((surfaces.kaleidocycle_params(4, family="cn"), 2, 8, (0.0, 0.3, 1.4)))
-    for p, period, count, times in cases:
-        g = surfaces.gamma_point(p, np.arange(count + period), np.array(times)[:, None])
-        yield np.linalg.norm(g[:, period:] - g[:, :count], axis=-1)
+@functools.lru_cache(maxsize=None)
+def _kaleidocycles():
+    """(lattice, period, count, times) per closed linkage: the dn family
+    closes with period 2n, the cn family with period 2 regardless of n."""
+    return tuple([(surfaces.kaleidocycle_params(n), 2 * n, 2 * n + 4, (0.0, 0.3, 0.9, 1.4, 2.2))
+                  for n in (3, 4, 5, 6, 8)]
+                 + [(surfaces.kaleidocycle_params(4, family="cn"), 2, 8, (0.0, 0.3, 1.4))])
+
+
+@suite("surfaces.kaleidocycle_closure", 1e-9, cases=_kaleidocycles)
+def suite_kaleidocycle_closure(case):
+    p, period, count, times = case
+    g = surfaces.gamma_point(p, np.arange(count + period), np.array(times)[:, None])
+    yield np.linalg.norm(g[:, period:] - g[:, :count], axis=-1)
 
 
 # --------------------------------------------------------------------- tau --
 
-@suite("tau.matches_closed_forms", 1e-8)
-def suite_tau_equivalence():
+@suite("tau.matches_closed_forms", 1e-8, cases=_all_curves)
+def suite_tau_equivalence(p):
     """The tau route against the closed forms of the same curve lattice."""
     ms, ts = np.arange(-12, 13), np.array([[0.0], [0.37], [1.1]])
-    for k in MODULI:
-        for p in _all_surface_params(k):
-            g1, b1 = tau.gamma_from_tau(p, ms, ts)
-            g2, b2 = surfaces._curve(p, ms, ts)
-            yield g1 - g2
-            yield b1 - b2
+    g1, b1 = tau.gamma_from_tau(p, ms, ts)
+    g2, b2 = surfaces._curve(p, ms, ts)
+    yield g1 - g2
+    yield b1 - b2
 
 
-@suite("tau.bilinear_relations", 1e-9)
-def suite_tau_bilinear():
-    for p in _all_surface_params(0.6):
-        yield from tau.bilinear_checks(p, np.arange(-8, 8)[:, None], np.array([0.0, 0.45]))[:2]
+@suite("tau.bilinear_relations", 1e-9, cases=lambda: _curves(0.6))
+def suite_tau_bilinear(p):
+    yield from tau.bilinear_checks(p, np.arange(-8, 8)[:, None], np.array([0.0, 0.45]))[:2]
 
 
-@suite("tau.analytic_pairing_fd", 1e-6)
-def suite_tau_cauchy_riemann():
-    for p in _all_surface_params(0.6):
-        yield tau.bilinear_checks(p, np.array([-3, 0, 4]), 0.3)[2]
+@suite("tau.analytic_pairing_fd", 1e-6, cases=lambda: _curves(0.6))
+def suite_tau_cauchy_riemann(p):
+    yield tau.bilinear_checks(p, np.array([-3, 0, 4]), 0.3)[2]
 
 
 @functools.lru_cache(maxsize=None)
-def _conjugation_draws() -> tuple:
-    """Per k = 0.6 curve lattice, 40 seeded scalar draws of (m, t, lam, z) as read-only arrays."""
+def _conjugation_cases() -> tuple:
+    """Per k = 0.6 curve lattice, (lattice, columns): 40 seeded scalar draws
+    of (m, t, lam, z), as one tuple per variable."""
     rng = np.random.default_rng(108)
-    out = []
-    for _ in _all_surface_params(0.6):
-        draws = [(int(rng.integers(-6, 7)), float(rng.uniform(0, 1.5)),
-                  float(rng.uniform(-0.8, 0.8)), float(rng.uniform(-0.5, 0.5)))
-                 for _ in range(40)]
-        columns = tuple(np.array(x) for x in zip(*draws))
-        for col in columns:
-            col.flags.writeable = False
-        out.append(columns)
-    return tuple(out)
+    draws = [[(int(rng.integers(-6, 7)), float(rng.uniform(0, 1.5)),
+               float(rng.uniform(-0.8, 0.8)), float(rng.uniform(-0.5, 0.5)))
+              for _ in range(40)] for _ in _curves(0.6)]
+    return tuple((p, tuple(zip(*d))) for p, d in zip(_curves(0.6), draws))
 
 
-@suite("tau.conjugation_symmetry", 1e-11)
-def suite_tau_conjugation():
+@suite("tau.conjugation_symmetry", 1e-11, cases=_conjugation_cases)
+def suite_tau_conjugation(case):
     """The starred quartet entries equal numeric conjugates at real (lam, z)."""
-    for p, (m, t, lam, z) in zip(_all_surface_params(0.6), _conjugation_draws()):
-        s = tau.tau_sample(p, m, t, lam=lam, z=z)
-        scale = np.maximum(np.maximum(1.0, abs(s.f)), abs(s.g))
-        yield abs(s.fstar - s.f.conjugate()) / scale
-        yield abs(s.gstar - s.g.conjugate()) / scale
+    p, columns = case
+    m, t, lam, z = map(np.array, columns)
+    s = tau.tau_sample(p, m, t, lam=lam, z=z)
+    scale = np.maximum(np.maximum(1.0, abs(s.f)), abs(s.g))
+    yield abs(s.fstar - s.f.conjugate()) / scale
+    yield abs(s.gstar - s.g.conjugate()) / scale
 
 
-@suite("tau.F_real_positive", 1e-11)
-def suite_tau_F_reality():
-    for p in _all_surface_params(0.6):
-        s = tau.tau_sample(p, np.arange(-8, 9)[:, None], 0.3, z=np.array([0.0, 0.25]))
-        q = s.f * s.fstar + s.g * s.gstar
-        yield abs(s.F.imag) / abs(s.F)
-        yield abs(s.F - q) / abs(s.F)
-        if (s.F.real <= 0.0).any():
-            yield math.inf
+@suite("tau.F_real_positive", 1e-11, cases=lambda: _curves(0.6))
+def suite_tau_F_reality(p):
+    s = tau.tau_sample(p, np.arange(-8, 9)[:, None], 0.3, z=np.array([0.0, 0.25]))
+    q = s.f * s.fstar + s.g * s.gstar
+    yield abs(s.F.imag) / abs(s.F)
+    yield abs(s.F - q) / abs(s.F)
+    if (s.F.real <= 0.0).any():
+        yield math.inf
 
 
-@suite("tau.eta_consistency", 1e-12)
-def suite_tau_eta_consistency():
+@suite("tau.eta_consistency", 1e-12, cases=lambda: _curves(0.6))
+def suite_tau_eta_consistency(p):
     """The closed form i R_m against z + Re(d log F / dz) / 2, from the curve's z
     and the theta quotient of the tau route."""
     ms = np.arange(-6, 7)
-    for p in _all_surface_params(0.6):
-        z = surfaces._curve(p, ms, 0.4)[0][:, 2]
-        dlog = tau._evaluate(p, ms, 0.4, tau.lambda0(p), 0.0)[-1]
-        yield tau.i_r_m(p, ms, 0.4) - (z + 0.5 * dlog.real)
+    z = surfaces._curve(p, ms, 0.4)[0][:, 2]
+    dlog = tau._evaluate(p, ms, 0.4, tau.lambda0(p), 0.0)[-1]
+    yield tau.i_r_m(p, ms, 0.4) - (z + 0.5 * dlog.real)
 
 
 # ------------------------------------------------------------------- ksurf --
 
 @functools.lru_cache(maxsize=None)
-def _kparams(family):
-    """The one K-surface lattice of the suites: k = 0.6, gamma = 0.8, delta = 0.55."""
-    return ksurf.KParams(mod=elliptic.make_modulus(0.6), family=family,
-                         gamma_step=0.8, delta_step=0.55)
+def _ksurfaces():
+    """The two K-surface lattices (dn, cn) of the suites: k = 0.6, gamma = 0.8, delta = 0.55."""
+    mod = elliptic.make_modulus(0.6)
+    return tuple(ksurf.KParams(mod=mod, family=family, gamma_step=0.8, delta_step=0.55)
+                 for family in elliptic.FAMILIES)
 
 
-@suite("ksurf.definition_axioms", 1e-10)
-def suite_ksurf_axioms():
-    for family in ("dn", "cn"):
-        grid = ksurf.k_grid(_kparams(family), range(-10, 10), range(-10, 10))
-        yield list(grid.invariant_residuals().values())
+@suite("ksurf.definition_axioms", 1e-10, cases=_ksurfaces)
+def suite_ksurf_axioms(p):
+    grid = ksurf.k_grid(p, range(-10, 10), range(-10, 10))
+    yield list(grid.invariant_residuals().values())
 
 
-@suite("ksurf.edge_identities", 1e-10)
-def suite_ksurf_edges():
-    for family in ("dn", "cn"):
-        grid = ksurf.k_grid(_kparams(family), range(-10, 11), range(-10, 11))
-        F, N = grid.points, grid.normals
-        res_m = F[1:, :-1] - F[:-1, :-1] - np.cross(N[1:, :-1], N[:-1, :-1])
-        res_n = F[:-1, 1:] - F[:-1, :-1] + np.cross(N[:-1, 1:], N[:-1, :-1])
-        yield np.linalg.norm(res_m, axis=-1)
-        yield np.linalg.norm(res_n, axis=-1)
+@suite("ksurf.edge_identities", 1e-10, cases=_ksurfaces)
+def suite_ksurf_edges(p):
+    grid = ksurf.k_grid(p, range(-10, 11), range(-10, 11))
+    F, N = grid.points, grid.normals
+    res_m = F[1:, :-1] - F[:-1, :-1] - np.cross(N[1:, :-1], N[:-1, :-1])
+    res_n = F[:-1, 1:] - F[:-1, :-1] + np.cross(N[:-1, 1:], N[:-1, :-1])
+    yield np.linalg.norm(res_m, axis=-1)
+    yield np.linalg.norm(res_n, axis=-1)
 
 
-@suite("ksurf.direction_torsions", 1e-12)
-def suite_ksurf_torsions():
-    for family in ("dn", "cn"):
-        p = _kparams(family)
-        _, cn, dn = elliptic.jacobi(np.array([p.gamma_step, p.delta_step]), p.mod)
-        tg, td = cn if family == "dn" else dn
-        G = ksurf.k_grid(p, range(-8, 9), range(-8, 9)).normals
-        yield _dot(G[:-1, :-1], G[1:, :-1]) - tg
-        yield _dot(G[:-1, :-1], G[:-1, 1:]) - td
+@suite("ksurf.direction_torsions", 1e-12, cases=_ksurfaces)
+def suite_ksurf_torsions(p):
+    _, cn, dn = elliptic.jacobi(np.array([p.gamma_step, p.delta_step]), p.mod)
+    tg, td = cn if p.family == "dn" else dn
+    G = ksurf.k_grid(p, range(-8, 9), range(-8, 9)).normals
+    yield _dot(G[:-1, :-1], G[1:, :-1]) - tg
+    yield _dot(G[:-1, :-1], G[:-1, 1:]) - td
 
 
 @functools.lru_cache(maxsize=None)
-def _compat_setup(family):
-    p = _discrete_params(0.6, family, 0.13, 0.19)
-    # the torsion angles are the rotation angles of the other family:
-    # atan2(sn, cn) for dn, atan2(k sn, dn) for cn
-    other = "cn" if family == "dn" else "dn"
-    nu1, nu2 = (elliptic._lattice_step(p.mod, other, step, False)[0]
-                for step in (p.gamma_step, p.delta_step))
-    return p, nu1, nu2
+def _compat_cases():
+    """(lattice, nu1, nu2) per family (dn, cn): the k = 0.6 discrete lattice
+    with steps 0.13 and 0.19 of 4K, and its torsion angles, which are the
+    rotation angles of the other family: atan2(sn, cn) for dn, atan2(k sn, dn)
+    for cn."""
+    lattices = [_discrete_params(0.6, family, 0.13, 0.19) for family in elliptic.FAMILIES]
+    return tuple((p, *(elliptic._lattice_step(p.mod, other, step, False)[0]
+                       for step in (p.gamma_step, p.delta_step)))
+                 for p, other in zip(lattices, ("cn", "dn")))
 
 
-@suite("ksurf.compatibility_on_solutions", 1e-11)
-def suite_ksurf_compatibility():
+@suite("ksurf.compatibility_on_solutions", 1e-11, cases=_compat_cases)
+def suite_ksurf_compatibility(case):
     """Zero-curvature residual on solution corners; same-sign and mixed-sign cases."""
-    for family in ("dn", "cn"):
-        p, nu1, nu2 = _compat_setup(family)
-        # mixed signs pair with the opposite torsion angle in the n-direction
-        cases = ((nu2, ("+", "+")), (-nu2, ("+", "-")), (nu2, ("-", "-")), (-nu2, ("-", "+")))
-        quads = sg.discrete_quad(p, np.arange(-6, 6)[:, None], np.arange(-6, 6))
-        yield [ksurf.compat_matrices(*quads, nu1, nu, signs) for nu, signs in cases]
+    p, nu1, nu2 = case
+    # mixed signs pair with the opposite torsion angle in the n-direction
+    signs = ((nu2, ("+", "+")), (-nu2, ("+", "-")), (nu2, ("-", "-")), (-nu2, ("-", "+")))
+    quads = sg.discrete_quad(p, np.arange(-6, 6)[:, None], np.arange(-6, 6))
+    yield [ksurf.compat_matrices(*quads, nu1, nu, sign) for nu, sign in signs]
 
 
 @suite("ksurf.compatibility_sensitivity", 1e-3, "gt")
 def suite_ksurf_compat_sensitivity():
     """Every perturbed quad must be detected: each quad is its own residual."""
-    p, nu1, nu2 = _compat_setup("dn")
+    p, nu1, nu2 = _compat_cases()[0]   # the dn lattice
     wA, wB, wC, wD = sg.discrete_quad(p, np.arange(-4, 4), 0)
     yield from np.ravel(ksurf.compat_matrices(_perturbed(wA), wB, wC, wD, nu1, nu2, ("+", "+")))
 
 
-@suite("ksurf.compat_angle_identity", 1e-10)
-def suite_ksurf_angle_identity():
+@suite("ksurf.compat_angle_identity", 1e-10, cases=_compat_cases)
+def suite_ksurf_angle_identity(case):
     """-sin(V) = tan(nu1/2) tan(nu2/2) sin(U) on solution corners."""
-    for family in ("dn", "cn"):
-        p, nu1, nu2 = _compat_setup(family)
-        t1, t2 = (math.sin(nu) / (1.0 + math.cos(nu)) for nu in (nu1, nu2))
-        zA, zB, zC, zD = (w.quarter_exponential() for w in
-                          sg.discrete_quad(p, np.arange(-6, 6)[:, None], np.arange(-6, 6)))
-        sinU = (zA * zB * zC * zD).imag
-        sinV = (zA * zB * zC.conjugate() * zD.conjugate()).imag
-        yield -sinV - t1 * t2 * sinU
+    p, nu1, nu2 = case
+    t1, t2 = (math.sin(nu) / (1.0 + math.cos(nu)) for nu in (nu1, nu2))
+    zA, zB, zC, zD = (w.quarter_exponential() for w in
+                      sg.discrete_quad(p, np.arange(-6, 6)[:, None], np.arange(-6, 6)))
+    sinU = (zA * zB * zC * zD).imag
+    sinV = (zA * zB * zC.conjugate() * zD.conjugate()).imag
+    yield -sinV - t1 * t2 * sinU
 
 
-@suite("ksurf.periodicity_cases", 1e-9)
-def suite_ksurf_periodicity():
-    for case in ("1a", "1b", "1c", "2a", "2b", "2c"):
-        yield ksurf.k_periodicity(case, order=3, window=8)["max_defect"]
+@suite("ksurf.periodicity_cases", 1e-9, cases=lambda: ksurf._CASES)
+def suite_ksurf_periodicity(case):
+    yield ksurf.k_periodicity(case, order=3, window=8)["max_defect"]
 
 
 def run_suites(which="all") -> list[SuiteResult]:

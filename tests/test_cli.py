@@ -372,13 +372,16 @@ def test_config_twisted_values(tmp_path, value, twisted):
 
 
 @pytest.mark.parametrize("line", ["twisted = ture", "twisted = on", "twisted =", "k = 0,6",
-                                  "m-max = 2.5", "family = xx"])
-def test_malformed_config_values_are_config_errors(tmp_path, line):
+                                  "m-max = 2.5", "family = xx",
+                                  pytest.param(b"k = 0.6\xff", id="not-utf-8"),
+                                  pytest.param(b"out = c\0.csv", id="nul-in-out")])
+def test_malformed_config_values_are_config_errors(tmp_path, monkeypatch, line):
+    # no --out flag, so the file's own out value is the one the command would open
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{line}\n")
-    out = tmp_path / "c.csv"
-    assert run(COMMAND_ARGV["curve"] + ["--config", str(cfg), "--out", str(out)]) == 2
-    assert not out.exists()
+    cfg.write_bytes((line if isinstance(line, bytes) else line.encode()) + b"\n")
+    assert run(COMMAND_ARGV["curve"] + ["--config", str(cfg)]) == 2
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_known_defect_probe_exits_0(tmp_path):
@@ -643,3 +646,37 @@ def test_window_at_the_limit_is_evaluated(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(cli, "snapshots", reached)
     with pytest.raises(Reached):
         run(argv + ["--out", str(tmp_path / "out")])
+
+
+_INT64 = 2 ** 63
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "--k", "0.6", "--m-min", str(-_INT64), "--m-max", "0"],
+    ["curve", "--k", "0.6", "--m-min", str(_INT64), "--m-max", str(_INT64 + 2)],
+    ["curve", "--k", "0.6", "--m-min", str(-_INT64 - 1), "--m-max", str(-_INT64)],
+    ["curve", "--k", "0.6", "--m-min", str(_INT64 - 1), "--m-max", str(_INT64 - 1)],
+    ["kaleidocycle", "--n", str(_INT64)],
+    ["kaleidocycle", "--n", "3", "--m-max", str(_INT64)],
+    ["kaleidocycle", "--n", str(_INT64 // 2), "--m-max", "3"],
+], ids=["curve-window", "curve-above", "curve-below", "curve-next-site", "kaleidocycle-n",
+        "kaleidocycle-m-max", "kaleidocycle-period"])
+def test_m_sites_beyond_int64_are_config_errors(tmp_path, capsys, argv):
+    # the sites m, m + 1 and (kaleidocycle) m + period must all be int64
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("lo", [-_INT64, _INT64 - 2])
+def test_m_sites_at_the_int64_edge_are_evaluated(tmp_path, monkeypatch, lo):
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cli, "snapshots", reached)
+    with pytest.raises(Reached):
+        run(["curve", "--k", "0.6", "--m-min", str(lo), "--m-max", str(lo),
+             "--out", str(tmp_path / "out")])

@@ -1,6 +1,7 @@
 """The suite registry: one reduction for every suite, NaN-safe, and the suite
 list that `verify`, `identities` and the benchmark's tracer read."""
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from sgsurf import cli, elliptic, ksurf, sg, suites, surfaces, theta
+from sgsurf.errors import ValidationError
 from test_acceptance import IDENTITY_CORPUS
 
 
@@ -127,9 +129,9 @@ def test_a_fresh_verify_round_builds_each_constant_once(monkeypatch):
 def test_surface_and_tau_suites_share_one_lattice_set_per_modulus():
     # the curve suites and the tau suites read the same four lattices of each
     # modulus, so a fresh round builds one cached set per modulus and no more
-    suites._all_surface_params.cache_clear()
+    suites._curves.cache_clear()
     suites.run_suites("all")
-    assert suites._all_surface_params.cache_info().currsize == len(suites.MODULI)
+    assert suites._curves.cache_info().currsize == len(suites.MODULI)
 
 
 SNAPSHOT_SUITES = ["suite_surface_flow_components", "suite_surface_curvature"]
@@ -166,8 +168,33 @@ def test_a_suite_that_yields_nothing_fails(monkeypatch, comparison):
     def suite_empty():
         yield from ()
 
-    result = suite_empty()
-    assert suites.ALL_SUITES[-1] is suite_empty
+    # no cases at all, and cases that each yield nothing
+    @suites.suite("test.no_cases", 1.0, comparison, cases=lambda: ())
+    def suite_no_cases(case):
+        yield case
+
+    @suites.suite("test.empty_cases", 1.0, comparison, cases=lambda: (1, 2))
+    def suite_empty_cases(case):
+        yield from ()
+
+    assert suites.ALL_SUITES[-3:] == [suite_empty, suite_no_cases, suite_empty_cases]
+    for run in suites.ALL_SUITES[-3:]:
+        result = run()
+        assert math.isnan(result.max_residual) and not result.passed
+
+
+@pytest.mark.parametrize("comparison", ["lt", "gt"])
+def test_a_case_that_raises_validation_error_reads_nan(monkeypatch, comparison):
+    monkeypatch.setattr(suites, "ALL_SUITES", list(suites.ALL_SUITES))
+
+    @suites.suite("test.bad_case", 1.0, comparison, cases=lambda: (0.5, None, 2.0))
+    def suite_bad_case(case):
+        if case is None:
+            raise ValidationError("snapshot violates curve invariants", {})
+        yield case
+
+    # the first case's finite residual does not survive the second case's failure
+    result = suite_bad_case()
     assert math.isnan(result.max_residual) and not result.passed
 
 
@@ -183,8 +210,44 @@ def test_values_reduce_to_the_largest_or_smallest_max_abs(monkeypatch):
     def suite_gt():
         yield from items
 
-    assert suite_lt().as_dict() == {"name": "test.lt", "max_residual": 3.0, "tolerance": 10.0,
-                                    "comparison": "lt", "pass": True}
+    # the same items spread over several cases reduce to the same values
+    @suites.suite("test.lt", 10.0, cases=lambda: ((0,), (1, 2), (), (3,)))
+    def suite_lt_cases(case):
+        yield from (items[i] for i in case)
+
+    @suites.suite("test.gt", 1.0, "gt", cases=lambda: ((1,), (0, 3), (2,)))
+    def suite_gt_cases(case):
+        yield from (items[i] for i in case)
+
+    for run in (suite_lt, suite_lt_cases):
+        assert run().as_dict() == {"name": "test.lt", "max_residual": 3.0, "tolerance": 10.0,
+                                   "comparison": "lt", "pass": True}
     # an empty item is 0.0, so the smallest value fails the sensitivity check
-    result = suite_gt()
-    assert result.max_residual == 0.0 and not result.passed
+    for run in (suite_gt, suite_gt_cases):
+        result = run()
+        assert result.max_residual == 0.0 and not result.passed
+
+    # without the empty item the smallest is 1.5, from the last case
+    @suites.suite("test.gt_nonzero", 1.0, "gt", cases=lambda: ((1,), (0,), (2,)))
+    def suite_gt_nonzero(case):
+        yield from (items[i] for i in case)
+
+    result = suite_gt_nonzero()
+    assert result.max_residual == 1.5 and result.passed
+
+
+REPORT_DIGESTS = {
+    "verify": "6b5e17766ed151a5c047ae7a96918d01dbc55306702424d2998789f58811ff66",
+    "identities": "b4cd5210b0daf3b3db42deba378303ce88d70593279bcfb32edc931b3a15513a",
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_DIGESTS))
+def test_report_bytes_are_pinned(tmp_path, command):
+    """The report bytes of ``verify`` and ``identities``: every residual is
+    printed to the last bit, so a change of evaluation order shows here.  A
+    change that moves a digest updates it and records the old and new values
+    in CHANGES.md."""
+    out = tmp_path / f"{command}.json"
+    assert cli.main([command, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_DIGESTS[command]
