@@ -141,12 +141,13 @@ def cmd_curve(ns: argparse.Namespace) -> int:
 def cmd_kaleidocycle(ns: argparse.Namespace) -> int:
     if ns.n is None:
         raise DomainError("kaleidocycle command needs the order --n")
+    # the lattice checks the order before the period and window derive from it
+    p = kaleidocycle_params(ns.n, family=ns.family, beta_rate=ns.beta,
+                            twisted=ns.twisted)
     period = 2 * ns.n if ns.family == "dn" else 2
     # the closure check evaluates every site m + period
     ms = _m_values(0, period if ns.m_max is None else ns.m_max, period)
     samples = _t_samples(ns, ms)
-    p = kaleidocycle_params(ns.n, family=ns.family, beta_rate=ns.beta,
-                            twisted=ns.twisted)
     # every frame is validated before the first file is written
     snaps = snapshots(p, ms, samples)
     shifted = gamma_point(p, snaps[0].m_values + period, samples[:, None])

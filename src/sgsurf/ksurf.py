@@ -202,6 +202,8 @@ def k_periodicity(case_id: str, order: int = 3, window: int = 8) -> dict:
     """
     if case_id not in _CASES:
         raise DomainError(f"case_id must be one of {_CASES}, got {case_id!r}")
+    if order < 1 or window < 1:
+        raise DomainError(f"order and window must be >= 1, got order={order}, window={window}")
     if case_id in ("1a", "1b") and order <= 2:
         raise DomainError("cases 1a/1b need order > 2")
     mod = make_modulus(math.sin(math.pi / order))

@@ -4,12 +4,12 @@ Each suite checks one family of identities or geometric constraints against a
 fixed tolerance.  Suites are deterministic (seeded RNG, fixed grids) so
 reports are byte-stable.
 
-To add a suite, write a generator named ``suite_<name>`` that yields its
-residuals (numbers, lists or arrays) and decorate it with
-``@suite(report_name, tolerance)``; ``identity=True`` also puts it in the
-``identities`` corpus.  The decorated function returns a SuiteResult, and
-``verify`` runs the suites in the order they are registered here.  The value
-of a suite is the largest ``max |r|`` over its yielded items r.  A
+To add a suite, write a generator named ``suite_<name>`` that takes one case
+and yields its residuals (numbers, lists or arrays), and decorate it with
+``@suite(report_name, tolerance, cases=...)``; ``identity=True`` also puts it
+in the ``identities`` corpus.  The decorated function returns a SuiteResult,
+and ``verify`` runs the suites in the order they are registered here.  The
+value of a suite is the largest ``max |r|`` over its yielded items r.  A
 sensitivity suite (``comparison="gt"``: a broken input must be detected, so
 it passes when the value EXCEEDS the tolerance) takes the smallest instead.
 A NaN anywhere makes the value NaN, which fails both comparisons; a suite
@@ -17,12 +17,11 @@ that yields nothing reads NaN as well, and so does one that raises
 ValidationError while it draws its residuals (a snapshot that fails its
 curve invariants), so the other suites still run.
 
-A suite over fixed cases (moduli, lattices or tuples) passes ``cases=``, a
-function that returns them; its generator takes one case, and the
-runner chains all cases into the one reduction, whose max or min does not
-depend on the grouping.  The seven suites that draw from one seeded stream
-across their moduli keep their own loop, as per-case calls would change
-their draws.
+``cases`` is a function that returns the suite's fixed cases (moduli,
+lattices or tuples), and the runner chains the generator over all of them
+into the one reduction, whose max or min does not depend on the grouping.
+A seeded suite's cases come from ``_seeded``, which pairs each case with its
+draws from the suite's one stream, in case order.
 
 Each suite evaluates a window of sites in one array call, with numpy's
 complex arithmetic, and reduces it axis-wise; the report prints every bit,
@@ -70,15 +69,14 @@ class SuiteResult:
 ALL_SUITES: list = []   # every registered suite, in registration order
 
 
-def suite(name: str, tolerance: float, comparison: str = "lt", identity: bool = False,
-          cases=None):
+def suite(name: str, tolerance: float, comparison: str = "lt", identity: bool = False, *,
+          cases):
     """Register a generator of residuals as the suite ``name`` (see the module docstring)."""
     def register(residuals):
         @functools.wraps(residuals)
         def run() -> SuiteResult:
             try:
-                items = (residuals() if cases is None
-                         else itertools.chain.from_iterable(map(residuals, cases())))
+                items = itertools.chain.from_iterable(map(residuals, cases()))
                 values = np.array([max_abs(r) for r in items] or [math.nan])
             except ValidationError:   # an input that fails its invariants reads NaN
                 values = np.array([math.nan])
@@ -90,6 +88,12 @@ def suite(name: str, tolerance: float, comparison: str = "lt", identity: bool = 
         return run
 
     return register
+
+
+def _seeded(seed: int, cases, draw) -> list:
+    """(case, draw(rng, case)) per case, drawn in case order from one stream seeded ``seed``."""
+    rng = np.random.default_rng(seed)
+    return [(case, draw(rng, case)) for case in cases]
 
 
 # ---------------------------------------------------------------- elliptic --
@@ -108,54 +112,51 @@ def suite_jacobi_identities(k):
     yield dn * dn + mod.m * sn * sn - 1.0
 
 
-@suite("elliptic.jacobi_vs_theta_oracle", 1e-11)
-def suite_jacobi_vs_theta():
-    rng = np.random.default_rng(101)
-    for k in MODULI_WIDE:
-        mod = elliptic.make_modulus(k)
-        u = rng.uniform(-4.0 * mod.K, 4.0 * mod.K, 25)
-        for real, oracle in zip(elliptic.jacobi(u, mod), theta.jacobi_complex(u, mod)):
-            yield abs(real - oracle)
+@suite("elliptic.jacobi_vs_theta_oracle", 1e-11, cases=lambda: _seeded(
+       101, map(elliptic.make_modulus, MODULI_WIDE),
+       lambda rng, mod: rng.uniform(-4.0 * mod.K, 4.0 * mod.K, 25)))
+def suite_jacobi_vs_theta(case):
+    mod, u = case
+    for real, oracle in zip(elliptic.jacobi(u, mod), theta.jacobi_complex(u, mod)):
+        yield abs(real - oracle)
 
 
-@suite("elliptic.addition_formulae", 1e-11, identity=True)
-def suite_addition_formulae():
-    rng = np.random.default_rng(102)
-    for k in MODULI:
-        mod = elliptic.make_modulus(k)
-        u, g = rng.uniform(-2.0 * mod.K, 2.0 * mod.K, (70, 2)).T
-        su, cu, du = elliptic.jacobi(u, mod)
-        sgm, cg, dg = elliptic.jacobi(g, mod)
-        den = 1.0 - mod.m * sgm * sgm * su * su
-        s2, c2, d2 = elliptic.jacobi(u + g, mod)
-        yield s2 - (cg * dg * su + sgm * cu * du) / den
-        yield c2 - (cg * cu - sgm * dg * su * du) / den
-        yield d2 - (dg * du - mod.m * sgm * cg * su * cu) / den
+@suite("elliptic.addition_formulae", 1e-11, identity=True, cases=lambda: _seeded(
+       102, map(elliptic.make_modulus, MODULI),
+       lambda rng, mod: rng.uniform(-2.0 * mod.K, 2.0 * mod.K, (70, 2)).T))
+def suite_addition_formulae(case):
+    mod, (u, g) = case
+    su, cu, du = elliptic.jacobi(u, mod)
+    sgm, cg, dg = elliptic.jacobi(g, mod)
+    den = 1.0 - mod.m * sgm * sgm * su * su
+    s2, c2, d2 = elliptic.jacobi(u + g, mod)
+    yield s2 - (cg * dg * su + sgm * cu * du) / den
+    yield c2 - (cg * cu - sgm * dg * su * du) / den
+    yield d2 - (dg * du - mod.m * sgm * cg * su * cu) / den
 
 
-@suite("elliptic.shifted_identity_corpus", 1e-11, identity=True)
-def suite_elliptic_identity_corpus():
+@suite("elliptic.shifted_identity_corpus", 1e-11, identity=True, cases=lambda: _seeded(
+       103, map(elliptic.make_modulus, MODULI),
+       lambda rng, mod: rng.uniform(-2.0 * mod.K, 2.0 * mod.K, (200, 2)).T))
+def suite_elliptic_identity_corpus(case):
     """Nine product identities of shifted-argument triples at random (gamma, psi)."""
-    rng = np.random.default_rng(103)
-    for k in MODULI:
-        mod = elliptic.make_modulus(k)
-        k2 = mod.m
-        g, psi = rng.uniform(-2.0 * mod.K, 2.0 * mod.K, (200, 2)).T
-        s0, c0, d0 = elliptic.jacobi(psi, mod)
-        s1, c1, d1 = elliptic.jacobi(psi + g, mod)
-        sm, cm, dm = elliptic.jacobi(psi - g, mod)
-        sg_, cg, dg = elliptic.jacobi(g, mod)
-        yield from (
-            dg * s0 * s1 + c0 * c1 - cg,                                   # (i)
-            k2 * cg * s0 * s1 + d0 * d1 - dg,                              # (ii)
-            k2 * sg_ * s1 * s1 + dg * s1 * c0 * d1 - s0 * c1 * d1 - sg_,   # (iii)
-            sg_ * d1 + s0 * c1 - dg * s1 * c0,                             # (iv)
-            dg * d1 + k2 * sg_ * s1 * c0 - d0,                             # (v)
-            dg * s0 * c0 * s1 * c1 + sg_ * c0 * d0 * s1 - c0 * c0 * s1 * s1,  # (vi)
-            cg * c1 + sg_ * s1 * d0 - c0,                                  # (vii)
-            sg_ * c1 + s0 * d1 - cg * s1 * d0,                             # (viii)
-            dg * dg * sm * s1 + cm * c1 + sg_ * sg_ * dm * d1 - cg * cg,   # (ix)
-        )
+    mod, (g, psi) = case
+    k2 = mod.m
+    s0, c0, d0 = elliptic.jacobi(psi, mod)
+    s1, c1, d1 = elliptic.jacobi(psi + g, mod)
+    sm, cm, dm = elliptic.jacobi(psi - g, mod)
+    sg_, cg, dg = elliptic.jacobi(g, mod)
+    yield from (
+        dg * s0 * s1 + c0 * c1 - cg,                                   # (i)
+        k2 * cg * s0 * s1 + d0 * d1 - dg,                              # (ii)
+        k2 * sg_ * s1 * s1 + dg * s1 * c0 * d1 - s0 * c1 * d1 - sg_,   # (iii)
+        sg_ * d1 + s0 * c1 - dg * s1 * c0,                             # (iv)
+        dg * d1 + k2 * sg_ * s1 * c0 - d0,                             # (v)
+        dg * s0 * c0 * s1 * c1 + sg_ * c0 * d0 * s1 - c0 * c0 * s1 * s1,  # (vi)
+        cg * c1 + sg_ * s1 * d0 - c0,                                  # (vii)
+        sg_ * c1 + s0 * d1 - cg * s1 * d0,                             # (viii)
+        dg * dg * sm * s1 + cm * c1 + sg_ * sg_ * dm * d1 - cg * cg,   # (ix)
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -192,81 +193,77 @@ def _thetas_at(p, *args, js=(0, 1, 2, 3)):
     return [{j: val for j, (val, _) in zip(js, each)} for each in theta._theta_each(js, p, *args)]
 
 
-@suite("theta.addition_identities", 1e-10, identity=True)
-def suite_theta_addition():
+@suite("theta.addition_identities", 1e-10, identity=True, cases=lambda: _seeded(
+       104, map(elliptic.make_modulus, (0.3, 0.7)),
+       lambda rng, mod: rng.uniform([-1, -0.4, -1, -0.4], [1, 0.4, 1, 0.4], (100, 4)).T))
+def suite_theta_addition(case):
     """Four quadratic addition identities, both compound signs."""
-    rng = np.random.default_rng(104)
-    for k in (0.3, 0.7):
-        mod = elliptic.make_modulus(k)
-        T = mod.taup.imag
-        xr, xi, yr, yi = rng.uniform([-1, -0.4, -1, -0.4], [1, 0.4, 1, 0.4], (100, 4)).T
-        x, y = xr + 1j * (xi * T), yr + 1j * (yi * T)
-        sy = {s: s * y for s in (1.0, -1.0)}
-        X, Y, Z, *shifted = _thetas_at(theta.lattice_params(mod), x, y, 0.0,
-                                       *(a for s in sy for a in (x + sy[s], x - sy[s])))
-        for s, P, M in zip(sy, shifted[0::2], shifted[1::2]):
-            # P[j] = theta_j(x + s y), M[j] = theta_j(x - s y)
-            pairs = (
-                (P[3] * M[0] * Z[3] * Z[0],
-                 X[3] * X[0] * Y[3] * Y[0] - s * X[1] * X[2] * Y[1] * Y[2]),
-                (P[1] * M[2] * Z[3] * Z[0],
-                 X[1] * X[2] * Y[3] * Y[0] + s * X[3] * X[0] * Y[1] * Y[2]),
-                (P[1] * M[3] * Z[2] * Z[0],
-                 X[1] * X[3] * Y[2] * Y[0] + s * X[2] * X[0] * Y[1] * Y[3]),
-                (P[2] * M[0] * Z[2] * Z[0],
-                 X[2] * X[0] * Y[2] * Y[0] - s * X[1] * X[3] * Y[1] * Y[3]),
-            )
-            for lhs, rhs in pairs:
-                yield abs(lhs - rhs) / np.maximum(1.0, abs(lhs))
+    mod, (xr, xi, yr, yi) = case
+    T = mod.taup.imag
+    x, y = xr + 1j * (xi * T), yr + 1j * (yi * T)
+    sy = {s: s * y for s in (1.0, -1.0)}
+    X, Y, Z, *shifted = _thetas_at(theta.lattice_params(mod), x, y, 0.0,
+                                   *(a for s in sy for a in (x + sy[s], x - sy[s])))
+    for s, P, M in zip(sy, shifted[0::2], shifted[1::2]):
+        # P[j] = theta_j(x + s y), M[j] = theta_j(x - s y)
+        pairs = (
+            (P[3] * M[0] * Z[3] * Z[0],
+             X[3] * X[0] * Y[3] * Y[0] - s * X[1] * X[2] * Y[1] * Y[2]),
+            (P[1] * M[2] * Z[3] * Z[0],
+             X[1] * X[2] * Y[3] * Y[0] + s * X[3] * X[0] * Y[1] * Y[2]),
+            (P[1] * M[3] * Z[2] * Z[0],
+             X[1] * X[3] * Y[2] * Y[0] + s * X[2] * X[0] * Y[1] * Y[3]),
+            (P[2] * M[0] * Z[2] * Z[0],
+             X[2] * X[0] * Y[2] * Y[0] - s * X[1] * X[3] * Y[1] * Y[3]),
+        )
+        for lhs, rhs in pairs:
+            yield abs(lhs - rhs) / np.maximum(1.0, abs(lhs))
 
 
-@suite("theta.lattice_doubling_identities", 1e-10, identity=True)
-def suite_theta_lattice_doubling():
+@suite("theta.lattice_doubling_identities", 1e-10, identity=True, cases=lambda: _seeded(
+       105, map(elliptic.make_modulus, (0.3, 0.6)),
+       lambda rng, mod: rng.uniform([-2.5, -1.0, -0.6], [2.5, 1.0, 0.6], (100, 3)).T))
+def suite_theta_lattice_doubling(case):
     """Landen-type identities between the taup and 2 taup lattices at shifted arguments."""
-    rng = np.random.default_rng(105)
-    for k in (0.3, 0.6):
-        mod = elliptic.make_modulus(k)
-        p1, p2 = theta.lattice_params(mod), theta.lattice_params(mod, 2)
-        den = mod.k * mod.Kp
-        psi, lam, z = rng.uniform([-2.5, -1.0, -0.6], [2.5, 1.0, 0.6], (100, 3)).T
-        v = (psi - mod.K) / (2j * mod.Kp)
-        iz = 1j * z
-        vp = v + (lam + iz) / den
-        vm = v + (-lam + iz) / den
-        vz = v + iz / den
-        # A, B: theta_j(., tau') at v+-, and C, D, Z at vz, lam/den and 0; P, M on 2 tau'
-        A, B, C, D, Z = _thetas_at(p1, vp, vm, vz, lam / den, 0.0)
-        P, M = _thetas_at(p2, vp, vm, js=(2, 3))
-        checks = []
-        for W, Q in ((A, P), (B, M)):
-            checks += [
-                (W[3] * Z[3], Q[3] ** 2 + Q[2] ** 2),
-                (W[0] * Z[0], Q[3] ** 2 - Q[2] ** 2),
-                (W[2] * Z[2], 2.0 * Q[2] * Q[3]),
-            ]
+    mod, (psi, lam, z) = case
+    p1, p2 = theta.lattice_params(mod), theta.lattice_params(mod, 2)
+    den = mod.k * mod.Kp
+    v = (psi - mod.K) / (2j * mod.Kp)
+    iz = 1j * z
+    vp = v + (lam + iz) / den
+    vm = v + (-lam + iz) / den
+    vz = v + iz / den
+    # A, B: theta_j(., tau') at v+-, and C, D, Z at vz, lam/den and 0; P, M on 2 tau'
+    A, B, C, D, Z = _thetas_at(p1, vp, vm, vz, lam / den, 0.0)
+    P, M = _thetas_at(p2, vp, vm, js=(2, 3))
+    checks = []
+    for W, Q in ((A, P), (B, M)):
         checks += [
-            (C[3] * D[3], P[3] * M[3] + P[2] * M[2]),
-            (C[0] * D[0], P[3] * M[3] - P[2] * M[2]),
-            (C[2] * D[2], P[2] * M[3] + P[3] * M[2]),
-            (C[1] * D[1], P[3] * M[2] - P[2] * M[3]),
+            (W[3] * Z[3], Q[3] ** 2 + Q[2] ** 2),
+            (W[0] * Z[0], Q[3] ** 2 - Q[2] ** 2),
+            (W[2] * Z[2], 2.0 * Q[2] * Q[3]),
         ]
-        for lhs, rhs in checks:
-            yield abs(lhs - rhs) / np.maximum(np.maximum(1.0, abs(lhs)), abs(rhs))
+    checks += [
+        (C[3] * D[3], P[3] * M[3] + P[2] * M[2]),
+        (C[0] * D[0], P[3] * M[3] - P[2] * M[2]),
+        (C[2] * D[2], P[2] * M[3] + P[3] * M[2]),
+        (C[1] * D[1], P[3] * M[2] - P[2] * M[3]),
+    ]
+    for lhs, rhs in checks:
+        yield abs(lhs - rhs) / np.maximum(np.maximum(1.0, abs(lhs)), abs(rhs))
 
 
-@suite("theta.jacobi_quotients", 1e-10, identity=True)
-def suite_theta_jacobi_quotients():
+@suite("theta.jacobi_quotients", 1e-10, identity=True, cases=lambda: _seeded(
+       106, map(elliptic.make_modulus, MODULI), lambda rng, mod: rng.uniform(-3.5, 3.5, 100)))
+def suite_theta_jacobi_quotients(case):
     """The three quotient formulas tying thetas at v = (psi-K)/(2iK') to sn, cn, dn."""
-    rng = np.random.default_rng(106)
-    for k in MODULI:
-        mod = elliptic.make_modulus(k)
-        psi = rng.uniform(-3.5, 3.5, 100)
-        sn, cn, dn = elliptic.jacobi(psi, mod)
-        V, Z = _thetas_at(theta.lattice_params(mod), (psi - mod.K) / (2j * mod.Kp), 0.0)
-        for res in (V[0] * Z[3] / (V[3] * Z[0]) - sn,
-                    V[1] * Z[2] / (V[3] * Z[0]) - 1j * cn,
-                    V[2] * Z[2] / (V[3] * Z[3]) - dn):
-            yield abs(res)
+    mod, psi = case
+    sn, cn, dn = elliptic.jacobi(psi, mod)
+    V, Z = _thetas_at(theta.lattice_params(mod), (psi - mod.K) / (2j * mod.Kp), 0.0)
+    for res in (V[0] * Z[3] / (V[3] * Z[0]) - sn,
+                V[1] * Z[2] / (V[3] * Z[0]) - 1j * cn,
+                V[2] * Z[2] / (V[3] * Z[3]) - dn):
+        yield abs(res)
 
 
 @suite("theta.weierstrass_scalars", 1e-10, identity=True, cases=lambda: MODULI)
@@ -295,20 +292,17 @@ def suite_weierstrass_scalars(k):
     yield alt - wc.zeta_omega_over_omega
 
 
-@suite("theta.modular_identity", 1e-9, identity=True)
-def suite_theta_modular():
+@suite("theta.modular_identity", 1e-9, identity=True, cases=lambda: _seeded(
+       107, map(elliptic.make_modulus, MODULI),
+       lambda rng, mod: rng.uniform([-0.5, -0.25], [0.5, 0.25], (60, 2)).T))
+def suite_theta_modular(case):
     """Imaginary transformation theta_3(v/tau | tau') = exp(pi i (v^2/tau - 1/4)) sqrt(tau) theta_3(v|tau)."""
-    rng = np.random.default_rng(107)
-    for k in MODULI:
-        mod = elliptic.make_modulus(k)
-        pt = theta.ThetaParams(mod.tau)
-        ptp = theta.lattice_params(mod)
-        vr, vi = rng.uniform([-0.5, -0.25], [0.5, 0.25], (60, 2)).T
-        v = vr + 1j * vi
-        lhs = theta.theta_j(3, v / mod.tau, ptp)
-        rhs = (np.exp(1j * math.pi * (v * v / mod.tau - 0.25))
-               * cmath.sqrt(mod.tau) * theta.theta_j(3, v, pt))
-        yield abs(lhs - rhs) / np.maximum(1.0, abs(rhs))
+    mod, (vr, vi) = case
+    v = vr + 1j * vi
+    lhs = theta.theta_j(3, v / mod.tau, theta.lattice_params(mod))
+    rhs = (np.exp(1j * math.pi * (v * v / mod.tau - 0.25))
+           * cmath.sqrt(mod.tau) * theta.theta_j(3, v, theta.ThetaParams(mod.tau)))
+    yield abs(lhs - rhs) / np.maximum(1.0, abs(rhs))
 
 
 # ---------------------------------------------------------------------- sg --
@@ -352,15 +346,15 @@ def _perturbed(w: surfaces.HalfAngle) -> surfaces.HalfAngle:
     return surfaces.HalfAngle(c=w.c / nrm, s=s / nrm, dwdt=w.dwdt)
 
 
-@suite("sg.perturbation_sensitivity", 1e-3, "gt")
-def suite_sg_sensitivity():
+@suite("sg.perturbation_sensitivity", 1e-3, "gt",
+       cases=lambda: [(_semi_params(0.6, "dn"), _discrete_params(0.6, "cn"))])
+def suite_sg_sensitivity(case):
     """A perturbed field (s scaled by 1.01, renormalized) must be detected."""
-    p = _semi_params(0.6, "dn")
+    p, pd = case
     c1, c2 = sg.semi_sg_coeffs(p)
     ms = np.arange(-5, 5)
     w0, w1 = sg._unstack(surfaces.half_angles(p, np.stack([ms, ms + 1]), 0.3))
     yield sg.semi_residuals_from(w0, _perturbed(w1), c1, c2)[0]
-    pd = _discrete_params(0.6, "cn")
     wA, wB, wC, wD = sg.discrete_quad(pd, ms, 0)
     yield sg.discrete_sg_residual_from(_perturbed(wA), wB, wC, wD, sg.discrete_sg_coeff(pd))
 
@@ -501,22 +495,15 @@ def suite_tau_cauchy_riemann(p):
     yield tau.bilinear_checks(p, np.array([-3, 0, 4]), 0.3)[2]
 
 
-@functools.lru_cache(maxsize=None)
-def _conjugation_cases() -> tuple:
-    """Per k = 0.6 curve lattice, (lattice, columns): 40 seeded scalar draws
-    of (m, t, lam, z), as one tuple per variable."""
-    rng = np.random.default_rng(108)
-    draws = [[(int(rng.integers(-6, 7)), float(rng.uniform(0, 1.5)),
-               float(rng.uniform(-0.8, 0.8)), float(rng.uniform(-0.5, 0.5)))
-              for _ in range(40)] for _ in _curves(0.6)]
-    return tuple((p, tuple(zip(*d))) for p, d in zip(_curves(0.6), draws))
-
-
-@suite("tau.conjugation_symmetry", 1e-11, cases=_conjugation_cases)
+@suite("tau.conjugation_symmetry", 1e-11, cases=lambda: _seeded(
+       108, _curves(0.6), lambda rng, p: [(int(rng.integers(-6, 7)), float(rng.uniform(0, 1.5)),
+                                           float(rng.uniform(-0.8, 0.8)),
+                                           float(rng.uniform(-0.5, 0.5))) for _ in range(40)]))
 def suite_tau_conjugation(case):
-    """The starred quartet entries equal numeric conjugates at real (lam, z)."""
-    p, columns = case
-    m, t, lam, z = map(np.array, columns)
+    """The starred quartet entries equal numeric conjugates at real (lam, z):
+    40 seeded scalar draws of (m, t, lam, z) per k = 0.6 curve lattice."""
+    p, draws = case
+    m, t, lam, z = map(np.array, zip(*draws))
     s = tau.tau_sample(p, m, t, lam=lam, z=z)
     scale = np.maximum(np.maximum(1.0, abs(s.f)), abs(s.g))
     yield abs(s.fstar - s.f.conjugate()) / scale
@@ -600,10 +587,10 @@ def suite_ksurf_compatibility(case):
     yield [ksurf.compat_matrices(*quads, nu1, nu, sign) for nu, sign in signs]
 
 
-@suite("ksurf.compatibility_sensitivity", 1e-3, "gt")
-def suite_ksurf_compat_sensitivity():
+@suite("ksurf.compatibility_sensitivity", 1e-3, "gt", cases=lambda: _compat_cases()[:1])
+def suite_ksurf_compat_sensitivity(case):
     """Every perturbed quad must be detected: each quad is its own residual."""
-    p, nu1, nu2 = _compat_cases()[0]   # the dn lattice
+    p, nu1, nu2 = case   # the dn lattice
     wA, wB, wC, wD = sg.discrete_quad(p, np.arange(-4, 4), 0)
     yield from np.ravel(ksurf.compat_matrices(_perturbed(wA), wB, wC, wD, nu1, nu2, ("+", "+")))
 

@@ -252,11 +252,11 @@ def kaleidocycle_params(n: int, family: str = "dn", beta_rate: float = 1.0,
     """Closed-linkage parameters: k = sin(pi/n), gamma = K.
 
     The dn family closes with period 2n (hinge count 2n); the cn family
-    closes with period 2 for any modulus.  Requires n >= 3 so that the
-    modulus stays inside (0, 1).
+    closes with period 2 for any modulus.  Requires an integer n >= 3: the
+    modulus stays inside (0, 1), and the dn ring closes after 2n sites.
     """
-    if n < 3:
-        raise DomainError(f"kaleidocycle order must be >= 3, got {n}")
+    if not isinstance(n, (int, np.integer)) or n < 3:
+        raise DomainError(f"kaleidocycle order must be an integer >= 3, got {n}")
     mod = make_modulus(math.sin(math.pi / n))
     return SurfaceParams(mod=mod, family=family, gamma_step=mod.K,
                          beta_rate=beta_rate, twisted=twisted)

@@ -44,8 +44,13 @@ def test_curve_missing_modulus_is_config_error(tmp_path):
     assert run(["curve", "--out", str(tmp_path / "x.csv")]) == 2
 
 
-def test_kaleidocycle_order_validation(tmp_path):
+def test_kaleidocycle_order_validation(tmp_path, capsys):
     assert run(["kaleidocycle", "--n", "2", "--out", str(tmp_path / "x")]) == 2
+    # the order is checked before the period and the m window derive from it
+    for n in ("-5", "0"):
+        assert run(["kaleidocycle", "--n", n, "--out", str(tmp_path / "x")]) == 2
+        assert f"kaleidocycle order must be an integer >= 3, got {n}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
     cfg = tmp_path / "k.cfg"
     cfg.write_text("k = 0.6\n")  # explicit modulus is forbidden here
     assert run(["kaleidocycle", "--n", "4", "--config", str(cfg),

@@ -257,6 +257,10 @@ def test_periodicity_validation():
         ksurf.k_periodicity("3a")
     with pytest.raises(DomainError):
         ksurf.k_periodicity("1a", order=2)
+    # order 0 would divide by zero; an empty window would check nothing
+    for kwargs in ({"order": 0}, {"window": 0}, {"window": -2}):
+        with pytest.raises(DomainError):
+            ksurf.k_periodicity("2a", **kwargs)
 
 
 # ------------------------------------------- residuals against the plain forms --

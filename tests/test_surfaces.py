@@ -239,8 +239,10 @@ def test_snapshot_fails_on_a_nan_residual():
 
 
 def test_kaleidocycle_params_and_closure():
-    with pytest.raises(DomainError):
-        surfaces.kaleidocycle_params(2)
+    # a non-integer order's dn ring does not close after 2n sites (3.5 closes at 14)
+    for n in (2, 3.5):
+        with pytest.raises(DomainError):
+            surfaces.kaleidocycle_params(n)
     for n in (3, 8):
         p = surfaces.kaleidocycle_params(n)
         assert p.mod.k == pytest.approx(math.sin(math.pi / n))
