@@ -44,9 +44,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import _closed_form, _lattice_step, make_modulus
+from .elliptic import _closed_form, _lattice_step
 from .errors import DomainError, check_finite, max_abs
-from .surfaces import CurveLattice, HalfAngle
+from .surfaces import CurveLattice, HalfAngle, kaleidocycle_params
 
 _CASES = ("1a", "1b", "1c", "2a", "2b", "2c")
 
@@ -91,9 +91,6 @@ def k_point(p: KParams, m, n) -> tuple[np.ndarray, np.ndarray]:
 class KGrid:
     """Rectangular window of the surface with its invariant residuals."""
 
-    params: KParams
-    m_values: np.ndarray
-    n_values: np.ndarray
     points: np.ndarray   # (M, N, 3)
     normals: np.ndarray  # (M, N, 3)
 
@@ -154,8 +151,7 @@ def _cross(a, b):
 def k_grid(p: KParams, m_values, n_values) -> KGrid:
     ms = np.asarray(list(m_values), dtype=int)
     ns = np.asarray(list(n_values), dtype=int)
-    pts, nrm = k_point(p, ms[:, None], ns[None, :])
-    return KGrid(params=p, m_values=ms, n_values=ns, points=pts, normals=nrm)
+    return KGrid(*k_point(p, ms[:, None], ns[None, :]))
 
 
 def compat_matrices(wA: HalfAngle, wB: HalfAngle, wC: HalfAngle, wD: HalfAngle,
@@ -196,17 +192,15 @@ def k_periodicity(case_id: str, order: int = 3, window: int = 8) -> dict:
     """Verify the translation invariances of one enumerated periodic case.
 
     Cases 1a-1c are dn-family, 2a-2c cn-family; every case takes the modulus
-    k' = cos(pi/order), which 1a/1b mandate with order > 2.  Returns a report
-    with the checked shifts and the worst closure defect over a window x
-    window block.
+    k = sin(pi/order) of the kaleidocycle lattice of that order (an integer
+    >= 3), whose K-surfaces 1a/1b are.  Returns a report with the checked
+    shifts and the worst closure defect over a window x window block.
     """
     if case_id not in _CASES:
         raise DomainError(f"case_id must be one of {_CASES}, got {case_id!r}")
-    if order < 1 or window < 1:
-        raise DomainError(f"order and window must be >= 1, got order={order}, window={window}")
-    if case_id in ("1a", "1b") and order <= 2:
-        raise DomainError("cases 1a/1b need order > 2")
-    mod = make_modulus(math.sin(math.pi / order))
+    if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 1:
+        raise DomainError(f"window must be an integer >= 1, got {window!r}")
+    mod = kaleidocycle_params(order).mod
     K = mod.K
     fam = "dn" if case_id.startswith("1") else "cn"
     steps = {

@@ -190,7 +190,7 @@ def suite_sn2_integral(k):
 
 def _thetas_at(p, *args, js=(0, 1, 2, 3)):
     """[{j: theta_j(a)} for each argument a], from one array call."""
-    return [{j: val for j, (val, _) in zip(js, each)} for each in theta._theta_each(js, p, *args)]
+    return [{j: val for j, (val, _) in zip(js, each)} for each in theta._thetas(js, p, *args)]
 
 
 @suite("theta.addition_identities", 1e-10, identity=True, cases=lambda: _seeded(
@@ -258,12 +258,8 @@ def suite_theta_lattice_doubling(case):
 def suite_theta_jacobi_quotients(case):
     """The three quotient formulas tying thetas at v = (psi-K)/(2iK') to sn, cn, dn."""
     mod, psi = case
-    sn, cn, dn = elliptic.jacobi(psi, mod)
-    V, Z = _thetas_at(theta.lattice_params(mod), (psi - mod.K) / (2j * mod.Kp), 0.0)
-    for res in (V[0] * Z[3] / (V[3] * Z[0]) - sn,
-                V[1] * Z[2] / (V[3] * Z[0]) - 1j * cn,
-                V[2] * Z[2] / (V[3] * Z[3]) - dn):
-        yield abs(res)
+    for quotient, real in zip(theta.jacobi_complex(psi, mod), elliptic.jacobi(psi, mod)):
+        yield abs(quotient - real)
 
 
 @suite("theta.weierstrass_scalars", 1e-10, identity=True, cases=lambda: MODULI)
@@ -526,7 +522,7 @@ def suite_tau_eta_consistency(p):
     and the theta quotient of the tau route."""
     ms = np.arange(-6, 7)
     z = surfaces._curve(p, ms, 0.4)[0][:, 2]
-    dlog = tau._evaluate(p, ms, 0.4, tau.lambda0(p), 0.0)[-1]
+    dlog = tau.tau_sample(p, ms, 0.4).dlog
     yield tau.i_r_m(p, ms, 0.4) - (z + 0.5 * dlog.real)
 
 

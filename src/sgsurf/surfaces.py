@@ -50,6 +50,7 @@ from .elliptic import (EllipticModulus, _closed_form, _lattice_step, check_famil
 from .errors import DegenerateFrameError, DomainError, ValidationError, check_finite
 
 _SPEED_TOL = 1e-12
+_SNAPSHOT_TOL = 1e-10   # absolute bound on a snapshot's edge and speed residuals
 
 
 @dataclass(frozen=True)
@@ -209,8 +210,8 @@ class CurveSnapshot:
     normals: np.ndarray    # (M, 3)
 
 
-def snapshots(p: SurfaceParams, m_range: Sequence[int], ts: Sequence[float],
-              tol: float = 1e-10) -> list[CurveSnapshot]:
+def snapshots(p: SurfaceParams, m_range: Sequence[int],
+              ts: Sequence[float]) -> list[CurveSnapshot]:
     """One validated snapshot per time in ts, from one evaluation of the whole
     (t, m) window; raises ValidationError, with the residuals of the first
     defective slice, before any snapshot is returned."""
@@ -231,7 +232,7 @@ def snapshots(p: SurfaceParams, m_range: Sequence[int], ts: Sequence[float],
         axis=(1, 2), initial=0.0)
     speed_res = np.abs(np.linalg.norm(edge, axis=-1) - abs(p.edge_speed)).max(
         axis=1, initial=0.0)
-    ok = (edge_res <= tol) & (speed_res <= tol)   # a NaN residual fails too
+    ok = (edge_res <= _SNAPSHOT_TOL) & (speed_res <= _SNAPSHOT_TOL)   # a NaN residual fails too
     if not ok.all():
         i = int(np.argmin(ok))
         report = {"edge_identity": float(edge_res[i]), "constant_speed": float(speed_res[i])}
@@ -241,10 +242,9 @@ def snapshots(p: SurfaceParams, m_range: Sequence[int], ts: Sequence[float],
                           tangents=T[i], normals=N[i]) for i, t in enumerate(ts)]
 
 
-def snapshot(p: SurfaceParams, m_range: Sequence[int], t: float,
-             tol: float = 1e-10) -> CurveSnapshot:
+def snapshot(p: SurfaceParams, m_range: Sequence[int], t: float) -> CurveSnapshot:
     """Assemble and validate one snapshot; raises ValidationError on defects."""
-    return snapshots(p, m_range, [t], tol)[0]
+    return snapshots(p, m_range, [t])[0]
 
 
 def kaleidocycle_params(n: int, family: str = "dn", beta_rate: float = 1.0,

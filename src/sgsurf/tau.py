@@ -25,11 +25,11 @@ denominator (k K' or K') and the tau' and 2 tau' theta lattices, which
 
 Every entry point takes integer arrays of m (and arrays of t, lam, z that
 broadcast with them) as well as single values.  One pass evaluates the
-phases once and the thetas in one call per lattice, every index over all
-sites, with numpy's complex arithmetic; single values are evaluated as
-arrays of one site and returned as numpy scalars, so an element does not
-depend on how the sites are batched.  A quotient whose denominator vanishes
-raises PoleError.
+phases once and the thetas in one band reduction per lattice (``_thetas``),
+every index at every argument, with numpy's complex arithmetic; single
+values are evaluated as arrays of one site and returned as numpy scalars,
+so an element does not depend on how the sites are batched.  A quotient
+whose denominator vanishes raises PoleError.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import PoleError
 from .surfaces import CurveLattice
-from .theta import _theta_each, lattice_params
+from .theta import _thetas, lattice_params
 
 _I_POWERS = np.array([1j ** r for r in range(4)])          # i^(m mod 4)
 _NEG_I_POWERS = np.array([(-1j) ** r for r in range(4)])   # (-i)^(m mod 4)
@@ -71,6 +71,7 @@ class TauSample:
     gstar: complex
     F: complex
     H: complex
+    dlog: complex   # d log F / dz
 
 
 # The evaluation runs on arrays of at least one dimension (a single site is an
@@ -95,6 +96,9 @@ def _evaluate(p: CurveLattice, m, t, lam, z):
     index and argument it needs.
     """
     m, t, lam, z = (np.atleast_1d(x) for x in (m, t, lam, z))
+    # H and d log F / dz do not depend on lam; z takes lam's shape, so that
+    # they still have one value per site of a lam array
+    lam, z = np.broadcast_arrays(lam, z)
     phi, psi = p.phases(m, t)
     base = (psi - p.mod.K) / (2j * p.mod.Kp)
     den = _chain_den(p)
@@ -104,14 +108,14 @@ def _evaluate(p: CurveLattice, m, t, lam, z):
     half = 0.5 if dn else 1.0 + p.mod.taup
     iz = 1j * z
     v = base + iz / den
-    ((t3p, _), (t2p, _)), ((t3m, _), (t2m, _)), ((t3h, d3h), (t2h, d2h)) = _theta_each(
+    ((t3p, _), (t2p, _)), ((t3m, _), (t2m, _)), ((t3h, d3h), (t2h, d2h)) = _thetas(
         (3, 2), lattice2, base + off + (lam + iz) / den, base + off + (-lam + iz) / den,
         base + half + iz / den)
     if dn:
-        [(t3v, d3v)], [(tl, _)] = _theta_each((3,), lattice, v, lam / den)
+        [(t3v, d3v)], [(tl, _)] = _thetas((3,), lattice, v, lam / den)
         tv = t3v
     else:
-        [(tv, _), _], [(tl, _), _], [_, (t3v, d3v)] = _theta_each(
+        [(tv, _), _], [(tl, _), _], [_, (t3v, d3v)] = _thetas(
             (0, 3), lattice, v + 0.5 + p.mod.taup, lam / den, v)
 
     # quartet: f = i^m e^{-i phi/2} (t3m + iu t2m), g = (-i)^m e^{i phi/2} (t3p + iu t2p)
@@ -165,7 +169,7 @@ def tau_sample(p: CurveLattice, m, t, lam: Optional[float] = None,
     if lam is None:
         lam = lambda0(p)
     shape = _shape(m, t, lam, z)
-    return TauSample(*(_shaped(x, shape) for x in _evaluate(p, m, t, lam, z)[:6]))
+    return TauSample(*(_shaped(x, shape) for x in _evaluate(p, m, t, lam, z)))
 
 
 def gamma_from_tau(p: CurveLattice, m, t) -> tuple[np.ndarray, np.ndarray]:

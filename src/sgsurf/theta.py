@@ -12,16 +12,17 @@ arguments (DomainError) and arguments whose imaginary part would overflow the
 restored prefactor in double precision (ThetaOverflowError).
 
 ``theta_with_prime``, ``theta_j`` and ``jacobi_complex`` take complex arrays
-of arguments as well as single values.  One band reduction serves every
-index asked for at the same arguments (``_thetas``; ``theta_with_prime`` is
-its one-index case).  On the band the lattice and the index fix how many
-terms the q-series needs, so a call sums that many terms at every site in one
-array pass from real sin, cos, sinh and cosh, one table of them per frequency
-parity.  The arithmetic is numpy's, on arrays (a single argument is an array
-of one site, returned as a Python complex), so an element does not depend on
-how the sites are batched or on which other indices share the call; it can
-differ from a per-site sum with complex sin and cos in the last bits.  ``ThetaOverflowError`` and ``PoleError`` are raised
-when any element violates the condition.
+of arguments as well as single values.  ``_thetas`` is the one band
+reduction, for any indices at any number of arguments; ``theta_with_prime``
+is its case of one index at one argument.  On the band the lattice and the
+index fix how many terms the q-series needs, so a call sums that many terms
+at every site in one array pass from real sin, cos, sinh and cosh, one table
+of them per frequency parity.  The arithmetic is numpy's, on arrays (a single
+argument is an array of one site, returned as a Python complex), so an
+element does not depend on how the sites are batched or on which other
+indices and arguments share the call; it can differ from a per-site sum with
+complex sin and cos in the last bits.  ``ThetaOverflowError`` and
+``PoleError`` are raised when any element violates the condition.
 """
 
 from __future__ import annotations
@@ -150,15 +151,13 @@ def _series(js, v: np.ndarray, p: ThetaParams) -> list:
     return out
 
 
-def _thetas(js, v, p: ThetaParams) -> list:
-    """[(theta_j(v), theta_j'(v)) for j in js], from one band reduction of v.
-
-    The finiteness and band checks, the reduction and the quasi-period
-    prefactor are shared by the indices; v is a complex number or array and
-    the results have its shape.
-    """
-    v = np.asarray(v, dtype=complex)
-    flat = v.ravel()
+def _thetas(js, p: ThetaParams, *args) -> list:
+    """[[(theta_j(a), theta_j'(a)) for j in js] for a in args], arrays of the
+    shape of each number or array a, from one band reduction of all of them:
+    the finiteness and band checks, the reduction and the quasi-period
+    prefactor are shared by the indices and the arguments."""
+    arrs = [np.asarray(a, dtype=complex) for a in args]
+    flat = np.concatenate([a.ravel() for a in arrs])
     if not np.isfinite(flat).all():
         raise DomainError("theta argument must be finite")
     im_tau = p.tau.imag
@@ -172,40 +171,30 @@ def _thetas(js, v, p: ThetaParams) -> list:
     v0 -= n1
     two_i_pi_c = _TWO_I_PI * c
     pref = _exp(_NEG_I_PI * c * c * p.tau - two_i_pi_c * v0)
-    out = []
+    each = []
     for j, (val, dval) in zip(js, _series(js, v0, p)):
         # the real period flips theta_1 and theta_2, the quasi-period theta_0 and theta_1
         pj = pref
         if j != 3:
             flips = c if j == 0 else n1 if j == 2 else n1 + c
             pj = np.negative(pref, out=pref.copy(), where=np.fmod(flips, 2.0) != 0.0)
-        val, dval = pj * val, pj * (dval - two_i_pi_c * val)
-        if v.ndim == 0:
-            out.append((complex(val[0]), complex(dval[0])))
-        else:
-            out.append((val.reshape(v.shape), dval.reshape(v.shape)))
-    return out
+        each.append((pj * val, pj * (dval - two_i_pi_c * val)))
+    ends = np.cumsum([a.size for a in arrs]).tolist()
+    return [[(val[e - a.size:e].reshape(a.shape), dval[e - a.size:e].reshape(a.shape))
+             for val, dval in each]
+            for a, e in zip(arrs, ends)]
 
 
 def theta_with_prime(j: int, v, p: ThetaParams):
     """(theta_j(v), theta_j'(v)); the derivative is with respect to v itself.
 
-    v is a complex number or array; the results have its shape.
+    v is a complex number or array; the results have its shape, and a single
+    value gives Python complex numbers.
     """
     if j not in (0, 1, 2, 3):
         raise DomainError(f"theta index must be 0..3, got {j}")
-    return _thetas((j,), v, p)[0]
-
-
-def _theta_each(js, p: ThetaParams, *args) -> list:
-    """[[(theta_j(a), theta_j'(a)) for j in js] for each argument a] (numbers or
-    arrays), from one band reduction over all of them."""
-    arrs = [np.asarray(a, dtype=complex) for a in args]
-    each = _thetas(js, np.concatenate([a.ravel() for a in arrs]), p)
-    ends = np.cumsum([a.size for a in arrs]).tolist()
-    return [[(vals[e - a.size:e].reshape(a.shape), primes[e - a.size:e].reshape(a.shape))
-             for vals, primes in each]
-            for a, e in zip(arrs, ends)]
+    val, dval = _thetas((j,), p, v)[0][0]
+    return (complex(val), complex(dval)) if val.ndim == 0 else (val, dval)
 
 
 def theta_j(j: int, v, p: ThetaParams):
@@ -222,21 +211,20 @@ def jacobi_complex(u, mod: EllipticModulus):
     On real u this agrees with elliptic.jacobi and serves as its oracle.
     u is a number or an array; the four thetas are one call over v and 0.
     """
-    p = lattice_params(mod)
     u = np.asarray(u, dtype=complex)
-    v = (u.ravel() - mod.K) / (2j * mod.Kp)
-    t0, t1, t2, t3 = (val for val, _ in _thetas((0, 1, 2, 3), np.append(v, 0.0), p))
-    t3v, t00, t20, t30 = t3[:-1], t0[-1], t2[-1], t3[-1]
-    near = abs(t3v) < 1e-12 * abs(t30)
+    (t0, t1, t2, t3), (t00, _, t20, t30) = (
+        [val for val, _ in each] for each in
+        _thetas((0, 1, 2, 3), lattice_params(mod), (u - mod.K) / (2j * mod.Kp), 0.0))
+    near = abs(t3) < 1e-12 * abs(t30)
     if near.any():
-        raise PoleError(f"argument {u.ravel()[near][0]} too close to a pole of sn/cn/dn")
-    den = t3v * t00
-    sn = t0[:-1] * t30 / den
-    cn = -1j * t1[:-1] * t20 / den
-    dn = t2[:-1] * t20 / (t3v * t30)
+        raise PoleError(f"argument {u[near][0]} too close to a pole of sn/cn/dn")
+    den = t3 * t00
+    sn = t0 * t30 / den
+    cn = -1j * t1 * t20 / den
+    dn = t2 * t20 / (t3 * t30)
     if u.ndim == 0:
-        return complex(sn[0]), complex(cn[0]), complex(dn[0])
-    return sn.reshape(u.shape), cn.reshape(u.shape), dn.reshape(u.shape)
+        return complex(sn), complex(cn), complex(dn)
+    return sn, cn, dn
 
 
 @dataclass(frozen=True)

@@ -254,7 +254,7 @@ def test_theta_entry_points_are_batch_invariant():
 @pytest.mark.parametrize("p", [_curve_lattices()[i] for i in (0, 3)],
                          ids=["dn-untwisted", "cn-twisted"])
 def test_tau_entry_points_are_batch_invariant(p):
-    names = ("f", "g", "fstar", "gstar", "F", "H")
+    names = ("f", "g", "fstar", "gstar", "F", "H", "dlog")
     m, t, lam, z = _tau_sites()
 
     def sample(*args):
@@ -319,7 +319,7 @@ def test_tau_arrays_match_per_site_calls(p):
     r = tau.i_r_m(p, m, t)
     for i in range(12):
         one = tau.tau_sample(p, int(m[i]), float(t[i]), lam=float(lam[i]), z=float(z[i]))
-        for name in ("f", "g", "fstar", "gstar", "F", "H"):
+        for name in ("f", "g", "fstar", "gstar", "F", "H", "dlog"):
             _same(getattr(s, name)[i], getattr(one, name))
         _same(r[i], tau.i_r_m(p, int(m[i]), float(t[i])))
         g1, b1 = tau.gamma_from_tau(p, int(m[i]), float(t[i]))

@@ -116,8 +116,7 @@ def test_a_nan_vertex_fails_every_residual(vertex):
     grid = ksurf.k_grid(_params("dn"), range(6), range(5))
     pts = grid.points.copy()
     pts[vertex + (1,)] = np.nan
-    rep = ksurf.KGrid(params=grid.params, m_values=grid.m_values, n_values=grid.n_values,
-                      points=pts, normals=grid.normals).invariant_residuals()
+    rep = ksurf.KGrid(points=pts, normals=grid.normals).invariant_residuals()
     assert all(math.isnan(v) for v in rep.values()), rep
 
 
@@ -257,10 +256,17 @@ def test_periodicity_validation():
         ksurf.k_periodicity("3a")
     with pytest.raises(DomainError):
         ksurf.k_periodicity("1a", order=2)
-    # order 0 would divide by zero; an empty window would check nothing
-    for kwargs in ({"order": 0}, {"window": 0}, {"window": -2}):
-        with pytest.raises(DomainError):
-            ksurf.k_periodicity("2a", **kwargs)
+    # every case takes the kaleidocycle modulus sin(pi/order), an integer
+    # order >= 3: order 1 gives k = sin(pi), a rounding residue, order 3.5 a
+    # float shift, order 0 a division by zero; an empty or fractional window
+    # would check nothing or np.arange(2.5)
+    bad = [{"order": o} for o in (0, 1, 2, 3.5, True, -3)]
+    bad += [{"window": w} for w in (0, -2, 2.5, True)]
+    for case in ksurf._CASES:
+        for kwargs in bad:
+            with pytest.raises(DomainError):
+                ksurf.k_periodicity(case, **kwargs)
+    assert ksurf.k_periodicity("2a", order=np.int64(4), window=np.int64(2))["max_defect"] < 1e-9
 
 
 # ------------------------------------------- residuals against the plain forms --
@@ -333,9 +339,7 @@ def test_shared_edge_residuals_equal_the_plain_forms_off_the_surface(shape):
     rng = np.random.default_rng(sum(shape))
     for _ in range(24):
         pts = rng.normal(size=shape + (3,)) * 10.0 ** rng.integers(-3, 4, size=shape + (1,))
-        g = ksurf.KGrid(params=_params(), m_values=np.arange(shape[0]),
-                        n_values=np.arange(shape[1]), points=pts,
-                        normals=rng.normal(size=shape + (3,)))
+        g = ksurf.KGrid(points=pts, normals=rng.normal(size=shape + (3,)))
         assert g.invariant_residuals() == _oracle_residuals(g.points, g.normals)
         for got, ref in zip(g.edge_lengths(), _oracle_edge_lengths(g.points)):
             assert got.tobytes() == ref.tobytes()

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgsurf import cli, elliptic, ksurf, sg, suites, surfaces, theta
+from sgsurf import cli, elliptic, ksurf, sg, suites, surfaces, tau, theta
 from sgsurf.errors import ValidationError
 from test_acceptance import IDENTITY_CORPUS
 
@@ -115,8 +115,14 @@ def test_a_fresh_verify_round_builds_each_constant_once(monkeypatch):
         cache.cache_clear()
     reductions = []
     real = theta._thetas
-    monkeypatch.setattr(theta, "_thetas",
-                        lambda js, v, p: reductions.append(js) or real(js, v, p))
+
+    def counted(js, p, *args):
+        reductions.append(js)
+        return real(js, p, *args)
+
+    # tau holds a binding of its own
+    monkeypatch.setattr(theta, "_thetas", counted)
+    monkeypatch.setattr(tau, "_thetas", counted)
     suites.run_suites()
     suites.run_suites("identities")
     # 12 distinct k: MODULI_WIDE, 1e-6, 0.999, 0.7 and five kaleidocycle orders

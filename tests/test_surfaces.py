@@ -224,11 +224,12 @@ def test_small_modulus_edge_identity(family, twisted):
         assert surfaces.snapshot(p, ms, 0.3).points.shape == (21, 3)
 
 
-def test_snapshot_validation_report():
+def test_snapshot_validation_report(monkeypatch):
     from sgsurf.errors import ValidationError
     p = _params("dn")
+    monkeypatch.setattr(surfaces, "_SNAPSHOT_TOL", 0.0)
     with pytest.raises(ValidationError) as exc:
-        surfaces.snapshot(p, range(0, 4), 0.5, tol=0.0)
+        surfaces.snapshot(p, range(0, 4), 0.5)
     assert set(exc.value.report) == {"edge_identity", "constant_speed"}
 
 

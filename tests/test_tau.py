@@ -232,7 +232,7 @@ def test_a_vanishing_denominator_raises_pole_error(monkeypatch):
     # d log F / dz divides by theta_3(v) and the curve by F; an exact zero of
     # either is a pole, not an inf or NaN in the result
     c = _lattice("dn", False)
-    real = tau._theta_each
+    real = tau._thetas
 
     def zero_theta_3(js, p, *args):
         out = real(js, p, *args)
@@ -241,10 +241,10 @@ def test_a_vanishing_denominator_raises_pole_error(monkeypatch):
         return [[(v * 0.0, d) if j == 3 else (v, d) for j, (v, d) in zip(js, each)]
                 for each in out]
 
-    monkeypatch.setattr(tau, "_theta_each", zero_theta_3)
+    monkeypatch.setattr(tau, "_thetas", zero_theta_3)
     with pytest.raises(PoleError):
         tau.tau_sample(c, np.arange(3), 0.3)
-    monkeypatch.setattr(tau, "_theta_each", real)
+    monkeypatch.setattr(tau, "_thetas", real)
     evaluate = tau._evaluate
 
     def zero_F(*args):
@@ -254,3 +254,16 @@ def test_a_vanishing_denominator_raises_pole_error(monkeypatch):
     monkeypatch.setattr(tau, "_evaluate", zero_F)
     with pytest.raises(PoleError):
         tau.gamma_from_tau(c, np.arange(3), 0.3)
+
+
+@pytest.mark.parametrize("family", ["dn", "cn"])
+def test_a_lam_array_alone_gives_every_field_its_sites(family):
+    # H and d log F / dz do not depend on lam, yet carry the broadcast shape
+    c = _lattice(family, twisted=True)
+    lam = np.array([0.1, 0.2, 0.3])
+    s = tau.tau_sample(c, 2, 0.3, lam=lam)
+    for i, x in enumerate(lam.tolist()):
+        one = tau.tau_sample(c, 2, 0.3, lam=x)
+        for name in ("f", "g", "fstar", "gstar", "F", "H", "dlog"):
+            assert getattr(s, name).shape == (3,)
+            assert getattr(s, name)[i].tobytes() == getattr(one, name).tobytes()

@@ -177,8 +177,9 @@ def _bits(x):
 @pytest.mark.parametrize("k", [0.3, 0.6, 0.9])
 @pytest.mark.parametrize("multiple", [1, 2], ids=["taup", "2taup"])
 def test_one_reduction_for_any_indices_gives_the_one_index_bits(k, multiple):
-    # the indices of one call share its band reduction and, per frequency
-    # parity, its trig table; each index must still sum exactly as alone
+    # the indices and arguments of one call share its band reduction and, per
+    # frequency parity, its trig table; each index must still sum exactly as
+    # alone, and each argument keep its shape
     p = theta.lattice_params(elliptic.make_modulus(k), multiple)
     half = 0.5 * p.tau.imag
     # band edges: Re v on the real half periods, Im v on odd multiples of
@@ -188,10 +189,21 @@ def test_one_reduction_for_any_indices_gives_the_one_index_bits(k, multiple):
     alone = {j: theta.theta_with_prime(j, v, p) for j in range(4)}
     for r in range(1, 5):
         for js in itertools.permutations(range(4), r):
-            for j, got in zip(js, theta._thetas(js, v, p)):
+            [each] = theta._thetas(js, p, v)
+            for j, got in zip(js, each):
+                assert [_bits(x) for x in got] == [_bits(x) for x in alone[j]]
+            head, tail = theta._thetas(js, p, v[:8].reshape(2, 4), v[8:])
+            for j, h, t in zip(js, head, tail):
+                assert h[0].shape == h[1].shape == (2, 4)
+                got = [np.concatenate([x.ravel(), y]) for x, y in zip(h, t)]
                 assert [_bits(x) for x in got] == [_bits(x) for x in alone[j]]
         for js in itertools.combinations(range(4), r):
-            for i, x in enumerate(v.tolist()):
-                for j, got in zip(js, theta._thetas(js, x, p)):
-                    assert all(type(y) is complex for y in got)
+            # every site an argument of its own, in one call
+            for i, each in enumerate(theta._thetas(js, p, *v.tolist())):
+                for j, got in zip(js, each):
                     assert [_bits(y) for y in got] == [_bits(y[i]) for y in alone[j]]
+    for i, x in enumerate(v.tolist()):
+        for j in range(4):
+            got = theta.theta_with_prime(j, x, p)
+            assert all(type(y) is complex for y in got)
+            assert [_bits(y) for y in got] == [_bits(y[i]) for y in alone[j]]
