@@ -17,7 +17,7 @@ import numpy as np
 from sgsurf import elliptic, surfaces
 
 
-def closure_defect(p, period, t_values, window):
+def evaluated_defect(p, period, t_values, window):
     worst = 0.0
     for t in t_values:
         for m in range(window):
@@ -34,21 +34,23 @@ def main():
     print("closed dn-family linkages, gamma = K, k = sin(pi/n)")
     for n in (3, 4, 5, 6, 8):
         p = surfaces.kaleidocycle_params(n)
-        defect = closure_defect(p, 2 * n, t_values, 2 * n + 2)
+        period = surfaces.kaleidocycle_period(n, "dn")
+        defect = evaluated_defect(p, period, t_values, period + 2)
         sn, cn, dn = elliptic.jacobi(p.gamma_step, p.mod)
-        print(f"  n={n}: {2*n} segments, edge length {abs(sn):.3f}, "
+        print(f"  n={n}: {period} segments, edge length {abs(sn):.3f}, "
               f"hinge cosine {cn:+.3f}, closure defect {defect:.2e}")
 
     # the cn family closes after just two steps for any modulus
     pc = surfaces.kaleidocycle_params(4, family="cn")
-    print(f"  cn family: period-2 closure defect "
-          f"{closure_defect(pc, 2, t_values, 8):.2e}")
+    period = surfaces.kaleidocycle_period(4, "cn")
+    print(f"  cn family: period-{period} closure defect "
+          f"{evaluated_defect(pc, period, t_values, 8):.2e}")
 
     # write an animation of the n = 6 ring (12 hinges), one CSV per frame
     n = 6
     p = surfaces.kaleidocycle_params(n)
     for idx, t in enumerate(t_values):
-        snap = surfaces.snapshot(p, range(0, 2 * n + 1), float(t))
+        snap = surfaces.snapshot(p, range(surfaces.kaleidocycle_period(n, "dn") + 1), float(t))
         lines = ["m,x,y,z,Bx,By,Bz"]
         for m, pt, b in zip(snap.m_values, snap.points, snap.binormals):
             lines.append(",".join([str(int(m))] + [f"{v:.17g}" for v in (*pt, *b)]))

@@ -33,7 +33,8 @@ from .elliptic import FAMILIES, make_modulus
 from .errors import (DegenerateFrameError, DomainError, ValidationError, check_finite,
                      finite_or_none)
 from .ksurf import KParams, k_grid
-from .surfaces import _SPEED_TOL, SurfaceParams, gamma_point, kaleidocycle_params, snapshots
+from .surfaces import (_SPEED_TOL, SurfaceParams, gamma_point, kaleidocycle_params,
+                       kaleidocycle_period, snapshots)
 
 SCHEMA_VERSION = 1
 # Most sites (vertices, or curve sites times time slices) a geometry command
@@ -115,11 +116,12 @@ def _t_samples(ns: argparse.Namespace, ms: range) -> np.ndarray:
     if ns.t_steps < 1:
         raise DomainError(f"--t-steps must be at least 1, got {ns.t_steps}")
     check_finite(t_start=ns.t_start, t_stop=ns.t_stop)
+    if ns.t_steps == 1 and ns.t_stop not in (None, ns.t_start):
+        raise DomainError(f"--t-stop {ns.t_stop} needs --t-steps of at least 2 "
+                          f"(one step samples --t-start {ns.t_start} alone)")
     # not len(ms): a range longer than sys.maxsize has no length
     _check_window((ms.stop - ms.start) * ns.t_steps)
-    if ns.t_steps == 1:
-        return np.array([ns.t_start])
-    return np.linspace(ns.t_start, ns.t_stop, ns.t_steps)
+    return np.linspace(ns.t_start, 0.0 if ns.t_stop is None else ns.t_stop, ns.t_steps)
 
 
 def cmd_curve(ns: argparse.Namespace) -> int:
@@ -144,7 +146,7 @@ def cmd_kaleidocycle(ns: argparse.Namespace) -> int:
     # the lattice checks the order before the period and window derive from it
     p = kaleidocycle_params(ns.n, family=ns.family, beta_rate=ns.beta,
                             twisted=ns.twisted)
-    period = 2 * ns.n if ns.family == "dn" else 2
+    period = kaleidocycle_period(ns.n, ns.family)
     # the closure check evaluates every site m + period
     ms = _m_values(0, period if ns.m_max is None else ns.m_max, period)
     samples = _t_samples(ns, ms)
@@ -260,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--twisted", action="store_true")
         p.add_argument("--beta", type=float, default=1.0)
         p.add_argument("--t-start", type=float, default=0.0)
-        p.add_argument("--t-stop", type=float, default=0.0)
+        p.add_argument("--t-stop", type=float, help="default: 0.0; needs --t-steps >= 2")
         p.add_argument("--t-steps", type=int, default=1)
 
     pc = geometry("curve", "export curve snapshots as CSV", "curve.csv")

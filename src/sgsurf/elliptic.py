@@ -176,12 +176,10 @@ def _lattice_step(mod: EllipticModulus, family: str, step: float, flipped: bool)
     return math.atan2(sn, -cn if flipped else cn), integral, mod.k * sn
 
 
-def _closed_form(phi, psi, sign, lattice, mod: EllipticModulus, family: str):
-    """Points F and unit normals N of the dn/cn closed forms at phases (phi, psi).
-
-    With s = sign (the (-1)^n or (-1)^m factor of the x, y components, or
-    1.0) and z = int_0^psi sn^2 - sum of count * int_0^step sn^2 over the
-    ``lattice`` pairs (count, int_0^step sn^2), subtracted in order:
+def _closed_form(phi, psi, sign, drift, mod: EllipticModulus, family: str):
+    """Points F and unit normals N of the dn/cn closed forms at the sites that a
+    lattice's ``_sites`` describes, with s = sign and z = int_0^psi sn^2 minus
+    count * int_0^step sn^2 for each drift pair (count, int_0^step sn^2) in turn:
 
       dn: F = ( s cos(phi) dn/k,  s sin(phi) dn/k,  -k z ),
           N = ( s cos(phi) sn,    s sin(phi) sn,    -cn );
@@ -193,7 +191,7 @@ def _closed_form(phi, psi, sign, lattice, mod: EllipticModulus, family: str):
     """
     sn, cn, dn = jacobi(psi, mod)
     z = sn2_integral(psi, mod)
-    for count, integral in lattice:
+    for count, integral in drift:
         z = z - count * integral
     k = mod.k
     x, y = sign * np.cos(phi), sign * np.sin(phi)

@@ -34,9 +34,9 @@ class ValidationError(ValueError):
 
 
 def check_finite(**values: float) -> None:
-    """Reject a NaN or infinite value of any named parameter with DomainError."""
+    """Reject a NaN or infinite value of a named parameter with DomainError; None passes."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        if value is not None and not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
 
 

@@ -45,10 +45,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import _closed_form, _lattice_step
-from .errors import DomainError, check_finite, max_abs
+from .errors import check_finite, max_abs
 from .surfaces import CurveLattice, HalfAngle, kaleidocycle_params
-
-_CASES = ("1a", "1b", "1c", "2a", "2b", "2c")
 
 
 @dataclass(frozen=True)
@@ -75,6 +73,15 @@ class KParams(CurveLattice):
         return (self.alpha_step * m + self.beta_step * n,
                 self.gamma_step * m + self.delta_step * n)
 
+    def _sites(self, m, n):
+        """(phi, psi, (-1)^n, z-drift pairs of both steps) at sites (m, n)."""
+        drift = ((m, self.gamma_integral), (n, self.delta_integral))
+        return (*self.phases(m, n), 1.0 - 2.0 * (n % 2), drift)
+
+    def closure_defect(self, dm, dn):
+        """``CurveLattice.closure_defect`` of the shifts (dm, dn), which broadcast."""
+        return self._closure_defect(*self._sites(dm, dn))
+
 
 def k_point(p: KParams, m, n) -> tuple[np.ndarray, np.ndarray]:
     """(surface point F_{m,n}, unit normal N_{m,n}).
@@ -82,9 +89,7 @@ def k_point(p: KParams, m, n) -> tuple[np.ndarray, np.ndarray]:
     m and n are integers or integer arrays that broadcast against each other;
     F and N then carry the broadcast shape plus a trailing axis of length 3.
     """
-    phi, psi = p.phases(m, n)
-    lattice = ((m, p.gamma_integral), (n, p.delta_integral))
-    return _closed_form(phi, psi, 1.0 - 2.0 * (n % 2), lattice, p.mod, p.family)
+    return _closed_form(*p._sites(m, n), p.mod, p.family)
 
 
 @dataclass(frozen=True)
@@ -188,46 +193,11 @@ def compat_matrices(wA: HalfAngle, wB: HalfAngle, wC: HalfAngle, wD: HalfAngle,
     return np.linalg.norm(defect, axis=(-2, -1)).reshape(shape)[()]
 
 
-def k_periodicity(case_id: str, order: int = 3, window: int = 8) -> dict:
-    """Verify the translation invariances of one enumerated periodic case.
-
-    Cases 1a-1c are dn-family, 2a-2c cn-family; every case takes the modulus
-    k = sin(pi/order) of the kaleidocycle lattice of that order (an integer
-    >= 3), whose K-surfaces 1a/1b are.  Returns a report with the checked
-    shifts and the worst closure defect over a window x window block.
-    """
-    if case_id not in _CASES:
-        raise DomainError(f"case_id must be one of {_CASES}, got {case_id!r}")
-    if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 1:
-        raise DomainError(f"window must be an integer >= 1, got {window!r}")
+def periodic_cases(order: int = 3) -> dict:
+    """The K-surfaces 1a-1c (dn) and 2a-2c (cn) of steps (gamma, delta) = (K, K), (K, 2K)
+    and (2K, K) at the order's kaleidocycle modulus; ``closure_defect`` gives their periods."""
     mod = kaleidocycle_params(order).mod
     K = mod.K
-    fam = "dn" if case_id.startswith("1") else "cn"
-    steps = {
-        "1a": (K, K), "1b": (K, 2 * K), "1c": (2 * K, K),
-        "2a": (K, K), "2b": (K, 2 * K), "2c": (2 * K, K),
-    }[case_id]
-    shifts = {
-        "1a": [(2 * order, 2 * order)],
-        "1b": [(2 * order, 2)],
-        "1c": [(1, 0)],
-        "2a": [(4, 0), (0, 4), (2, 2)],
-        "2b": [(4, 0), (0, 2), (4, 2)],
-        "2c": [(2, 0), (0, 4), (1, 2)],
-    }[case_id]
-    p = KParams(mod=mod, family=fam, gamma_step=steps[0], delta_step=steps[1])
-    per_shift = {}
-    ms, ns = np.arange(window)[:, None], np.arange(window)[None, :]
-    F0, _ = k_point(p, ms, ns)
-    for dm, dn_ in shifts:
-        F1, _ = k_point(p, ms + dm, ns + dn_)
-        per_shift[f"({dm},{dn_})"] = max_abs(F1 - F0)
-    return {
-        "case": case_id,
-        "family": fam,
-        "modulus": mod.k,
-        "gamma": steps[0],
-        "delta": steps[1],
-        "shifts": per_shift,
-        "max_defect": max_abs(list(per_shift.values())),
-    }
+    return {f"{i}{c}": KParams(mod=mod, family=family, gamma_step=g, delta_step=d)
+            for i, family in ((1, "dn"), (2, "cn"))
+            for c, (g, d) in zip("abc", ((K, K), (K, 2 * K), (2 * K, K)))}

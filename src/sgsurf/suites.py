@@ -455,16 +455,17 @@ def suite_surface_curvature(p):
 
 @functools.lru_cache(maxsize=None)
 def _kaleidocycles():
-    """(lattice, period, count, times) per closed linkage: the dn family
-    closes with period 2n, the cn family with period 2 regardless of n."""
-    return tuple([(surfaces.kaleidocycle_params(n), 2 * n, 2 * n + 4, (0.0, 0.3, 0.9, 1.4, 2.2))
+    """(lattice, order, count, times) per closed linkage: ``count`` sites, each
+    compared with the site one ``surfaces.kaleidocycle_period`` on."""
+    return tuple([(surfaces.kaleidocycle_params(n), n, 2 * n + 4, (0.0, 0.3, 0.9, 1.4, 2.2))
                   for n in (3, 4, 5, 6, 8)]
-                 + [(surfaces.kaleidocycle_params(4, family="cn"), 2, 8, (0.0, 0.3, 1.4))])
+                 + [(surfaces.kaleidocycle_params(4, family="cn"), 4, 8, (0.0, 0.3, 1.4))])
 
 
 @suite("surfaces.kaleidocycle_closure", 1e-9, cases=_kaleidocycles)
 def suite_kaleidocycle_closure(case):
-    p, period, count, times = case
+    p, n, count, times = case
+    period = surfaces.kaleidocycle_period(n, p.family)
     g = surfaces.gamma_point(p, np.arange(count + period), np.array(times)[:, None])
     yield np.linalg.norm(g[:, period:] - g[:, :count], axis=-1)
 
@@ -603,9 +604,15 @@ def suite_ksurf_angle_identity(case):
     yield -sinV - t1 * t2 * sinU
 
 
-@suite("ksurf.periodicity_cases", 1e-9, cases=lambda: ksurf._CASES)
-def suite_ksurf_periodicity(case):
-    yield ksurf.k_periodicity(case, order=3, window=8)["max_defect"]
+@suite("ksurf.periodicity_cases", 1e-9, cases=lambda: ksurf.periodic_cases(3).values())
+def suite_ksurf_periodicity(p):
+    """Each shift 0 <= dm <= 6, |dn| <= 6 that ``closure_defect`` accepts (one of
+    each +- pair, not (0, 0)) maps an 8 x 8 window, in one k_point call, to itself."""
+    dm, dn = np.arange(7)[:, None], np.arange(-6, 7)
+    accepted = (p.closure_defect(dm, dn) < 1e-9) & ((dm > 0) | (dn > 0))
+    F = ksurf.k_point(p, np.arange(14)[:, None], np.arange(-6, 14))[0]
+    for a, b in zip(*np.nonzero(accepted)):   # the shift (a, b - 6)
+        yield F[a:a + 8, b:b + 8] - F[:8, 6:14]
 
 
 def run_suites(which="all") -> list[SuiteResult]:

@@ -47,7 +47,7 @@ import numpy as np
 
 from .elliptic import (EllipticModulus, _closed_form, _lattice_step, check_family, jacobi,
                        make_modulus)
-from .errors import DegenerateFrameError, DomainError, ValidationError, check_finite
+from .errors import DegenerateFrameError, DomainError, ValidationError, check_finite, max_abs
 
 _SPEED_TOL = 1e-12
 _SNAPSHOT_TOL = 1e-10   # absolute bound on a snapshot's edge and speed residuals
@@ -83,6 +83,32 @@ class CurveLattice:
         rate = self.beta_rate * (self.mod.k if self.family == "dn" else 1.0)
         return m * self.alpha_step + rate * t, m * self.gamma_step + self.beta_rate * t
 
+    def _sites(self, m, t):
+        """(phi, psi, sign, drift) at sites m and times t: the phases, the twist sign
+        (-1)^m (1.0 untwisted) and the z-drift pairs (count, int_0^step sn^2)."""
+        sign = 1.0 - 2.0 * (m % 2) if self.twisted else 1.0
+        return (*self.phases(m, t), sign, ((m, self.gamma_integral),))
+
+    def closure_defect(self, dm):
+        """How far the shift m -> m + dm ((dm, dn) for a K-surface) is from a period
+        of the points, from the lattice constants alone: no point, no Landen pass.
+        With j = rint(psi / 2K) for the shift's increments (phi, psi, sign), the
+        points repeat iff |psi - 2jK|, |e^{i phi} sign s_j - 1| (s_j = 1 for dn,
+        (-1)^j for cn) and the z drift |2j int_0^K sn^2 - sum of count *
+        int_0^step sn^2| all vanish; the result is their largest, over the
+        broadcast shifts.  Points only: for dn an odd j flips the normal's z."""
+        return self._closure_defect(*self._sites(dm, 0.0))
+
+    def _closure_defect(self, phi, psi, sign, drift):
+        mod = self.mod
+        j = np.rint(psi / (2.0 * mod.K))
+        s_j = 1.0 if self.family == "dn" else 1.0 - 2.0 * (j % 2)
+        z = 2.0 * j * (mod.K * mod.slope)   # int_0^K sn^2 = (K - E) / k^2
+        for count, integral in drift:
+            z = z - count * integral
+        phase = np.abs(np.exp(1j * phi) * (sign * s_j) - 1.0)
+        return np.maximum(np.maximum(np.abs(psi - 2.0 * j * mod.K), phase), np.abs(z))
+
 
 @dataclass(frozen=True)
 class SurfaceParams(CurveLattice):
@@ -102,9 +128,7 @@ def _curve(p: CurveLattice, m, t) -> tuple[np.ndarray, np.ndarray]:
     """(points Gamma_m, binormals B_m) of the lattice p at integer sites m (an
     int or an int array) and times t (a float or an array that broadcasts
     against m); the results carry the broadcast shape plus a trailing axis of 3."""
-    phi, psi = p.phases(m, t)
-    sign = 1.0 - 2.0 * (m % 2) if p.twisted else 1.0
-    pts, nrm = _closed_form(phi, psi, sign, ((m, p.gamma_integral),), p.mod, p.family)
+    pts, nrm = _closed_form(*p._sites(m, t), p.mod, p.family)
     # the cn binormal is the K-surface normal of the same phases, reversed
     return pts, (nrm if p.family == "dn" else -nrm)
 
@@ -131,9 +155,7 @@ class HalfAngle:
     dwdt: Optional[float] = None
 
     def __post_init__(self):
-        err = abs(self.c * self.c + self.s * self.s - 1.0)
-        if getattr(err, "ndim", 0):
-            err = err.max()
+        err = max_abs(self.c * self.c + self.s * self.s - 1.0)
         if err > 1e-12:
             raise DomainError(f"half-angle pair not normalized: |c^2+s^2-1| = {err:.3e}")
 
@@ -170,11 +192,10 @@ def _tangents_normals(p: SurfaceParams, b0: np.ndarray, b1: np.ndarray):
 def flow_velocity(p: SurfaceParams, m, t: float) -> np.ndarray:
     """Closed-form time derivative of the curve point (no finite differences);
     m an int or an int array (trailing axis of 3)."""
-    phi, psi = p.phases(m, t)
+    phi, psi, sign, _ = p._sites(m, t)
     sn, cn, dn = jacobi(psi, p.mod)
     k, b = p.mod.k, p.beta_rate
-    pre = 1.0 - 2.0 * (m % 2) if p.twisted else 1.0
-    c, s = pre * np.cos(phi), pre * np.sin(phi)
+    c, s = sign * np.cos(phi), sign * np.sin(phi)
     if p.family == "dn":
         v = (-s * dn - k * c * sn * cn, c * dn - k * s * sn * cn, -k * sn * sn)
         return b * np.stack(v, axis=-1)
@@ -249,14 +270,17 @@ def snapshot(p: SurfaceParams, m_range: Sequence[int], t: float) -> CurveSnapsho
 
 def kaleidocycle_params(n: int, family: str = "dn", beta_rate: float = 1.0,
                         twisted: bool = False) -> SurfaceParams:
-    """Closed-linkage parameters: k = sin(pi/n), gamma = K.
-
-    The dn family closes with period 2n (hinge count 2n); the cn family
-    closes with period 2 for any modulus.  Requires an integer n >= 3: the
-    modulus stays inside (0, 1), and the dn ring closes after 2n sites.
-    """
+    """Closed-linkage parameters: k = sin(pi/n), gamma = K; closed with the
+    period ``kaleidocycle_period(n, family)``.  Requires an integer n >= 3, so
+    that the modulus stays inside (0, 1)."""
     if not isinstance(n, (int, np.integer)) or n < 3:
         raise DomainError(f"kaleidocycle order must be an integer >= 3, got {n}")
     mod = make_modulus(math.sin(math.pi / n))
     return SurfaceParams(mod=mod, family=family, gamma_step=mod.K,
                          beta_rate=beta_rate, twisted=twisted)
+
+
+def kaleidocycle_period(n: int, family: str) -> int:
+    """The least period in m of the order-n kaleidocycle, twisted or not, that
+    ``closure_defect`` accepts; a formula, as a search would cost O(n)."""
+    return 2 * n if family == "dn" else 2

@@ -99,7 +99,7 @@ def _evaluate(p: CurveLattice, m, t, lam, z):
     # H and d log F / dz do not depend on lam; z takes lam's shape, so that
     # they still have one value per site of a lam array
     lam, z = np.broadcast_arrays(lam, z)
-    phi, psi = p.phases(m, t)
+    phi, psi, sign, _ = p._sites(m, t)
     base = (psi - p.mod.K) / (2j * p.mod.Kp)
     den = _chain_den(p)
     lattice, lattice2 = lattice_params(p.mod), lattice_params(p.mod, 2)   # tau', 2 tau'
@@ -133,9 +133,7 @@ def _evaluate(p: CurveLattice, m, t, lam, z):
     F = 2.0 * tv * tl
 
     # H = D_lam g . f* / (2i) = pref e^{i phi} (t2 t3' - t3 t2') at the half-period shift
-    pref = 1.0 / den if dn else -1j / den
-    if p.twisted:
-        pref = pref * (-1) ** (m % 2)
+    pref = (1.0 / den if dn else -1j / den) * sign
     H = pref * np.exp(1j * phi) * (t2h * d3h - t3h * d2h)
 
     if not np.all(t3v):

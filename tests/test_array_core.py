@@ -231,7 +231,8 @@ def test_curve_jacobi_calls_do_not_grow_with_the_time_steps(tmp_path, monkeypatc
     counts = []
     for steps in (1, 4, 16):
         calls.clear()
-        assert cli.main(argv + ["--t-steps", str(steps), "--t-stop", "2.0",
+        stop = ["--t-stop", "2.0"] if steps > 1 else []   # one step samples t-start only
+        assert cli.main(argv + ["--t-steps", str(steps), *stop,
                                 "--out", str(tmp_path / f"out{steps}")]) == 0
         counts.append(len(calls))
     assert counts[0] == counts[1] == counts[2]
@@ -257,6 +258,16 @@ def test_each_lattice_step_costs_one_landen_pass(monkeypatch):
     passes.clear()
     ksurf.KParams(mod=mod, family="dn", gamma_step=0.8, delta_step=0.55)
     assert len(passes) == 2
+
+
+def test_the_closure_rule_makes_no_landen_pass(monkeypatch):
+    # the rule reads the lattice constants, never a point
+    kp = ksurf.periodic_cases(3)["1a"]
+    curve = surfaces.kaleidocycle_params(5, twisted=True)
+    passes = _count_landen_passes(monkeypatch)
+    assert kp.closure_defect(np.arange(7)[:, None], np.arange(-6, 7)).shape == (7, 13)
+    assert curve.closure_defect(np.arange(12)).shape == (12,)
+    assert passes == []
 
 
 @pytest.mark.parametrize("argv, count", [

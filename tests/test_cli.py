@@ -57,6 +57,24 @@ def test_kaleidocycle_order_validation(tmp_path, capsys):
                 "--out", str(tmp_path / "y")]) == 2
 
 
+@pytest.mark.parametrize("command", ["curve", "kaleidocycle"])
+def test_a_t_stop_that_one_step_would_ignore_is_a_config_error(tmp_path, capsys, command):
+    # one step samples --t-start alone: a --t-stop elsewhere would be dropped
+    base = {"curve": ["curve", "--k", "0.6"], "kaleidocycle": ["kaleidocycle", "--n", "4"]}[command]
+    out = tmp_path / "artifact"
+    assert run(base + ["--t-stop", "5", "--out", str(out)]) == 2
+    assert "--t-stop 5.0 needs --t-steps of at least 2" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_stop = 5\nt_start = 0.3\n")
+    assert run(base + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == [cfg]
+    # a --t-start alone, or a --t-stop equal to it, is the one sample
+    for extra in (["--t-start", "0.3"], ["--t-start", "0.3", "--t-stop", "0.3"]):
+        assert run(base + extra + ["--out", str(out)]) == 0
+        csv = out if command == "curve" else out / "frame_0000.csv"
+        assert {line.split(",")[0] for line in csv.read_text().splitlines()[1:]} == {"0.29999999999999999"}
+
+
 def test_kaleidocycle_frames(tmp_path):
     out = tmp_path / "anim"
     rc = run(["kaleidocycle", "--n", "6", "--t-steps", "4", "--t-stop", "1.5",

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sgsurf import elliptic, ksurf, sg, surfaces
+from sgsurf import elliptic, ksurf, sg, suites, surfaces
 from sgsurf.errors import DomainError
 
 MOD = elliptic.make_modulus(0.6)
@@ -217,23 +217,59 @@ def test_rendered_lattice_carries_a_compatible_field(family):
     assert np.abs(along_n - math.cos(nu2)).max() < 1e-12
 
 
+# Periods of the order-3 cases derived by hand: multiples of the least periods,
+# which the rule and the evaluated points must both accept.
+LISTED_SHIFTS = {"1a": [(6, 6)], "1b": [(6, 2)], "1c": [(1, 0)],
+                 "2a": [(4, 0), (0, 4), (2, 2)], "2b": [(4, 0), (0, 2), (4, 2)],
+                 "2c": [(2, 0), (0, 4), (1, 2)]}
+
+
+def _shift_defects(p, reach, window=8):
+    """The evaluated defects max |F(m + dm, n + dn) - F(m, n)| over a window x
+    window block, for every shift |dm|, |dn| <= reach, from one k_point call."""
+    sites = np.arange(-reach, window + reach)
+    F = ksurf.k_point(p, sites[:, None], sites)[0]
+    base = F[reach:reach + window, reach:reach + window]
+    shifts = range(-reach, reach + 1)
+    return {(dm, dn): np.abs(F[reach + dm:reach + dm + window, reach + dn:reach + dn + window]
+                             - base).max()
+            for dm in shifts for dn in shifts}
+
+
+def _rule_accepts(p, reach):
+    """The shifts |dm|, |dn| <= reach that ``closure_defect`` accepts."""
+    dm, dn = np.meshgrid(np.arange(-reach, reach + 1), np.arange(-reach, reach + 1),
+                         indexing="ij")
+    ok = p.closure_defect(dm, dn) < 1e-9
+    return set(zip(dm[ok].tolist(), dn[ok].tolist()))
+
+
 def test_periodicity_case_1a():
-    rep = ksurf.k_periodicity("1a", order=3, window=12)
-    assert rep["max_defect"] < 1e-9
-    assert rep["family"] == "dn"
-    assert rep["modulus"] == pytest.approx(math.sin(math.pi / 3))
-    assert "(6,6)" in rep["shifts"]
+    # dn with gamma = delta = K: alpha = pi/n, beta = pi - pi/n and psi = (dm + dn) K,
+    # so (dm, dn) is a period iff dm = dn mod 2n; (1, 1) is one
+    for order in (3, 4):
+        p = ksurf.periodic_cases(order)["1a"]
+        assert p.family == "dn" and p.mod.k == pytest.approx(math.sin(math.pi / order))
+        box = range(-2 * order, 2 * order + 1)
+        assert _rule_accepts(p, 2 * order) == {(a, b) for a in box for b in box
+                                                if (a - b) % (2 * order) == 0}
 
 
 @pytest.mark.parametrize("case", ["1b", "1c", "2a", "2b", "2c"])
 def test_periodicity_other_cases(case):
-    rep = ksurf.k_periodicity(case, order=3, window=8)
-    assert rep["max_defect"] < 1e-9
+    p = ksurf.periodic_cases(3)[case]
+    defects = _shift_defects(p, 6)
+    for shift in LISTED_SHIFTS[case]:
+        assert p.closure_defect(*shift) < 1e-9
+        assert defects[shift] < 1e-9
 
 
 def test_periodicity_case_2c_shifts():
-    rep = ksurf.k_periodicity("2c", order=3, window=8)
-    assert set(rep["shifts"]) == {"(2,0)", "(0,4)", "(1,2)"}
+    # cn with gamma = 2K, delta = K: alpha = pi, beta = pi/2, so (dm, dn) is a
+    # period iff dn is even; the least periods are (1, 0) and (0, 2)
+    p = ksurf.periodic_cases(3)["2c"]
+    box = range(-6, 7)
+    assert _rule_accepts(p, 6) == {(a, b) for a in box for b in box if b % 2 == 0}
 
 
 def test_periodicity_defect_keeps_a_nan(monkeypatch):
@@ -242,31 +278,62 @@ def test_periodicity_defect_keeps_a_nan(monkeypatch):
     def nan_point(p, m, n):
         F, N = real(p, m, n)
         F = F.copy()
-        F[1, 1] = np.nan
+        F[tuple(s // 2 for s in F.shape[:2])] = np.nan   # a site of the unshifted window
         return F, N
 
     monkeypatch.setattr(ksurf, "k_point", nan_point)
-    rep = ksurf.k_periodicity("2a", order=3, window=8)
-    assert all(math.isnan(d) for d in rep["shifts"].values())
-    assert math.isnan(rep["max_defect"])
+    result = suites.suite_ksurf_periodicity()
+    assert math.isnan(result.max_residual) and not result.passed
 
 
 def test_periodicity_validation():
-    with pytest.raises(DomainError):
-        ksurf.k_periodicity("3a")
-    with pytest.raises(DomainError):
-        ksurf.k_periodicity("1a", order=2)
     # every case takes the kaleidocycle modulus sin(pi/order), an integer
     # order >= 3: order 1 gives k = sin(pi), a rounding residue, order 3.5 a
-    # float shift, order 0 a division by zero; an empty or fractional window
-    # would check nothing or np.arange(2.5)
-    bad = [{"order": o} for o in (0, 1, 2, 3.5, True, -3)]
-    bad += [{"window": w} for w in (0, -2, 2.5, True)]
-    for case in ksurf._CASES:
-        for kwargs in bad:
-            with pytest.raises(DomainError):
-                ksurf.k_periodicity(case, **kwargs)
-    assert ksurf.k_periodicity("2a", order=np.int64(4), window=np.int64(2))["max_defect"] < 1e-9
+    # float shift, order 0 a division by zero
+    for order in (0, 1, 2, 3.5, True, -3):
+        with pytest.raises(DomainError):
+            ksurf.periodic_cases(order)
+    cases = ksurf.periodic_cases(np.int64(4))
+    assert list(cases) == ["1a", "1b", "1c", "2a", "2b", "2c"]
+    assert [p.family for p in cases.values()] == ["dn"] * 3 + ["cn"] * 3
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_closure_defect_holds_in_both_directions(order):
+    # every shift the rule accepts closes the evaluated points, and every one it
+    # rejects moves them by far more than rounding
+    for p in ksurf.periodic_cases(order).values():
+        accepted = _rule_accepts(p, 2 * order)
+        for shift, defect in _shift_defects(p, 2 * order).items():
+            if shift in accepted:
+                assert defect < 1e-9, shift
+            else:
+                assert defect >= 1e-3, shift
+
+
+@pytest.mark.parametrize("step", ["gamma_step", "delta_step"])
+def test_a_nudged_step_breaks_the_rule_and_the_suite(monkeypatch, step):
+    # a step 1e-6 off its exact value is no longer periodic along that step
+    axis = 0 if step == "gamma_step" else 1
+    for case, p in ksurf.periodic_cases(3).items():
+        nudged = dataclasses.replace(p, **{step: getattr(p, step) + 1e-6})
+        for shift in LISTED_SHIFTS[case]:
+            assert (nudged.closure_defect(*shift) < 1e-9) == (shift[axis] == 0), (case, shift)
+    # the suite accepts shifts by the exact lattices and evaluates the nudged ones
+    real = ksurf.k_point
+    monkeypatch.setattr(ksurf, "k_point", lambda p, m, n: real(
+        dataclasses.replace(p, **{step: getattr(p, step) + 1e-6}), m, n))
+    assert not suites.suite_ksurf_periodicity().passed
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("family", ["dn", "cn"])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_kaleidocycle_period_is_the_least_period_of_the_rule(n, family, twisted):
+    p = surfaces.kaleidocycle_params(n, family=family, twisted=twisted)
+    shifts = np.arange(1, 4 * n + 1)
+    least = int(shifts[p.closure_defect(shifts) < 1e-9][0])
+    assert surfaces.kaleidocycle_period(n, family) == least
 
 
 # ------------------------------------------- residuals against the plain forms --

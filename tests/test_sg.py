@@ -30,6 +30,21 @@ def test_half_angle_validation():
     assert h.half_exponential() == pytest.approx(complex(0.6, -0.8))
 
 
+_EMPTY = np.array([], dtype=int)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda: surfaces.half_angles(_semi("dn"), _EMPTY, 0.3).c,
+    lambda: surfaces.flow_angle(_semi("cn"), _EMPTY, 0.3).s,
+    lambda: np.stack(sg.semi_residuals(_semi("dn"), _EMPTY, 0.3))[0],
+    lambda: sg.discrete_sg_residual(_discrete("cn"), _EMPTY, _EMPTY),
+    lambda: ksurf.compat_matrices(*sg.discrete_quad(_discrete("dn"), _EMPTY, _EMPTY), 0.4, 0.5),
+], ids=["half_angles", "flow_angle", "semi_residuals", "discrete_sg_residual",
+        "compat_matrices"])
+def test_an_empty_window_gives_an_empty_result(evaluate):
+    assert evaluate().shape == (0,)
+
+
 def test_quarter_exponential_branch():
     h = sg.HalfAngle(c=0.0, s=-1.0)  # w/2 = -pi/2
     q = h.quarter_exponential()

@@ -229,7 +229,7 @@ def test_values_reduce_to_the_largest_or_smallest_max_abs(monkeypatch):
 
 
 REPORT_DIGESTS = {
-    "verify": "6b5e17766ed151a5c047ae7a96918d01dbc55306702424d2998789f58811ff66",
+    "verify": "f43e0c7d2a19e617b7e2c9f6422d3b6a77571d82c5e89072b95b80ce1fdffb5a",
     "identities": "b4cd5210b0daf3b3db42deba378303ce88d70593279bcfb32edc931b3a15513a",
 }
 
