@@ -8,8 +8,8 @@ Subcommands
   identities    run the special-function identity corpus only
 
 Output is deterministic: floats are printed with 17 significant digits, JSON
-keys are sorted, and all randomized suites use fixed seeds.  Exit codes:
-0 success, 1 validation failure, 2 configuration error.
+keys are sorted, and every suite runs over fixed cases and point sets.  Exit
+codes: 0 success, 1 validation failure, 2 configuration error.
 
 A flat key=value config file (--config FILE) can set any option of the
 command: its keys are the options' dests (hyphens or underscores, ``out`` for

@@ -1,8 +1,8 @@
-"""Self-contained verification suites over fixed grids and seeds.
+"""Self-contained verification suites over fixed grids and point sets.
 
 Each suite checks one family of identities or geometric constraints against a
-fixed tolerance.  Suites are deterministic (seeded RNG, fixed grids) so
-reports are byte-stable.
+fixed tolerance.  Every case and sample is a fixed value, so reports are
+byte-stable.
 
 To add a suite, write a generator named ``suite_<name>`` that takes one case
 and yields its residuals (numbers, lists or arrays), and decorate it with
@@ -20,8 +20,8 @@ curve invariants), so the other suites still run.
 ``cases`` is a function that returns the suite's fixed cases (moduli,
 lattices or tuples), and the runner chains the generator over all of them
 into the one reduction, whose max or min does not depend on the grouping.
-A seeded suite's cases come from ``_seeded``, which pairs each case with its
-draws from the suite's one stream, in case order.
+The lattices come from ``_curves`` and ``_ksurfaces``, and samples spread
+over a box from ``_points``, a quasi-random point set.
 
 Each suite evaluates a window of sites in one array call, with numpy's
 complex arithmetic, and reduces it axis-wise; the report prints every bit,
@@ -90,10 +90,47 @@ def suite(name: str, tolerance: float, comparison: str = "lt", identity: bool = 
     return register
 
 
-def _seeded(seed: int, cases, draw) -> list:
-    """(case, draw(rng, case)) per case, drawn in case order from one stream seeded ``seed``."""
-    rng = np.random.default_rng(seed)
-    return [(case, draw(rng, case)) for case in cases]
+# The lattice builders, case functions and point sets are cached, so each
+# frozen lattice and point set is built once per process; evaluated values
+# are never kept, so a probe set after a run still reaches every suite.
+
+# g_d, the root of g^(d+1) = g + 1, for boxes of d = 1..4 coordinates
+_R_D_ROOTS = (1.618033988749895, 1.324717957244746, 1.2207440846057596, 1.1673039782614187)
+
+
+@functools.lru_cache(maxsize=None)
+def _points(count: int, lo, hi) -> np.ndarray:
+    """``count`` points of the R_d sequence (Roberts 2018) in the box [lo, hi):
+    x_i = lo + (hi - lo) frac(i alpha) for i = 1..count, with alpha_j = g^-j
+    and g the root of g^(d+1) = g + 1.  Scalar bounds give shape (count,),
+    d-tuples shape (d, count), one row per coordinate.  Only IEEE multiply,
+    add and floor reach a point, so the bits do not depend on numpy's SIMD
+    dispatch or version.  Shared by every caller, so read-only."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    alpha = np.cumprod(np.full(lo.size, 1.0 / _R_D_ROOTS[lo.size - 1]))
+    frac = np.arange(1, count + 1) * alpha[:, None]
+    frac -= np.floor(frac)
+    x = lo[..., None] + (hi - lo)[..., None] * frac.reshape(lo.shape + (count,))
+    x.flags.writeable = False
+    return x
+
+
+@functools.lru_cache(maxsize=None)
+def _curves(k):
+    """The four curve lattices (dn, cn; untwisted, twisted) of modulus k with
+    gamma = 0.8 and beta = 1."""
+    mod = elliptic.make_modulus(k)
+    return tuple(surfaces.SurfaceParams(mod=mod, family=family, gamma_step=0.8,
+                                        beta_rate=1.0, twisted=twisted)
+                 for family in elliptic.FAMILIES for twisted in (False, True))
+
+
+@functools.lru_cache(maxsize=None)
+def _ksurfaces(k):
+    """The two K-surface lattices (dn, cn) of modulus k with gamma = 0.8 and delta = 0.55."""
+    mod = elliptic.make_modulus(k)
+    return tuple(ksurf.KParams(mod=mod, family=family, gamma_step=0.8, delta_step=0.55)
+                 for family in elliptic.FAMILIES)
 
 
 # ---------------------------------------------------------------- elliptic --
@@ -112,20 +149,18 @@ def suite_jacobi_identities(k):
     yield dn * dn + mod.m * sn * sn - 1.0
 
 
-@suite("elliptic.jacobi_vs_theta_oracle", 1e-11, cases=lambda: _seeded(
-       101, map(elliptic.make_modulus, MODULI_WIDE),
-       lambda rng, mod: rng.uniform(-4.0 * mod.K, 4.0 * mod.K, 25)))
-def suite_jacobi_vs_theta(case):
-    mod, u = case
+@suite("elliptic.jacobi_vs_theta_oracle", 1e-11, cases=lambda: MODULI_WIDE)
+def suite_jacobi_vs_theta(k):
+    mod = elliptic.make_modulus(k)
+    u = mod.K * _points(25, -4.0, 4.0)
     for real, oracle in zip(elliptic.jacobi(u, mod), theta.jacobi_complex(u, mod)):
         yield abs(real - oracle)
 
 
-@suite("elliptic.addition_formulae", 1e-11, identity=True, cases=lambda: _seeded(
-       102, map(elliptic.make_modulus, MODULI),
-       lambda rng, mod: rng.uniform(-2.0 * mod.K, 2.0 * mod.K, (70, 2)).T))
-def suite_addition_formulae(case):
-    mod, (u, g) = case
+@suite("elliptic.addition_formulae", 1e-11, identity=True, cases=lambda: MODULI)
+def suite_addition_formulae(k):
+    mod = elliptic.make_modulus(k)
+    u, g = mod.K * _points(70, (-2.0, -2.0), (2.0, 2.0))
     su, cu, du = elliptic.jacobi(u, mod)
     sgm, cg, dg = elliptic.jacobi(g, mod)
     den = 1.0 - mod.m * sgm * sgm * su * su
@@ -135,12 +170,11 @@ def suite_addition_formulae(case):
     yield d2 - (dg * du - mod.m * sgm * cg * su * cu) / den
 
 
-@suite("elliptic.shifted_identity_corpus", 1e-11, identity=True, cases=lambda: _seeded(
-       103, map(elliptic.make_modulus, MODULI),
-       lambda rng, mod: rng.uniform(-2.0 * mod.K, 2.0 * mod.K, (200, 2)).T))
-def suite_elliptic_identity_corpus(case):
-    """Nine product identities of shifted-argument triples at random (gamma, psi)."""
-    mod, (g, psi) = case
+@suite("elliptic.shifted_identity_corpus", 1e-11, identity=True, cases=lambda: MODULI)
+def suite_elliptic_identity_corpus(k):
+    """Nine product identities of shifted-argument triples at 200 points (gamma, psi)."""
+    mod = elliptic.make_modulus(k)
+    g, psi = mod.K * _points(200, (-2.0, -2.0), (2.0, 2.0))
     k2 = mod.m
     s0, c0, d0 = elliptic.jacobi(psi, mod)
     s1, c1, d1 = elliptic.jacobi(psi + g, mod)
@@ -193,12 +227,11 @@ def _thetas_at(p, *args, js=(0, 1, 2, 3)):
     return [{j: val for j, (val, _) in zip(js, each)} for each in theta._thetas(js, p, *args)]
 
 
-@suite("theta.addition_identities", 1e-10, identity=True, cases=lambda: _seeded(
-       104, map(elliptic.make_modulus, (0.3, 0.7)),
-       lambda rng, mod: rng.uniform([-1, -0.4, -1, -0.4], [1, 0.4, 1, 0.4], (100, 4)).T))
-def suite_theta_addition(case):
+@suite("theta.addition_identities", 1e-10, identity=True, cases=lambda: (0.3, 0.7))
+def suite_theta_addition(k):
     """Four quadratic addition identities, both compound signs."""
-    mod, (xr, xi, yr, yi) = case
+    mod = elliptic.make_modulus(k)
+    xr, xi, yr, yi = _points(100, (-1.0, -0.4, -1.0, -0.4), (1.0, 0.4, 1.0, 0.4))
     T = mod.taup.imag
     x, y = xr + 1j * (xi * T), yr + 1j * (yi * T)
     sy = {s: s * y for s in (1.0, -1.0)}
@@ -220,12 +253,11 @@ def suite_theta_addition(case):
             yield abs(lhs - rhs) / np.maximum(1.0, abs(lhs))
 
 
-@suite("theta.lattice_doubling_identities", 1e-10, identity=True, cases=lambda: _seeded(
-       105, map(elliptic.make_modulus, (0.3, 0.6)),
-       lambda rng, mod: rng.uniform([-2.5, -1.0, -0.6], [2.5, 1.0, 0.6], (100, 3)).T))
-def suite_theta_lattice_doubling(case):
+@suite("theta.lattice_doubling_identities", 1e-10, identity=True, cases=lambda: (0.3, 0.6))
+def suite_theta_lattice_doubling(k):
     """Landen-type identities between the taup and 2 taup lattices at shifted arguments."""
-    mod, (psi, lam, z) = case
+    mod = elliptic.make_modulus(k)
+    psi, lam, z = _points(100, (-2.5, -1.0, -0.6), (2.5, 1.0, 0.6))
     p1, p2 = theta.lattice_params(mod), theta.lattice_params(mod, 2)
     den = mod.k * mod.Kp
     v = (psi - mod.K) / (2j * mod.Kp)
@@ -253,11 +285,11 @@ def suite_theta_lattice_doubling(case):
         yield abs(lhs - rhs) / np.maximum(np.maximum(1.0, abs(lhs)), abs(rhs))
 
 
-@suite("theta.jacobi_quotients", 1e-10, identity=True, cases=lambda: _seeded(
-       106, map(elliptic.make_modulus, MODULI), lambda rng, mod: rng.uniform(-3.5, 3.5, 100)))
-def suite_theta_jacobi_quotients(case):
+@suite("theta.jacobi_quotients", 1e-10, identity=True, cases=lambda: MODULI)
+def suite_theta_jacobi_quotients(k):
     """The three quotient formulas tying thetas at v = (psi-K)/(2iK') to sn, cn, dn."""
-    mod, psi = case
+    mod = elliptic.make_modulus(k)
+    psi = _points(100, -3.5, 3.5)
     for quotient, real in zip(theta.jacobi_complex(psi, mod), elliptic.jacobi(psi, mod)):
         yield abs(quotient - real)
 
@@ -288,12 +320,11 @@ def suite_weierstrass_scalars(k):
     yield alt - wc.zeta_omega_over_omega
 
 
-@suite("theta.modular_identity", 1e-9, identity=True, cases=lambda: _seeded(
-       107, map(elliptic.make_modulus, MODULI),
-       lambda rng, mod: rng.uniform([-0.5, -0.25], [0.5, 0.25], (60, 2)).T))
-def suite_theta_modular(case):
+@suite("theta.modular_identity", 1e-9, identity=True, cases=lambda: MODULI)
+def suite_theta_modular(k):
     """Imaginary transformation theta_3(v/tau | tau') = exp(pi i (v^2/tau - 1/4)) sqrt(tau) theta_3(v|tau)."""
-    mod, (vr, vi) = case
+    mod = elliptic.make_modulus(k)
+    vr, vi = _points(60, (-0.5, -0.25), (0.5, 0.25))
     v = vr + 1j * vi
     lhs = theta.theta_j(3, v / mod.tau, theta.lattice_params(mod))
     rhs = (np.exp(1j * math.pi * (v * v / mod.tau - 0.25))
@@ -303,34 +334,15 @@ def suite_theta_modular(case):
 
 # ---------------------------------------------------------------------- sg --
 
-# The fields of these suites have steps 0.23 along m and 0.17 along n, and
-# rate 0.31 in t, in units of the real period 4K.  The lattice builders and
-# case functions below are cached, so each frozen lattice is built once per
-# process; evaluated arrays are never kept.
-
-@functools.lru_cache(maxsize=None)
-def _semi_params(k, family):
-    mod = elliptic.make_modulus(k)
-    return surfaces.CurveLattice(mod=mod, family=family, gamma_step=4.0 * mod.K * 0.23,
-                                 beta_rate=4.0 * mod.K * 0.31)
-
-
-@functools.lru_cache(maxsize=None)
-def _discrete_params(k, family, omega=0.23, rho=0.17):
-    mod = elliptic.make_modulus(k)
-    return ksurf.KParams(mod=mod, family=family, gamma_step=4.0 * mod.K * omega,
-                         delta_step=4.0 * mod.K * rho)
-
-
 @suite("sg.semi_discrete_residuals", 1e-10, cases=lambda: [
-       _semi_params(k, family) for k in MODULI_WIDE for family in elliptic.FAMILIES])
+       p for k in MODULI_WIDE for p in _curves(k)])
 def suite_semi_sg_residuals(p):
     ms, ts = np.arange(-20, 20)[:, None], np.array([0.0, 0.3, 0.7, 1.3, 2.1])
     yield from sg.semi_residuals(p, ms, ts)
 
 
 @suite("sg.discrete_residuals", 1e-9, cases=lambda: [
-       _discrete_params(k, family) for k in MODULI for family in elliptic.FAMILIES])
+       p for k in MODULI for p in _ksurfaces(k)])
 def suite_discrete_sg_residuals(p):
     yield sg.discrete_sg_residual(p, np.arange(-10, 10)[:, None], np.arange(-10, 10))
 
@@ -343,7 +355,7 @@ def _perturbed(w: surfaces.HalfAngle) -> surfaces.HalfAngle:
 
 
 @suite("sg.perturbation_sensitivity", 1e-3, "gt",
-       cases=lambda: [(_semi_params(0.6, "dn"), _discrete_params(0.6, "cn"))])
+       cases=lambda: [(_curves(0.6)[0], _ksurfaces(0.6)[1])])
 def suite_sg_sensitivity(case):
     """A perturbed field (s scaled by 1.01, renormalized) must be detected."""
     p, pd = case
@@ -356,16 +368,6 @@ def suite_sg_sensitivity(case):
 
 
 # ---------------------------------------------------------------- surfaces --
-
-@functools.lru_cache(maxsize=None)
-def _curves(k):
-    """The four curve lattices (dn, cn; untwisted, twisted) of modulus k with
-    gamma = 0.8 and beta = 1, which the surface and tau suites share."""
-    mod = elliptic.make_modulus(k)
-    return tuple(surfaces.SurfaceParams(mod=mod, family=family, gamma_step=0.8,
-                                        beta_rate=1.0, twisted=twisted)
-                 for family in elliptic.FAMILIES for twisted in (False, True))
-
 
 def _all_curves():   # the twelve curve lattices over MODULI, k-major
     return [p for k in MODULI for p in _curves(k)]
@@ -492,16 +494,12 @@ def suite_tau_cauchy_riemann(p):
     yield tau.bilinear_checks(p, np.array([-3, 0, 4]), 0.3)[2]
 
 
-@suite("tau.conjugation_symmetry", 1e-11, cases=lambda: _seeded(
-       108, _curves(0.6), lambda rng, p: [(int(rng.integers(-6, 7)), float(rng.uniform(0, 1.5)),
-                                           float(rng.uniform(-0.8, 0.8)),
-                                           float(rng.uniform(-0.5, 0.5))) for _ in range(40)]))
-def suite_tau_conjugation(case):
+@suite("tau.conjugation_symmetry", 1e-11, cases=lambda: _curves(0.6))
+def suite_tau_conjugation(p):
     """The starred quartet entries equal numeric conjugates at real (lam, z):
-    40 seeded scalar draws of (m, t, lam, z) per k = 0.6 curve lattice."""
-    p, draws = case
-    m, t, lam, z = map(np.array, zip(*draws))
-    s = tau.tau_sample(p, m, t, lam=lam, z=z)
+    40 points (t, lam, z, m) per k = 0.6 curve lattice, with integer m in -6..6."""
+    t, lam, z, m = _points(40, (0.0, -0.8, -0.5, -6.0), (1.5, 0.8, 0.5, 7.0))
+    s = tau.tau_sample(p, np.floor(m).astype(int), t, lam=lam, z=z)
     scale = np.maximum(np.maximum(1.0, abs(s.f)), abs(s.g))
     yield abs(s.fstar - s.f.conjugate()) / scale
     yield abs(s.gstar - s.g.conjugate()) / scale
@@ -529,21 +527,13 @@ def suite_tau_eta_consistency(p):
 
 # ------------------------------------------------------------------- ksurf --
 
-@functools.lru_cache(maxsize=None)
-def _ksurfaces():
-    """The two K-surface lattices (dn, cn) of the suites: k = 0.6, gamma = 0.8, delta = 0.55."""
-    mod = elliptic.make_modulus(0.6)
-    return tuple(ksurf.KParams(mod=mod, family=family, gamma_step=0.8, delta_step=0.55)
-                 for family in elliptic.FAMILIES)
-
-
-@suite("ksurf.definition_axioms", 1e-10, cases=_ksurfaces)
+@suite("ksurf.definition_axioms", 1e-10, cases=lambda: _ksurfaces(0.6))
 def suite_ksurf_axioms(p):
     grid = ksurf.k_grid(p, range(-10, 10), range(-10, 10))
     yield list(grid.invariant_residuals().values())
 
 
-@suite("ksurf.edge_identities", 1e-10, cases=_ksurfaces)
+@suite("ksurf.edge_identities", 1e-10, cases=lambda: _ksurfaces(0.6))
 def suite_ksurf_edges(p):
     grid = ksurf.k_grid(p, range(-10, 11), range(-10, 11))
     F, N = grid.points, grid.normals
@@ -553,7 +543,7 @@ def suite_ksurf_edges(p):
     yield np.linalg.norm(res_n, axis=-1)
 
 
-@suite("ksurf.direction_torsions", 1e-12, cases=_ksurfaces)
+@suite("ksurf.direction_torsions", 1e-12, cases=lambda: _ksurfaces(0.6))
 def suite_ksurf_torsions(p):
     _, cn, dn = elliptic.jacobi(np.array([p.gamma_step, p.delta_step]), p.mod)
     tg, td = cn if p.family == "dn" else dn
@@ -564,14 +554,12 @@ def suite_ksurf_torsions(p):
 
 @functools.lru_cache(maxsize=None)
 def _compat_cases():
-    """(lattice, nu1, nu2) per family (dn, cn): the k = 0.6 discrete lattice
-    with steps 0.13 and 0.19 of 4K, and its torsion angles, which are the
-    rotation angles of the other family: atan2(sn, cn) for dn, atan2(k sn, dn)
-    for cn."""
-    lattices = [_discrete_params(0.6, family, 0.13, 0.19) for family in elliptic.FAMILIES]
+    """(lattice, nu1, nu2) per k = 0.6 K-surface lattice (dn, cn): its torsion
+    angles, which are the rotation angles of the other family: atan2(sn, cn)
+    for dn, atan2(k sn, dn) for cn."""
     return tuple((p, *(elliptic._lattice_step(p.mod, other, step, False)[0]
                        for step in (p.gamma_step, p.delta_step)))
-                 for p, other in zip(lattices, ("cn", "dn")))
+                 for p, other in zip(_ksurfaces(0.6), ("cn", "dn")))
 
 
 @suite("ksurf.compatibility_on_solutions", 1e-11, cases=_compat_cases)

@@ -268,13 +268,18 @@ def snapshot(p: SurfaceParams, m_range: Sequence[int], t: float) -> CurveSnapsho
     return snapshots(p, m_range, [t])[0]
 
 
+def _check_order(n) -> None:
+    """Reject a kaleidocycle order that is not an integer n >= 3 with DomainError."""
+    if not isinstance(n, (int, np.integer)) or n < 3:
+        raise DomainError(f"kaleidocycle order must be an integer >= 3, got {n}")
+
+
 def kaleidocycle_params(n: int, family: str = "dn", beta_rate: float = 1.0,
                         twisted: bool = False) -> SurfaceParams:
     """Closed-linkage parameters: k = sin(pi/n), gamma = K; closed with the
     period ``kaleidocycle_period(n, family)``.  Requires an integer n >= 3, so
     that the modulus stays inside (0, 1)."""
-    if not isinstance(n, (int, np.integer)) or n < 3:
-        raise DomainError(f"kaleidocycle order must be an integer >= 3, got {n}")
+    _check_order(n)
     mod = make_modulus(math.sin(math.pi / n))
     return SurfaceParams(mod=mod, family=family, gamma_step=mod.K,
                          beta_rate=beta_rate, twisted=twisted)
@@ -282,5 +287,8 @@ def kaleidocycle_params(n: int, family: str = "dn", beta_rate: float = 1.0,
 
 def kaleidocycle_period(n: int, family: str) -> int:
     """The least period in m of the order-n kaleidocycle, twisted or not, that
-    ``closure_defect`` accepts; a formula, as a search would cost O(n)."""
+    ``closure_defect`` accepts; a formula, as a search would cost O(n).
+    Takes the orders and families that ``kaleidocycle_params`` takes."""
+    _check_order(n)
+    check_family(family)
     return 2 * n if family == "dn" else 2

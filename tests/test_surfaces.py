@@ -258,6 +258,14 @@ def test_kaleidocycle_params_and_closure():
         assert worst < 1e-9
 
 
+@pytest.mark.parametrize("n, family", [(2, "dn"), (5, "xx"), (2.5, "dn")])
+def test_kaleidocycle_period_refuses_what_kaleidocycle_params_refuses(n, family):
+    with pytest.raises(DomainError):
+        surfaces.kaleidocycle_period(n, family)
+    with pytest.raises(DomainError):
+        surfaces.kaleidocycle_params(n, family=family)
+
+
 def test_cn_family_short_closure():
     p = surfaces.kaleidocycle_params(4, family="cn")
     assert p.alpha_step == pytest.approx(math.pi / 2)
