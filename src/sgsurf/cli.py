@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import operator
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -40,43 +42,86 @@ SCHEMA_VERSION = 1
 # Most sites (vertices, or curve sites times time slices) a geometry command
 # evaluates: about 250 B of peak memory each, so 1 GB at a 2048 x 2048 mesh.
 MAX_SITES = 2 ** 22
-# Lines formatted by one %-operation in the writers: large enough to amortise
-# the per-call cost, small enough that a file is never held in memory whole.
-_CHUNK_LINES = 4096
+# Values the writers format per call of the text kernel (``_text.format_rows``):
+# each writer's block is the fixed number of its rows that holds this many, so
+# that a block's memory (about 0.6 MB) is bounded at any window and numpy's
+# per-call cost is amortised.
+_BLOCK_VALUES = 3072
 
 
 # ----------------------------------------------------------------- writers --
 
-def _write_lines(f, line_fmt: str, rows: np.ndarray) -> None:
-    """Write each row of a 2-D array as one line of line_fmt (%-style).
+_OBJ_VERTEX = (b"v ", b" ", b" ", b"\n")
+_OBJ_FACE = (b"f ", b" ", b" ", b" ", b"\n")
+_CSV_HEADER = b"t,m,x,y,z,Bx,By,Bz\n"
+_CSV_ROW = (b"",) + (b",",) * 7 + (b"\n",)
 
-    "%.17g" % x and f"{x:.17g}" agree for every float, signed zeros and
-    non-finite values included; "%d" prints an integer-valued float as the
-    integer.
-    """
-    for i in range(0, len(rows), _CHUNK_LINES):
-        block = rows[i:i + _CHUNK_LINES]
-        f.write((line_fmt * len(block)) % tuple(block.ravel().tolist()))
+
+def _csv_columns(snap, a: int, b: int) -> tuple:
+    """The columns t, m, x, y, z, Bx, By, Bz of a snapshot's rows a..b-1."""
+    return (np.full(b - a, float(snap.t)), np.asarray(snap.m_values[a:b], dtype=np.int64),
+            *np.asarray(snap.points[a:b], dtype=np.float64).T,
+            *np.asarray(snap.binormals[a:b], dtype=np.float64).T)
+
+
+def _csv_pieces(snapshots):
+    """(snapshot index, text) pieces of the CSV rows t,m,x,y,z,Bx,By,Bz of the
+    snapshots in turn: a block of rows is formatted at a time, across
+    snapshots, and each block's text is cut where a snapshot ends."""
+    from . import _text   # the text kernel loads with the first geometry write
+    sizes = [len(s.m_values) for s in snapshots]
+    starts = np.cumsum([0] + sizes)   # global index of each snapshot's first row
+    block = _BLOCK_VALUES // 8
+    for lo in range(0, starts[-1], block):
+        hi = min(lo + block, starts[-1])
+        spans = [(i, max(lo - starts[i], 0), min(hi - starts[i], sizes[i]))
+                 for i in range(np.searchsorted(starts, lo, side="right") - 1,
+                                np.searchsorted(starts, hi))]
+        spans = [(i, a, b) for i, a, b in spans if b > a]
+        columns = [np.concatenate(c) for c in zip(*(_csv_columns(snapshots[i], a, b)
+                                                    for i, a, b in spans))]
+        text = _text.format_rows(_CSV_ROW, columns)
+        ends = np.flatnonzero(text == ord("\n")) + 1
+        cuts = [0, *ends[np.cumsum([b - a for _, a, b in spans]) - 1]]
+        for (i, _, _), a, b in zip(spans, cuts, cuts[1:]):
+            yield i, text[a:b]
 
 
 def write_curve_csv(path: Path, snapshots) -> None:
     """Rows t,m,x,y,z,Bx,By,Bz of each snapshot in turn, 17 significant digits."""
-    with path.open("w", encoding="utf-8") as f:
-        f.write("t,m,x,y,z,Bx,By,Bz\n")
-        for snap in snapshots:
-            # t is one number per snapshot: formatted once, it leads every line
-            rows = np.column_stack([snap.m_values, snap.points, snap.binormals])
-            _write_lines(f, "%.17g," % float(snap.t) + "%d" + ",%.17g" * 6 + "\n", rows)
+    with path.open("wb") as f:
+        f.write(_CSV_HEADER)
+        for _, text in _csv_pieces(snapshots):
+            f.write(text)
+
+
+def write_frames(out_dir: Path, snapshots) -> None:
+    """One file frame_0000.csv, frame_0001.csv, ... per snapshot, each
+    holding that snapshot's rows as ``write_curve_csv`` writes them; the rows
+    of all the snapshots are formatted in one pass."""
+    for idx, pieces in itertools.groupby(_csv_pieces(snapshots), key=operator.itemgetter(0)):
+        with (out_dir / f"frame_{idx:04d}.csv").open("wb") as f:
+            f.write(_CSV_HEADER)
+            for _, text in pieces:
+                f.write(text)
 
 
 def write_obj(path: Path, points: np.ndarray) -> None:
     """Quad mesh over an (M, N, 3) array, m-then-n winding, 1-indexed faces."""
+    from . import _text
     M, N, _ = points.shape
-    # vertex (i, j) is number i*N + j + 1; face (i, j) is a, a + N, a + N + 1, a + 1
-    a = (np.arange(M - 1)[:, None] * N + np.arange(N - 1)[None, :] + 1).reshape(-1, 1)
-    with path.open("w", encoding="utf-8") as f:
-        _write_lines(f, "v %.17g %.17g %.17g\n", points.reshape(-1, 3))
-        _write_lines(f, "f %d %d %d %d\n", a + np.array([0, N, N + 1, 1]))
+    vertices = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    faces = (M - 1) * (N - 1)
+    with path.open("wb") as f:
+        block = _BLOCK_VALUES // 3
+        for lo in range(0, M * N, block):
+            f.write(_text.format_rows(_OBJ_VERTEX, vertices[lo:lo + block].T))
+        # vertex (i, j) is number i*N + j + 1; face (i, j) is a, a + N, a + N + 1, a + 1
+        block = _BLOCK_VALUES // 4
+        for lo in range(0, faces, block):
+            i, j = np.divmod(np.arange(lo, min(lo + block, faces)), N - 1)
+            a = i * N + j + 1
+            f.write(_text.format_rows(_OBJ_FACE, [a, a + N, a + N + 1, a + 1]))
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -157,8 +202,7 @@ def cmd_kaleidocycle(ns: argparse.Namespace) -> int:
     worst = float(np.linalg.norm(shifted - points, axis=-1).max())
     out_dir = ns.out_path
     out_dir.mkdir(parents=True, exist_ok=True)
-    for idx, snap in enumerate(snaps):
-        write_curve_csv(out_dir / f"frame_{idx:04d}.csv", [snap])
+    write_frames(out_dir, snaps)
     print(f"wrote {len(samples)} frame(s) to {out_dir}; closure defect {worst:.3e}")
     return 0 if worst < 1e-9 else 1
 

@@ -23,9 +23,9 @@ line and every element costs O(1).
 Every function takes scalars or arrays alike.  ``_closed_form``, the
 package-internal evaluator behind ``ksurf`` and ``surfaces``, evaluates the
 curve and K-surface closed forms on whole arrays of lattice sites with one
-``jacobi`` and one ``sn2_integral`` call; each element goes through the same
-operations in the same order as a scalar evaluation, so the values do not
-depend on how the sites are batched.
+``jacobi`` call, which also returns the sn^2 primitive from the same Landen
+pass; each element goes through the same operations in the same order as a
+scalar evaluation, so the values do not depend on how the sites are batched.
 """
 
 from __future__ import annotations
@@ -153,9 +153,12 @@ def _landen(u, mod: EllipticModulus):
     return np.sin(phi), cn, dn, mod.slope * u - zeta
 
 
-def jacobi(u, mod: EllipticModulus):
-    """(sn u, cn u, dn u) at modulus mod.k; total on finite real arguments."""
-    return _landen(u, mod)[:3]
+def jacobi(u, mod: EllipticModulus, integral: bool = False):
+    """(sn u, cn u, dn u) at modulus mod.k; total on finite real arguments.
+    With ``integral``, int_0^u sn^2 follows as a fourth array, from the same
+    Landen pass."""
+    values = _landen(u, mod)
+    return values if integral else values[:3]
 
 
 def sn2_integral(u, mod: EllipticModulus):
@@ -189,8 +192,7 @@ def _closed_form(phi, psi, sign, drift, mod: EllipticModulus, family: str):
     phi and psi have one shape (the sites); sign and the counts broadcast
     against it.  F and N have that shape plus a trailing axis of length 3.
     """
-    sn, cn, dn = jacobi(psi, mod)
-    z = sn2_integral(psi, mod)
+    sn, cn, dn, z = jacobi(psi, mod, integral=True)
     for count, integral in drift:
         z = z - count * integral
     k = mod.k

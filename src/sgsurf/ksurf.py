@@ -175,22 +175,25 @@ def compat_matrices(wA: HalfAngle, wB: HalfAngle, wC: HalfAngle, wD: HalfAngle,
     shape = np.shape(wA.c)
     eA, eB, eC, eD = (np.atleast_1d(w.half_exponential()) for w in (wA, wB, wC, wD))
 
-    def matrices(*entries):   # row by row
-        entries = np.broadcast_arrays(*entries)
-        return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
-
+    # each 2x2 matrix is its entries (row by row), and a product is elementwise
+    # complex arithmetic over the stacked quads
     def l_step(b, c):   # from the half exponentials e^{iB/2}, e^{iC/2}
-        d = c.conjugate() * b
-        cv, sv = math.cos(0.5 * nu1), math.sin(0.5 * nu1)
-        return matrices(cv * d, s1 * sv, -s1 * sv, cv * d.conjugate())
+        d = math.cos(0.5 * nu1) * (c.conjugate() * b)
+        sv = s1 * math.sin(0.5 * nu1)
+        return d, sv, -sv, d.conjugate()
 
     def lhat_step(b, d):
-        u = d * b
-        cv, sv = math.cos(0.5 * nu2), math.sin(0.5 * nu2)
-        return matrices(cv, s2 * sv * u, -s2 * sv * u.conjugate(), cv)
+        u = s2 * math.sin(0.5 * nu2) * (d * b)
+        cv = math.cos(0.5 * nu2)
+        return cv, u, -u.conjugate(), cv
 
-    defect = l_step(eB, eC) @ lhat_step(eC, eA) - lhat_step(eB, eD) @ l_step(eD, eA)
-    return np.linalg.norm(defect, axis=(-2, -1)).reshape(shape)[()]
+    def product(x, y):
+        return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+                x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+    defect = [p - q for p, q in zip(product(l_step(eB, eC), lhat_step(eC, eA)),
+                                    product(lhat_step(eB, eD), l_step(eD, eA)))]
+    return np.sqrt(sum(x.real * x.real + x.imag * x.imag for x in defect)).reshape(shape)[()]
 
 
 def periodic_cases(order: int = 3) -> dict:

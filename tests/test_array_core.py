@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from sgsurf import cli, elliptic, ksurf, surfaces
+from sgsurf import _text, cli, elliptic, ksurf, surfaces
 from sgsurf.errors import ValidationError
 
 MODULI = (0.3, 0.6, 0.9)
@@ -199,9 +199,9 @@ def test_k_grid_jacobi_calls_do_not_grow_with_the_window(monkeypatch):
     calls = []
     real = elliptic.jacobi
 
-    def counting(u, mod):
+    def counting(u, mod, **kwargs):
         calls.append(np.size(u))
-        return real(u, mod)
+        return real(u, mod, **kwargs)
 
     monkeypatch.setattr(elliptic, "jacobi", counting)
     monkeypatch.setattr(ksurf, "jacobi", counting, raising=False)   # if ksurf binds it
@@ -222,9 +222,9 @@ def test_curve_jacobi_calls_do_not_grow_with_the_time_steps(tmp_path, monkeypatc
     calls = []
     real = elliptic.jacobi
 
-    def counting(u, mod):
+    def counting(u, mod, **kwargs):
         calls.append(np.size(u))
-        return real(u, mod)
+        return real(u, mod, **kwargs)
 
     for mod in (elliptic, surfaces, cli):
         monkeypatch.setattr(mod, "jacobi", counting, raising=False)   # where it is bound
@@ -271,13 +271,14 @@ def test_the_closure_rule_makes_no_landen_pass(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, count", [
-    (["ksurface", "--k", "0.8", "--m", "6", "--n", "6"], 4),
-    (["curve", "--k", "0.6", "--gamma", "0.8", "--t-steps", "3", "--t-stop", "1.0"], 3),
-    (["kaleidocycle", "--n", "5", "--t-steps", "3", "--t-stop", "1.0"], 5),
+    (["ksurface", "--k", "0.8", "--m", "6", "--n", "6"], 3),
+    (["curve", "--k", "0.6", "--gamma", "0.8", "--t-steps", "3", "--t-stop", "1.0"], 2),
+    (["kaleidocycle", "--n", "5", "--t-steps", "3", "--t-stop", "1.0"], 3),
 ], ids=["ksurface", "curve", "kaleidocycle"])
 def test_landen_passes_per_command(tmp_path, monkeypatch, argv, count):
-    # the step constants (one pass per step), the closed form (jacobi and the
-    # sn^2 primitive) and, for kaleidocycle, the closure check's closed form
+    # the step constants (one pass per step), the closed form (one jacobi call
+    # that also returns the sn^2 primitive) and, for kaleidocycle, the closure
+    # check's closed form
     passes = _count_landen_passes(monkeypatch)
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
     assert len(passes) == count
@@ -303,7 +304,7 @@ SPECIAL = [-0.0, 0.0, math.inf, -math.inf, math.nan, 1e-300, -5e-324, 1.79769313
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (6, 1), (4, 7)])
 def test_write_obj_matches_per_line_format(tmp_path, monkeypatch, shape):
-    monkeypatch.setattr(cli, "_CHUNK_LINES", 3)   # exercise the chunk boundaries
+    monkeypatch.setattr(cli, "_BLOCK_VALUES", 8)   # blocks of 2 rows: exercise their boundaries
     rng = np.random.default_rng(5)
     pts = rng.normal(size=shape + (3,)) * 10.0 ** rng.integers(-8, 8, size=shape + (3,))
     flat = pts.reshape(-1)
@@ -321,7 +322,7 @@ def test_write_obj_single_chunk_default(tmp_path):
 
 @pytest.mark.parametrize("chunk", [1, 2, 4096])
 def test_write_curve_csv_matches_per_line_format(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(cli, "_CHUNK_LINES", chunk)
+    monkeypatch.setattr(cli, "_BLOCK_VALUES", 8 * chunk)   # chunk rows of 8 fields
     rng = np.random.default_rng(11)
     snaps = []
     for t, ms in ((-0.0, [-3, -2, -1, 0, 1]), (math.inf, [7]), (1e-300, [0, 2, 5])):
@@ -340,3 +341,89 @@ def test_percent_format_equals_format_spec():
                             * 10.0 ** np.random.default_rng(3).integers(-300, 300, 2000))
     for x in values:
         assert "%.17g" % x == f"{x:.17g}"
+
+
+# ------------------------------------------------------------- text kernel --
+
+def _kernel_lines(values, block=1 << 16):
+    """One value per line through the writers' kernel, in blocks of rows."""
+    return b"".join(_text.format_rows((b"", b"\n"), [values[i:i + block]]).tobytes()
+                    for i in range(0, len(values), block))
+
+
+def _stride(count, lo=0, hi=1 << 64):
+    """count bit patterns spread evenly over [lo, hi), as uint64."""
+    step = (hi - lo) // count
+    return np.uint64(lo) + np.arange(count, dtype=np.uint64) * np.uint64(step)
+
+
+def _float_corpus():
+    edges = [float(f"1e{k}") for k in range(-8, 18)]
+    ties = [2.0 ** 50 + j / 4 for j in range(-64, 64)] + [2.0 ** 51 + j / 2 for j in range(-64, 64)]
+    special = [9.9999999999999995e-5, 0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+               1.7976931348623157e308, -1.7976931348623157e308]
+    x = np.array(edges + ties + special)
+    x = np.concatenate([np.nextafter(x[:len(edges)], 0.0), x, np.nextafter(x[:len(edges)], math.inf)])
+    return np.concatenate([x, -x])
+
+
+@pytest.mark.filterwarnings("error")
+def test_text_kernel_prints_percent_17g_byte_for_byte():
+    # a stride over every float64 bit pattern (mostly the "%.17g" fallback),
+    # a million patterns inside the fixed window 1e-4 <= |x| < 1e16, both signs,
+    # and the decade edges, their neighbours and exact ties
+    lo, hi = (int(b) for b in np.array([1e-4, 1e16]).view(np.uint64))
+    window = _stride(10 ** 6, lo, hi).view(np.float64)
+    values = np.concatenate([_stride(1 << 16).view(np.float64), window, -window[::97],
+                             _float_corpus()])
+    assert len(values) >= 10 ** 6
+    expected = ("%.17g\n" * len(values)) % tuple(values.tolist())
+    assert _kernel_lines(values) == expected.encode()
+
+
+@pytest.mark.filterwarnings("error")
+def test_text_kernel_prints_percent_d_byte_for_byte():
+    powers = [s * (10 ** k + d) for k in range(19) for d in (-1, 0, 1) for s in (1, -1)]
+    values = np.concatenate([_stride(1 << 16).view(np.int64),
+                             np.array([2 ** 63 - 1, -2 ** 63, -2 ** 63 + 1, 0] + powers,
+                                      dtype=np.int64)])
+    expected = ("%d\n" * len(values)) % tuple(values.tolist())
+    assert _kernel_lines(values) == expected.encode()
+
+
+def test_text_kernel_tables_are_built_on_first_write_only(tmp_path):
+    _text._tables.cache_clear()
+    assert cli.main(["verify", "--out", str(tmp_path / "report.json")]) == 0
+    assert _text._tables.cache_info().currsize == 0   # verify writes no geometry
+    cli.write_obj(tmp_path / "m.obj", np.zeros((2, 2, 3)))
+    assert _text._tables.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("argv, writes", [
+    (["ksurface", "--k", "0.8", "--m", "30", "--n", "20"], [(600, 3), (29 * 19, 4)]),
+    (["curve", "--k", "0.6", "--m-min", "-50", "--m-max", "50", "--t-steps", "3",
+      "--t-stop", "1.0"], [(101 * 3, 8)]),
+    (["kaleidocycle", "--n", "5", "--t-steps", "40", "--t-stop", "6.0"], [(11 * 40, 8)]),
+], ids=["ksurface", "curve", "kaleidocycle"])
+def test_writers_format_whole_blocks_of_rows(tmp_path, monkeypatch, argv, writes):
+    # one kernel call per block of rows, (rows, fields) per writer: kaleidocycle
+    # formats all its frames in one pass instead of one call per frame, and
+    # the bytes do not depend on the block size
+    out = tmp_path / "default"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    calls = []
+    real = _text.format_rows
+    monkeypatch.setattr(_text, "format_rows", lambda *a: calls.append(len(a[1][0])) or real(*a))
+    monkeypatch.setattr(cli, "_BLOCK_VALUES", 192)
+    blocks = tmp_path / "blocks"
+    assert cli.main(argv + ["--out", str(blocks)]) == 0
+    expected = []
+    for rows, fields in writes:
+        block = 192 // fields
+        expected += [block] * (rows // block) + [rows % block] * (rows % block > 0)
+    assert calls == expected
+    if out.is_dir():
+        assert ([f.read_bytes() for f in sorted(blocks.iterdir())]
+                == [f.read_bytes() for f in sorted(out.iterdir())])
+    else:
+        assert blocks.read_bytes() == out.read_bytes()

@@ -615,8 +615,10 @@ surfaces.flow_angle(surfaces.SurfaceParams(mod=mod, family="dn", gamma_step=0.8,
 surfaces.half_angles(ksurf.KParams(mod=mod, family="cn", gamma_step=0.8, delta_step=0.55), 0, 1)
 print(names, codes, after_import, after_runs, "sgsurf.sg" in sys.modules)
 """
-    # frames is array geometry, and a field sample is a surfaces.HalfAngle: no sg
-    expected = f"[] [0, 0, 0] {GEOMETRY_MODULES} {GEOMETRY_MODULES} False"
+    # frames is array geometry, and a field sample is a surfaces.HalfAngle: no
+    # sg; the writers' text kernel loads with the first write, not with the CLI
+    written = sorted(GEOMETRY_MODULES + ["sgsurf._text"])
+    expected = f"[] [0, 0, 0] {GEOMETRY_MODULES} {written} False"
     assert _fresh_python(script) == expected
 
 
@@ -703,3 +705,12 @@ def test_m_sites_at_the_int64_edge_are_evaluated(tmp_path, monkeypatch, lo):
     with pytest.raises(Reached):
         run(["curve", "--k", "0.6", "--m-min", str(lo), "--m-max", str(lo),
              "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("m", [2 ** 53 + 1, -(2 ** 53 + 3)])
+def test_curve_writes_m_beyond_2_53_exactly(tmp_path, m):
+    # m is printed from the int64 sites, never through a float column
+    out = tmp_path / "curve.csv"
+    assert run(["curve", "--k", "0.6", "--m-min", str(m), "--m-max", str(m),
+                "--out", str(out)]) == 0
+    assert [int(line.split(",")[1]) for line in out.read_text().splitlines()[1:]] == [m]

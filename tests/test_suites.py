@@ -261,15 +261,15 @@ def test_values_reduce_to_the_largest_or_smallest_max_abs(monkeypatch):
 # (X86_V3), and that setting plus X86_V3 (X86_V2)
 REPORT_DIGESTS = {
     "X86_V4": {
-        "verify": "9c447025cde771954bcb1b5a9e75a8fa0c3f1ed8ceb2242493fe79f34dae0bc3",
+        "verify": "9cfd3384f41d0eec23737780a061dfee31c9e5d1ae0c6e1c828335af09d159f6",
         "identities": "d8f5cc7de4d39908eff64a8465b3f4c34bea313b904397efc2d5c49c96591d36",
     },
     "X86_V3": {
-        "verify": "55541619c8c00e2bc097523ad7b8031d025ead34070f55683add4cd018af9ac9",
+        "verify": "7935e5fd291ca64cd29f3326a9e3a5a02fca7b3e54da85e001d2d5e9ed88794d",
         "identities": "813e3f804c66d1d56153206ea38e3b45b5513e8334f4b367075f4b849b5e0117",
     },
     "X86_V2": {
-        "verify": "1f03ec38ba26a693082fccb31b6bdac4b7eaaca2b2af38c7e71557d697b68bc3",
+        "verify": "5315677386c6d6fbb4d76df8795c5d740bd3ea54b9dc49a08ef8db269d0e8487",
         "identities": "b0b562a82c16b7f3fcaccb967e41c1cb8f486024405b588b7cdaac157503ad8a",
     },
 }
