@@ -10,10 +10,11 @@ zeros when -4 <= e < 17.  For 1e-4 <= |x| < 1e16 the decade e of |x| is found
 exactly, so y = |x| 10^(16 - e) lies in [1e16, 1e17).  10^(16 - e) is an
 exact double, so Dekker's two-product (Numer. Math. 18, 1971) gives
 y = yh + yl exactly; yh >= 1e16 > 2^53 is an even integer, so
-d = yh + rint(yl) is y rounded half to even, and d = 10^17 carries into
-e + 1 (the fixed-precision route of Adams, "Ryu revisited: printf floating
-point conversion", OOPSLA 2019).  Every other float (zeros, tiny, huge and
-non-finite values) is printed by "%.17g" itself.
+d = yh + rint(yl) is y rounded half to even (the fixed-precision route of
+Adams, "Ryu revisited: printf floating point conversion", OOPSLA 2019).
+d never rounds up to 10^17: every double below 10^(e + 1) lies below it by
+at least 2^-54 of it, so y <= 10^17 - 5.  Every other float (zeros, tiny,
+huge and non-finite values) is printed by "%.17g" itself.
 
 A block is a (rows, width) byte array and a mask of the bytes to keep, in
 slots of whole 4-byte words: one per literal ("v ", ",", "\n") and one per
@@ -123,9 +124,6 @@ def _significand(a: np.ndarray, tables: dict) -> tuple[np.ndarray, np.ndarray]:
     yl += np.multiply(al, pl, out=pl)
     d = yh.astype(np.int64)
     d += np.rint(yl, out=yl).astype(np.int64)
-    carry = d == 10 ** 17
-    d[carry] = 10 ** 16
-    e += carry
     return e, d.view(np.uint64)
 
 
