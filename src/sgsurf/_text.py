@@ -188,8 +188,9 @@ def format_rows(literals: tuple[bytes, ...], columns: Sequence[np.ndarray]) -> n
     for is_float in (True, False):
         values = [c for c, f in zip(columns, floats) if f == is_float]
         if values:
+            starts = [o for o, f in zip(offsets, floats) if f == is_float]
             fields = (_float_fields if is_float else _int_fields)(np.stack(values, axis=1), tables)
-            kinds.append((is_float, [o for o, f in zip(offsets, floats) if f == is_float], *fields))
+            kinds.append((is_float, starts, *fields))
     chars = np.empty((len(columns[0]), len(template)), dtype=np.uint8)
     chars[:] = template
     keep = np.empty(chars.shape, dtype=bool)

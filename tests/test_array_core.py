@@ -359,11 +359,13 @@ def _stride(count, lo=0, hi=1 << 64):
 
 def _float_corpus():
     edges = [float(f"1e{k}") for k in range(-8, 18)]
-    ties = [2.0 ** 50 + j / 4 for j in range(-64, 64)] + [2.0 ** 51 + j / 2 for j in range(-64, 64)]
+    ties = ([2.0 ** 50 + j / 4 for j in range(-64, 64)]
+            + [2.0 ** 51 + j / 2 for j in range(-64, 64)])
     special = [9.9999999999999995e-5, 0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
                1.7976931348623157e308, -1.7976931348623157e308]
     x = np.array(edges + ties + special)
-    x = np.concatenate([np.nextafter(x[:len(edges)], 0.0), x, np.nextafter(x[:len(edges)], math.inf)])
+    x = np.concatenate([np.nextafter(x[:len(edges)], 0.0), x,
+                        np.nextafter(x[:len(edges)], math.inf)])
     return np.concatenate([x, -x])
 
 
