@@ -18,14 +18,17 @@ huge and non-finite values) is printed by "%.17g" itself.
 
 A block is a (rows, width) byte array and a mask of the bytes to keep, in
 slots of whole 4-byte words: one per literal ("v ", ",", "\n") and one per
-field, whose digits are written as packed 4-digit groups.  A float slot (48
-bytes) holds "-" at byte 2, the "0" of a value below 1 at 3, "." at 24 and
-the digits 000ddddddddddddddddd twice, at 4-23 and at 28-47.  The mask keeps
-the integer digits from the first copy and the fraction digits from the
-second, whose leading zeros print the zeros after the point of |x| < 0.1; a
-"%.17g" fallback text sits at 4.  An integer slot (24 bytes) holds "-" at 3
-and the 20 zero-padded digits of |v| at 4-23.  The tables are built on first
-use.
+field, whose digits are written as packed 4-digit groups.  Each column's slot
+holds w groups of integer digits, w the fewest that hold the integer digits
+of the column's widest value in the block.  A float slot (28 + 4w bytes)
+holds "-" at byte 2, the "0" of a value below 1 at 3, the first 4w of the
+digits 000ddddddddddddddddd at 4, "." at P = 4 + 4w and all 20 digits at
+P + 4; w runs from 1 for |x| < 10 to 5 for |x| < 1e16.  The mask keeps the
+integer digits from the first copy and the fraction digits from the second,
+whose leading zeros print the zeros after the point of |x| < 0.1; a "%.17g"
+fallback text sits at 4.  An integer slot (4 + 4w bytes) holds "-" at 3 and
+the 4w zero-padded digits of |v| at 4.  The tables, and each width's masks,
+are built on first use.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from typing import Sequence
 
 import numpy as np
 
-_FLOAT_SLOT, _INT_SLOT = 48, 24
 # Mask codes of a float slot: 2 * (17 * (e + 4) + trailing zeros) + sign for
 # the fixed notation, then _FALLBACK + the length of a "%.17g" text.
 _FALLBACK = 680
@@ -45,62 +47,53 @@ _FALLBACK = 680
 @functools.lru_cache(maxsize=None)
 def _tables() -> dict:
     """The kernel's tables, built on first use: the packed 4-digit groups, the
-    zeros that lead and trail each group, 10^p with its Veltkamp split, the
-    least double >= 10^e for e = -4..16, and the byte mask of each slot code."""
+    zeros that trail each group (4 for 0000), 10^p with its Veltkamp split,
+    and the least double >= 10^e for e = -4..16."""
     i = np.arange(10000, dtype=np.uint16)
     digits = [(i // p % 10).astype(np.uint8) for p in (1000, 100, 10, 1)]
-
-    def zero_run(columns):   # 4 for the group 0000
-        run, zero = np.zeros(len(i), dtype=np.uint8), np.ones(len(i), dtype=bool)
-        for d in columns:
-            zero &= d == 0
-            run += zero
-        return run
-
+    trailing, zero = np.zeros(len(i), dtype=np.uint8), np.ones(len(i), dtype=bool)
+    for d in digits[::-1]:
+        zero &= d == 0
+        trailing += zero
     pow10 = 10.0 ** np.arange(21)
     split = pow10 * 134217729.0
     pow10_hi = split - (split - pow10)
-    pos = np.arange(_FLOAT_SLOT)
-    tz, neg = np.arange(34)[:, None] // 2, np.arange(34)[:, None] % 2
-    fixed = [((pos == 2) & (neg == 1)) | ((pos == 3) & (e < 0))
-             | ((pos >= 7) & (pos < 8 + e)) | ((pos == 24) & (e + tz < 16))
-             | ((pos >= 32 + e) & (pos < 48 - tz)) for e in range(-4, 16)]
-    fallback = (pos >= 4) & (pos < 4 + np.arange(25)[:, None])
-    pos = np.arange(_INT_SLOT)
-    length, neg = np.arange(42)[:, None] // 2, np.arange(42)[:, None] % 2
-    ints = ((pos == 3) & (neg == 1)) | (pos >= _INT_SLOT - length)
     return {
         "groups": (np.stack(digits, axis=1) + np.uint8(ord("0"))).view(np.uint32).ravel(),
-        "leading": zero_run(digits),
-        "trailing": zero_run(digits[::-1]),
+        "trailing": trailing,
         "pow10": pow10, "pow10_hi": pow10_hi, "pow10_lo": pow10 - pow10_hi,
         "decades": np.array([float(f"1e{k}") for k in range(-4, 17)]),
-        "float_masks": np.concatenate(fixed + [fallback]).view(f"V{_FLOAT_SLOT}").ravel(),
-        "int_masks": ints.view(f"V{_INT_SLOT}").ravel(),
     }
 
 
-def _groups(v: np.ndarray) -> np.ndarray:
-    """The 20 decimal digits of unsigned 64-bit v as five 4-digit groups, the
-    most significant first (a leading axis of length 5), as table indices."""
-    g = np.empty((5,) + v.shape, dtype=np.intp)
-    top = v // 10 ** 16
-    g[0] = top
-    rest = (v - top * 10 ** 16).astype(np.intp)
-    q = rest // 10 ** 8
-    for j, half in ((1, q), (3, rest - q * 10 ** 8)):
-        np.floor_divide(half, 10000, out=g[j])
-        np.subtract(half, g[j] * 10000, out=g[j + 1])
-    return g
+@functools.lru_cache(maxsize=None)
+def _masks(is_float: bool, width: int) -> np.ndarray:
+    """The byte mask of each slot code of a float or integer slot of width
+    groups, built on the first block that needs that width."""
+    if not is_float:
+        pos = np.arange(4 + 4 * width)
+        code = np.arange(8 * width + 2)[:, None]   # 2 * digits + sign
+        keep = ((pos == 3) & (code % 2 == 1)) | (pos >= len(pos) - code // 2)
+        return keep.view(f"V{len(pos)}").ravel()
+    point = 4 + 4 * width
+    pos = np.arange(point + 24)
+    tz, neg = np.arange(34)[:, None] // 2, np.arange(34)[:, None] % 2
+    # a decade past the width's integer digits never reaches its row
+    fixed = [((pos == 2) & (neg == 1)) | ((pos == 3) & (e < 0))
+             | ((pos >= 7) & (pos < 8 + e)) | ((pos == point) & (e + tz < 16))
+             | ((pos >= point + 8 + e) & (pos < point + 24 - tz)) for e in range(-4, 16)]
+    fallback = (pos >= 4) & (pos < 4 + np.arange(25)[:, None])
+    return np.concatenate(fixed + [fallback]).view(f"V{len(pos)}").ravel()
 
 
-def _zero_run(zeros: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """Zero digits in a row from the first group on, given each group's own
-    run (``zeros``, 4 for a zero group) along the leading axis."""
-    run = zeros[-1]
-    for z, g in zip(zeros[-2::-1], groups[-2::-1]):
-        run = z + (g == 0) * run
-    return run
+def _groups(v: np.ndarray, count: int):
+    """The last count 4-digit groups of the decimal digits of unsigned 64-bit
+    v, the most significant first, one array at a time; the first takes what
+    is left of v, at most 1844.  Overwrites v."""
+    for k in range(4 * count - 4, -1, -4):
+        g = v // 10 ** k
+        v -= g * 10 ** k
+        yield g
 
 
 def _significand(a: np.ndarray, tables: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -128,51 +121,63 @@ def _significand(a: np.ndarray, tables: dict) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _float_fields(x: np.ndarray, tables: dict):
-    """(slot codes, packed digits, fallback) of a (rows, fields) block of
-    float64 values.  The fallback (rows, fields, texts) holds the "%.17g"
-    texts of the values outside the fixed window, NUL-padded to 24 bytes."""
+    """(slot codes, packed digits, widths, fallback) of a (fields, rows) block
+    of float64 values.  A field's width holds the integer digits of its
+    largest value.  The fallback (fields, rows, texts) holds the "%.17g" texts
+    of the values outside the fixed window, NUL-padded to 24 bytes."""
     a = np.abs(x)
     fixed = (a >= 1e-4) & (a < 1e16)   # NaN compares False
-    a[~fixed] = 1.0
+    np.copyto(a, 1.0, where=~fixed)
     e, d = _significand(a, tables)
-    groups = _groups(d)
-    trailing = _zero_run(tables["trailing"].take(groups[::-1]), groups[::-1])
+    digits = np.empty((5,) + x.shape, dtype=np.uint32)
+    for j, g in enumerate(_groups(d, 5)):   # and the zero digits that trail them
+        tables["groups"].take(g, out=digits[j])
+        zeros = tables["trailing"].take(g)
+        trailing = zeros if j == 0 else zeros + (g == 0) * trailing
     codes = 34 * e + 2 * trailing + (136 + np.signbit(x))
-    rows, cols = np.nonzero(~fixed)
-    texts = [b"%.17g" % v for v in x[rows, cols].tolist()]
-    codes[rows, cols] = _FALLBACK + np.fromiter(map(len, texts), np.intp, len(texts))
+    fields, rows = np.divmod(np.flatnonzero(~fixed), x.shape[1])
+    texts = [b"%.17g" % v for v in x[fields, rows].tolist()]
+    codes[fields, rows] = _FALLBACK + np.fromiter(map(len, texts), np.intp, len(texts))
     texts = np.array(texts, dtype="S24").view(np.uint8).reshape(-1, 24)
-    return codes, tables["groups"].take(groups), (rows, cols, texts)
+    widths = (e.max(axis=1, initial=0) + 3) // 4 + 1   # e >= 0 where a fallback stood
+    return codes, digits, widths.tolist(), (fields, rows, texts)
 
 
 def _int_fields(v: np.ndarray, tables: dict):
-    """(slot codes, packed digits, None) of a (rows, fields) block of int64
-    values, -2^63 included."""
+    """(slot codes, packed digits, widths, None) of a (fields, rows) block of
+    int64 values, -2^63 included.  A field's width holds the digits of its
+    widest value, and only the groups of the widest field are formed."""
     neg = v < 0
     u = v.astype(np.uint64)
-    groups = _groups(np.where(neg, -u, u))
-    digits = np.maximum(20 - _zero_run(tables["leading"].take(groups), groups), 1)
-    return 2 * digits + neg, tables["groups"].take(groups), None
+    u = np.where(neg, -u, u)
+    widths = [-(-len(str(top)) // 4) for top in u.max(axis=1, initial=0).tolist()]
+    count = max(widths)
+    length = 1 + sum(u >= 10 ** k for k in range(1, 4 * count))
+    digits = np.empty((count,) + v.shape, dtype=np.uint32)
+    for j, g in enumerate(_groups(u, count)):
+        tables["groups"].take(g, out=digits[j])
+    return 2 * length + neg, digits, widths, None
 
 
-@functools.lru_cache(maxsize=None)
-def _row_layout(literals: tuple[bytes, ...], floats: tuple[bool, ...]):
-    """One row's template bytes and mask, and each field's slot offset."""
+@functools.lru_cache(maxsize=64)   # a bound, as the widths vary from block to block
+def _row_layout(literals: tuple[bytes, ...], slots: tuple[tuple[bool, int], ...]):
+    """One row's template bytes and mask, and each field's slot offset, for
+    fields of the given (is float, width)."""
     chars, keep, offsets = [], [], []
-    for lit, is_float in itertools.zip_longest(literals, floats):
+    for lit, slot in itertools.zip_longest(literals, slots):
         size = -(-len(lit) // 4) * 4
         chars.append(np.frombuffer(lit.ljust(size, b"\0"), dtype=np.uint8))
         keep.append(np.arange(size) < len(lit))
-        if is_float is None:
+        if slot is None:
             break
+        is_float, width = slot
         offsets.append(sum(map(len, chars)))
-        slot = np.zeros(_FLOAT_SLOT if is_float else _INT_SLOT, dtype=np.uint8)
+        chars.append(np.zeros(4 + 4 * width + 24 * is_float, dtype=np.uint8))
         if is_float:
-            slot[[2, 3, 24]] = np.frombuffer(b"-0.", dtype=np.uint8)
+            chars[-1][[2, 3, 4 + 4 * width]] = np.frombuffer(b"-0.", dtype=np.uint8)
         else:
-            slot[3] = ord("-")
-        chars.append(slot)
-        keep.append(np.zeros(len(slot), dtype=bool))
+            chars[-1][3] = ord("-")
+        keep.append(np.zeros(len(chars[-1]), dtype=bool))
     return np.concatenate(chars), np.concatenate(keep), offsets
 
 
@@ -181,30 +186,36 @@ def format_rows(literals: tuple[bytes, ...], columns: Sequence[np.ndarray]) -> n
     of rows as one uint8 array: a float64 column prints as "%.17g", an int64
     column as "%d"."""
     tables = _tables()
-    floats = tuple(c.dtype.kind == "f" for c in columns)
-    template, keep_row, offsets = _row_layout(literals, floats)
+    floats = [c.dtype.kind == "f" for c in columns]
     # codes and digits first, so that their temporaries are gone before the rows exist
-    kinds = []
+    kinds, slots = [], [None] * len(columns)
     for is_float in (True, False):
-        values = [c for c, f in zip(columns, floats) if f == is_float]
-        if values:
-            starts = [o for o, f in zip(offsets, floats) if f == is_float]
-            fields = (_float_fields if is_float else _int_fields)(np.stack(values, axis=1), tables)
-            kinds.append((is_float, starts, *fields))
+        fields = [i for i, f in enumerate(floats) if f == is_float]
+        if fields:
+            values = np.stack([columns[i] for i in fields])
+            codes, digits, widths, fallback = (_float_fields if is_float else _int_fields)(
+                values, tables)
+            for i, w in zip(fields, widths):
+                slots[i] = (is_float, w)
+            kinds.append((is_float, fields, codes, digits, widths, fallback))
+    template, keep_row, offsets = _row_layout(literals, tuple(slots))
     chars = np.empty((len(columns[0]), len(template)), dtype=np.uint8)
     chars[:] = template
     keep = np.empty(chars.shape, dtype=bool)
     keep[:] = keep_row
     words = chars.view(np.uint32)
-    for is_float, starts, codes, digits, fallback in kinds:
-        for i, start in enumerate(starts):
-            words[:, start // 4 + 1:start // 4 + 6] = digits[:, :, i].T
-            if is_float:   # the second copy, which prints the fraction digits
-                words[:, start // 4 + 7:start // 4 + 12] = digits[:, :, i].T
+    for is_float, fields, codes, digits, widths, fallback in kinds:
+        starts = [offsets[i] // 4 for i in fields]
+        for i, (start, w) in enumerate(zip(starts, widths)):
+            if is_float:   # the first w groups, then the second copy after the point
+                words[:, start + 1:start + 1 + w] = digits[:w, i].T
+                words[:, start + 2 + w:start + 7 + w] = digits[:, i].T
+            else:          # the last w groups
+                words[:, start + 1:start + 1 + w] = digits[len(digits) - w:, i].T
+            masks = _masks(is_float, w)
+            keep[:, 4 * start:4 * start + masks.itemsize].view(masks.dtype)[:, 0] = \
+                masks.take(codes[i])
         if fallback is not None:
-            rows, cols, texts = fallback
-            chars[rows[:, None], np.array(starts)[cols, None] + np.arange(4, 28)] = texts
-        masks = tables["float_masks" if is_float else "int_masks"]
-        for i, start in enumerate(starts):
-            keep[:, start:start + masks.itemsize].view(masks.dtype)[:, 0] = masks.take(codes[:, i])
+            fields, rows, texts = fallback
+            chars[rows[:, None], 4 * np.array(starts)[fields, None] + np.arange(4, 28)] = texts
     return chars[keep]

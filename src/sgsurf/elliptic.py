@@ -139,26 +139,29 @@ def _modulus(k: float) -> EllipticModulus:
     )
 
 
-def _landen(u, mod: EllipticModulus):
-    """(sn, cn, dn, int_0^u sn^2) by one descending Landen pass over u mod 4K."""
+def _landen(u, mod: EllipticModulus, amplitudes: bool = True, integral: bool = True):
+    """(sn, cn, dn) with ``amplitudes``, then int_0^u sn^2 with ``integral``,
+    by one descending Landen pass over u mod 4K."""
     r = u - 4.0 * mod.K * np.round(u / (4.0 * mod.K))
     phi = mod.scale * r
     zeta = 0.0   # Z(r) / k^2 = Z(u) / k^2, accumulated from the smallest term
     for ratio, weight in mod.landen:
         s = np.sin(phi)
-        zeta = zeta + weight * s
+        if integral:
+            zeta = zeta + weight * s
         phi = 0.5 * (phi + np.arcsin(ratio * s))
-    cn = np.cos(phi)
-    dn = np.sqrt(mod.kp * mod.kp + mod.m * (cn * cn))
-    return np.sin(phi), cn, dn, mod.slope * u - zeta
+    values = ()
+    if amplitudes:
+        cn = np.cos(phi)
+        values = (np.sin(phi), cn, np.sqrt(mod.kp * mod.kp + mod.m * (cn * cn)))
+    return values + ((mod.slope * u - zeta,) if integral else ())
 
 
 def jacobi(u, mod: EllipticModulus, integral: bool = False):
     """(sn u, cn u, dn u) at modulus mod.k; total on finite real arguments.
     With ``integral``, int_0^u sn^2 follows as a fourth array, from the same
     Landen pass."""
-    values = _landen(u, mod)
-    return values if integral else values[:3]
+    return _landen(u, mod, integral=integral)
 
 
 def sn2_integral(u, mod: EllipticModulus):
@@ -166,7 +169,7 @@ def sn2_integral(u, mod: EllipticModulus):
 
     Odd in u, with quasi-period increment 2(K - E)/k^2 per 2K step.
     """
-    return _landen(u, mod)[3]
+    return _landen(u, mod, amplitudes=False)[0]
 
 
 def _lattice_step(mod: EllipticModulus, family: str, step: float, flipped: bool):
@@ -197,11 +200,13 @@ def _closed_form(phi, psi, sign, drift, mod: EllipticModulus, family: str):
         z = z - count * integral
     k = mod.k
     x, y = sign * np.cos(phi), sign * np.sin(phi)
+    F = np.empty(np.shape(z) + (3,))
+    N = np.empty_like(F)
     if family == "dn":
-        F = (x * dn / k, y * dn / k, -k * z)
-        N = (x * sn, y * sn, -cn)
+        F[..., 0], F[..., 1], F[..., 2] = x * dn / k, y * dn / k, -k * z
+        N[..., 0], N[..., 1], N[..., 2] = x * sn, y * sn, -cn
     else:
         x, y = k * x, k * y
-        F = (x * cn, y * cn, -k * k * z)
-        N = (x * sn, y * sn, -dn)
-    return np.stack(F, axis=-1), np.stack(N, axis=-1)
+        F[..., 0], F[..., 1], F[..., 2] = x * cn, y * cn, -k * k * z
+        N[..., 0], N[..., 1], N[..., 2] = x * sn, y * sn, -dn
+    return F, N

@@ -242,9 +242,9 @@ def _count_landen_passes(monkeypatch) -> list:
     passes = []
     real = elliptic._landen
 
-    def counting(u, mod):
+    def counting(u, mod, **parts):
         passes.append(np.size(u))
-        return real(u, mod)
+        return real(u, mod, **parts)
 
     monkeypatch.setattr(elliptic, "_landen", counting)
     return passes
@@ -393,12 +393,71 @@ def test_text_kernel_prints_percent_d_byte_for_byte():
     assert _kernel_lines(values) == expected.encode()
 
 
+def _decade_block(top):
+    """Floats whose largest value inside the fixed window lies in decade top:
+    the edges of every decade -4..top, a stride through each, an exact tie of
+    each (odd / 2^(17 - e), whose 18th significant digit is the last, a 5),
+    both signs, and one value outside the window."""
+    x = []
+    for e in range(-4, top + 1):
+        lo, hi = 10.0 ** e, np.nextafter(10.0 ** (e + 1), 0.0)
+        q = 2.0 ** (17 - e)
+        x += [lo, hi, *np.linspace(lo, hi, 7)[1:-1]]
+        x += [(2 * round(0.75 * lo * q) + j) / q for j in (-3, -1, 1, 3)]
+    x.append((0.0, math.nan, 1e-300, 1e300)[top % 4])
+    x = np.array(x)
+    return np.concatenate([x, -x[::3]])
+
+
+@pytest.mark.parametrize("top", range(-4, 16))
+def test_text_kernel_sizes_float_slots_to_the_block(top):
+    values = _decade_block(top)
+    assert max(abs(v) for v in values if 1e-4 <= abs(v) < 1e16) >= 10.0 ** top
+    expected = ("%.17g\n" * len(values)) % tuple(values.tolist())
+    assert _text.format_rows((b"", b"\n"), [values]).tobytes() == expected.encode()
+
+
+@pytest.mark.parametrize("digits", [*range(1, 20), "min"])
+def test_text_kernel_sizes_integer_slots_to_the_block(digits):
+    if digits == "min":
+        values = [-2 ** 63, -2 ** 63 + 1, 0, 7]
+    else:
+        top = 2 ** 63 - 1 if digits == 19 else 10 ** digits - 1
+        values = [0, 1, -1, top, -top, top // 7] + [s * 10 ** k for k in range(digits)
+                                                     for s in (1, -1)]
+    expected = ("%d\n" * len(values)) % tuple(values)
+    block = np.array(values, dtype=np.int64)
+    assert _text.format_rows((b"", b"\n"), [block]).tobytes() == expected.encode()
+
+
+def test_text_kernel_sizes_each_column_of_a_block():
+    # columns of every width side by side in one call, each slot sized to its own column
+    rng = np.random.default_rng(7)
+    rows = 300
+    floats = [rng.choice(_decade_block(top), rows) for top in (-4, 0, 4, 9, 15)]
+    ints = [rng.integers(-10 ** d, 10 ** d, rows) for d in (1, 5, 18)]
+    ints.append(np.full(rows, -2 ** 63))
+    columns = [floats[0], ints[0], floats[1], floats[4], ints[1], floats[2], ints[3], floats[3],
+               ints[2]]
+    text = _text.format_rows((b"r ",) + (b",",) * 8 + (b";\n",), columns)
+    fmt = "r " + ",".join("%.17g" if c.dtype.kind == "f" else "%d" for c in columns) + ";\n"
+    expected = "".join(fmt % row for row in zip(*(c.tolist() for c in columns)))
+    assert text.tobytes() == expected.encode()
+
+
 def test_text_kernel_tables_are_built_on_first_write_only(tmp_path):
+    # the shared tables on the first write, and a width's masks on the first
+    # block that reaches it
     _text._tables.cache_clear()
+    _text._masks.cache_clear()
     assert cli.main(["verify", "--out", str(tmp_path / "report.json")]) == 0
     assert _text._tables.cache_info().currsize == 0   # verify writes no geometry
+    assert _text._masks.cache_info().currsize == 0
     cli.write_obj(tmp_path / "m.obj", np.zeros((2, 2, 3)))
     assert _text._tables.cache_info().currsize == 1
+    assert _text._masks.cache_info().currsize == 2   # one float width, one integer width
+    cli.write_obj(tmp_path / "m.obj", np.full((2, 2, 3), 12345.0))
+    assert _text._masks.cache_info().currsize == 3
 
 
 @pytest.mark.parametrize("argv, writes", [

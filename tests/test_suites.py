@@ -304,3 +304,58 @@ def test_report_bytes_are_pinned(monkeypatch, tmp_path, command):
     level = _dispatch_level()
     assert level in REPORT_DIGESTS, f"no digests pinned for {level}: {command} {digest}"
     assert digest == REPORT_DIGESTS[level][command]
+
+
+# The README's example commands, as bench/workloads.py::canonical runs them,
+# and the digests of the geometry they write, pinned per level like
+# REPORT_DIGESTS: the Landen descent's arcsin reaches every artifact but the
+# curve's.  A directory's digest is that of its sorted (name, file digest)
+# listing.
+GEOMETRY_COMMANDS = {
+    "curve": (["curve", "--k", "0.6", "--gamma", "0.8", "--m-min", "-10", "--m-max", "10",
+               "--t-steps", "5", "--t-stop", "2.0"], ["curve.csv"]),
+    "kaleidocycle_n6": (["kaleidocycle", "--n", "6", "--t-steps", "24", "--t-stop", "6.28"],
+                        ["anim"]),
+    "ksurface_128": (["ksurface", "--family", "dn", "--k", "0.8", "--gamma", "0.1247",
+                      "--delta", "0.1247", "--m", "128", "--n", "128"],
+                     ["sheet.obj", "sheet.json"]),
+}
+_CURVE = "23f6ace12c81b1c3af040f25cb05267da7cd982738966c6cef874e46ea551717"
+_WITHOUT_V4 = {
+    "curve": _CURVE,
+    "kaleidocycle_n6": "48d7d872c768c16bfbbb82d603224ed05b1354a3bdd5dcccb84ee8c60201e565",
+    "ksurface_128.obj": "e3515d3c7afdb7b4306178706211a94e195d4521dae183f2ff0371ee42730487",
+    "ksurface_128.json": "c105c76b205bfb649387b35182b06f0ef1139a15f1e7b86d095ee9fa7d37538b",
+}
+GEOMETRY_DIGESTS = {
+    "X86_V4": {
+        "curve": _CURVE,
+        "kaleidocycle_n6": "a9e8c6903c9842d6318680ea5b4762734f99ac56ca62b26e556108b6dff354f5",
+        "ksurface_128.obj": "bc1b8e479a5531a5928b8cda2ee0e10ceef14c1f9921471a16be2448c89463a3",
+        "ksurface_128.json": "b34c34a240974eb6cbc66165e133b7f88859cec4f0a11d972bb424a62a559e62",
+    },
+    "X86_V3": _WITHOUT_V4,
+    "X86_V2": _WITHOUT_V4,
+}
+
+
+def _digest(path: Path) -> str:
+    if path.is_dir():
+        listing = "".join(f"{p.name}\0{_digest(p)}\n" for p in sorted(path.iterdir()))
+        return hashlib.sha256(listing.encode()).hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_geometry_bytes_are_pinned(tmp_path):
+    """The bytes of the README's geometry examples at this dispatch level:
+    every float of every artifact is printed to the last bit, so a change of
+    evaluation order or of the text kernel shows here."""
+    digests = {}
+    for name, (argv, outputs) in GEOMETRY_COMMANDS.items():
+        assert cli.main(argv + ["--out", str(tmp_path / outputs[0])]) == 0
+        for out in outputs:
+            key = name if len(outputs) == 1 else name + Path(out).suffix
+            digests[key] = _digest(tmp_path / out)
+    level = _dispatch_level()
+    assert level in GEOMETRY_DIGESTS, f"no digests pinned for {level}: {digests}"
+    assert digests == GEOMETRY_DIGESTS[level]
