@@ -44,9 +44,9 @@ SCHEMA_VERSION = 1
 MAX_SITES = 2 ** 22
 # Values the writers format per call of the text kernel (``_text.format_rows``):
 # each writer's block is the fixed number of its rows that holds this many, so
-# that a block's memory (about 2.5 MB) is bounded at any window and numpy's
+# that a block's memory (under 1 MB) is bounded at any window and numpy's
 # per-call cost is amortised.
-_BLOCK_VALUES = 12288
+_BLOCK_VALUES = 4608
 
 
 # ----------------------------------------------------------------- writers --
