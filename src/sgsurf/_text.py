@@ -93,7 +93,7 @@ def _groups(v: np.ndarray, count: int):
     for k in range(4 * count - 4, -1, -4):
         g = v // 10 ** k
         v -= g * 10 ** k
-        yield g
+        yield g.view(np.int64)   # table indices: take converts unsigned ones first
 
 
 def _significand(a: np.ndarray, tables: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -152,7 +152,7 @@ def _int_fields(v: np.ndarray, tables: dict):
     u = np.where(neg, -u, u)
     widths = [-(-len(str(top)) // 4) for top in u.max(axis=1, initial=0).tolist()]
     count = max(widths)
-    length = 1 + sum(u >= 10 ** k for k in range(1, 4 * count))
+    length = 1 + np.searchsorted(10 ** np.arange(1, 4 * count, dtype=np.uint64), u, "right")
     digits = np.empty((count,) + v.shape, dtype=np.uint32)
     for j, g in enumerate(_groups(u, count)):
         tables["groups"].take(g, out=digits[j])
