@@ -19,11 +19,11 @@ def main():
 
     print("flow decomposition (dn family, untwisted)")
     p = surfaces.SurfaceParams(mod=mod, family="dn", gamma_step=0.8, beta_rate=1.0)
-    # the frame (T, N, B) at site m is row m of one snapshot
-    snap = surfaces.snapshot(p, range(5), 0.5)
+    # the frame (T, N, B) at site m is element [0, m] of a one-time window
+    window = surfaces.snapshots(p, range(5), [0.5])
     for m in range(4):
         v = surfaces.flow_velocity(p, m, 0.5)
-        T, N, B = snap.tangents[m], snap.normals[m], snap.binormals[m]
+        T, N, B = window.tangents[0, m], window.normals[0, m], window.binormals[0, m]
         w = surfaces.flow_angle(p, m, 0.5)
         print(f"  m={m}: <v,T>={np.dot(v, T):+.6f} (cos w = {w.c:+.6f}) "
               f"<v,N>={np.dot(v, N):+.6f} (sin w = {w.s:+.6f}) "

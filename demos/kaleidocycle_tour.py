@@ -49,10 +49,10 @@ def main():
     # write an animation of the n = 6 ring (12 hinges), one CSV per frame
     n = 6
     p = surfaces.kaleidocycle_params(n)
-    for idx, t in enumerate(t_values):
-        snap = surfaces.snapshot(p, range(surfaces.kaleidocycle_period(n, "dn") + 1), float(t))
+    w = surfaces.snapshots(p, range(surfaces.kaleidocycle_period(n, "dn") + 1), t_values)
+    for idx in range(len(t_values)):
         lines = ["m,x,y,z,Bx,By,Bz"]
-        for m, pt, b in zip(snap.m_values, snap.points, snap.binormals):
+        for m, pt, b in zip(w.ms, w.points[idx], w.binormals[idx]):
             lines.append(",".join([str(int(m))] + [f"{v:.17g}" for v in (*pt, *b)]))
         (out / f"ring6_{idx:03d}.csv").write_text("\n".join(lines) + "\n")
     print(f"wrote {len(t_values)} animation frames for n=6 to {out}/")

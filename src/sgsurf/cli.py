@@ -1,7 +1,7 @@
 """Command-line front end: geometry exports and verification reports.
 
 Subcommands
-  curve         semi-discrete surface snapshots as CSV rows (t, m, x, y, z, Bx, By, Bz)
+  curve         a semi-discrete surface's (t, m) window as CSV rows t,m,x,y,z,Bx,By,Bz
   kaleidocycle  closed linkage, one CSV per time sample
   ksurface      OBJ quad mesh plus a JSON sidecar with edge data and residuals
   verify        run every verification suite, write a JSON report
@@ -57,49 +57,37 @@ _CSV_HEADER = b"t,m,x,y,z,Bx,By,Bz\n"
 _CSV_ROW = (b"",) + (b",",) * 7 + (b"\n",)
 
 
-def _csv_columns(snap, a: int, b: int) -> tuple:
-    """The columns t, m, x, y, z, Bx, By, Bz of a snapshot's rows a..b-1."""
-    return (np.full(b - a, float(snap.t)), np.asarray(snap.m_values[a:b], dtype=np.int64),
-            *np.asarray(snap.points[a:b], dtype=np.float64).T,
-            *np.asarray(snap.binormals[a:b], dtype=np.float64).T)
-
-
-def _csv_pieces(snapshots):
-    """(snapshot index, text) pieces of the CSV rows t,m,x,y,z,Bx,By,Bz of the
-    snapshots in turn: a block of rows is formatted at a time, across
-    snapshots, and each block's text is cut where a snapshot ends."""
+def _csv_pieces(w):
+    """(time index, text) pieces of the CSV rows t,m,x,y,z,Bx,By,Bz of a curve
+    window, time by time: a block of rows is formatted at a time, across
+    times, and each block's text is cut where a time's rows begin."""
     from . import _text   # the text kernel loads with the first geometry write
-    sizes = [len(s.m_values) for s in snapshots]
-    starts = np.cumsum([0] + sizes)   # global index of each snapshot's first row
+    M, rows = len(w.ms), len(w.ts) * len(w.ms)
     block = _BLOCK_VALUES // 8
-    for lo in range(0, starts[-1], block):
-        hi = min(lo + block, starts[-1])
-        spans = [(i, max(lo - starts[i], 0), min(hi - starts[i], sizes[i]))
-                 for i in range(np.searchsorted(starts, lo, side="right") - 1,
-                                np.searchsorted(starts, hi))]
-        spans = [(i, a, b) for i, a, b in spans if b > a]
-        columns = [np.concatenate(c) for c in zip(*(_csv_columns(snapshots[i], a, b)
-                                                    for i, a, b in spans))]
-        text = _text.format_rows(_CSV_ROW, columns)
+    for lo in range(0, rows, block):
+        i, j = np.divmod(np.arange(lo, min(lo + block, rows)), M)
+        text = _text.format_rows(_CSV_ROW, [w.ts[i], w.ms[j], *w.points[i, j].T,
+                                            *w.binormals[i, j].T])
         ends = np.flatnonzero(text == ord("\n")) + 1
-        cuts = [0, *ends[np.cumsum([b - a for _, a, b in spans]) - 1]]
-        for (i, _, _), a, b in zip(spans, cuts, cuts[1:]):
-            yield i, text[a:b]
+        heads = np.flatnonzero(j[1:] == 0)   # row r + 1 opens the next time
+        cuts = [0, *ends[heads], len(text)]
+        for t, a, b in zip(i[[0, *(heads + 1)]].tolist(), cuts, cuts[1:]):
+            yield t, text[a:b]
 
 
-def write_curve_csv(path: Path, snapshots) -> None:
-    """Rows t,m,x,y,z,Bx,By,Bz of each snapshot in turn, 17 significant digits."""
+def write_curve_csv(path: Path, window) -> None:
+    """Rows t,m,x,y,z,Bx,By,Bz of a curve window, time by time, 17 significant digits."""
     with path.open("wb") as f:
         f.write(_CSV_HEADER)
-        for _, text in _csv_pieces(snapshots):
+        for _, text in _csv_pieces(window):
             f.write(text)
 
 
-def write_frames(out_dir: Path, snapshots) -> None:
-    """One file frame_0000.csv, frame_0001.csv, ... per snapshot, each
-    holding that snapshot's rows as ``write_curve_csv`` writes them; the rows
-    of all the snapshots are formatted in one pass."""
-    for idx, pieces in itertools.groupby(_csv_pieces(snapshots), key=operator.itemgetter(0)):
+def write_frames(out_dir: Path, window) -> None:
+    """One file frame_0000.csv, frame_0001.csv, ... per time of a curve window,
+    each holding that time's rows as ``write_curve_csv`` writes them; the rows
+    of all the times are formatted in one pass."""
+    for idx, pieces in itertools.groupby(_csv_pieces(window), key=operator.itemgetter(0)):
         with (out_dir / f"frame_{idx:04d}.csv").open("wb") as f:
             f.write(_CSV_HEADER)
             for _, text in pieces:
@@ -179,9 +167,9 @@ def cmd_curve(ns: argparse.Namespace) -> int:
     p = SurfaceParams(mod=mod, family=ns.family, gamma_step=gamma,
                       beta_rate=ns.beta, twisted=ns.twisted)
     # every slice is validated before the file is opened
-    snaps = snapshots(p, ms, ts)
-    write_curve_csv(ns.out_path, snaps)
-    print(f"wrote {ns.out_path} ({sum(len(s.m_values) for s in snaps)} rows)")
+    window = snapshots(p, ms, ts)
+    write_curve_csv(ns.out_path, window)
+    print(f"wrote {ns.out_path} ({len(window.ts) * len(window.ms)} rows)")
     return 0
 
 
@@ -196,13 +184,12 @@ def cmd_kaleidocycle(ns: argparse.Namespace) -> int:
     ms = _m_values(0, period if ns.m_max is None else ns.m_max, period)
     samples = _t_samples(ns, ms)
     # every frame is validated before the first file is written
-    snaps = snapshots(p, ms, samples)
-    shifted = gamma_point(p, snaps[0].m_values + period, samples[:, None])
-    points = np.stack([snap.points for snap in snaps])
-    worst = float(np.linalg.norm(shifted - points, axis=-1).max())
+    window = snapshots(p, ms, samples)
+    shifted = gamma_point(p, window.ms + period, samples[:, None])
+    worst = float(np.linalg.norm(shifted - window.points, axis=-1).max())
     out_dir = ns.out_path
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_frames(out_dir, snaps)
+    write_frames(out_dir, window)
     print(f"wrote {len(samples)} frame(s) to {out_dir}; closure defect {worst:.3e}")
     return 0 if worst < 1e-9 else 1
 

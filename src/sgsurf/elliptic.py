@@ -139,9 +139,9 @@ def _modulus(k: float) -> EllipticModulus:
     )
 
 
-def _landen(u, mod: EllipticModulus, amplitudes: bool = True, integral: bool = True):
-    """(sn, cn, dn) with ``amplitudes``, then int_0^u sn^2 with ``integral``,
-    by one descending Landen pass over u mod 4K."""
+def _landen(u, mod: EllipticModulus, integral: bool = True):
+    """(sn, cn, dn), then int_0^u sn^2 with ``integral``, by one descending
+    Landen pass over u mod 4K."""
     r = u - 4.0 * mod.K * np.round(u / (4.0 * mod.K))
     phi = mod.scale * r
     zeta = 0.0   # Z(r) / k^2 = Z(u) / k^2, accumulated from the smallest term
@@ -150,11 +150,9 @@ def _landen(u, mod: EllipticModulus, amplitudes: bool = True, integral: bool = T
         if integral:
             zeta = zeta + weight * s
         phi = 0.5 * (phi + np.arcsin(ratio * s))
-    values = ()
-    if amplitudes:
-        cn = np.cos(phi)
-        values = (np.sin(phi), cn, np.sqrt(mod.kp * mod.kp + mod.m * (cn * cn)))
-    return values + ((mod.slope * u - zeta,) if integral else ())
+    cn = np.cos(phi)
+    dn = np.sqrt(mod.kp * mod.kp + mod.m * (cn * cn))
+    return (np.sin(phi), cn, dn) + ((mod.slope * u - zeta,) if integral else ())
 
 
 def jacobi(u, mod: EllipticModulus, integral: bool = False):
@@ -169,7 +167,7 @@ def sn2_integral(u, mod: EllipticModulus):
 
     Odd in u, with quasi-period increment 2(K - E)/k^2 per 2K step.
     """
-    return _landen(u, mod, amplitudes=False)[0]
+    return _landen(u, mod)[3]
 
 
 def _lattice_step(mod: EllipticModulus, family: str, step: float, flipped: bool):

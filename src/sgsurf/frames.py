@@ -1,8 +1,8 @@
 """Discrete Frenet frames as row arrays: curvature and torsion of a chain.
 
 A chain is three arrays T, N, B of shape (..., M, 3) holding one orthonormal
-right-handed frame per row: a snapshot's ``tangents``, ``normals`` and
-``binormals``, a stack of snapshots, or the rows of a mesh.  Consecutive
+right-handed frame per row: the ``tangents``, ``normals`` and ``binormals``
+of a curve window (one chain per time), or the rows of a mesh.  Consecutive
 frames j and j + 1 give the cosine and sine of the discrete curvature and
 torsion angles, formed for the whole chain at once.
 """

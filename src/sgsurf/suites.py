@@ -14,8 +14,8 @@ sensitivity suite (``comparison="gt"``: a broken input must be detected, so
 it passes when the value EXCEEDS the tolerance) takes the smallest instead.
 A NaN anywhere makes the value NaN, which fails both comparisons; a suite
 that yields nothing reads NaN as well, and so does one that raises
-ValidationError while it draws its residuals (a snapshot that fails its
-curve invariants), so the other suites still run.
+ValidationError while it draws its residuals (a curve window that fails its
+invariants), so the other suites still run.
 
 ``cases`` is a function that returns the suite's fixed cases (moduli,
 lattices or tuples), and the runner chains the generator over all of them
@@ -385,12 +385,6 @@ def _dot(a, b):   # dot products over the trailing axis of 3
     return (a * b).sum(axis=-1)
 
 
-def _frame_rows(snaps):
-    """(T, N, B) of the snapshots, stacked along a leading time axis."""
-    return [np.stack([getattr(s, rows) for s in snaps])
-            for rows in ("tangents", "normals", "binormals")]
-
-
 @suite("surfaces.edge_identity", 1e-10, cases=_all_curves)
 def suite_surface_edges(p):
     g, b = surfaces._curve(p, np.arange(-20, 21), _TIMES)
@@ -428,11 +422,11 @@ def suite_surface_flow_orthogonality(p):
 def suite_surface_flow_components(p):
     """Tangential/normal flow components against the half-angle field."""
     rho = p.sigma * p.beta_rate * (1.0 if p.family == "dn" else p.mod.k)
-    T, N, _ = _frame_rows(surfaces.snapshots(p, _FLOW_MS, _FLOW_TIMES[:, 0]))
+    window = surfaces.snapshots(p, _FLOW_MS, _FLOW_TIMES[:, 0])
     v = surfaces.flow_velocity(p, _FLOW_MS, _FLOW_TIMES)
     w = surfaces.flow_angle(p, _FLOW_MS, _FLOW_TIMES)
-    yield _dot(v, T) - rho * w.c
-    yield _dot(v, N) - rho * w.s
+    yield _dot(v, window.tangents) - rho * w.c
+    yield _dot(v, window.normals) - rho * w.s
 
 
 @suite("surfaces.field_solves_lattice_equations", 1e-9, cases=lambda: _curves(0.6))
@@ -447,7 +441,8 @@ def suite_surface_curvature(p):
     """Curvature equals +-(w_{m+2} - w_m)/2 at the sine/cosine level."""
     ts = np.array([0.0, 0.45])
     sgn = -1.0 if p.twisted else 1.0
-    geo = frames.extract_geometry(*_frame_rows(surfaces.snapshots(p, range(-8, 9), ts)))
+    window = surfaces.snapshots(p, range(-8, 9), ts)
+    geo = frames.extract_geometry(window.tangents, window.normals, window.binormals)
     # half-angle samples at m = -8..9: sites m (first 16) and m + 2 (last 16)
     w = surfaces.half_angles(p, np.arange(-8, 10), ts[:, None])
     c, s = w.c, w.s

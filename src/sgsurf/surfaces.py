@@ -21,8 +21,8 @@ Gamma_{m+1} - Gamma_m = eps B_{m+1} x B_m, the edge length is |sn gamma|
 Frames: T_m = sigma (B_{m+1} x B_m) / s with s = sn(gamma) or k sn(gamma),
 and N_m = B_m x T_m.  The frame sign sigma = +-1 is derived, not passed:
 sigma s > 0 (untwisted) and sigma s < 0 (twisted) admit exactly
-sigma = sign(s) eps.  Frames are rows of arrays, never objects: a snapshot
-holds them as ``tangents``, ``normals`` and ``binormals``.
+sigma = sign(s) eps.  Frames are rows of arrays, never objects: a curve
+window holds them as ``tangents``, ``normals`` and ``binormals``.
 
 Field: a lattice carries the elliptic sine-Gordon field w_m at its phases
 psi, (cos w/2, sin w/2) = (dn psi, -k sn psi) (dn) or (cn psi, sn psi) (cn).
@@ -33,8 +33,8 @@ alike, and returns a ``HalfAngle``; ``sg`` certifies the lattice equations.
 The closed forms are evaluated on whole arrays of sites: ``gamma_point``,
 ``b_point`` and ``half_angles`` take integer arrays as well as integers,
 ``snapshots`` is one evaluation over the sites m and m + 1 at every time of
-a window (``snapshot`` is its one-time case), and every element equals the
-single-site value bit for bit.
+a (t, m) window, returned whole as a ``CurveWindow``, and every element
+equals the single-site value bit for bit.
 """
 
 from __future__ import annotations
@@ -219,23 +219,23 @@ def flow_angle(p: SurfaceParams, m, t: float) -> HalfAngle:
 
 
 @dataclass(frozen=True)
-class CurveSnapshot:
-    """One time slice of the deforming curve; row j of tangents, normals and
-    binormals is the frame (T, N, B) at site m_values[j]."""
+class CurveWindow:
+    """The deforming curve over times ts and sites ms; element [i, j] of
+    points, binormals, tangents and normals belongs to time ts[i] and site
+    ms[j], and (tangents, normals, binormals)[i, j] is its frame (T, N, B)."""
 
-    t: float
-    m_values: np.ndarray
-    points: np.ndarray     # (M, 3)
-    binormals: np.ndarray  # (M, 3)
-    tangents: np.ndarray   # (M, 3)
-    normals: np.ndarray    # (M, 3)
+    ts: np.ndarray         # (T,)
+    ms: np.ndarray         # (M,)
+    points: np.ndarray     # (T, M, 3)
+    binormals: np.ndarray  # (T, M, 3)
+    tangents: np.ndarray   # (T, M, 3)
+    normals: np.ndarray    # (T, M, 3)
 
 
-def snapshots(p: SurfaceParams, m_range: Sequence[int],
-              ts: Sequence[float]) -> list[CurveSnapshot]:
-    """One validated snapshot per time in ts, from one evaluation of the whole
-    (t, m) window; raises ValidationError, with the residuals of the first
-    defective slice, before any snapshot is returned."""
+def snapshots(p: SurfaceParams, m_range: Sequence[int], ts: Sequence[float]) -> CurveWindow:
+    """The validated curve window at the times ts and sites m_range, from one
+    evaluation; raises ValidationError with the residuals of the first
+    defective time slice."""
     ms = np.asarray(list(m_range), dtype=int)
     ts = np.asarray(ts, dtype=float)
     M = len(ms)
@@ -259,13 +259,7 @@ def snapshots(p: SurfaceParams, m_range: Sequence[int],
         report = {"edge_identity": float(edge_res[i]), "constant_speed": float(speed_res[i])}
         raise ValidationError(
             f"snapshot at t = {float(ts[i])!r} violates curve invariants", report)
-    return [CurveSnapshot(t=float(t), m_values=ms, points=pts[i], binormals=bs[i],
-                          tangents=T[i], normals=N[i]) for i, t in enumerate(ts)]
-
-
-def snapshot(p: SurfaceParams, m_range: Sequence[int], t: float) -> CurveSnapshot:
-    """Assemble and validate one snapshot; raises ValidationError on defects."""
-    return snapshots(p, m_range, [t])[0]
+    return CurveWindow(ts=ts, ms=ms, points=pts, binormals=bs, tangents=T, normals=N)
 
 
 def _check_order(n) -> None:

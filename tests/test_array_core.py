@@ -88,11 +88,12 @@ def _ref_obj(points):
     return "\n".join(lines) + "\n"
 
 
-def _ref_csv(snaps):
+def _ref_csv(w, times=None):
+    """The CSV of a curve window's times (all of them by default), a line at a time."""
     lines = ["t,m,x,y,z,Bx,By,Bz"]
-    for s in snaps:
-        for m, pt, b in zip(s.m_values, s.points, s.binormals):
-            lines.append(",".join([f"{float(s.t):.17g}", str(int(m))]
+    for i in range(len(w.ts)) if times is None else times:
+        for m, pt, b in zip(w.ms, w.points[i], w.binormals[i]):
+            lines.append(",".join([f"{float(w.ts[i]):.17g}", str(int(m))]
                                   + [f"{float(v):.17g}" for v in [*pt, *b]]))
     return "\n".join(lines) + "\n"
 
@@ -120,26 +121,23 @@ def test_k_grid_matches_per_vertex_reference(family, k):
                          ids=["contiguous", "gapped", "unordered"])
 def test_snapshot_matches_per_site_reference(family, twisted, k, ms):
     p = _curve_params(family, twisted, k)
-    for t in (0.0, 0.37, 1.7):
-        snap = surfaces.snapshot(p, ms, t)
+    ts = (0.0, 0.37, 1.7)
+    w = surfaces.snapshots(p, ms, ts)
+    assert w.ts.tolist() == list(ts) and w.ms.tolist() == list(ms)
+    for rows in (w.points, w.binormals, w.tangents, w.normals):
+        assert rows.shape == (len(ts), len(ms), 3)
+    for i, t in enumerate(ts):
         ref = [_ref_curve_site(p, m, t) for m in ms]
-        _same(snap.points, [g for g, _ in ref])
-        _same(snap.binormals, [b for _, b in ref])
-        for m, *got in zip(ms, snap.tangents, snap.normals, snap.binormals):
-            for got_v, want_v in zip(got, _ref_frame(p, m, t)):
-                _same(got_v, want_v)
+        # the window's slice i, and the one-time window of t alone
+        for window, row in ((w, i), (surfaces.snapshots(p, ms, [t]), 0)):
+            _same(window.points[row], [g for g, _ in ref])
+            _same(window.binormals[row], [b for _, b in ref])
+            frames = zip(ms, window.tangents[row], window.normals[row], window.binormals[row])
+            for m, *got in frames:
+                for got_v, want_v in zip(got, _ref_frame(p, m, t)):
+                    _same(got_v, want_v)
         _same(surfaces.gamma_point(p, ms[1], t), ref[1][0])
         _same(surfaces.b_point(p, ms[1], t), ref[1][1])
-    # one evaluation of all three slices equals the per-site reference too
-    ts = (0.0, 0.37, 1.7)
-    for t, snap in zip(ts, surfaces.snapshots(p, ms, ts), strict=True):
-        assert snap.t == t
-        ref = [_ref_curve_site(p, m, t) for m in ms]
-        _same(snap.points, [g for g, _ in ref])
-        _same(snap.binormals, [b for _, b in ref])
-        for m, *got in zip(ms, snap.tangents, snap.normals, snap.binormals):
-            for got_v, want_v in zip(got, _ref_frame(p, m, t)):
-                _same(got_v, want_v)
 
 
 def test_snapshots_fail_on_one_nan_time():
@@ -178,14 +176,15 @@ def test_kaleidocycle_frames_and_closure_match_reference(tmp_path, capsys, famil
     assert rc == 0
     p = surfaces.kaleidocycle_params(n, family=family)
     period = 2 * n if family == "dn" else 2
+    ts, ms = np.linspace(0.0, 1.4, 3), np.arange(period + 1)
+    ref = [[_ref_curve_site(p, int(m), float(t)) for m in ms] for t in ts]
+    w = surfaces.CurveWindow(ts=ts, ms=ms, points=np.array([[g for g, _ in r] for r in ref]),
+                             binormals=np.array([[b for _, b in r] for r in ref]),
+                             tangents=(), normals=())
+    assert sorted(f.name for f in out.iterdir()) == [f"frame_{i:04d}.csv" for i in range(3)]
     worst = 0.0
-    for idx, t in enumerate(np.linspace(0.0, 1.4, 3)):
-        ms = np.arange(period + 1)
-        ref = [_ref_curve_site(p, int(m), float(t)) for m in ms]
-        snap = surfaces.CurveSnapshot(
-            t=float(t), m_values=ms, points=np.array([g for g, _ in ref]),
-            binormals=np.array([b for _, b in ref]), tangents=(), normals=())
-        assert (out / f"frame_{idx:04d}.csv").read_text() == _ref_csv([snap])
+    for idx, t in enumerate(ts):
+        assert (out / f"frame_{idx:04d}.csv").read_text() == _ref_csv(w, [idx])
         for m in ms:
             d = (np.array(_ref_curve_site(p, int(m) + period, float(t))[0])
                  - np.array(_ref_curve_site(p, int(m), float(t))[0]))
@@ -320,20 +319,25 @@ def test_write_obj_single_chunk_default(tmp_path):
     assert (tmp_path / "m.obj").read_text() == _ref_obj(pts)
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 4096])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
 def test_write_curve_csv_matches_per_line_format(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(cli, "_BLOCK_VALUES", 8 * chunk)   # chunk rows of 8 fields
+    # blocks of chunk rows of 8 fields: 3 rows cut a time's 7 rows off-block
+    monkeypatch.setattr(cli, "_BLOCK_VALUES", 8 * chunk)
     rng = np.random.default_rng(11)
-    snaps = []
-    for t, ms in ((-0.0, [-3, -2, -1, 0, 1]), (math.inf, [7]), (1e-300, [0, 2, 5])):
-        vals = rng.normal(size=(len(ms), 6))
-        vals.reshape(-1)[:len(SPECIAL)] = SPECIAL[:vals.size]
-        snaps.append(surfaces.CurveSnapshot(
-            t=t, m_values=np.array(ms), points=vals[:, :3], binormals=vals[:, 3:],
-            tangents=(), normals=()))
+    ts = np.array([-0.0, math.inf, 1e-300])
+    ms = np.array([4, -3, 9, 9, 0, -2 ** 63, 2 ** 63 - 1])   # gapped, unordered, a repeat
+    vals = rng.normal(size=(len(ts), len(ms), 6))
+    vals.reshape(len(ts), -1)[:, :len(SPECIAL)] = SPECIAL   # at every time
+    w = surfaces.CurveWindow(ts=ts, ms=ms, points=vals[..., :3], binormals=vals[..., 3:],
+                             tangents=(), normals=())
     out = tmp_path / "c.csv"
-    cli.write_curve_csv(out, snaps)
-    assert out.read_bytes() == _ref_csv(snaps).encode()
+    cli.write_curve_csv(out, w)
+    assert out.read_bytes() == _ref_csv(w).encode()
+    cli.write_frames(tmp_path, w)
+    files = sorted(tmp_path.glob("frame_*.csv"))
+    assert [f.name for f in files] == [f"frame_{i:04d}.csv" for i in range(len(ts))]
+    for i, f in enumerate(files):
+        assert f.read_bytes() == _ref_csv(w, [i]).encode()
 
 
 def test_percent_format_equals_format_spec():
@@ -465,7 +469,15 @@ def test_text_kernel_tables_are_built_on_first_write_only(tmp_path):
     (["curve", "--k", "0.6", "--m-min", "-50", "--m-max", "50", "--t-steps", "3",
       "--t-stop", "1.0"], [(101 * 3, 8)]),
     (["kaleidocycle", "--n", "5", "--t-steps", "40", "--t-stop", "6.0"], [(11 * 40, 8)]),
-], ids=["ksurface", "curve", "kaleidocycle"])
+    # the cut between times: at every row, at every block's end, and inside blocks
+    (["curve", "--k", "0.6", "--m-min", "0", "--m-max", "0", "--t-steps", "50",
+      "--t-stop", "1.0"], [(50, 8)]),
+    (["kaleidocycle", "--n", "5", "--m-max", "23", "--t-steps", "4", "--t-stop", "1.0"],
+     [(24 * 4, 8)]),
+    (["kaleidocycle", "--n", "5", "--m-max", "60", "--t-steps", "4", "--t-stop", "1.0"],
+     [(61 * 4, 8)]),
+], ids=["ksurface", "curve", "kaleidocycle", "curve-one-site", "kaleidocycle-one-block",
+        "kaleidocycle-three-blocks"])
 def test_writers_format_whole_blocks_of_rows(tmp_path, monkeypatch, argv, writes):
     # one kernel call per block of rows, (rows, fields) per writer: kaleidocycle
     # formats all its frames in one pass instead of one call per frame, and

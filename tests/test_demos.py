@@ -1,4 +1,5 @@
-"""Each demo script runs to completion (exit 0) against the package in src/."""
+"""Each demo script runs to completion (exit 0) against the package in src/,
+with a numpy overflow or invalid-value warning an error, as in the other tests."""
 
 import os
 import subprocess
@@ -16,7 +17,8 @@ def test_demo_runs(tmp_path, script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(script), str(tmp_path / "out")],
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script),
+                           str(tmp_path / "out")],
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr

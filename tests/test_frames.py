@@ -26,12 +26,11 @@ def _constant_chains(shape):
 
 
 def _snapshot_rows():
-    """A (2, 17, 3) stack: two times of one twisted cn curve."""
+    """A (2, 17, 3) window: two times of one twisted cn curve."""
     p = surfaces.SurfaceParams(mod=elliptic.make_modulus(0.6), family="cn", gamma_step=0.8,
                                beta_rate=1.0, twisted=True)
-    snaps = surfaces.snapshots(p, range(-8, 9), (0.0, 0.45))
-    return [np.stack([getattr(s, rows) for s in snaps])
-            for rows in ("tangents", "normals", "binormals")]
+    w = surfaces.snapshots(p, range(-8, 9), (0.0, 0.45))
+    return [w.tangents, w.normals, w.binormals]
 
 
 def _mesh_rows():

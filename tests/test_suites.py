@@ -172,7 +172,7 @@ SNAPSHOT_SUITES = ["suite_surface_flow_components", "suite_surface_curvature"]
 
 @pytest.mark.parametrize("name", SNAPSHOT_SUITES)
 def test_a_nan_curve_point_stops_the_snapshot_suites(monkeypatch, name):
-    # these suites read frames off a validated snapshot, which refuses a NaN
+    # these suites read frames off a validated curve window, which refuses a NaN
     # point with ValidationError; the runner records that as a NaN value
     monkeypatch.setattr(surfaces, "_closed_form", _nan_site(surfaces._closed_form))
     result = getattr(suites, name)()

@@ -114,12 +114,12 @@ def test_frames_orthonormal_and_torsion_sine(family, twisted):
     p = _params(family, twisted)
     s = p.edge_speed
     sin_nu = p.sigma * s
-    snap = surfaces.snapshot(p, range(-4, 7), 0.3)
+    w = surfaces.snapshots(p, range(-4, 7), [0.3])
     # columns (T N B) at every site: orthonormal and right-handed
-    F = np.stack([snap.tangents, snap.normals, snap.binormals], axis=-1)
+    F = np.stack([w.tangents[0], w.normals[0], w.binormals[0]], axis=-1)
     assert np.abs(F.transpose(0, 2, 1) @ F - np.eye(3)).max() < 1e-10
     assert np.abs(np.linalg.det(F) - 1.0).max() < 1e-10
-    B, N = snap.binormals, snap.normals
+    B, N = w.binormals[0], w.normals[0]
     assert (B[1:] * N[:-1]).sum(axis=-1) == pytest.approx([sin_nu] * 10, abs=1e-12)
     # sin nu is positive for untwisted frames, negative for twisted ones
     assert (sin_nu > 0) == (not twisted)
@@ -129,8 +129,8 @@ def test_geometry_extraction_matches_family_torsion():
     for family, target_fn in (("dn", lambda m: elliptic.jacobi(0.8, m)[1]),
                               ("cn", lambda m: elliptic.jacobi(0.8, m)[2])):
         p = _params(family)
-        snap = surfaces.snapshot(p, range(-5, 6), 0.4)
-        geo = frames.extract_geometry(snap.tangents, snap.normals, snap.binormals)
+        w = surfaces.snapshots(p, range(-5, 6), [0.4])
+        geo = frames.extract_geometry(w.tangents[0], w.normals[0], w.binormals[0])
         assert np.abs(geo.torsion_cos - target_fn(p.mod)).max() < 1e-12
 
 
@@ -138,8 +138,8 @@ def test_geometry_extraction_matches_family_torsion():
 def test_curvature_matches_field_difference(family, twisted):
     p = _params(family, twisted)
     sgn = -1.0 if twisted else 1.0
-    snap = surfaces.snapshot(p, range(-8, 9), 0.45)
-    geo = frames.extract_geometry(snap.tangents, snap.normals, snap.binormals)
+    w = surfaces.snapshots(p, range(-8, 9), [0.45])
+    geo = frames.extract_geometry(w.tangents[0], w.normals[0], w.binormals[0])
     for j, m in enumerate(range(-8, 8)):
         h0 = surfaces.half_angles(p, m, 0.45)
         h2 = surfaces.half_angles(p, m + 2, 0.45)
@@ -151,8 +151,8 @@ def test_curvature_matches_field_difference(family, twisted):
 def test_dn_curvature_sine_expanded_form():
     # -sin K_{m+1} = k sn(psi_{m+2}) dn(psi_m) - k sn(psi_m) dn(psi_{m+2})
     p = _params("dn")
-    snap = surfaces.snapshot(p, range(-6, 7), 0.45)
-    geo = frames.extract_geometry(snap.tangents, snap.normals, snap.binormals)
+    w = surfaces.snapshots(p, range(-6, 7), [0.45])
+    geo = frames.extract_geometry(w.tangents[0], w.normals[0], w.binormals[0])
     for j, m in enumerate(range(-6, 6)):
         _, psi0 = p.phases(m, 0.45)
         _, psi2 = p.phases(m + 2, 0.45)
@@ -168,8 +168,8 @@ def test_flow_velocity(family, twisted):
     h = 1e-4
     rho = p.beta_rate * (1.0 if family == "dn" else p.mod.k)
     for t in (0.2, 1.1):
-        snap = surfaces.snapshot(p, range(-8, 8), t)
-        for m, T, N in zip(snap.m_values, snap.tangents, snap.normals):
+        w = surfaces.snapshots(p, range(-8, 8), [t])
+        for m, T, N in zip(w.ms, w.tangents[0], w.normals[0]):
             v = surfaces.flow_velocity(p, m, t)
             fd = (surfaces.gamma_point(p, m, t + h)
                   - surfaces.gamma_point(p, m, t - h)) / (2.0 * h)
@@ -199,14 +199,14 @@ def test_dn_periodic_z_component():
 
 def test_snapshot_assembly():
     p = _params("dn")
-    snap = surfaces.snapshot(p, range(-3, 4), 0.5)
-    assert snap.points.shape == (7, 3)
-    assert snap.binormals.shape == (7, 3)
-    assert snap.tangents.shape == snap.normals.shape == (7, 3)
-    assert list(snap.m_values) == list(range(-3, 4))
+    w = surfaces.snapshots(p, range(-3, 4), [0.5])
+    assert w.points.shape == (1, 7, 3)
+    assert w.binormals.shape == (1, 7, 3)
+    assert w.tangents.shape == w.normals.shape == (1, 7, 3)
+    assert list(w.ms) == list(range(-3, 4)) and list(w.ts) == [0.5]
     # invariants are only checked across consecutive sites, so gaps are fine
-    sparse = surfaces.snapshot(p, [0, 2, 4], 0.5)
-    assert sparse.points.shape == (3, 3)
+    sparse = surfaces.snapshots(p, [0, 2, 4], [0.5])
+    assert sparse.points.shape == (1, 3, 3)
 
 
 @pytest.mark.parametrize("family,twisted", ALL)
@@ -221,7 +221,7 @@ def test_small_modulus_edge_identity(family, twisted):
     if family == "cn":
         # the whole snapshot check; dn points lie at radius 1/k = 1e6, where
         # one ulp of x and y is already 1.2e-10
-        assert surfaces.snapshot(p, ms, 0.3).points.shape == (21, 3)
+        assert surfaces.snapshots(p, ms, [0.3]).points.shape == (1, 21, 3)
 
 
 def test_snapshot_validation_report(monkeypatch):
@@ -229,14 +229,14 @@ def test_snapshot_validation_report(monkeypatch):
     p = _params("dn")
     monkeypatch.setattr(surfaces, "_SNAPSHOT_TOL", 0.0)
     with pytest.raises(ValidationError) as exc:
-        surfaces.snapshot(p, range(0, 4), 0.5)
+        surfaces.snapshots(p, range(0, 4), [0.5])
     assert set(exc.value.report) == {"edge_identity", "constant_speed"}
 
 
 def test_snapshot_fails_on_a_nan_residual():
     from sgsurf.errors import ValidationError
     with pytest.raises(ValidationError):
-        surfaces.snapshot(_params("dn"), range(3), math.nan)
+        surfaces.snapshots(_params("dn"), range(3), [math.nan])
 
 
 def test_kaleidocycle_params_and_closure():
@@ -298,8 +298,8 @@ def test_random_parameter_sweep():
         tried += 1
         rho = b * (1.0 if family == "dn" else k)
         for t in (0.0, 0.61):
-            snap = surfaces.snapshot(p, (-5, 0, 4), t)
-            for m, T, N in zip(snap.m_values, snap.tangents, snap.normals):
+            w = surfaces.snapshots(p, (-5, 0, 4), [t])
+            for m, T, N in zip(w.ms, w.tangents[0], w.normals[0]):
                 e = surfaces.gamma_point(p, m + 1, t) - surfaces.gamma_point(p, m, t)
                 bx = np.cross(surfaces.b_point(p, m + 1, t), surfaces.b_point(p, m, t))
                 assert np.abs(e - p.epsilon_sign * bx).max() < 1e-11
