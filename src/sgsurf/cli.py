@@ -40,7 +40,7 @@ from .surfaces import (_SPEED_TOL, SurfaceParams, gamma_point, kaleidocycle_para
 
 SCHEMA_VERSION = 1
 # Most sites (vertices, or curve sites times time slices) a geometry command
-# evaluates: about 250 B of peak memory each, so 1 GB at a 2048 x 2048 mesh.
+# evaluates: 137-228 B of peak memory each (574 MB at a 2048 x 2048 mesh).
 MAX_SITES = 2 ** 22
 # Values the writers format per call of the text kernel (``_text.format_rows``):
 # each writer's block is the fixed number of its rows that holds this many, so

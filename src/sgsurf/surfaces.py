@@ -18,11 +18,11 @@ expression scaled by k^2 for cn.  Every edge satisfies
 Gamma_{m+1} - Gamma_m = eps B_{m+1} x B_m, the edge length is |sn gamma|
 (dn) or |k sn gamma| (cn), and <B_m, B_{m+1}> is cn(gamma) resp. dn(gamma).
 
-Frames: T_m = sigma (B_{m+1} x B_m) / s with s = sn(gamma) or k sn(gamma),
-and N_m = B_m x T_m.  The frame sign sigma = +-1 is derived, not passed:
-sigma s > 0 (untwisted) and sigma s < 0 (twisted) admit exactly
-sigma = sign(s) eps.  Frames are rows of arrays, never objects: a curve
-window holds them as ``tangents``, ``normals`` and ``binormals``.
+Frames: T_m = sigma (B_{m+1} x B_m) / s with s = sn(gamma) or k sn(gamma), and
+N_m = B_m x T_m; ``snapshots`` forms B_{m+1} x B_m once per window, for the
+frame and the edge identity.  The frame sign sigma = +-1 is derived: sigma s > 0
+(untwisted) and sigma s < 0 (twisted) admit exactly sigma = sign(s) eps.  A
+curve window holds frames as rows: ``tangents``, ``normals``, ``binormals``.
 
 Field: a lattice carries the elliptic sine-Gordon field w_m at its phases
 psi, (cos w/2, sin w/2) = (dn psi, -k sn psi) (dn) or (cn psi, sn psi) (cn).
@@ -183,12 +183,6 @@ def half_angles(p: CurveLattice, m, t) -> HalfAngle:
     return HalfAngle(c=cn, s=sn, dwdt=2.0 * b * dn)
 
 
-def _tangents_normals(p: SurfaceParams, b0: np.ndarray, b1: np.ndarray):
-    """Frame vectors T and N from the binormals at m and m + 1 (rows alike)."""
-    T = p.sigma * np.cross(b1, b0) / p.edge_speed
-    return T, np.cross(b0, T)
-
-
 def flow_velocity(p: SurfaceParams, m, t: float) -> np.ndarray:
     """Closed-form time derivative of the curve point (no finite differences);
     m an int or an int array (trailing axis of 3)."""
@@ -245,12 +239,13 @@ def snapshots(p: SurfaceParams, m_range: Sequence[int], ts: Sequence[float]) -> 
     paired[:-1] = ms[1:] == ms[:-1] + 1
     pts, bs = _curve(p, np.concatenate([ms, ms[~paired] + 1]), ts[:, None])
     nxt = np.where(paired, np.arange(1, M + 1), M - 1 + np.cumsum(~paired))
-    T, N = _tangents_normals(p, bs[:, :M], bs[:, nxt])
+    cross = np.cross(bs[:, nxt], bs[:, :M])   # = eps (Gamma_{m+1} - Gamma_m) = sigma s T_m
     pts, bs = pts[:, :M], bs[:, :M]
+    T = p.sigma * cross / p.edge_speed
+    N = np.cross(bs, T)
     adj = np.flatnonzero(paired)
     edge = pts[:, adj + 1] - pts[:, adj]
-    edge_res = np.abs(edge - p.epsilon_sign * np.cross(bs[:, adj + 1], bs[:, adj])).max(
-        axis=(1, 2), initial=0.0)
+    edge_res = np.abs(edge - p.epsilon_sign * cross[:, adj]).max(axis=(1, 2), initial=0.0)
     speed_res = np.abs(np.linalg.norm(edge, axis=-1) - abs(p.edge_speed)).max(
         axis=1, initial=0.0)
     ok = (edge_res <= _SNAPSHOT_TOL) & (speed_res <= _SNAPSHOT_TOL)   # a NaN residual fails too

@@ -17,11 +17,11 @@ single theta product, H is the Hirota lambda-derivative D_lam g . f* / (2i),
 and the third coordinate combines i R_m (a closed form built from the
 Weierstrass scalar 2E'/K') with the analytic z-derivative of log F.
 
-The entry points take a ``surfaces.CurveLattice``, the very lattice the
-closed forms evaluate (a ``SurfaceParams`` or any other), and derive the rest
-from its modulus and family: ``lambda0`` (k K'/2 or K'/2), the chain-rule
-denominator (k K' or K') and the tau' and 2 tau' theta lattices, which
-``theta.lattice_params`` builds once per modulus.
+The entry points take the very lattice the closed forms evaluate, a curve's
+(``surfaces.CurveLattice``) or a K-surface's (``ksurf.KParams``, row n for t, where
+``gamma_from_tau`` gives F and N (dn) or -N (cn)), and derive the rest from its
+modulus and family: ``lambda0`` (k K'/2 or K'/2), the chain-rule denominator (k K'
+or K') and the tau' and 2 tau' theta lattices (``theta.lattice_params``, once each).
 
 Every entry point takes integer arrays of m (and arrays of t, lam, z that
 broadcast with them) as well as single values.  One pass evaluates the
@@ -146,11 +146,14 @@ def _evaluate(p: CurveLattice, m, t, lam, z):
 
 
 def eta_m(p: CurveLattice, m, t):
-    """Phase function of the spectral prefactor; offset pi/2E' (dn) or 3pi/2E' (cn)."""
-    _, psi = p.phases(m, t)
-    off = 0.5 if p.family == "dn" else 1.5
+    """Phase function of the spectral prefactor; offset pi/2E' (dn) or 3pi/2E' (cn),
+    less k^2 K'/E' times count * int_0^step sn^2 for each z-drift pair of ``p._sites``."""
+    _, psi, _, drift = p._sites(m, t)
     mod = p.mod
-    return psi - off * math.pi / mod.Ep - m * mod.m * mod.Kp * p.gamma_integral / mod.Ep
+    eta = psi - (0.5 if p.family == "dn" else 1.5) * math.pi / mod.Ep
+    for count, integral in drift:
+        eta = eta - count * mod.m * mod.Kp * integral / mod.Ep
+    return eta
 
 
 def i_r_m(p: CurveLattice, m, t):
@@ -171,7 +174,7 @@ def tau_sample(p: CurveLattice, m, t, lam: Optional[float] = None,
 
 
 def gamma_from_tau(p: CurveLattice, m, t) -> tuple[np.ndarray, np.ndarray]:
-    """(curve point, binormal) assembled from the quartet at lam = lambda0, z = 0.
+    """(point, binormal) of the lattice assembled from the quartet at lam = lambda0, z = 0.
 
     m an int or an int array (the results carry a trailing axis of length 3).
     """
@@ -181,11 +184,13 @@ def gamma_from_tau(p: CurveLattice, m, t) -> tuple[np.ndarray, np.ndarray]:
         raise PoleError("F = 0: the tau curve is not defined there")
     Hc, iF = np.conjugate(H), 1j * F
     fsg, fgs = fstar * g, f * gstar
+    # the site sign of _sites, (-1)^n on a K-surface; a twisted curve's i^m factors carry it
+    sign = 1.0 if p.twisted else p._sites(m, t)[2]
     gamma = (((H + Hc) / F).real,
              ((H - Hc) / iF).real,
              i_r_m(p, m, t) - 0.5 * dlog.real)
-    b = (((fsg + fgs) / F).real,
-         ((fsg - fgs) / iF).real,
+    b = (sign * ((fsg + fgs) / F).real,
+         sign * ((fsg - fgs) / iF).real,
          ((f * fstar - g * gstar) / F).real)
     return (np.stack(np.broadcast_arrays(*gamma), axis=-1).reshape(shape),
             np.stack(b, axis=-1).reshape(shape))

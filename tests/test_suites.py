@@ -5,6 +5,9 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -359,3 +362,41 @@ def test_geometry_bytes_are_pinned(tmp_path):
     level = _dispatch_level()
     assert level in GEOMETRY_DIGESTS, f"no digests pinned for {level}: {digests}"
     assert digests == GEOMETRY_DIGESTS[level]
+
+
+# NPY_DISABLE_CPU_FEATURES settings that cap numpy's dispatch at each level below X86_V4
+_LEVEL_CAPS = {"X86_V3": "X86_V4 AVX512_ICL AVX512_SPR",
+               "X86_V2": "X86_V4 AVX512_ICL AVX512_SPR X86_V3"}
+# the child runs this module's digest tests, then states its level (importing the
+# module first would bypass pytest's assertion rewriting, which prints the digests);
+# hypothesis's plugin, which no digest test uses, imports hypothesis (about 1 s) at exit
+_CHILD = """
+import sys, pytest
+code = pytest.main([sys.argv[1], "-q", "--tb=short", "-p", "no:cacheprovider",
+                    "-p", "no:hypothesispytest", "-k", "pinned"])
+from test_suites import _dispatch_level
+print("dispatch level", _dispatch_level())
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("level", list(_LEVEL_CAPS))
+def test_digests_hold_at_each_dispatch_level_below_this_one(level):
+    """The ``-k pinned`` digest tests, re-run in a child process whose numpy
+    dispatches at ``level``: NPY_DISABLE_CPU_FEATURES is set in the child's
+    environment only, so one run checks every row of REPORT_DIGESTS and
+    GEOMETRY_DIGESTS that this host offers.  ``__cpu_features__`` is a private
+    numpy name."""
+    from numpy._core._multiarray_umath import __cpu_features__ as features
+    if not features.get(level):
+        pytest.skip(f"numpy does not offer {level} in this process")
+    if _dispatch_level() == level:
+        pytest.skip(f"{level} is this process's own level, checked in-process")
+    here = Path(__file__).resolve()
+    path = [str(Path(cli.__file__).parents[1]), str(here.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=_LEVEL_CAPS[level],
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", _CHILD, str(here)], cwd=here.parents[1],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.stdout.endswith(f"dispatch level {level}\n"), proc.stdout + proc.stderr
+    assert proc.returncode == 0, f"digests at {level}:\n{proc.stdout}{proc.stderr}"

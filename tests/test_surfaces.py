@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +238,22 @@ def test_snapshot_fails_on_a_nan_residual():
     from sgsurf.errors import ValidationError
     with pytest.raises(ValidationError):
         surfaces.snapshots(_params("dn"), range(3), [math.nan])
+
+
+@pytest.mark.parametrize("family", ["dn", "cn"])
+def test_a_window_peaks_under_nine_window_arrays(family):
+    """B_{m+1} x B_m is formed once, for the frame and the edge check alike:
+    while a 64 x 4096 window is built, numpy holds at most nine (T, M, 3)
+    float64 arrays at once; forming the product a second time reads 10.4."""
+    p, ts = _params(family), np.linspace(0.0, 2.0, 64)
+    surfaces.snapshots(p, range(4096), ts)   # warm-up: caches and lazy imports
+    tracemalloc.start()
+    try:
+        surfaces.snapshots(p, range(4096), ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * (64 * 4096 * 3 * 8), peak / (64 * 4096 * 3 * 8)
 
 
 def test_kaleidocycle_params_and_closure():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sgsurf import elliptic, surfaces, tau, theta
+from sgsurf import elliptic, ksurf, surfaces, tau, theta
 from sgsurf.errors import PoleError
 
 MOD = elliptic.make_modulus(0.6)
@@ -169,6 +169,21 @@ def test_matches_closed_form_surfaces(family, twisted, k):
                         float(np.abs(g1 - surfaces.gamma_point(c, m, t)).max()),
                         float(np.abs(b1 - surfaces.b_point(c, m, t)).max()))
     assert worst < 1e-8
+
+
+@pytest.mark.parametrize("family", ["dn", "cn"])
+@pytest.mark.parametrize("k", [0.3, 0.6, 0.9, 0.99])
+def test_a_k_surface_lattice_gives_its_points_and_normals(family, k):
+    """On a ``KParams`` the row n takes the place of t: the z drift of both
+    steps enters eta_m, and the binormal takes the row sign (-1)^n, so the
+    tau route returns F_{m,n} and N (dn) or -N (cn)."""
+    p = ksurf.KParams(mod=elliptic.make_modulus(k), family=family, gamma_step=0.8,
+                      delta_step=0.55)
+    m, n = np.arange(-6, 7)[:, None], np.arange(-4, 5)
+    g, b = tau.gamma_from_tau(p, m, n)
+    F, N = ksurf.k_point(p, m, n)
+    assert np.abs(g - F).max() <= 1e-12
+    assert np.abs(b - (N if family == "dn" else -N)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("family", ["dn", "cn"])
