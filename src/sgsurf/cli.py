@@ -40,7 +40,7 @@ from .surfaces import (_SPEED_TOL, SurfaceParams, gamma_point, kaleidocycle_para
 
 SCHEMA_VERSION = 1
 # Most sites (vertices, or curve sites times time slices) a geometry command
-# evaluates: 137-228 B of peak memory each (574 MB at a 2048 x 2048 mesh).
+# evaluates: 137-152 B of peak memory each (574 MB at a 2048 x 2048 mesh).
 MAX_SITES = 2 ** 22
 # Values the writers format per call of the text kernel (``_text.format_rows``):
 # each writer's block is the fixed number of its rows that holds this many, so
@@ -180,13 +180,16 @@ def cmd_kaleidocycle(ns: argparse.Namespace) -> int:
     p = kaleidocycle_params(ns.n, family=ns.family, beta_rate=ns.beta,
                             twisted=ns.twisted)
     period = kaleidocycle_period(ns.n, ns.family)
-    # the closure check evaluates every site m + period
+    # closure compares each site m with m + period, evaluating only images past the window
     ms = _m_values(0, period if ns.m_max is None else ns.m_max, period)
     samples = _t_samples(ns, ms)
     # every frame is validated before the first file is written
     window = snapshots(p, ms, samples)
-    shifted = gamma_point(p, window.ms + period, samples[:, None])
-    worst = float(np.linalg.norm(shifted - window.points, axis=-1).max())
+    pts, inside = window.points, max(len(ms) - period, 0)
+    beyond = gamma_point(p, window.ms[inside:] + period, samples[:, None])
+    gaps = (np.linalg.norm(pts[:, period:] - pts[:, :inside], axis=-1),
+            np.linalg.norm(beyond - pts[:, inside:], axis=-1))
+    worst = float(np.concatenate(gaps, axis=1).max())   # a NaN gap propagates
     out_dir = ns.out_path
     out_dir.mkdir(parents=True, exist_ok=True)
     write_frames(out_dir, window)

@@ -422,11 +422,11 @@ def suite_surface_flow_orthogonality(p):
 def suite_surface_flow_components(p):
     """Tangential/normal flow components against the half-angle field."""
     rho = p.sigma * p.beta_rate * (1.0 if p.family == "dn" else p.mod.k)
-    window = surfaces.snapshots(p, _FLOW_MS, _FLOW_TIMES[:, 0])
+    T, N, _ = surfaces.curve_frames(p, _FLOW_MS, _FLOW_TIMES)
     v = surfaces.flow_velocity(p, _FLOW_MS, _FLOW_TIMES)
     w = surfaces.flow_angle(p, _FLOW_MS, _FLOW_TIMES)
-    yield _dot(v, window.tangents) - rho * w.c
-    yield _dot(v, window.normals) - rho * w.s
+    yield _dot(v, T) - rho * w.c
+    yield _dot(v, N) - rho * w.s
 
 
 @suite("surfaces.field_solves_lattice_equations", 1e-9, cases=lambda: _curves(0.6))
@@ -441,8 +441,7 @@ def suite_surface_curvature(p):
     """Curvature equals +-(w_{m+2} - w_m)/2 at the sine/cosine level."""
     ts = np.array([0.0, 0.45])
     sgn = -1.0 if p.twisted else 1.0
-    window = surfaces.snapshots(p, range(-8, 9), ts)
-    geo = frames.extract_geometry(window.tangents, window.normals, window.binormals)
+    geo = frames.extract_geometry(*surfaces.curve_frames(p, np.arange(-8, 9), ts[:, None]))
     # half-angle samples at m = -8..9: sites m (first 16) and m + 2 (last 16)
     w = surfaces.half_angles(p, np.arange(-8, 10), ts[:, None])
     c, s = w.c, w.s

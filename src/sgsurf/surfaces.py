@@ -19,10 +19,9 @@ Gamma_{m+1} - Gamma_m = eps B_{m+1} x B_m, the edge length is |sn gamma|
 (dn) or |k sn gamma| (cn), and <B_m, B_{m+1}> is cn(gamma) resp. dn(gamma).
 
 Frames: T_m = sigma (B_{m+1} x B_m) / s with s = sn(gamma) or k sn(gamma), and
-N_m = B_m x T_m; ``snapshots`` forms B_{m+1} x B_m once per window, for the
-frame and the edge identity.  The frame sign sigma = +-1 is derived: sigma s > 0
-(untwisted) and sigma s < 0 (twisted) admit exactly sigma = sign(s) eps.  A
-curve window holds frames as rows: ``tangents``, ``normals``, ``binormals``.
+N_m = B_m x T_m; ``curve_frames`` evaluates them in closed form, like the points.
+The frame sign sigma = +-1 is derived: sigma s > 0 (untwisted) and sigma s < 0
+(twisted) admit exactly sigma = sign(s) eps.
 
 Field: a lattice carries the elliptic sine-Gordon field w_m at its phases
 psi, (cos w/2, sin w/2) = (dn psi, -k sn psi) (dn) or (cn psi, sn psi) (cn).
@@ -32,9 +31,9 @@ alike, and returns a ``HalfAngle``; ``sg`` certifies the lattice equations.
 
 The closed forms are evaluated on whole arrays of sites: ``gamma_point``,
 ``b_point`` and ``half_angles`` take integer arrays as well as integers,
-``snapshots`` is one evaluation over the sites m and m + 1 at every time of
-a (t, m) window, returned whole as a ``CurveWindow``, and every element
-equals the single-site value bit for bit.
+``snapshots`` is one evaluation over the sites of a (t, m) window, returned
+whole as a ``CurveWindow``, and every element equals the single-site value
+bit for bit.
 """
 
 from __future__ import annotations
@@ -212,18 +211,25 @@ def flow_angle(p: SurfaceParams, m, t: float) -> HalfAngle:
     return HalfAngle(c=c0 * c1 + s0 * s1, s=s0 * c1 - c0 * s1)
 
 
+def curve_frames(p: SurfaceParams, m, t):
+    """The frames (T, N, B) at integer sites m (an int or an int array) and
+    times t (a float or an array that broadcasts against m), from one
+    evaluation of the sites m and m + 1 (trailing axis of 3)."""
+    m, t = np.broadcast_arrays(m, t)
+    _, (b0, b1) = _curve(p, np.stack([m, m + 1]), np.stack([t, t]))
+    T = p.sigma * np.cross(b1, b0) / p.edge_speed
+    return T, np.cross(b0, T), b0
+
+
 @dataclass(frozen=True)
 class CurveWindow:
-    """The deforming curve over times ts and sites ms; element [i, j] of
-    points, binormals, tangents and normals belongs to time ts[i] and site
-    ms[j], and (tangents, normals, binormals)[i, j] is its frame (T, N, B)."""
+    """The deforming curve over times ts and sites ms: element [i, j] of
+    points and binormals belongs to time ts[i] and site ms[j]."""
 
     ts: np.ndarray         # (T,)
     ms: np.ndarray         # (M,)
     points: np.ndarray     # (T, M, 3)
     binormals: np.ndarray  # (T, M, 3)
-    tangents: np.ndarray   # (T, M, 3)
-    normals: np.ndarray    # (T, M, 3)
 
 
 def snapshots(p: SurfaceParams, m_range: Sequence[int], ts: Sequence[float]) -> CurveWindow:
@@ -232,29 +238,21 @@ def snapshots(p: SurfaceParams, m_range: Sequence[int], ts: Sequence[float]) -> 
     defective time slice."""
     ms = np.asarray(list(m_range), dtype=int)
     ts = np.asarray(ts, dtype=float)
-    M = len(ms)
-    # pairs (m, m + 1) inside the window; the other sites m + 1 are appended,
-    # so a contiguous window costs M + 1 evaluations per time
-    paired = np.zeros(M, dtype=bool)
-    paired[:-1] = ms[1:] == ms[:-1] + 1
-    pts, bs = _curve(p, np.concatenate([ms, ms[~paired] + 1]), ts[:, None])
-    nxt = np.where(paired, np.arange(1, M + 1), M - 1 + np.cumsum(~paired))
-    cross = np.cross(bs[:, nxt], bs[:, :M])   # = eps (Gamma_{m+1} - Gamma_m) = sigma s T_m
-    pts, bs = pts[:, :M], bs[:, :M]
-    T = p.sigma * cross / p.edge_speed
-    N = np.cross(bs, T)
-    adj = np.flatnonzero(paired)
-    edge = pts[:, adj + 1] - pts[:, adj]
-    edge_res = np.abs(edge - p.epsilon_sign * cross[:, adj]).max(axis=(1, 2), initial=0.0)
+    pts, bs = _curve(p, ms, ts[:, None])
+    # the edge and speed checks run over the consecutive pairs (m, m + 1)
+    adj = ms[1:] == ms[:-1] + 1
+    edge = pts[:, 1:] - pts[:, :-1]
+    edge_res = np.abs(edge - p.epsilon_sign * np.cross(bs[:, 1:], bs[:, :-1])).max(
+        axis=(1, 2), initial=0.0, where=adj[:, None])
     speed_res = np.abs(np.linalg.norm(edge, axis=-1) - abs(p.edge_speed)).max(
-        axis=1, initial=0.0)
+        axis=1, initial=0.0, where=adj)
     ok = (edge_res <= _SNAPSHOT_TOL) & (speed_res <= _SNAPSHOT_TOL)   # a NaN residual fails too
     if not ok.all():
         i = int(np.argmin(ok))
         report = {"edge_identity": float(edge_res[i]), "constant_speed": float(speed_res[i])}
         raise ValidationError(
             f"snapshot at t = {float(ts[i])!r} violates curve invariants", report)
-    return CurveWindow(ts=ts, ms=ms, points=pts, binormals=bs, tangents=T, normals=N)
+    return CurveWindow(ts=ts, ms=ms, points=pts, binormals=bs)
 
 
 def _check_order(n) -> None:

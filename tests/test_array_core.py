@@ -124,7 +124,7 @@ def test_snapshot_matches_per_site_reference(family, twisted, k, ms):
     ts = (0.0, 0.37, 1.7)
     w = surfaces.snapshots(p, ms, ts)
     assert w.ts.tolist() == list(ts) and w.ms.tolist() == list(ms)
-    for rows in (w.points, w.binormals, w.tangents, w.normals):
+    for rows in (w.points, w.binormals):
         assert rows.shape == (len(ts), len(ms), 3)
     for i, t in enumerate(ts):
         ref = [_ref_curve_site(p, m, t) for m in ms]
@@ -132,8 +132,9 @@ def test_snapshot_matches_per_site_reference(family, twisted, k, ms):
         for window, row in ((w, i), (surfaces.snapshots(p, ms, [t]), 0)):
             _same(window.points[row], [g for g, _ in ref])
             _same(window.binormals[row], [b for _, b in ref])
-            frames = zip(ms, window.tangents[row], window.normals[row], window.binormals[row])
-            for m, *got in frames:
+            T, N, B = surfaces.curve_frames(p, window.ms, window.ts[:, None])
+            _same(B, window.binormals)
+            for m, *got in zip(ms, T[row], N[row], B[row]):
                 for got_v, want_v in zip(got, _ref_frame(p, m, t)):
                     _same(got_v, want_v)
         _same(surfaces.gamma_point(p, ms[1], t), ref[1][0])
@@ -179,8 +180,7 @@ def test_kaleidocycle_frames_and_closure_match_reference(tmp_path, capsys, famil
     ts, ms = np.linspace(0.0, 1.4, 3), np.arange(period + 1)
     ref = [[_ref_curve_site(p, int(m), float(t)) for m in ms] for t in ts]
     w = surfaces.CurveWindow(ts=ts, ms=ms, points=np.array([[g for g, _ in r] for r in ref]),
-                             binormals=np.array([[b for _, b in r] for r in ref]),
-                             tangents=(), normals=())
+                             binormals=np.array([[b for _, b in r] for r in ref]))
     assert sorted(f.name for f in out.iterdir()) == [f"frame_{i:04d}.csv" for i in range(3)]
     worst = 0.0
     for idx, t in enumerate(ts):
@@ -190,6 +190,42 @@ def test_kaleidocycle_frames_and_closure_match_reference(tmp_path, capsys, famil
                  - np.array(_ref_curve_site(p, int(m), float(t))[0]))
             worst = max(worst, float(np.linalg.norm(d)))
     assert f"closure defect {worst:.3e}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("twisted", [False, True], ids=["untwisted", "twisted"])
+def test_kaleidocycle_closure_equals_the_whole_window_reference(tmp_path, capsys, n, family,
+                                                                twisted):
+    # windows narrower than, as wide as, and wider than the period: no image,
+    # one image and many images m + period lie inside the window
+    p = surfaces.kaleidocycle_params(n, family=family, twisted=twisted)
+    period = surfaces.kaleidocycle_period(n, family)
+    ts = np.linspace(0.0, 1.4, 3)
+    for m_max in (0, period - 1, period, period + 1, 3 * period + 2):
+        ms = np.arange(m_max + 1)
+        worst = float(np.linalg.norm(surfaces.gamma_point(p, ms + period, ts[:, None])
+                                     - surfaces.gamma_point(p, ms, ts[:, None]), axis=-1).max())
+        argv = ["kaleidocycle", "--n", str(n), "--family", family, "--m-max", str(m_max),
+                "--t-steps", "3", "--t-stop", "1.4", "--out", str(tmp_path / f"k{m_max}")]
+        rc = cli.main(argv + ["--twisted"] * twisted)
+        assert rc == (0 if worst < 1e-9 else 1)
+        assert capsys.readouterr().out.endswith(f"closure defect {worst:.3e}\n")
+
+
+def test_kaleidocycle_closure_propagates_a_nan(tmp_path, capsys, monkeypatch):
+    # one NaN image past the window's end, after finite images inside it
+    real = surfaces.gamma_point
+
+    def one_nan(p, m, t):
+        g = real(p, m, t)
+        g[-1, -1, 0] = math.nan
+        return g
+
+    monkeypatch.setattr(cli, "gamma_point", one_nan)
+    argv = ["kaleidocycle", "--n", "3", "--m-max", "9", "--t-steps", "2", "--t-stop", "1.0"]
+    assert cli.main(argv + ["--out", str(tmp_path / "k")]) == 1
+    assert capsys.readouterr().out.endswith("closure defect nan\n")
 
 
 def test_k_grid_jacobi_calls_do_not_grow_with_the_window(monkeypatch):
@@ -283,6 +319,20 @@ def test_landen_passes_per_command(tmp_path, monkeypatch, argv, count):
     assert len(passes) == count
 
 
+@pytest.mark.parametrize("argv, sizes", [
+    (["curve", "--k", "0.6", "--gamma", "0.8", "--m-min", "0", "--m-max", "12"], [1, 39]),
+    (["kaleidocycle", "--n", "5"], [1, 33, 30]),
+    (["kaleidocycle", "--n", "5", "--m-max", "40"], [1, 123, 30]),
+], ids=["curve", "kaleidocycle", "kaleidocycle-wide"])
+def test_sites_evaluated_per_command(tmp_path, monkeypatch, argv, sizes):
+    # the step constant, then the window's M sites at each of 3 times, and for
+    # kaleidocycle the min(M, period) images m + period past the window's end
+    passes = _count_landen_passes(monkeypatch)
+    assert cli.main(argv + ["--t-steps", "3", "--t-stop", "1.0",
+                            "--out", str(tmp_path / "out")]) == 0
+    assert passes == sizes
+
+
 def test_verify_evaluates_each_suite_window_once(tmp_path, monkeypatch):
     # counted by wrapping, not timed: 1,160 compat_matrices calls and 970 Landen
     # passes when the suites evaluated one quad, or one time, per call
@@ -328,8 +378,7 @@ def test_write_curve_csv_matches_per_line_format(tmp_path, monkeypatch, chunk):
     ms = np.array([4, -3, 9, 9, 0, -2 ** 63, 2 ** 63 - 1])   # gapped, unordered, a repeat
     vals = rng.normal(size=(len(ts), len(ms), 6))
     vals.reshape(len(ts), -1)[:, :len(SPECIAL)] = SPECIAL   # at every time
-    w = surfaces.CurveWindow(ts=ts, ms=ms, points=vals[..., :3], binormals=vals[..., 3:],
-                             tangents=(), normals=())
+    w = surfaces.CurveWindow(ts=ts, ms=ms, points=vals[..., :3], binormals=vals[..., 3:])
     out = tmp_path / "c.csv"
     cli.write_curve_csv(out, w)
     assert out.read_bytes() == _ref_csv(w).encode()

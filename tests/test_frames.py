@@ -30,7 +30,7 @@ def _snapshot_rows():
     p = surfaces.SurfaceParams(mod=elliptic.make_modulus(0.6), family="cn", gamma_step=0.8,
                                beta_rate=1.0, twisted=True)
     w = surfaces.snapshots(p, range(-8, 9), (0.0, 0.45))
-    return [w.tangents, w.normals, w.binormals]
+    return list(surfaces.curve_frames(p, w.ms, w.ts[:, None]))
 
 
 def _mesh_rows():

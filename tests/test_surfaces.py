@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -116,11 +117,11 @@ def test_frames_orthonormal_and_torsion_sine(family, twisted):
     s = p.edge_speed
     sin_nu = p.sigma * s
     w = surfaces.snapshots(p, range(-4, 7), [0.3])
+    T, N, B = (a[0] for a in surfaces.curve_frames(p, w.ms, w.ts[:, None]))
     # columns (T N B) at every site: orthonormal and right-handed
-    F = np.stack([w.tangents[0], w.normals[0], w.binormals[0]], axis=-1)
+    F = np.stack([T, N, B], axis=-1)
     assert np.abs(F.transpose(0, 2, 1) @ F - np.eye(3)).max() < 1e-10
     assert np.abs(np.linalg.det(F) - 1.0).max() < 1e-10
-    B, N = w.binormals[0], w.normals[0]
     assert (B[1:] * N[:-1]).sum(axis=-1) == pytest.approx([sin_nu] * 10, abs=1e-12)
     # sin nu is positive for untwisted frames, negative for twisted ones
     assert (sin_nu > 0) == (not twisted)
@@ -131,7 +132,7 @@ def test_geometry_extraction_matches_family_torsion():
                               ("cn", lambda m: elliptic.jacobi(0.8, m)[2])):
         p = _params(family)
         w = surfaces.snapshots(p, range(-5, 6), [0.4])
-        geo = frames.extract_geometry(w.tangents[0], w.normals[0], w.binormals[0])
+        geo = frames.extract_geometry(*surfaces.curve_frames(p, w.ms, w.ts[0]))
         assert np.abs(geo.torsion_cos - target_fn(p.mod)).max() < 1e-12
 
 
@@ -140,7 +141,7 @@ def test_curvature_matches_field_difference(family, twisted):
     p = _params(family, twisted)
     sgn = -1.0 if twisted else 1.0
     w = surfaces.snapshots(p, range(-8, 9), [0.45])
-    geo = frames.extract_geometry(w.tangents[0], w.normals[0], w.binormals[0])
+    geo = frames.extract_geometry(*surfaces.curve_frames(p, w.ms, w.ts[0]))
     for j, m in enumerate(range(-8, 8)):
         h0 = surfaces.half_angles(p, m, 0.45)
         h2 = surfaces.half_angles(p, m + 2, 0.45)
@@ -153,7 +154,7 @@ def test_dn_curvature_sine_expanded_form():
     # -sin K_{m+1} = k sn(psi_{m+2}) dn(psi_m) - k sn(psi_m) dn(psi_{m+2})
     p = _params("dn")
     w = surfaces.snapshots(p, range(-6, 7), [0.45])
-    geo = frames.extract_geometry(w.tangents[0], w.normals[0], w.binormals[0])
+    geo = frames.extract_geometry(*surfaces.curve_frames(p, w.ms, w.ts[0]))
     for j, m in enumerate(range(-6, 6)):
         _, psi0 = p.phases(m, 0.45)
         _, psi2 = p.phases(m + 2, 0.45)
@@ -170,7 +171,8 @@ def test_flow_velocity(family, twisted):
     rho = p.beta_rate * (1.0 if family == "dn" else p.mod.k)
     for t in (0.2, 1.1):
         w = surfaces.snapshots(p, range(-8, 8), [t])
-        for m, T, N in zip(w.ms, w.tangents[0], w.normals[0]):
+        tangents, normals, _ = surfaces.curve_frames(p, w.ms, w.ts[:, None])
+        for m, T, N in zip(w.ms, tangents[0], normals[0]):
             v = surfaces.flow_velocity(p, m, t)
             fd = (surfaces.gamma_point(p, m, t + h)
                   - surfaces.gamma_point(p, m, t - h)) / (2.0 * h)
@@ -203,7 +205,9 @@ def test_snapshot_assembly():
     w = surfaces.snapshots(p, range(-3, 4), [0.5])
     assert w.points.shape == (1, 7, 3)
     assert w.binormals.shape == (1, 7, 3)
-    assert w.tangents.shape == w.normals.shape == (1, 7, 3)
+    # the window holds the CSV columns; frames come from curve_frames
+    assert [f.name for f in dataclasses.fields(w)] == ["ts", "ms", "points", "binormals"]
+    assert all(a.shape == (1, 7, 3) for a in surfaces.curve_frames(p, w.ms, w.ts[:, None]))
     assert list(w.ms) == list(range(-3, 4)) and list(w.ts) == [0.5]
     # invariants are only checked across consecutive sites, so gaps are fine
     sparse = surfaces.snapshots(p, [0, 2, 4], [0.5])
@@ -241,10 +245,10 @@ def test_snapshot_fails_on_a_nan_residual():
 
 
 @pytest.mark.parametrize("family", ["dn", "cn"])
-def test_a_window_peaks_under_nine_window_arrays(family):
-    """B_{m+1} x B_m is formed once, for the frame and the edge check alike:
-    while a 64 x 4096 window is built, numpy holds at most nine (T, M, 3)
-    float64 arrays at once; forming the product a second time reads 10.4."""
+def test_a_window_peaks_under_seven_window_arrays(family):
+    """A window evaluates its own sites once and forms no frame: while a
+    64 x 4096 window is built, numpy holds at most seven (T, M, 3) float64
+    arrays at once (6.34); a window that also formed frames read 8.02."""
     p, ts = _params(family), np.linspace(0.0, 2.0, 64)
     surfaces.snapshots(p, range(4096), ts)   # warm-up: caches and lazy imports
     tracemalloc.start()
@@ -253,7 +257,7 @@ def test_a_window_peaks_under_nine_window_arrays(family):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 9 * (64 * 4096 * 3 * 8), peak / (64 * 4096 * 3 * 8)
+    assert peak <= 7 * (64 * 4096 * 3 * 8), peak / (64 * 4096 * 3 * 8)
 
 
 def test_kaleidocycle_params_and_closure():
@@ -316,7 +320,8 @@ def test_random_parameter_sweep():
         rho = b * (1.0 if family == "dn" else k)
         for t in (0.0, 0.61):
             w = surfaces.snapshots(p, (-5, 0, 4), [t])
-            for m, T, N in zip(w.ms, w.tangents[0], w.normals[0]):
+            tangents, normals, _ = surfaces.curve_frames(p, w.ms, w.ts[:, None])
+            for m, T, N in zip(w.ms, tangents[0], normals[0]):
                 e = surfaces.gamma_point(p, m + 1, t) - surfaces.gamma_point(p, m, t)
                 bx = np.cross(surfaces.b_point(p, m + 1, t), surfaces.b_point(p, m, t))
                 assert np.abs(e - p.epsilon_sign * bx).max() < 1e-11
