@@ -40,7 +40,8 @@ def main():
                     worst = max(worst,
                                 float(np.abs(g1 - surfaces.gamma_point(sp, m, t)).max()),
                                 float(np.abs(b1 - surfaces.b_point(sp, m, t)).max()))
-            fh, fr_res, cr = tau.bilinear_checks(sp, 2, 0.3)
+            fh, fr_res = tau.bilinear_checks(sp, 2, 0.3)
+            cr = tau.cauchy_riemann(sp, 2, 0.3)
             tag = "twisted" if twisted else "untwisted"
             print(f"  {family} {tag:9s}: gap {worst:.2e}, bilinear residuals "
                   f"{fh:.1e} / {fr_res:.1e}, analytic pairing {cr:.1e}")

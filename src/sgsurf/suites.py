@@ -480,12 +480,12 @@ def suite_tau_equivalence(p):
 
 @suite("tau.bilinear_relations", 1e-9, cases=lambda: _curves(0.6))
 def suite_tau_bilinear(p):
-    yield from tau.bilinear_checks(p, np.arange(-8, 8)[:, None], np.array([0.0, 0.45]))[:2]
+    yield from tau.bilinear_checks(p, np.arange(-8, 8)[:, None], np.array([0.0, 0.45]))
 
 
 @suite("tau.analytic_pairing_fd", 1e-6, cases=lambda: _curves(0.6))
 def suite_tau_cauchy_riemann(p):
-    yield tau.bilinear_checks(p, np.array([-3, 0, 4]), 0.3)[2]
+    yield tau.cauchy_riemann(p, np.array([-3, 0, 4]), 0.3)
 
 
 @suite("tau.conjugation_symmetry", 1e-11, cases=lambda: _curves(0.6))
@@ -586,7 +586,12 @@ def suite_ksurf_angle_identity(case):
     yield -sinV - t1 * t2 * sinU
 
 
-@suite("ksurf.periodicity_cases", 1e-9, cases=lambda: ksurf.periodic_cases(3).values())
+@functools.lru_cache(maxsize=None)
+def _periodic_ksurfaces():   # the six K-surfaces of ksurf.periodic_cases(3)
+    return tuple(ksurf.periodic_cases(3).values())
+
+
+@suite("ksurf.periodicity_cases", 1e-9, cases=_periodic_ksurfaces)
 def suite_ksurf_periodicity(p):
     """Each shift 0 <= dm <= 6, |dn| <= 6 that ``closure_defect`` accepts (one of
     each +- pair, not (0, 0)) maps an 8 x 8 window, in one k_point call, to itself."""

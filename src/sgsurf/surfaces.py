@@ -234,8 +234,8 @@ class CurveWindow:
 
 def snapshots(p: SurfaceParams, m_range: Sequence[int], ts: Sequence[float]) -> CurveWindow:
     """The validated curve window at the times ts and sites m_range, from one
-    evaluation; raises ValidationError with the residuals of the first
-    defective time slice."""
+    evaluation; raises ValidationError with the residuals of the first time
+    slice that breaks the edge or speed identity or holds a non-finite point."""
     ms = np.asarray(list(m_range), dtype=int)
     ts = np.asarray(ts, dtype=float)
     pts, bs = _curve(p, ms, ts[:, None])
@@ -246,12 +246,13 @@ def snapshots(p: SurfaceParams, m_range: Sequence[int], ts: Sequence[float]) -> 
         axis=(1, 2), initial=0.0, where=adj[:, None])
     speed_res = np.abs(np.linalg.norm(edge, axis=-1) - abs(p.edge_speed)).max(
         axis=1, initial=0.0, where=adj)
-    ok = (edge_res <= _SNAPSHOT_TOL) & (speed_res <= _SNAPSHOT_TOL)   # a NaN residual fails too
+    finite = np.isfinite(pts).all(axis=(1, 2)) & np.isfinite(bs).all(axis=(1, 2))
+    ok = finite & (edge_res <= _SNAPSHOT_TOL) & (speed_res <= _SNAPSHOT_TOL)   # NaN fails too
     if not ok.all():
         i = int(np.argmin(ok))
         report = {"edge_identity": float(edge_res[i]), "constant_speed": float(speed_res[i])}
-        raise ValidationError(
-            f"snapshot at t = {float(ts[i])!r} violates curve invariants", report)
+        raise ValidationError(f"snapshot at t = {float(ts[i])!r} " + (
+            "violates curve invariants" if finite[i] else "holds non-finite points"), report)
     return CurveWindow(ts=ts, ms=ms, points=pts, binormals=bs)
 
 

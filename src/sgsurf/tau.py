@@ -24,12 +24,12 @@ modulus and family: ``lambda0`` (k K'/2 or K'/2), the chain-rule denominator (k 
 or K') and the tau' and 2 tau' theta lattices (``theta.lattice_params``, once each).
 
 Every entry point takes integer arrays of m (and arrays of t, lam, z that
-broadcast with them) as well as single values.  One pass evaluates the
-phases once and the thetas in one band reduction per lattice (``_thetas``),
-every index at every argument, with numpy's complex arithmetic; single
-values are evaluated as arrays of one site and returned as numpy scalars,
-so an element does not depend on how the sites are batched.  A quotient
-whose denominator vanishes raises PoleError.
+broadcast with them) as well as single values, and evaluates them in one pass:
+the phases once, the thetas in one band reduction per lattice (``_thetas``)
+and the rest with numpy's complex arithmetic (``bilinear_checks`` takes m and
+m + 1, ``cauchy_riemann`` four (lam, z) shifts).  Single values are arrays of
+one site, returned as numpy scalars, so an element does not depend on how the
+sites are batched.  A quotient whose denominator vanishes raises PoleError.
 """
 
 from __future__ import annotations
@@ -145,20 +145,16 @@ def _evaluate(p: CurveLattice, m, t, lam, z):
     return f, g, fstar, gstar, F, H, dlog
 
 
-def eta_m(p: CurveLattice, m, t):
-    """Phase function of the spectral prefactor; offset pi/2E' (dn) or 3pi/2E' (cn),
-    less k^2 K'/E' times count * int_0^step sn^2 for each z-drift pair of ``p._sites``."""
+def i_r_m(p: CurveLattice, m, t):
+    """Closed form of i R_m = -(E'/chain_den) eta_m, a real number, with eta_m the phase
+    function of the spectral prefactor: psi_m offset by pi/2E' (dn) or 3pi/2E' (cn), less
+    k^2 K'/E' times count * int_0^step sn^2 for each z-drift pair of ``p._sites``."""
     _, psi, _, drift = p._sites(m, t)
     mod = p.mod
     eta = psi - (0.5 if p.family == "dn" else 1.5) * math.pi / mod.Ep
     for count, integral in drift:
         eta = eta - count * mod.m * mod.Kp * integral / mod.Ep
-    return eta
-
-
-def i_r_m(p: CurveLattice, m, t):
-    """Closed form of i R_m = -(E'/chain_den) eta_m, a real number."""
-    return -(p.mod.Ep / _chain_den(p)) * eta_m(p, m, t)
+    return -(mod.Ep / _chain_den(p)) * eta
 
 
 def tau_sample(p: CurveLattice, m, t, lam: Optional[float] = None,
@@ -197,52 +193,50 @@ def gamma_from_tau(p: CurveLattice, m, t) -> tuple[np.ndarray, np.ndarray]:
 
 
 def bilinear_checks(p: CurveLattice, m, t):
-    """Residuals of the three structural relations tying the quartet together.
+    """Residuals (fh_res, fr_res) of the two Hirota relations between the quartets at m and m + 1:
 
     fh_res: F_m H_{m+1} - H_m F_{m+1} = (eps/i) Psi^FH, with the quartic
             Psi^FH = f*_m f*_{m+1} (f_m g_{m+1} - f_{m+1} g_m)
                    + g_m g_{m+1} (f*_m g*_{m+1} - f*_{m+1} g*_m);
     fr_res: (1/2) D_z F_m . F_{m+1} + i(R_{m+1} - R_m) F_m F_{m+1}
             = (2 eps / i) Psi^FR  with  Psi^FR = f_{m+1} f*_m g_m g*_{m+1}
-                                              - f*_{m+1} f_m g*_m g_{m+1};
-    cr_res: max residual of the Cauchy-Riemann pairing f_lam = i f_z,
-            f*_lam = -i f*_z, g_lam = -i g_z, g*_lam = i g*_z by central
-            differences of step _FD_STEP (the lam and z dependence is
-            structural, entering only through v_pm).
+                                              - f*_{m+1} f_m g*_m g_{m+1}.
 
-    All three residuals are normalized by the magnitude of their terms,
-    since the quartet grows exponentially along m and an absolute residual
-    would just measure that scale.  m (int) and t may be broadcasting arrays.
-    The six evaluations (m and m + 1 at lambda0, and m at lam +- h, z +- h)
-    are one pass.
+    Both residuals are normalized by the magnitude of their terms, since the
+    quartet grows exponentially along m and an absolute residual would just
+    measure that scale.  m (int) and t may be broadcasting arrays; m and m + 1
+    (at lambda0, z = 0) are one pass.
     """
     shape = _shape(m, t)
     m, t = np.broadcast_arrays(np.atleast_1d(m), np.atleast_1d(t))
-    h = _FD_STEP
-    lam0 = lambda0(p)
-    column = (6,) + (1,) * m.ndim
-    f, g, fs, gs, F, H, dlog = _evaluate(
-        p, np.stack([m, m + 1, m, m, m, m]), t,
-        np.array([lam0, lam0, lam0 + h, lam0 - h, lam0, lam0]).reshape(column),
-        np.array([0.0, 0.0, 0.0, 0.0, h, -h]).reshape(column))
-    f0, f1, g0, g1, fs0, fs1, gs0, gs1 = f[0], f[1], g[0], g[1], fs[0], fs[1], gs[0], gs[1]
-    F0, F1, H0, H1 = F[0], F[1], H[0], H[1]
+    f, g, fs, gs, F, H, dlog = _evaluate(p, np.stack([m, m + 1]), t, lambda0(p), 0.0)
+    (f0, f1), (g0, g1), (fs0, fs1), (gs0, gs1), (F0, F1), (H0, H1) = f, g, fs, gs, F, H
     R0, R1 = i_r_m(p, m, t), i_r_m(p, m + 1, t)
-    eps = p.epsilon_sign
 
     psi_fh = fs0 * fs1 * (f0 * g1 - f1 * g0) + g0 * g1 * (fs0 * gs1 - fs1 * gs0)
     scale = abs(F0 * H1) + abs(H0 * F1) + abs(psi_fh) + 1e-300
-    fh_res = abs(F0 * H1 - H0 * F1 - eps / 1j * psi_fh) / scale
+    fh_res = abs(F0 * H1 - H0 * F1 - p.epsilon_sign / 1j * psi_fh) / scale
 
     dF0, dF1 = dlog[0] * F0, dlog[1] * F1
     psi_fr = f1 * fs0 * g0 * gs1 - fs1 * f0 * gs0 * g1
     lhs2 = 0.5 * (dF0 * F1 - F0 * dF1) + (R1 - R0) * F0 * F1
     scale2 = abs(lhs2) + abs(psi_fr) + abs(F0 * F1) + 1e-300
-    fr_res = abs(lhs2 - 2.0 * eps / 1j * psi_fr) / scale2
+    fr_res = abs(lhs2 - 2.0 * p.epsilon_sign / 1j * psi_fr) / scale2
+    return _shaped(fh_res, shape), _shaped(fr_res, shape)
 
+
+def cauchy_riemann(p: CurveLattice, m, t):
+    """Max residual of the Cauchy-Riemann pairing f_lam = i f_z, f*_lam = -i f*_z,
+    g_lam = -i g_z, g*_lam = i g*_z (the lam and z dependence is structural, entering
+    only through v_pm) by central differences of step h = _FD_STEP, relative to
+    max(1, |x_lam|).  m (int) and t may be broadcasting arrays; the four shifts
+    (lambda0 +- h, 0) and (lambda0, +- h) are one pass."""
+    shape, h = _shape(m, t), _FD_STEP
+    column = (4,) + (1,) * max(len(shape), 1)   # the shifts, against the sites
+    shifts = np.array([[h, -h, 0.0, 0.0], [0.0, 0.0, h, -h]]).reshape((2,) + column)
+    f, g, fs, gs, *_ = _evaluate(p, m, t, lambda0(p) + shifts[0], shifts[1])
     cr_res = 0.0
     for x, sign in zip((f, g, fs, gs), (1.0, -1.0, -1.0, 1.0)):
-        d_lam = (x[2] - x[3]) / (2.0 * h)
-        d_z = (x[4] - x[5]) / (2.0 * h)
+        d_lam, d_z = (x[0] - x[1]) / (2.0 * h), (x[2] - x[3]) / (2.0 * h)
         cr_res = np.maximum(cr_res, abs(d_lam - sign * 1j * d_z) / np.maximum(1.0, abs(d_lam)))
-    return _shaped(fh_res, shape), _shaped(fr_res, shape), _shaped(cr_res, shape)
+    return _shaped(cr_res, shape)

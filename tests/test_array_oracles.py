@@ -262,9 +262,10 @@ def test_tau_entry_points_are_batch_invariant(p):
         return tuple(getattr(s, name) for name in names)
 
     _assert_batch_invariant(sample, m, t, lam, z)
-    _assert_batch_invariant(lambda a, b: (tau.i_r_m(p, a, b), tau.eta_m(p, a, b)), m, t)
+    _assert_batch_invariant(lambda a, b: (tau.i_r_m(p, a, b),), m, t)
     _assert_batch_invariant(lambda a, b: tau.gamma_from_tau(p, a, b), m, t)
     _assert_batch_invariant(lambda a, b: tau.bilinear_checks(p, a, b), m, t)
+    _assert_batch_invariant(lambda a, b: (tau.cauchy_riemann(p, a, b),), m, t)
 
 
 def _field_lattices(family, k, omega, rho, rate=0.31):
@@ -315,7 +316,7 @@ def test_tau_arrays_match_per_site_calls(p):
     z[:2] = (0.0, -0.0)
     s = tau.tau_sample(p, m, t, lam=lam, z=z)
     g, b = tau.gamma_from_tau(p, m, t)
-    checks = tau.bilinear_checks(p, m, t)
+    checks = (*tau.bilinear_checks(p, m, t), tau.cauchy_riemann(p, m, t))
     r = tau.i_r_m(p, m, t)
     for i in range(12):
         one = tau.tau_sample(p, int(m[i]), float(t[i]), lam=float(lam[i]), z=float(z[i]))
@@ -325,7 +326,9 @@ def test_tau_arrays_match_per_site_calls(p):
         g1, b1 = tau.gamma_from_tau(p, int(m[i]), float(t[i]))
         _same(g[i], g1)
         _same(b[i], b1)
-        for arr, single in zip(checks, tau.bilinear_checks(p, int(m[i]), float(t[i]))):
+        mi, ti = int(m[i]), float(t[i])
+        singles = (*tau.bilinear_checks(p, mi, ti), tau.cauchy_riemann(p, mi, ti))
+        for arr, single in zip(checks, singles):
             _same(arr[i], single)
     one = tau.tau_sample(p, 2, 0.3)
     assert np.ndim(one.F) == 0 and np.iscomplexobj(one.F)

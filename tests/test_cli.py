@@ -273,6 +273,20 @@ def test_t_steps_below_one_is_config_error_without_artifact(tmp_path, argv, step
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # beta * t overflows in the phases
+@pytest.mark.parametrize("argv", [
+    ["curve", "--k", "0.6", "--m-min", "0", "--m-max", "0"],
+    ["kaleidocycle", "--n", "3", "--m-max", "0"],
+], ids=lambda a: a[0])
+def test_a_one_site_window_with_a_non_finite_point_fails_without_artifact(
+        tmp_path, capsys, argv):
+    out = tmp_path / "artifact"
+    assert run(argv + ["--beta", "1e308", "--t-stop", "1e10", "--t-steps", "2",
+                       "--out", str(out)]) == 1
+    assert "holds non-finite points" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_kaleidocycle_reports_frames_written(tmp_path, capsys):
     out = tmp_path / "anim"
     assert run(["kaleidocycle", "--n", "4", "--t-steps", "3", "--t-stop", "1.0",

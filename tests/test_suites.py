@@ -135,6 +135,40 @@ def test_a_fresh_verify_round_builds_each_constant_once(monkeypatch):
     assert len(reductions) == 104
 
 
+@pytest.mark.parametrize("name, sites", [
+    ("suite_tau_bilinear", 64),         # m and m + 1 over 16 m x 2 t
+    ("suite_tau_cauchy_riemann", 12),   # four (lam, z) shifts x 3 m
+])
+def test_each_tau_suite_case_evaluates_only_its_own_relation(monkeypatch, name, sites):
+    counts = []
+    real = tau._evaluate
+
+    def counted(p, *args):
+        counts.append(int(np.prod(np.broadcast_shapes(*map(np.shape, args)))))
+        return real(p, *args)
+
+    monkeypatch.setattr(tau, "_evaluate", counted)
+    fn = getattr(suites, name)
+    assert fn().passed
+    assert counts == [sites] * len(suites._curves(0.6))   # one pass per case
+
+
+def test_a_second_round_builds_no_lattice(monkeypatch):
+    # every case function is cached, so a second round derives no lattice step
+    suites.run_suites()
+    calls = []
+    real = elliptic._lattice_step
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (elliptic, surfaces, ksurf):
+        monkeypatch.setattr(module, "_lattice_step", counted)
+    assert all(r.passed for r in suites.run_suites())
+    assert calls == []
+
+
 def test_surface_and_tau_suites_share_one_lattice_set_per_modulus():
     # every suite reads its lattices from _curves and _ksurfaces, so a fresh
     # round builds one cached set per modulus and no more: curves over

@@ -238,6 +238,15 @@ def test_snapshot_validation_report(monkeypatch):
     assert set(exc.value.report) == {"edge_identity", "constant_speed"}
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the phase overflows at t = inf
+def test_a_one_site_snapshot_with_a_non_finite_point_raises():
+    # a one-site window has no edge to check; its points are checked themselves
+    from sgsurf.errors import ValidationError
+    with pytest.raises(ValidationError, match="non-finite") as exc:
+        surfaces.snapshots(_params("dn"), [0], [0.0, math.inf])
+    assert "t = inf" in str(exc.value)
+
+
 def test_snapshot_fails_on_a_nan_residual():
     from sgsurf.errors import ValidationError
     with pytest.raises(ValidationError):
